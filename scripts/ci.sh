@@ -2,7 +2,7 @@
 # Repository CI gate, runnable locally:
 #
 #   scripts/ci.sh            # lint + tier-1 + faults + chaos + TSan + ASan
-#                            # + UBSan + fuzz
+#                            # + UBSan + fuzz + perfbench tests
 #   scripts/ci.sh tier1      # just the tier-1 build + full ctest
 #   scripts/ci.sh faults     # just the fault-injection suite
 #   scripts/ci.sh chaos-smoke # bounded deterministic chaos campaign: seeded
@@ -27,6 +27,9 @@
 #   scripts/ci.sh proc-smoke # multi-process transport: quickstart contigs
 #                            # bit-identical to thread, merged trace stitches
 #                            # 100%, parallel suites pass with proc default
+#   scripts/ci.sh perfbench  # the benchmark's own tests
+#                            # (perfbench/test_perfbench.py): run plan,
+#                            # output checks and metric derivations
 #   scripts/ci.sh verify     # exhaustive checkers: pgasm-model explores the
 #                            # master/worker protocol state space (clean
 #                            # sweep + every seeded bug caught) and
@@ -324,6 +327,11 @@ PY
   echo "-- json schema holds"
 }
 
+perfbench() {
+  echo "== perfbench: the benchmark's own tests =="
+  python3 perfbench/test_perfbench.py
+}
+
 case "$STAGE" in
   tier1) run_stage tier1 ;;
   faults) run_stage faults ;;
@@ -338,6 +346,7 @@ case "$STAGE" in
   perf-smoke) run_stage perf_smoke ;;
   proc-smoke) run_stage proc_smoke ;;
   verify) run_stage verify ;;
+  perfbench) run_stage perfbench ;;
   all)
     run_stage lint
     run_stage determ
@@ -352,9 +361,10 @@ case "$STAGE" in
     run_stage fuzz_smoke
     run_stage perf_smoke
     run_stage proc_smoke
+    run_stage perfbench
     ;;
   *)
-    echo "usage: scripts/ci.sh [lint|determ|tsafety|tier1|faults|chaos-smoke|tsan|asan|ubsan|fuzz-smoke|perf-smoke|proc-smoke|verify|all]" >&2
+    echo "usage: scripts/ci.sh [lint|determ|tsafety|tier1|faults|chaos-smoke|tsan|asan|ubsan|fuzz-smoke|perf-smoke|proc-smoke|verify|perfbench|all]" >&2
     exit 2
     ;;
 esac

@@ -380,6 +380,24 @@ OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
   return banded_overlap_align(a, b, sc, shift, band, ws, opts);
 }
 
+int banded_overlap_score_bound(std::uint32_t la, std::uint32_t lb,
+                               std::int32_t shift, std::uint32_t band,
+                               const Scoring& sc) noexcept {
+  constexpr int kNoBound = std::numeric_limits<int>::max();
+  if (sc.match <= 0 || sc.gap > 0 || sc.mismatch > sc.match) return kNoBound;
+  const std::int64_t a = la, b = lb;
+  // Start diagonals: in band and on the matrix (d in [-la, lb]).
+  const std::int64_t lo = std::max<std::int64_t>(shift - std::int64_t{band}, -a);
+  const std::int64_t hi = std::min<std::int64_t>(shift + std::int64_t{band}, b);
+  std::int64_t best = 0;
+  for (const std::int64_t d : {lo, hi, std::int64_t{0}, b - a}) {
+    if (d < lo || d > hi) continue;
+    best = std::max(best, std::min({a, b, b - d, a + d}));
+  }
+  return static_cast<int>(
+      std::min<std::int64_t>(best * sc.match, kNoBound));
+}
+
 OverlapResult banded_overlap_align_reference(Seq a, Seq b, const Scoring& sc,
                                              std::int32_t shift,
                                              std::uint32_t band,

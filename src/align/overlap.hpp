@@ -72,6 +72,18 @@ OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
                                    Workspace& ws,
                                    const AlignOptions& opts = {});
 
+/// Upper bound on banded_overlap_align(a, b, sc, shift, band).aln.score for
+/// any a, b of lengths la, lb: match × the longest diagonal overlap whose
+/// diagonal lies in [shift - band, shift + band]. Every path starts on an
+/// in-band diagonal d0 at the matrix edge, so it makes at most ovl(d0)
+/// diagonal steps, each worth at most `match`; gaps only cost. ovl is
+/// concave and piecewise linear, so its in-band maximum sits at a band end,
+/// at d = 0 or at d = lb - la. Returns INT_MAX (skip nothing) for scoring
+/// where that argument fails: match <= 0, gap > 0, or mismatch > match.
+int banded_overlap_score_bound(std::uint32_t la, std::uint32_t lb,
+                               std::int32_t shift, std::uint32_t band,
+                               const Scoring& sc) noexcept;
+
 /// Pre-refactor banded kernel: fresh full-size buffers (allocated and
 /// cleared) every call. Kept as the baseline for bench/align_throughput and
 /// as the fresh-memory oracle for dirty-buffer reuse tests; bit-identical

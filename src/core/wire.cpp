@@ -89,20 +89,28 @@ class Cursor {
 
   template <typename T>
   bool read_vec(std::vector<T>& v, const char* what) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (failed_) return false;
     std::uint32_t n = 0;
-    if (!read(n, what)) return false;
-    // Check the element run against the remaining bytes BEFORE allocating:
-    // a corrupt count must produce a typed error, not a multi-gigabyte
-    // resize. 64-bit arithmetic, so n * sizeof(T) cannot wrap.
-    const std::uint64_t need = std::uint64_t{n} * sizeof(T);
-    if (need > in_.size() - off_) {
-      return fail(WireErrc::kTruncated, what);
-    }
-    v.resize(n);
-    if (n) std::memcpy(v.data(), in_.data() + off_, n * sizeof(T));
-    off_ += static_cast<std::size_t>(need);
+    return read(n, what) && read_run(v, n, what);
+  }
+
+  /// Read `n` elements whose count was decoded separately.
+  template <typename T>
+  bool read_run(std::vector<T>& v, std::uint64_t n, const char* what) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (!fits(n, sizeof(T), what)) return false;
+    v.resize(static_cast<std::size_t>(n));
+    if (n) std::memcpy(v.data(), in_.data() + off_, v.size() * sizeof(T));
+    off_ += v.size() * sizeof(T);
+    return true;
+  }
+
+  /// Can `n` elements of at least `min_bytes` each still follow? Checked
+  /// BEFORE allocating: a corrupt count must produce a typed error, not a
+  /// multi-gigabyte resize. n <= 2^64 / min_bytes guards the product.
+  bool fits(std::uint64_t n, std::size_t min_bytes, const char* what) noexcept {
+    if (failed_) return false;
+    const std::uint64_t left = in_.size() - off_;
+    if (n > left / min_bytes) return fail(WireErrc::kTruncated, what);
     return true;
   }
 
@@ -477,6 +485,73 @@ WireResult<RunManifest> try_load_manifest(const std::string& path) {
   if (!frame) return frame.error();
   const auto payload = std::move(frame).take_or_throw();
   return try_decode_manifest(std::span<const std::uint8_t>(payload));
+}
+
+void encode_assembly(std::vector<std::uint8_t>& out, std::uint32_t cluster,
+                     const olc::AssemblyResult& ar) {
+  append_pod(out, cluster);
+  append_pod(out, static_cast<std::uint32_t>(ar.contigs.size()));
+  append_pod(out, ar.stats.overlaps_considered);
+  append_pod(out, ar.stats.overlaps_accepted);
+  append_pod(out, ar.stats.layout_conflicts);
+  for (const auto& contig : ar.contigs) {
+    append_pod(out, static_cast<std::uint64_t>(contig.consensus.size()));
+    out.insert(out.end(), contig.consensus.begin(), contig.consensus.end());
+    append_pod(out, static_cast<std::uint32_t>(contig.layout.size()));
+    for (const auto& pl : contig.layout) {
+      append_pod(out, pl.fragment);
+      append_pod(out, static_cast<std::uint8_t>(pl.flip ? 1 : 0));
+      append_pod(out, pl.offset);
+      append_pod(out, pl.length);
+    }
+  }
+}
+
+WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
+    std::span<const std::uint8_t> bytes, std::size_t n_clusters) {
+  // Smallest encodings: a contig is its two counts, a placement 17 bytes.
+  constexpr std::size_t kMinContig = 8 + 4;
+  constexpr std::size_t kMinPlacement = 4 + 1 + 8 + 4;
+  Cursor<std::uint8_t> cur(bytes);
+  std::vector<ClusterAssembly> out;
+  while (cur.ok() && cur.offset() < bytes.size()) {
+    ClusterAssembly rec;
+    std::uint32_t n_contigs = 0;
+    if (cur.read(rec.cluster, "assembly cluster") &&
+        rec.cluster >= n_clusters) {
+      return WireError{WireErrc::kBadValue, cur.offset() - 4,
+                       "assembly cluster index out of range"};
+    }
+    cur.read(n_contigs, "assembly contig count");
+    auto& stats = rec.result.stats;
+    cur.read(stats.overlaps_considered, "assembly overlaps_considered");
+    cur.read(stats.overlaps_accepted, "assembly overlaps_accepted");
+    cur.read(stats.layout_conflicts, "assembly layout_conflicts");
+    if (!cur.fits(n_contigs, kMinContig, "assembly contig count")) break;
+    rec.result.contigs.resize(n_contigs);
+    for (auto& contig : rec.result.contigs) {
+      std::uint64_t len = 0;
+      std::uint32_t n_layout = 0;
+      cur.read(len, "assembly consensus length");
+      cur.read_run(contig.consensus, len, "assembly consensus");
+      cur.read(n_layout, "assembly placement count");
+      if (!cur.fits(n_layout, kMinPlacement, "assembly placement count")) {
+        break;
+      }
+      contig.layout.resize(n_layout);
+      for (auto& pl : contig.layout) {
+        std::uint8_t flip = 0;
+        cur.read(pl.fragment, "assembly placement fragment");
+        cur.read(flip, "assembly placement flip");
+        cur.read(pl.offset, "assembly placement offset");
+        cur.read(pl.length, "assembly placement length");
+        pl.flip = flip != 0;
+      }
+    }
+    out.push_back(std::move(rec));
+  }
+  if (!cur.ok()) return cur.error();
+  return out;
 }
 
 std::vector<std::uint8_t> encode_gst_checkpoint(const GstCheckpoint& c) {

@@ -26,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "olc/assembler.hpp"
+
 namespace pgasm::core {
 
 /// A promising pair in global doubled-store ids. POD for send_vector.
@@ -329,5 +331,29 @@ WireResult<GstCheckpoint> try_decode_gst_checkpoint(
 
 void save_gst_checkpoint(const std::string& path, const GstCheckpoint& c);
 WireResult<GstCheckpoint> try_load_gst_checkpoint(const std::string& path);
+
+// --- Assembly results (distributed assembly phase) ---------------------------
+
+/// One cluster's assembly as a worker rank ships it to rank 0.
+struct ClusterAssembly {
+  std::uint32_t cluster = 0;  ///< index into the run's assembled clusters
+  olc::AssemblyResult result;
+};
+
+/// Append one record to a gather buffer; a buffer is records back to back,
+/// with no tag or count in front. Record layout (native byte order):
+///   [u32 cluster][u32 n_contigs][u64 overlaps_considered]
+///   [u64 overlaps_accepted][u64 layout_conflicts]
+///   n_contigs × ([u64 len][len consensus codes][u32 n_layout]
+///                n_layout × [u32 fragment][u8 flip][i64 offset][u32 length])
+void encode_assembly(std::vector<std::uint8_t>& out, std::uint32_t cluster,
+                     const olc::AssemblyResult& ar);
+
+/// Decode a whole gather buffer. Total over arbitrary bytes: a cluster index
+/// >= n_clusters is kBadValue, and a contig, placement or consensus count
+/// that cannot fit in the remaining bytes is kTruncated, checked before
+/// anything is allocated.
+WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
+    std::span<const std::uint8_t> bytes, std::size_t n_clusters);
 
 }  // namespace pgasm::core

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <queue>
+#include <set>
 
+#include "align/workspace.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
 #include "util/stats.hpp"
@@ -22,14 +25,45 @@ struct Overlap {
   std::uint32_t frag_a, frag_b;  // underlying fragment ids
   bool rc_a, rc_b;               // orientations the alignment used
   std::int32_t delta;            // start of b's oriented seq rel. to a's
-  std::int32_t score;
+};
+
+/// A promising pair reduced to what its alignment depends on.
+struct Candidate {
+  std::uint32_t seq_a, seq_b;  // doubled-store ids
+  std::int32_t shift;
+  friend auto operator<=>(const Candidate&, const Candidate&) = default;
+};
+
+/// Drain the generator; keep the first of each exact duplicate. Two maximal
+/// matches on one diagonal (split by a sequencing error) yield the same
+/// (seq_a, seq_b, shift): the copy aligns identically and, folded after the
+/// original, could only ever be a no-op. Returns generation order.
+std::vector<Candidate> distinct_candidates(gst::PairGenerator& gen) {
+  std::vector<Candidate> out;
+  std::set<Candidate> seen;
+  gst::PromisingPair pr;
+  while (gen.next(pr)) {
+    const Candidate c{pr.seq_a, pr.seq_b, pr.shift()};
+    if (seen.insert(c).second) out.push_back(c);
+  }
+  return out;
+}
+
+/// A read as the polish passes see it: oriented once per contig, plus the
+/// last alignment computed for it and the inputs it was computed from.
+struct PolishRead {
+  std::vector<seq::Code> seq;
+  std::vector<std::uint8_t> qual;
+  std::vector<seq::Code> window;  // draft window of `aln`; empty: none yet
+  std::int64_t diag = 0;          // band center of `aln` in that window
+  align::AlignResult aln;
 };
 
 /// One polish round: banded-realign each placed fragment to the draft and
 /// re-vote per draft column (bases + gap). Columns where gaps win are
 /// dropped; placements' offsets are remapped. Returns true if changed.
-bool polish_round(Contig& contig, const seq::FragmentStore& fragments,
-                  const AssemblyParams& params) {
+bool polish_round(Contig& contig, std::vector<PolishRead>& reads,
+                  const AssemblyParams& params, align::Workspace& ws) {
   const auto& draft = contig.consensus;
   if (draft.empty()) return false;
   constexpr int kGap = seq::kSigma;  // vote index for "delete this column"
@@ -43,15 +77,11 @@ bool polish_round(Contig& contig, const seq::FragmentStore& fragments,
   const std::int64_t pad = params.polish_band;
   const align::Scoring scoring{};
 
-  for (const Placement& pl : contig.layout) {
-    auto read = std::vector<seq::Code>(fragments.seq(pl.fragment).begin(),
-                                       fragments.seq(pl.fragment).end());
-    const auto qspan = fragments.quality(pl.fragment);
-    std::vector<std::uint8_t> qual(qspan.begin(), qspan.end());
-    if (pl.flip) {
-      read = seq::reverse_complement(read);
-      std::reverse(qual.begin(), qual.end());
-    }
+  for (std::size_t k = 0; k < contig.layout.size(); ++k) {
+    const Placement& pl = contig.layout[k];
+    PolishRead& rd = reads[k];
+    const auto& read = rd.seq;
+    const auto& qual = rd.qual;
     const std::int64_t dlen = static_cast<std::int64_t>(draft.size());
     const std::int64_t rlen = static_cast<std::int64_t>(read.size());
     const std::int64_t win_lo = std::max<std::int64_t>(0, pl.offset - pad);
@@ -63,11 +93,18 @@ bool polish_round(Contig& contig, const seq::FragmentStore& fragments,
     // i.e. window pos (offset - win_lo) + i. End-free alignment: the
     // window's pad margins are absorbed for free, so they receive no
     // spurious gap votes; only the genuinely aligned region votes.
-    const auto ov = align::banded_overlap_align(
-        read, window, scoring,
-        static_cast<std::int32_t>(pl.offset - win_lo),
-        params.polish_band + 8, {.keep_ops = true});
-    const auto& r = ov.aln;
+    // The kernel is deterministic, so when the window bytes and diagonal
+    // equal the previous pass's, that pass's alignment is this one.
+    const std::int64_t diag = pl.offset - win_lo;
+    if (diag != rd.diag || !std::ranges::equal(window, rd.window)) {
+      rd.aln = align::banded_overlap_align(
+                   read, window, scoring, static_cast<std::int32_t>(diag),
+                   params.polish_band + 8, ws, {.keep_ops = true})
+                   .aln;
+      rd.window.assign(window.begin(), window.end());
+      rd.diag = diag;
+    }
+    const auto& r = rd.aln;
     if (r.ops.empty()) continue;  // band missed; this read abstains
     std::size_t i = r.a_begin;
     std::int64_t p = win_lo + r.b_begin;
@@ -155,6 +192,26 @@ bool polish_round(Contig& contig, const seq::FragmentStore& fragments,
   return true;
 }
 
+/// Realign-and-revote until stable, at most params.polish_passes rounds.
+void polish(Contig& contig, const seq::FragmentStore& fragments,
+            const AssemblyParams& params, align::Workspace& ws) {
+  std::vector<PolishRead> reads(contig.layout.size());
+  for (std::size_t k = 0; k < reads.size(); ++k) {
+    const Placement& pl = contig.layout[k];
+    const auto text = fragments.seq(pl.fragment);
+    const auto qual = fragments.quality(pl.fragment);
+    reads[k].seq.assign(text.begin(), text.end());
+    reads[k].qual.assign(qual.begin(), qual.end());
+    if (pl.flip) {
+      reads[k].seq = seq::reverse_complement(reads[k].seq);
+      std::reverse(reads[k].qual.begin(), reads[k].qual.end());
+    }
+  }
+  for (int pass = 0; pass < params.polish_passes; ++pass) {
+    if (!polish_round(contig, reads, params, ws)) break;
+  }
+}
+
 }  // namespace
 
 std::size_t AssemblyResult::num_multi_contigs() const noexcept {
@@ -180,48 +237,79 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
   const std::size_t n = fragments.size();
   if (n == 0) return result;
 
-  // --- Overlap phase -------------------------------------------------------
+  // --- Overlap + layout: one best-first walk ------------------------------
+  // Accepted overlaps fold into the layout best score first, ties in
+  // generation order. The queue holds each candidate under an upper bound
+  // on its score until it is aligned, then under its exact score, so
+  // exact entries leave in that fold order. A candidate that leaves on its
+  // bound while its fragments already share a component is dropped
+  // unaligned (the paper's Fig. 3 skip rule): components only grow, so
+  // when its exact score came up, unite could only answer consistent or
+  // conflict, and neither changes the layout.
   const seq::FragmentStore doubled = seq::make_doubled_store(fragments);
   gst::SuffixTree tree(doubled,
                        gst::GstParams{.min_match = params.psi, .prefix_w = 0});
   gst::PairGenerator gen(tree, {.dup_elim = true, .doubled_input = true});
+  const std::vector<Candidate> cands = distinct_candidates(gen);
 
-  std::vector<Overlap> overlaps;
-  gst::PromisingPair pr;
-  while (gen.next(pr)) {
+  struct Entry {
+    std::int32_t key;  // score bound, or exact score once aligned
+    std::uint32_t idx;  // generation index into cands
+    bool exact;
+  };
+  auto after = [](const Entry& x, const Entry& y) {
+    return x.key != y.key ? x.key < y.key : x.idx > y.idx;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(cands.size());
+  for (std::uint32_t i = 0; i < cands.size(); ++i) {
+    const Candidate& c = cands[i];
+    entries.push_back(
+        {align::banded_overlap_score_bound(
+             static_cast<std::uint32_t>(doubled.length(c.seq_a)),
+             static_cast<std::uint32_t>(doubled.length(c.seq_b)), c.shift,
+             params.overlap.band, params.overlap.scoring),
+         i, false});
+  }
+  std::priority_queue<Entry, std::vector<Entry>, decltype(after)> queue(
+      after, std::move(entries));
+
+  std::vector<Overlap> overlaps(cands.size());
+  LayoutUF layout(n);
+  align::Workspace ws;
+  while (!queue.empty()) {
+    const Entry e = queue.top();
+    queue.pop();
+    if (e.exact) {
+      const Overlap& ov = overlaps[e.idx];
+      const Transform t_ba = overlap_transform(
+          ov.rc_a, ov.rc_b, ov.delta, fragments.length(ov.frag_a),
+          fragments.length(ov.frag_b));
+      const auto outcome = layout.unite(ov.frag_a, ov.frag_b, t_ba,
+                                        params.placement_tolerance);
+      if (outcome == LayoutUF::UniteOutcome::kConflict) {
+        ++result.stats.layout_conflicts;
+      }
+      continue;
+    }
+    const Candidate& c = cands[e.idx];
+    if (layout.find(c.seq_a >> 1).first == layout.find(c.seq_b >> 1).first) {
+      continue;
+    }
     ++result.stats.overlaps_considered;
-    const auto a = doubled.seq(pr.seq_a);
-    const auto b = doubled.seq(pr.seq_b);
     const auto r = align::banded_overlap_align(
-        a, b, params.overlap.scoring, pr.shift(), params.overlap.band);
+        doubled.seq(c.seq_a), doubled.seq(c.seq_b), params.overlap.scoring,
+        c.shift, params.overlap.band, ws);
     if (!align::accept_overlap(r, params.overlap)) continue;
     ++result.stats.overlaps_accepted;
-    Overlap ov;
-    ov.frag_a = pr.seq_a >> 1;
-    ov.frag_b = pr.seq_b >> 1;
-    ov.rc_a = (pr.seq_a & 1u) != 0;
-    ov.rc_b = (pr.seq_b & 1u) != 0;
+    Overlap& ov = overlaps[e.idx];
+    ov.frag_a = c.seq_a >> 1;
+    ov.frag_b = c.seq_b >> 1;
+    ov.rc_a = (c.seq_a & 1u) != 0;
+    ov.rc_b = (c.seq_b & 1u) != 0;
     ov.delta = static_cast<std::int32_t>(r.aln.a_begin) -
                static_cast<std::int32_t>(r.aln.b_begin);
-    ov.score = r.aln.score;
-    overlaps.push_back(ov);
-  }
-
-  // --- Layout phase: best overlaps first -----------------------------------
-  std::stable_sort(overlaps.begin(), overlaps.end(),
-                   [](const Overlap& x, const Overlap& y) {
-                     return x.score > y.score;
-                   });
-  LayoutUF layout(n);
-  for (const Overlap& ov : overlaps) {
-    const Transform t_ba = overlap_transform(
-        ov.rc_a, ov.rc_b, ov.delta, fragments.length(ov.frag_a),
-        fragments.length(ov.frag_b));
-    const auto outcome = layout.unite(ov.frag_a, ov.frag_b, t_ba,
-                                      params.placement_tolerance);
-    if (outcome == LayoutUF::UniteOutcome::kConflict) {
-      ++result.stats.layout_conflicts;
-    }
+    queue.push({r.aln.score, e.idx, true});
   }
 
   // --- Consensus phase ------------------------------------------------------
@@ -317,10 +405,7 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
 
   // --- Polish phase: realign-and-revote until stable -----------------------
   for (Contig& contig : result.contigs) {
-    if (contig.is_singleton()) continue;
-    for (int pass = 0; pass < params.polish_passes; ++pass) {
-      if (!polish_round(contig, fragments, params)) break;
-    }
+    if (!contig.is_singleton()) polish(contig, fragments, params, ws);
   }
   return result;
 }

@@ -6,9 +6,16 @@
 //   overlap  — promising pairs from a GST over the cluster's fragments
 //              (+ reverse complements) at a stricter ψ, verified with
 //              banded suffix-prefix alignments at higher identity;
-//   layout   — overlaps sorted by score, greedily folded into an
-//              orientation-aware layout union-find; placements that
-//              contradict earlier (better) overlaps are rejected;
+//   layout   — accepted overlaps folded best score first (ties in pair
+//              generation order) into an orientation-aware layout
+//              union-find; placements that contradict earlier (better)
+//              overlaps are rejected. Overlap and layout run as one
+//              best-first walk: a pair waits in a queue under an upper
+//              bound on its banded score and is aligned only if its two
+//              fragments are still in different components when that
+//              bound comes up (the paper's Fig. 3 skip rule); accepted
+//              overlaps re-enter under their exact score. The layout is
+//              the one folding every accepted overlap would build;
 //   consensus — per-column majority vote over the placed fragments,
 //              splitting at zero-coverage columns.
 #pragma once
@@ -58,9 +65,13 @@ struct Contig {
 };
 
 struct AssemblyStats {
-  std::uint64_t overlaps_considered = 0;  ///< promising pairs aligned
-  std::uint64_t overlaps_accepted = 0;
-  std::uint64_t layout_conflicts = 0;  ///< rejected inconsistent placements
+  /// Promising pairs actually aligned: exact duplicates and pairs whose
+  /// fragments already shared a layout component were never aligned.
+  std::uint64_t overlaps_considered = 0;
+  std::uint64_t overlaps_accepted = 0;  ///< aligned pairs that passed
+  /// Inconsistent placements rejected among the overlaps the walk reaches
+  /// (an overlap skipped unaligned is never tested against the layout).
+  std::uint64_t layout_conflicts = 0;
 };
 
 struct AssemblyResult {

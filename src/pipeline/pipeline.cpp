@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 
+#include "core/wire.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,78 +17,6 @@
 namespace pgasm::pipeline {
 
 namespace {
-
-// --- AssemblyResult wire helpers for the distributed assembly phase -------
-
-template <typename T>
-void put(std::vector<std::uint8_t>& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t base = out.size();
-  out.resize(base + sizeof(T));
-  std::memcpy(out.data() + base, &v, sizeof(T));
-}
-
-template <typename T>
-T take(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  T v;
-  if (sizeof(T) > in.size() - off)
-    throw std::runtime_error("assembly wire: truncated field");
-  std::memcpy(&v, in.data() + off, sizeof(T));
-  off += sizeof(T);
-  return v;
-}
-
-void append_assembly(std::vector<std::uint8_t>& out, std::uint32_t cluster,
-                     const olc::AssemblyResult& ar) {
-  put(out, cluster);
-  put(out, static_cast<std::uint32_t>(ar.contigs.size()));
-  put(out, ar.stats.overlaps_considered);
-  put(out, ar.stats.overlaps_accepted);
-  put(out, ar.stats.layout_conflicts);
-  for (const auto& contig : ar.contigs) {
-    put(out, static_cast<std::uint64_t>(contig.consensus.size()));
-    const std::size_t base = out.size();
-    out.resize(base + contig.consensus.size());
-    if (!contig.consensus.empty())
-      std::memcpy(out.data() + base, contig.consensus.data(),
-                  contig.consensus.size());
-    put(out, static_cast<std::uint32_t>(contig.layout.size()));
-    for (const auto& pl : contig.layout) {
-      put(out, pl.fragment);
-      put(out, static_cast<std::uint8_t>(pl.flip ? 1 : 0));
-      put(out, pl.offset);
-      put(out, pl.length);
-    }
-  }
-}
-
-olc::AssemblyResult parse_assembly(const std::vector<std::uint8_t>& in,
-                                   std::size_t& off, std::uint32_t* cluster) {
-  olc::AssemblyResult ar;
-  *cluster = take<std::uint32_t>(in, off);
-  const auto n_contigs = take<std::uint32_t>(in, off);
-  ar.stats.overlaps_considered = take<std::uint64_t>(in, off);
-  ar.stats.overlaps_accepted = take<std::uint64_t>(in, off);
-  ar.stats.layout_conflicts = take<std::uint64_t>(in, off);
-  ar.contigs.resize(n_contigs);
-  for (auto& contig : ar.contigs) {
-    const auto len = take<std::uint64_t>(in, off);
-    if (len > in.size() - off)
-      throw std::runtime_error("assembly wire: truncated consensus");
-    contig.consensus.resize(len);
-    if (len != 0) std::memcpy(contig.consensus.data(), in.data() + off, len);
-    off += len;
-    const auto n_layout = take<std::uint32_t>(in, off);
-    contig.layout.resize(n_layout);
-    for (auto& pl : contig.layout) {
-      pl.fragment = take<std::uint32_t>(in, off);
-      pl.flip = take<std::uint8_t>(in, off) != 0;
-      pl.offset = take<std::int64_t>(in, off);
-      pl.length = take<std::uint32_t>(in, off);
-    }
-  }
-  return ar;
-}
 
 // --- Final-checkpoint persistence (recovery supervisor) --------------------
 
@@ -465,8 +393,8 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
               result.assemblies[ci] = std::move(asm_result);
               continue;
             }
-            append_assembly(outbox, static_cast<std::uint32_t>(ci),
-                            asm_result);
+            core::encode_assembly(outbox, static_cast<std::uint32_t>(ci),
+                                  asm_result);
           }
         }
         if (comm.rank() != 0) {
@@ -477,11 +405,10 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
           for (int src = 1; src < comm.size(); ++src) {
             // pgasm-lint: allow(raw-comm): matching root-side recv of the gather.
             const auto bytes = comm.recv_vector<std::uint8_t>(src, 7);
-            std::size_t off = 0;
-            while (off < bytes.size()) {
-              std::uint32_t ci = 0;
-              olc::AssemblyResult ar = parse_assembly(bytes, off, &ci);
-              result.assemblies[ci] = std::move(ar);
+            for (auto& rec :
+                 core::try_decode_assemblies(bytes, n_assemble)
+                     .take_or_throw()) {
+              result.assemblies[rec.cluster] = std::move(rec.result);
             }
           }
         }

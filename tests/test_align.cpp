@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "align/overlap.hpp"
 #include "align/pairwise.hpp"
@@ -217,6 +219,97 @@ TEST(Overlap, BandedMissesWhenBandExcludesEnds) {
   const auto b = enc("TTTTTTTTTTTTTTTTTT");
   const auto r = align::banded_overlap_align(a, b, Scoring{}, 100, 2);
   EXPECT_EQ(r.type, OverlapType::kNone);
+}
+
+/// Random a, and b sharing an overlap with it (substitutions, indels and
+/// masked codes inside); returns b and the overlap's true diagonal.
+std::pair<std::vector<seq::Code>, std::int32_t> mutated_overlap(
+    util::Prng& rng, const std::vector<seq::Code>& a) {
+  const std::size_t start = rng.below(a.size());
+  std::vector<seq::Code> b;
+  for (std::size_t k = start; k < a.size(); ++k) {
+    if (rng.chance(0.02)) continue;  // deletion
+    if (rng.chance(0.02)) b.push_back(static_cast<seq::Code>(rng.below(4)));
+    seq::Code c = a[k];
+    if (rng.chance(0.03)) c = static_cast<seq::Code>((c + 1) % 4);
+    if (rng.chance(0.02)) c = seq::kMask;
+    b.push_back(c);
+  }
+  const auto tail = test::random_dna(rng, rng.below(80), 0.02);
+  b.insert(b.end(), tail.begin(), tail.end());
+  return {b, -static_cast<std::int32_t>(start)};
+}
+
+TEST(OverlapBound, NeverBelowBandedScore) {
+  util::Prng rng(91);
+  const Scoring sc{};
+  for (int t = 0; t < 300; ++t) {
+    const auto a = test::random_dna(rng, 30 + rng.below(170), 0.01);
+    const auto [b, diag] = rng.chance(0.8)
+                               ? mutated_overlap(rng, a)
+                               : std::pair{test::random_dna(rng, 40 + rng.below(150)),
+                                           std::int32_t{0}};
+    const auto la = static_cast<std::int32_t>(a.size());
+    const auto lb = static_cast<std::int32_t>(b.size());
+    const std::int32_t noise = static_cast<std::int32_t>(rng.below(9)) - 4;
+    for (const std::int32_t shift :
+         {diag + noise, -la - 7, -la, -la + 1, 0, lb - la, lb - 1, lb,
+          lb + 7}) {
+      for (const std::uint32_t band : {0u, 1u, 4u, 12u, 48u}) {
+        const int bound = align::banded_overlap_score_bound(
+            static_cast<std::uint32_t>(la), static_cast<std::uint32_t>(lb),
+            shift, band, sc);
+        const auto r = align::banded_overlap_align(a, b, sc, shift, band);
+        EXPECT_GE(bound, r.aln.score)
+            << "la=" << la << " lb=" << lb << " shift=" << shift
+            << " band=" << band;
+        EXPECT_GE(bound, 0);
+      }
+    }
+  }
+}
+
+TEST(OverlapBound, TightOnErrorFreeOverlaps) {
+  util::Prng rng(93);
+  const Scoring sc{};
+  for (int t = 0; t < 50; ++t) {
+    const auto a = test::random_dna(rng, 60 + rng.below(140));
+    const std::size_t start = 1 + rng.below(a.size() - 30);
+    // Error-free dovetail: a's suffix from `start` is b's prefix. On its
+    // own diagonal it is the longest in-band overlap only for band 0.
+    std::vector<seq::Code> b(a.begin() + static_cast<std::ptrdiff_t>(start),
+                             a.end());
+    const auto tail = test::random_dna(rng, 1 + rng.below(60));
+    b.insert(b.end(), tail.begin(), tail.end());
+    const auto shift = -static_cast<std::int32_t>(start);
+    const auto r = align::banded_overlap_align(a, b, sc, shift, 0);
+    ASSERT_EQ(r.type, OverlapType::kDovetailAB);
+    EXPECT_EQ(align::banded_overlap_score_bound(
+                  static_cast<std::uint32_t>(a.size()),
+                  static_cast<std::uint32_t>(b.size()), shift, 0, sc),
+              r.aln.score);
+    // Identical copies: diagonal 0 is the longest, for any band.
+    const auto same = align::banded_overlap_align(a, a, sc, 0, 12);
+    EXPECT_EQ(align::banded_overlap_score_bound(
+                  static_cast<std::uint32_t>(a.size()),
+                  static_cast<std::uint32_t>(a.size()), 0, 12, sc),
+              same.aln.score);
+  }
+}
+
+TEST(OverlapBound, UnboundedScoringSkipsNothing) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  EXPECT_EQ(align::banded_overlap_score_bound(
+                100, 100, 0, 12, Scoring{.match = 0}),
+            kMax);
+  EXPECT_EQ(align::banded_overlap_score_bound(
+                100, 100, 0, 12, Scoring{.gap = 1}),
+            kMax);
+  EXPECT_EQ(align::banded_overlap_score_bound(
+                100, 100, 0, 12, Scoring{.match = 2, .mismatch = 3}),
+            kMax);
+  EXPECT_EQ(align::banded_overlap_score_bound(100, 100, 0, 12, Scoring{}),
+            200);
 }
 
 TEST(Overlap, AcceptTestEnforcesCutoffs) {

@@ -4,6 +4,8 @@
 #include "align/overlap.hpp"
 #include "olc/assembler.hpp"
 #include "olc/layout.hpp"
+#include "sim/genome.hpp"
+#include "sim/reads.hpp"
 #include "test_helpers.hpp"
 
 namespace pgasm {
@@ -264,6 +266,99 @@ TEST(Assembler, N50Sane) {
   }
   const auto result = olc::assemble(frags, olc::AssemblyParams{});
   EXPECT_GE(result.n50(), 900u);
+}
+
+
+// --- Byte identity of the assembled output -----------------------------------
+//
+// The layout walk aligns only the overlaps that can still change the layout;
+// its contigs must equal those of aligning every promising pair and folding
+// the accepted ones best-score-first. These hashes were recorded from that
+// exhaustive fold, so any drift in layout, consensus, polish or contig order
+// fails here.
+
+/// FNV-1a over every contig's consensus and placements, in emission order.
+std::uint64_t assembly_hash(const olc::AssemblyResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int k = 0; k < 8; ++k) {
+      h ^= (v >> (8 * k)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(r.contigs.size());
+  for (const auto& c : r.contigs) {
+    mix(c.consensus.size());
+    for (const seq::Code b : c.consensus) mix(b);
+    mix(c.layout.size());
+    for (const auto& pl : c.layout) {
+      mix(pl.fragment);
+      mix(pl.flip);
+      mix(static_cast<std::uint64_t>(pl.offset));
+      mix(pl.length);
+    }
+  }
+  return h;
+}
+
+/// Reads sampled from a simulated genome, as one cluster would hold them.
+seq::FragmentStore simulated_cluster(const sim::GenomeParams& gp,
+                                     double coverage, double flip_prob,
+                                     std::uint64_t read_seed) {
+  const sim::Genome genome = sim::simulate_genome(gp);
+  sim::ReadSet reads;
+  util::Prng rng(read_seed);
+  sim::sample_wgs(reads, genome, coverage,
+                  sim::ReadParams{.vector_contam_prob = 0.0,
+                                  .strand_flip_prob = flip_prob},
+                  rng);
+  return std::move(reads.store);
+}
+
+TEST(AssemblerIdentity, WgsLikeCluster) {
+  const auto frags =
+      simulated_cluster(sim::shotgun_like(6000, 41), 8.0, 0.5, 42);
+  const auto result = olc::assemble(frags, olc::AssemblyParams{});
+  EXPECT_EQ(assembly_hash(result), 0x42aed434bd397dd4ull);
+  // Aligning every promising pair took 3457 alignments.
+  EXPECT_EQ(result.stats.overlaps_considered, 573u);
+}
+
+TEST(AssemblerIdentity, ReverseComplementHeavyCluster) {
+  const auto frags =
+      simulated_cluster(sim::shotgun_like(5000, 43), 8.0, 0.9, 44);
+  const auto result = olc::assemble(frags, olc::AssemblyParams{});
+  EXPECT_EQ(assembly_hash(result), 0x30872b7f3ff21979ull);
+  // Aligning every promising pair took 3016 alignments.
+  EXPECT_EQ(result.stats.overlaps_considered, 498u);
+}
+
+TEST(AssemblerIdentity, RepeatRichClusterWithConflicts) {
+  auto gp = sim::maize_like(12000, 45);
+  for (auto& fam : gp.repeat_families) fam.divergence = 0.005;
+  const auto frags = simulated_cluster(gp, 6.0, 0.5, 46);
+  const auto result = olc::assemble(frags, olc::AssemblyParams{});
+  EXPECT_GT(result.stats.layout_conflicts, 0u);
+  EXPECT_EQ(assembly_hash(result), 0x8c84c1cfc44f16a5ull);
+  // Aligning every promising pair took 9783 alignments.
+  EXPECT_EQ(result.stats.overlaps_considered, 4217u);
+}
+
+/// Two maximal matches on one diagonal, split by a substitution, make the
+/// generator emit the same (seq_a, seq_b, shift) twice; only one is aligned.
+TEST(AssemblerIdentity, DuplicatePairsAlignedOnce) {
+  util::Prng rng(47);
+  const auto genome = test::random_dna(rng, 400);
+  seq::FragmentStore frags;
+  frags.add(std::vector<seq::Code>(genome.begin(), genome.begin() + 300));
+  std::vector<seq::Code> b(genome.begin() + 100, genome.end());
+  b[100] = static_cast<seq::Code>((b[100] + 1) % 4);
+  frags.add(b);
+  const auto result = olc::assemble(frags, olc::AssemblyParams{});
+  ASSERT_EQ(result.contigs.size(), 1u);
+  EXPECT_EQ(assembly_hash(result), 0x0d10e45fda96aad4ull);
+  // Aligning every promising pair took 2 alignments.
+  EXPECT_EQ(result.stats.overlaps_considered, 1u);
 }
 
 }  // namespace

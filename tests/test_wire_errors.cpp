@@ -417,6 +417,108 @@ TEST(WireErrors, ErrorMessageNamesCodeAndOffset) {
   EXPECT_STREQ(wire_errc_name(WireErrc::kBadMagic), "bad_magic");
 }
 
+// --- Assembly gather codec ----------------------------------------------------
+
+olc::AssemblyResult sample_assembly() {
+  olc::AssemblyResult ar;
+  ar.stats = {.overlaps_considered = 5, .overlaps_accepted = 4,
+              .layout_conflicts = 1};
+  olc::Contig c;
+  c.consensus = {0, 1, 2};
+  c.layout.push_back({.fragment = 7, .flip = true, .offset = -2, .length = 3});
+  ar.contigs.push_back(c);
+  ar.contigs.push_back(olc::Contig{});  // empty consensus and layout
+  return ar;
+}
+
+TEST(WireErrors, AssemblyByteFormatIsStable) {
+  olc::AssemblyResult ar = sample_assembly();
+  ar.contigs.pop_back();
+  std::vector<std::uint8_t> bytes;
+  encode_assembly(bytes, 1, ar);
+  const std::vector<std::uint8_t> want{
+      1, 0, 0, 0,  1, 0, 0, 0,                      // cluster, n_contigs
+      5, 0, 0, 0, 0, 0, 0, 0,  4, 0, 0, 0, 0, 0, 0, 0,
+      1, 0, 0, 0, 0, 0, 0, 0,                       // stats
+      3, 0, 0, 0, 0, 0, 0, 0,  0, 1, 2,             // consensus
+      1, 0, 0, 0,                                   // n_layout
+      7, 0, 0, 0,  1,  0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+      3, 0, 0, 0};                                  // placement
+  EXPECT_EQ(bytes, want);
+}
+
+TEST(WireErrors, AssemblyGatherRoundTrips) {
+  std::vector<std::uint8_t> bytes;
+  encode_assembly(bytes, 2, sample_assembly());
+  encode_assembly(bytes, 0, olc::AssemblyResult{});
+  auto r = try_decode_assemblies(std::span<const std::uint8_t>(bytes), 3);
+  ASSERT_TRUE(r.has_value()) << r.error().message();
+  ASSERT_EQ(r.value().size(), 2u);
+  EXPECT_EQ(r.value()[0].cluster, 2u);
+  EXPECT_EQ(r.value()[1].cluster, 0u);
+  const auto& got = r.value()[0].result;
+  ASSERT_EQ(got.contigs.size(), 2u);
+  EXPECT_EQ(got.contigs[0].consensus, sample_assembly().contigs[0].consensus);
+  EXPECT_EQ(got.contigs[0].layout[0].offset, -2);
+  EXPECT_TRUE(got.contigs[0].layout[0].flip);
+  EXPECT_EQ(got.stats.layout_conflicts, 1u);
+  std::vector<std::uint8_t> again;
+  for (const auto& rec : r.value()) encode_assembly(again, rec.cluster, rec.result);
+  EXPECT_EQ(again, bytes);
+  // A rank that assembled nothing sends an empty buffer.
+  auto none = try_decode_assemblies({}, 3);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_TRUE(none.value().empty());
+}
+
+TEST(WireErrors, TruncatedAssemblyPrefixesYieldTypedErrors) {
+  std::vector<std::uint8_t> bytes;
+  encode_assembly(bytes, 1, sample_assembly());
+  for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
+    auto r = try_decode_assemblies(
+        std::span<const std::uint8_t>(bytes.data(), cut), 2);
+    ASSERT_FALSE(r.has_value()) << "prefix of " << cut << " bytes decoded";
+    EXPECT_EQ(r.error().code, WireErrc::kTruncated) << "cut=" << cut;
+  }
+}
+
+TEST(WireErrors, AssemblyClusterIndexOutOfRangeIsBadValue) {
+  std::vector<std::uint8_t> bytes;
+  encode_assembly(bytes, 0, sample_assembly());
+  const std::size_t second = bytes.size();
+  encode_assembly(bytes, 3, sample_assembly());
+  auto r = try_decode_assemblies(std::span<const std::uint8_t>(bytes), 3);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, WireErrc::kBadValue);
+  EXPECT_EQ(r.error().offset, second);
+}
+
+TEST(WireErrors, HugeAssemblyCountsFailBeforeAllocating) {
+  std::vector<std::uint8_t> bytes;
+  encode_assembly(bytes, 0, sample_assembly());
+  {
+    auto bad = bytes;
+    for (int k = 4; k < 8; ++k) bad[k] = 0xff;  // n_contigs = 2^32 - 1
+    auto r = try_decode_assemblies(std::span<const std::uint8_t>(bad), 1);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().code, WireErrc::kTruncated);
+  }
+  {
+    auto bad = bytes;
+    for (int k = 43; k < 47; ++k) bad[k] = 0xff;  // n_layout = 2^32 - 1
+    auto r = try_decode_assemblies(std::span<const std::uint8_t>(bad), 1);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().code, WireErrc::kTruncated);
+  }
+  {
+    auto bad = bytes;
+    for (int k = 32; k < 40; ++k) bad[k] = 0xff;  // consensus length 2^64 - 1
+    auto r = try_decode_assemblies(std::span<const std::uint8_t>(bad), 1);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().code, WireErrc::kTruncated);
+  }
+}
+
 // A retransmitted report (same seq) must not be folded twice: the
 // ReplyChannel discards the duplicate and answers with the cached reply —
 // byte-identical to the original — so the worker recovers from a lost
