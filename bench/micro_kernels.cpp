@@ -1,7 +1,8 @@
-// Micro-benchmarks of the framework's kernels (google-benchmark):
-// alignment DP variants, GST construction, promising-pair generation,
-// union-find, reverse complement, k-mer extraction, vmpi messaging, and the
-// obs tracer/registry hot paths. Results also land in
+// Micro-benchmarks of the framework's kernels (google-benchmark): the
+// overlap and linear-space alignment kernels, GST construction,
+// promising-pair generation, union-find, reverse complement, k-mer
+// extraction, vmpi messaging, and the obs tracer/registry hot paths.
+// Results also land in
 // BENCH_micro_kernels.json (google-benchmark's JSON schema).
 #include <benchmark/benchmark.h>
 
@@ -45,31 +46,6 @@ std::pair<std::vector<seq::Code>, std::vector<seq::Code>> overlap_pair(
   }
   return {std::move(a), std::move(b)};
 }
-
-void BM_GlobalAlign(benchmark::State& state) {
-  util::Prng rng(1);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto a = random_dna(rng, len);
-  const auto b = random_dna(rng, len);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(align::global_align(a, b, align::Scoring{}));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_GlobalAlign)->Arg(200)->Arg(400)->Arg(800)->Complexity();
-
-void BM_AffineAlign(benchmark::State& state) {
-  util::Prng rng(2);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto a = random_dna(rng, len);
-  const auto b = random_dna(rng, len);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        align::global_affine_align(a, b, align::Scoring{}));
-  }
-}
-BENCHMARK(BM_AffineAlign)->Arg(200)->Arg(400);
 
 void BM_OverlapAlignFull(benchmark::State& state) {
   util::Prng rng(3);

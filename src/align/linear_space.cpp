@@ -31,16 +31,52 @@ void nw_score_row(Seq a, Seq b, const Scoring& sc, int* out, int* scratch) {
   if (prev != out) std::copy_n(prev, b.size() + 1, out);
 }
 
+/// Base case: `x` is the only symbol of one side and `s` the whole other
+/// side; `skip_x` / `skip_s` are the ops that gap a symbol of each. Pairing
+/// x with s[j] scores substitution + (|s|-1) gaps; gapping x scores
+/// (|s|+1) gaps, so pairing wins when its substitution beats two gaps.
+void align_one(seq::Code x, Seq s, const Scoring& sc, Op skip_x, Op skip_s,
+               std::vector<Op>& out) {
+  std::size_t best_j = s.size();
+  int best = 2 * sc.gap;
+  for (std::size_t j = 0; j < s.size(); ++j) {
+    const int v = sc.substitution(x, s[j]);
+    if (v > best) {
+      best = v;
+      best_j = j;
+    }
+  }
+  if (best_j == s.size()) {
+    out.push_back(skip_x);
+    out.insert(out.end(), s.size(), skip_s);
+    return;
+  }
+  out.insert(out.end(), best_j, skip_s);
+  out.push_back(seq::is_base(x) && x == s[best_j] ? Op::kMatch
+                                                  : Op::kMismatch);
+  out.insert(out.end(), s.size() - best_j - 1, skip_s);
+}
+
 // Workspace buffer use per recursion level: rows 0/1 hold score_left /
 // score_right, row 2 is the rolling scratch; code buffers 0/1 hold the
 // reversed right halves. All are dead before either recursive call, so one
-// workspace serves the whole recursion (and the base case's global_align,
-// which uses rows 0/1 plus the traceback buffer).
+// workspace serves the whole recursion.
 void hirschberg_ops(Seq a, Seq b, const Scoring& sc, Workspace& ws,
                     std::vector<Op>& out) {
-  if (a.size() <= 1 || b.size() <= 1) {
-    const auto r = global_align(a, b, sc, ws, {.keep_ops = true});
-    out.insert(out.end(), r.ops.begin(), r.ops.end());
+  if (a.empty()) {
+    out.insert(out.end(), b.size(), Op::kInsertB);
+    return;
+  }
+  if (b.empty()) {
+    out.insert(out.end(), a.size(), Op::kInsertA);
+    return;
+  }
+  if (a.size() == 1) {
+    align_one(a[0], b, sc, Op::kInsertA, Op::kInsertB, out);
+    return;
+  }
+  if (b.size() == 1) {
+    align_one(b[0], a, sc, Op::kInsertB, Op::kInsertA, out);
     return;
   }
   const std::size_t mid = a.size() / 2;

@@ -8,7 +8,7 @@
 //     the middle row), instead of the O(|a||b|) traceback matrix.
 //   * myers_edit_distance — Myers' 1999 bit-parallel algorithm: unit-cost
 //     edit distance in O(|a|·|b|/64) word operations and O(1) extra space
-//     per column block. Used as a cheap pre-filter before full DP.
+//     per column block. Usable as a cheap pre-filter before full DP.
 //   * banded_edit_distance — bit-parallel distance with an early-exit
 //     threshold k (returns k+1 if the distance exceeds k).
 #pragma once
@@ -20,8 +20,11 @@
 
 namespace pgasm::align {
 
-/// Global alignment, identical scores/semantics to global_align, with
-/// O(min(|a|,|b|)) working memory. Always produces the op string.
+class Workspace;
+
+/// Needleman-Wunsch global alignment (linear gaps, masked symbols never
+/// match) with O(min(|a|,|b|)) working memory. Always produces the op
+/// string.
 AlignResult hirschberg_align(Seq a, Seq b, const Scoring& sc);
 
 /// Workspace variant: the three rolling DP rows and the reversed-half

@@ -535,11 +535,6 @@ bool accept_overlap(const OverlapResult& r, const OverlapParams& p) noexcept {
   return r.aln.identity() >= p.min_identity;
 }
 
-OverlapResult test_overlap(Seq a, Seq b, std::int32_t shift,
-                           const OverlapParams& p) {
-  return banded_overlap_align(a, b, p.scoring, shift, p.band);
-}
-
 void validate_overlap_params(const OverlapParams& p, std::uint32_t psi) {
   if (p.band == 0) {
     throw std::invalid_argument(

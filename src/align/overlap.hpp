@@ -23,6 +23,8 @@
 
 namespace pgasm::align {
 
+class Workspace;
+
 enum class OverlapType : std::uint8_t {
   kNone = 0,        ///< no acceptable overlap geometry
   kDovetailAB,      ///< suffix of a aligns with prefix of b
@@ -101,9 +103,5 @@ void validate_overlap_params(const OverlapParams& p, std::uint32_t psi);
 
 /// Does this overlap pass the clustering accept test?
 bool accept_overlap(const OverlapResult& r, const OverlapParams& p) noexcept;
-
-/// Convenience: banded align with the params' scoring/band, then test.
-OverlapResult test_overlap(Seq a, Seq b, std::int32_t shift,
-                           const OverlapParams& p);
 
 }  // namespace pgasm::align

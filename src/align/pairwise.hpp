@@ -1,39 +1,31 @@
-// Pairwise dynamic-programming alignment kernels.
+// Types shared by the alignment kernels: scoring, edit operations, and the
+// traced alignment result.
 //
 // The paper detects overlaps "by computing alignments between the
 // corresponding pairs of fragments using standard dynamic programming
-// approaches" [Needleman–Wunsch, Smith–Waterman, Gotoh]. This module
-// provides those kernels over the code alphabet (masked symbols are
-// guaranteed mismatches) with full traceback so callers get the aligned
-// region, the identity, and optionally the operation string.
-//
-// Complexity: O(|a|·|b|) time, O(|a|·|b|) bytes for traceback. Fragments
-// are <= ~1000 bp, so a cell matrix is ~1 MB — the paper makes the same
-// tradeoff by restricting DP to filtered pairs.
+// approaches". The only DP this repository runs is the end-free
+// suffix–prefix alignment in align/overlap.hpp, over the code alphabet
+// (masked symbols are guaranteed mismatches) with linear gaps and full
+// traceback, so callers get the aligned region, the identity, and
+// optionally the operation string.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "seq/alphabet.hpp"
 
 namespace pgasm::align {
 
-class Workspace;
-
 using seq::Code;
 using Seq = std::span<const Code>;
 
-/// Scoring parameters. Linear-gap kernels use `gap`; affine kernels use
-/// gap_open/gap_extend (first gap column costs gap_open + gap_extend).
+/// Linear-gap scoring: every gap column costs `gap`.
 struct Scoring {
   int match = 2;
   int mismatch = -3;
   int gap = -4;
-  int gap_open = -5;
-  int gap_extend = -2;
 
   int substitution(Code a, Code b) const noexcept {
     return (seq::is_base(a) && a == b) ? match : mismatch;
@@ -66,40 +58,5 @@ struct AlignResult {
 struct AlignOptions {
   bool keep_ops = false;  ///< retain the op string in the result
 };
-
-/// Global (Needleman–Wunsch) alignment with linear gap penalty.
-AlignResult global_align(Seq a, Seq b, const Scoring& sc,
-                         const AlignOptions& opts = {});
-
-/// Workspace variant: all DP rows and the traceback matrix come from `ws`
-/// (grow-only, reused across calls) — no heap allocations after warmup
-/// unless opts.keep_ops asks for the op string.
-AlignResult global_align(Seq a, Seq b, const Scoring& sc, Workspace& ws,
-                         const AlignOptions& opts = {});
-
-/// Global alignment with affine gaps (Gotoh).
-AlignResult global_affine_align(Seq a, Seq b, const Scoring& sc,
-                                const AlignOptions& opts = {});
-
-/// Local (Smith–Waterman) alignment, linear gaps.
-AlignResult local_align(Seq a, Seq b, const Scoring& sc,
-                        const AlignOptions& opts = {});
-
-/// Banded global alignment: only cells with |i - j - shift| <= band are
-/// explored. With a band covering the whole matrix this equals global_align.
-/// Storage is band-relative — O((|a|+1)·(2·band+1)) cells, not the full
-/// matrix stride.
-AlignResult banded_global_align(Seq a, Seq b, const Scoring& sc,
-                                std::int32_t shift, std::uint32_t band,
-                                const AlignOptions& opts = {});
-
-/// Workspace variant of the banded kernel (buffers reused dirty; every
-/// in-band cell is written before any neighbor reads it).
-AlignResult banded_global_align(Seq a, Seq b, const Scoring& sc,
-                                std::int32_t shift, std::uint32_t band,
-                                Workspace& ws, const AlignOptions& opts = {});
-
-/// Render an op string as three display lines (for examples/debugging).
-std::string format_alignment(Seq a, Seq b, const AlignResult& r);
 
 }  // namespace pgasm::align

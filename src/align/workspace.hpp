@@ -1,17 +1,19 @@
 // Reusable scratch memory for the alignment kernels.
 //
-// The clustering phase calls the banded suffix–prefix kernel once per
-// promising pair — millions of times per run — and the original kernels
-// paid one or more heap allocations per call for DP rows and traceback
-// matrices. A Workspace owns those buffers with grow-only semantics: each
+// Clustering and assembly call the banded suffix–prefix kernel once per
+// promising pair — millions of times per run — and an allocating kernel
+// would pay a heap allocation per call for its score cells and traceback
+// matrix. A Workspace owns those buffers, plus the rolling rows and code
+// scratch of the linear-space kernels, with grow-only semantics: each
 // kernel call requests the sizes it needs, the workspace grows capacity the
 // first few calls, and every later call of similar shape is served without
 // touching the allocator.
 //
 // Buffers are returned DIRTY: a kernel taking a Workspace& must write every
 // cell it will later read (see DESIGN.md section 9, "Memory discipline on
-// the hot path"). Kernels keep an allocating reference variant precisely so
-// tests can validate dirty-buffer reuse against a fresh-memory run.
+// the hot path"). banded_overlap_align_reference and the allocating
+// hirschberg_align overload are fresh-memory variants kept precisely so
+// tests can validate dirty-buffer reuse against them.
 //
 // The workspace counts its own allocator traffic (allocations performed vs
 // avoided, bytes reserved/in use) so "zero allocations per pair after

@@ -95,10 +95,10 @@ struct ClusterParams {
 };
 
 /// Entry-point sanity check shared by cluster_serial, cluster_parallel and
-/// the pipeline: rejects parameter combinations that would not crash but
-/// would silently produce a useless clustering (band 0, identity outside
-/// (0,1], min_overlap below ψ). Throws std::invalid_argument with a message
-/// naming the offending field.
+/// the pipeline: rejects parameter combinations that would silently produce
+/// a useless clustering (band 0, identity outside (0,1], min_overlap below
+/// ψ) or break the consistency check (negative placement_tolerance). Throws
+/// std::invalid_argument with a message naming the offending field.
 void validate_cluster_params(const ClusterParams& params);
 
 struct ClusterStats {

@@ -85,13 +85,6 @@ align::OverlapResult OverlapEngine::full_align(align::Seq a, align::Seq b,
   return align::overlap_align(a, b, params_.scoring, ws_, opts);
 }
 
-align::OverlapResult OverlapEngine::banded_align(
-    align::Seq a, align::Seq b, std::int32_t shift,
-    const align::AlignOptions& opts) {
-  return align::banded_overlap_align(a, b, params_.scoring, shift,
-                                     params_.band, ws_, opts);
-}
-
 void OverlapEngine::note_batch(std::size_t pairs, double seconds) {
   if (!obs_pairs_) return;
   obs_pairs_->inc(pairs);

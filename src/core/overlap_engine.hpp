@@ -41,8 +41,8 @@ class OverlapEngine {
   /// through `doubled`). The store must outlive the engine.
   OverlapEngine(const seq::FragmentStore& doubled,
                 const align::OverlapParams& params, int rank = 0);
-  /// Store-less engine: only full_align/banded_align are usable (consensus
-  /// validation aligns ad-hoc sequences, not store fragments).
+  /// Store-less engine: only full_align is usable (consensus validation
+  /// aligns ad-hoc sequences, not store fragments).
   explicit OverlapEngine(const align::OverlapParams& params, int rank = 0);
 
   OverlapEngine(const OverlapEngine&) = delete;
@@ -65,10 +65,6 @@ class OverlapEngine {
   /// engine workspace (used by consensus validation).
   align::OverlapResult full_align(align::Seq a, align::Seq b,
                                   const align::AlignOptions& opts = {});
-  /// Banded end-free alignment on arbitrary sequences.
-  align::OverlapResult banded_align(align::Seq a, align::Seq b,
-                                    std::int32_t shift,
-                                    const align::AlignOptions& opts = {});
 
   const align::OverlapParams& params() const noexcept { return params_; }
   const align::Workspace& workspace() const noexcept { return ws_; }

@@ -417,8 +417,9 @@ std::uint64_t cluster_params_hash(const ClusterParams& params) {
   mix(static_cast<std::uint64_t>(params.overlap.scoring.match));
   mix(static_cast<std::uint64_t>(params.overlap.scoring.mismatch));
   mix(static_cast<std::uint64_t>(params.overlap.scoring.gap));
-  mix(static_cast<std::uint64_t>(params.overlap.scoring.gap_open));
-  mix(static_cast<std::uint64_t>(params.overlap.scoring.gap_extend));
+  // Former gap-open/extend defaults: checkpoints on disk stay resumable.
+  mix(static_cast<std::uint64_t>(-5));
+  mix(static_cast<std::uint64_t>(-2));
   mix(params.overlap.min_overlap);
   mix_double(params.overlap.min_identity);
   mix(params.overlap.band);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/consistency.hpp"
 #include "core/overlap_engine.hpp"
@@ -34,6 +36,11 @@ bool pair_overlaps(const seq::FragmentStore& doubled, std::uint32_t seq_a,
 
 void validate_cluster_params(const ClusterParams& params) {
   align::validate_overlap_params(params.overlap, params.psi);
+  if (params.placement_tolerance < 0) {
+    throw std::invalid_argument(
+        "cluster params: placement_tolerance must be >= 0, got " +
+        std::to_string(params.placement_tolerance));
+  }
 }
 
 ClusterResult cluster_serial(const seq::FragmentStore& fragments,

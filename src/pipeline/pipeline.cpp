@@ -147,9 +147,15 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
                             const std::vector<std::vector<seq::Code>>& vectors,
                             const PipelineParams& params) {
   // Fail fast on parameter combinations that would run the whole pipeline
-  // and silently produce a useless clustering (zero-width band, identity
-  // outside (0,1], min_overlap below ψ).
+  // and silently produce a useless clustering or assembly (zero-width band,
+  // identity outside (0,1], min_overlap below ψ, negative tolerance).
   core::validate_cluster_params(params.cluster);
+  align::validate_overlap_params(params.assembly.overlap, params.assembly.psi);
+  if (params.assembly.placement_tolerance < 0) {
+    throw std::invalid_argument(
+        "assembly params: placement_tolerance must be >= 0, got " +
+        std::to_string(params.assembly.placement_tolerance));
+  }
 
   PipelineResult result;
   const bool obs_on = !params.obs_dir.empty();

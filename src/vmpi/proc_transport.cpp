@@ -10,9 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <new>
+#include <sstream>
 #include <thread>
 #include <tuple>
 
@@ -638,9 +638,9 @@ void merge_exit_blob(const std::string& dir, int rank, RunCost* cost,
   {
     std::ifstream in(blob_path(dir, rank), std::ios::binary);
     if (!in.is_open()) return;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    b = std::move(data);
+    std::ostringstream data;
+    data << in.rdbuf();
+    b = std::move(data).str();
   }
   BlobReader r{b};
   if (r.u32() != kBlobMagic || r.u32() != kBlobVersion) return;

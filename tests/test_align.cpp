@@ -1,9 +1,11 @@
-// Tests for the alignment kernels: reference checks on tiny inputs,
-// banded == unbanded with a covering band, overlap classification, and the
-// clustering accept test.
+// Tests for the end-free overlap kernels: a brute-force oracle on tiny
+// inputs, banded == full matrix with a covering band, traceback
+// consistency, overlap classification, the score bound, and the clustering
+// accept test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -23,129 +25,122 @@ using Seq = align::Seq;
 
 std::vector<seq::Code> enc(const std::string& s) { return seq::encode(s); }
 
-/// Exponential-time reference: best global alignment score, linear gaps.
-int brute_global(Seq a, Seq b, const Scoring& sc, std::size_t i = 0,
-                 std::size_t j = 0) {
-  if (i == a.size()) return static_cast<int>(b.size() - j) * sc.gap;
-  if (j == b.size()) return static_cast<int>(a.size() - i) * sc.gap;
-  const int diag =
-      sc.substitution(a[i], b[j]) + brute_global(a, b, sc, i + 1, j + 1);
-  const int up = sc.gap + brute_global(a, b, sc, i + 1, j);
-  const int left = sc.gap + brute_global(a, b, sc, i, j + 1);
-  return std::max({diag, up, left});
+/// Exponential-time reference for end-free alignment: the best score of a
+/// path from (i, j) that may stop on the last row or column. With gap < 0
+/// a path never gains by running along an edge, so the oracle starts free
+/// anywhere on row 0 or column 0 (see brute_overlap).
+int brute_overlap_from(Seq a, Seq b, const Scoring& sc, std::size_t i,
+                       std::size_t j) {
+  int best = (i == a.size() || j == b.size())
+                 ? 0
+                 : std::numeric_limits<int>::min() / 4;
+  if (i < a.size() && j < b.size()) {
+    best = std::max(best, sc.substitution(a[i], b[j]) +
+                              brute_overlap_from(a, b, sc, i + 1, j + 1));
+  }
+  if (i < a.size()) {
+    best = std::max(best, sc.gap + brute_overlap_from(a, b, sc, i + 1, j));
+  }
+  if (j < b.size()) {
+    best = std::max(best, sc.gap + brute_overlap_from(a, b, sc, i, j + 1));
+  }
+  return best;
+}
+
+int brute_overlap(Seq a, Seq b, const Scoring& sc) {
+  int best = brute_overlap_from(a, b, sc, 0, 0);
+  for (std::size_t i = 1; i <= a.size(); ++i)
+    best = std::max(best, brute_overlap_from(a, b, sc, i, 0));
+  for (std::size_t j = 1; j <= b.size(); ++j)
+    best = std::max(best, brute_overlap_from(a, b, sc, 0, j));
+  return best;
+}
+
+/// The op string is a path through exactly the reported region, and its
+/// match columns are exactly the identical, unmasked ones.
+void expect_consistent_traceback(Seq a, Seq b, const AlignResult& r) {
+  ASSERT_EQ(r.ops.size(), r.columns);
+  std::uint32_t i = r.a_begin, j = r.b_begin, matches = 0;
+  for (const align::Op op : r.ops) {
+    switch (op) {
+      case align::Op::kMatch:
+        ASSERT_TRUE(seq::is_base(a[i]) && a[i] == b[j]);
+        ++matches;
+        ++i;
+        ++j;
+        break;
+      case align::Op::kMismatch:
+        ASSERT_FALSE(seq::is_base(a[i]) && a[i] == b[j]);
+        ++i;
+        ++j;
+        break;
+      case align::Op::kInsertA:
+        ++i;
+        break;
+      case align::Op::kInsertB:
+        ++j;
+        break;
+    }
+  }
+  EXPECT_EQ(i - r.a_begin, r.a_span());
+  EXPECT_EQ(j - r.b_begin, r.b_span());
+  EXPECT_EQ(i, r.a_end);
+  EXPECT_EQ(j, r.b_end);
+  EXPECT_EQ(matches, r.matches);
 }
 
 class AlignRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(AlignRandom, GlobalMatchesBruteForce) {
+TEST_P(AlignRandom, OverlapMatchesBruteForce) {
   util::Prng rng(GetParam());
   const Scoring sc;
-  const auto a = test::random_dna(rng, 3 + rng.below(6));
-  const auto b = test::random_dna(rng, 3 + rng.below(6));
-  const auto r = align::global_align(a, b, sc);
-  EXPECT_EQ(r.score, brute_global(a, b, sc));
+  for (int t = 0; t < 16; ++t) {
+    const auto a = test::random_dna(rng, 1 + rng.below(8), 0.15);
+    const auto b = test::random_dna(rng, 1 + rng.below(8), 0.15);
+    EXPECT_EQ(align::overlap_align(a, b, sc).aln.score,
+              brute_overlap(a, b, sc));
+  }
 }
 
 TEST_P(AlignRandom, BandedEqualsUnbandedWithCoveringBand) {
   util::Prng rng(GetParam() + 100);
   const Scoring sc;
-  const auto a = test::random_dna(rng, 10 + rng.below(40));
-  const auto b = test::random_dna(rng, 10 + rng.below(40));
-  const auto full = align::global_align(a, b, sc);
-  const auto band = align::banded_global_align(
-      a, b, sc, 0, static_cast<std::uint32_t>(a.size() + b.size()));
-  EXPECT_EQ(band.score, full.score);
+  for (int t = 0; t < 16; ++t) {
+    const auto a = test::random_dna(rng, 1 + rng.below(8), 0.15);
+    const auto b = test::random_dna(rng, 1 + rng.below(8), 0.15);
+    const int want = brute_overlap(a, b, sc);
+    EXPECT_EQ(align::overlap_align(a, b, sc).aln.score, want);
+    // Any shift works once the band covers the whole matrix.
+    const auto shift = static_cast<std::int32_t>(rng.below(21)) - 10;
+    const auto band = static_cast<std::uint32_t>(a.size() + b.size() +
+                                                 std::abs(shift));
+    EXPECT_EQ(align::banded_overlap_align(a, b, sc, shift, band).aln.score,
+              want);
+  }
 }
 
 TEST_P(AlignRandom, TracebackCountsConsistent) {
   util::Prng rng(GetParam() + 200);
   const Scoring sc;
-  const auto a = test::random_dna(rng, 20 + rng.below(30));
-  const auto b = test::random_dna(rng, 20 + rng.below(30));
-  const auto r = align::global_align(a, b, sc, {.keep_ops = true});
-  EXPECT_EQ(r.ops.size(), r.columns);
-  std::uint32_t ca = 0, cb = 0, matches = 0;
-  for (auto op : r.ops) {
-    switch (op) {
-      case align::Op::kMatch:
-        ++matches;
-        [[fallthrough]];
-      case align::Op::kMismatch:
-        ++ca;
-        ++cb;
-        break;
-      case align::Op::kInsertA:
-        ++ca;
-        break;
-      case align::Op::kInsertB:
-        ++cb;
-        break;
-    }
+  const AlignOptions keep{.keep_ops = true};
+  for (int t = 0; t < 8; ++t) {
+    auto a = test::random_dna(rng, 1 + rng.below(60), 0.05);
+    auto b = test::random_dna(rng, 1 + rng.below(60), 0.05);
+    // Plant a shared stretch half the time so long tracebacks occur too.
+    const std::size_t ov = rng.chance(0.5) ? std::min(a.size(), b.size()) / 2
+                                           : 0;
+    std::copy(a.end() - static_cast<std::ptrdiff_t>(ov), a.end(), b.begin());
+    const auto shift = static_cast<std::int32_t>(ov) -
+                       static_cast<std::int32_t>(a.size());
+    const auto full = align::overlap_align(a, b, sc, keep);
+    expect_consistent_traceback(a, b, full.aln);
+    const auto banded = align::banded_overlap_align(a, b, sc, shift, 6, keep);
+    expect_consistent_traceback(a, b, banded.aln);
   }
-  EXPECT_EQ(ca, a.size());
-  EXPECT_EQ(cb, b.size());
-  EXPECT_EQ(matches, r.matches);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlignRandom,
                          ::testing::Range<std::uint64_t>(1, 17));
-
-TEST(Align, GlobalIdentical) {
-  const auto a = enc("ACGTACGT");
-  const auto r = align::global_align(a, a, Scoring{});
-  EXPECT_EQ(r.score, 8 * Scoring{}.match);
-  EXPECT_EQ(r.matches, 8u);
-  EXPECT_DOUBLE_EQ(r.identity(), 1.0);
-}
-
-TEST(Align, MaskedNeverMatches) {
-  const auto a = enc("ACNNGT");
-  const auto r = align::global_align(a, a, Scoring{});
-  // The two N positions are mismatches even against themselves.
-  EXPECT_EQ(r.matches, 4u);
-}
-
-TEST(Align, LocalFindsEmbeddedMatch) {
-  const auto a = enc("TTTTTACGTACGTTTTT");
-  const auto b = enc("GGGGACGTACGGGG");
-  const auto r = align::local_align(a, b, Scoring{});
-  EXPECT_GE(r.matches, 7u);
-  EXPECT_DOUBLE_EQ(r.identity(), 1.0);
-}
-
-TEST(Align, AffinePrefersOneLongGap) {
-  // With affine gaps, a single 2-gap costs open+2*ext; two separate
-  // 1-gaps cost 2*open+2*ext. The alignment should group the gap.
-  const auto a = enc("ACGTACGTACGT");
-  const auto b = enc("ACGTACGT");  // 4 chars missing
-  const Scoring sc{.match = 2, .mismatch = -3, .gap = -4, .gap_open = -5,
-                   .gap_extend = -1};
-  const auto r = align::global_affine_align(a, b, sc, {.keep_ops = true});
-  EXPECT_EQ(r.score, 8 * 2 - 5 - 4 * 1);
-  // Exactly one contiguous run of InsertA ops.
-  int runs = 0;
-  bool in_run = false;
-  for (auto op : r.ops) {
-    const bool is_gap = op == align::Op::kInsertA;
-    if (is_gap && !in_run) ++runs;
-    in_run = is_gap;
-  }
-  EXPECT_EQ(runs, 1);
-}
-
-TEST(Align, AffineEqualsLinearWhenCostsMatch) {
-  util::Prng rng(55);
-  for (int t = 0; t < 8; ++t) {
-    const auto a = test::random_dna(rng, 10 + rng.below(20));
-    const auto b = test::random_dna(rng, 10 + rng.below(20));
-    // gap_open = 0 reduces affine to linear with gap = gap_extend.
-    const Scoring lin{.match = 2, .mismatch = -3, .gap = -2};
-    const Scoring aff{.match = 2, .mismatch = -3, .gap = -2, .gap_open = 0,
-                      .gap_extend = -2};
-    EXPECT_EQ(align::global_affine_align(a, b, aff).score,
-              align::global_align(a, b, lin).score);
-  }
-}
 
 // --- Overlap (suffix-prefix) alignment -------------------------------------
 
@@ -323,20 +318,20 @@ TEST(Overlap, AcceptTestEnforcesCutoffs) {
   auto fresh = test::random_dna(rng, 50);
   b.insert(b.end(), fresh.begin(), fresh.end());
 
-  auto good = align::test_overlap(a, b, -50, p);
+  auto good = align::banded_overlap_align(a, b, p.scoring, -50, p.band);
   EXPECT_TRUE(align::accept_overlap(good, p));
 
   // Too-short overlap: only 20 shared chars.
   std::vector<seq::Code> c(a.begin() + 80, a.end());
   c.insert(c.end(), fresh.begin(), fresh.end());
-  auto shortr = align::test_overlap(a, c, -80, p);
+  auto shortr = align::banded_overlap_align(a, c, p.scoring, -80, p.band);
   EXPECT_FALSE(align::accept_overlap(shortr, p));
 
   // Low identity: corrupt 20% of the overlap.
   auto noisy = b;
   for (std::uint32_t i = 0; i < 50; i += 5)
     noisy[i] = static_cast<seq::Code>((noisy[i] + 2) % 4);
-  auto bad = align::test_overlap(a, noisy, -50, p);
+  auto bad = align::banded_overlap_align(a, noisy, p.scoring, -50, p.band);
   EXPECT_FALSE(align::accept_overlap(bad, p));
 }
 
@@ -356,12 +351,19 @@ TEST(Overlap, RcSymmetry) {
   EXPECT_EQ(rev.type, OverlapType::kDovetailAB);
 }
 
-TEST(Overlap, FormatAlignmentRenders) {
-  const auto a = enc("ACGTAC");
-  const auto b = enc("CGTACG");
-  const auto r = align::overlap_align(a, b, Scoring{}, {.keep_ops = true});
-  const auto s = align::format_alignment(a, b, r.aln);
-  EXPECT_NE(s.find('|'), std::string::npos);
+TEST(Align, MaskedNeverMatches) {
+  const AlignOptions keep{.keep_ops = true};
+  const auto a = enc("ACNNGT");
+  // The two N positions are mismatches even against themselves.
+  for (const auto& r :
+       {align::overlap_align(a, a, Scoring{}, keep),
+        align::banded_overlap_align(a, a, Scoring{}, 0, 4, keep)}) {
+    EXPECT_EQ(r.aln.matches, 4u);
+    EXPECT_EQ(r.aln.columns, 6u);
+    expect_consistent_traceback(a, a, r.aln);
+  }
+  const auto n = enc("NNNN");
+  EXPECT_EQ(align::overlap_align(n, n, Scoring{}).aln.matches, 0u);
 }
 
 }  // namespace

@@ -370,6 +370,13 @@ TEST(Checkpoint, HashesTrackInputAndParams) {
             core::cluster_params_hash(operational));
 }
 
+TEST(Checkpoint, DefaultParamsHashIsPinned) {
+  // Checkpoints and run manifests on disk record this value; if it moves,
+  // none of them can be resumed.
+  EXPECT_EQ(core::cluster_params_hash(core::ClusterParams{}),
+            5527793762861676892ULL);
+}
+
 TEST(Checkpoint, MismatchedResumeRefused) {
   util::Prng rng(12);
   const auto store = sampled_reads(rng, 800, 24, 100, 0.01);

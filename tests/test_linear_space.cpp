@@ -32,6 +32,24 @@ std::uint32_t dp_edit_distance(Seq a, Seq b) {
   return row[b.size()];
 }
 
+/// O(nm) reference global alignment score (linear gaps).
+int dp_global_score(Seq a, Seq b, const Scoring& sc) {
+  std::vector<int> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j)
+    row[j] = static_cast<int>(j) * sc.gap;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    int diag = row[0];
+    row[0] = static_cast<int>(i) * sc.gap;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const int old = row[j];
+      row[j] = std::max({diag + sc.substitution(a[i - 1], b[j - 1]),
+                         row[j] + sc.gap, row[j - 1] + sc.gap});
+      diag = old;
+    }
+  }
+  return row[b.size()];
+}
+
 class LinearSpaceRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LinearSpaceRandom, HirschbergMatchesFullMatrixScore) {
@@ -39,9 +57,8 @@ TEST_P(LinearSpaceRandom, HirschbergMatchesFullMatrixScore) {
   const Scoring sc;
   const auto a = test::random_dna(rng, 5 + rng.below(120), 0.03);
   const auto b = test::random_dna(rng, 5 + rng.below(120), 0.03);
-  const auto full = align::global_align(a, b, sc, {.keep_ops = true});
   const auto hirsch = align::hirschberg_align(a, b, sc);
-  EXPECT_EQ(hirsch.score, full.score) << "seed " << GetParam();
+  EXPECT_EQ(hirsch.score, dp_global_score(a, b, sc)) << "seed " << GetParam();
   // Ops must consume both sequences completely.
   std::size_t ca = 0, cb = 0;
   for (auto op : hirsch.ops) {
@@ -50,6 +67,16 @@ TEST_P(LinearSpaceRandom, HirschbergMatchesFullMatrixScore) {
   }
   EXPECT_EQ(ca, a.size());
   EXPECT_EQ(cb, b.size());
+  // The recursion bottoms out on a side of at most one symbol; hit those
+  // cases directly too, empty and masked inputs included.
+  for (int t = 0; t < 8; ++t) {
+    const auto x = test::random_dna(rng, rng.below(3), 0.2);
+    const auto y = test::random_dna(rng, rng.below(6), 0.2);
+    EXPECT_EQ(align::hirschberg_align(x, y, sc).score,
+              dp_global_score(x, y, sc));
+    EXPECT_EQ(align::hirschberg_align(y, x, sc).score,
+              dp_global_score(y, x, sc));
+  }
 }
 
 TEST_P(LinearSpaceRandom, MyersMatchesReferenceDp) {

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "pipeline/pipeline.hpp"
@@ -30,6 +32,45 @@ PipelineParams small_pipeline_params() {
   p.assembly.overlap.min_overlap = 30;
   p.assembly.overlap.min_identity = 0.93;
   return p;
+}
+
+/// run_pipeline must refuse an assembly config before clustering starts,
+/// so an empty input is enough: nothing would run anyway. The message has
+/// to name the offending field.
+void expect_rejected(const PipelineParams& p, const std::string& field) {
+  try {
+    run_pipeline(seq::FragmentStore{}, {}, p);
+    ADD_FAILURE() << "config with a bad " << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Pipeline, RejectsZeroAssemblyBand) {
+  auto p = small_pipeline_params();
+  p.assembly.overlap.band = 0;
+  expect_rejected(p, "band");
+}
+
+TEST(Pipeline, RejectsAssemblyIdentityOutsideUnitInterval) {
+  auto p = small_pipeline_params();
+  p.assembly.overlap.min_identity = 0.0;
+  expect_rejected(p, "min_identity");
+  p.assembly.overlap.min_identity = 1.01;
+  expect_rejected(p, "min_identity");
+}
+
+TEST(Pipeline, RejectsAssemblyOverlapBelowPsi) {
+  auto p = small_pipeline_params();
+  p.assembly.overlap.min_overlap = p.assembly.psi - 1;
+  expect_rejected(p, "min_overlap");
+}
+
+TEST(Pipeline, RejectsNegativeAssemblyTolerance) {
+  auto p = small_pipeline_params();
+  p.assembly.placement_tolerance = -1;
+  expect_rejected(p, "placement_tolerance");
 }
 
 TEST(Validation, BenchmarkIslandsMergeOverlaps) {

@@ -14,6 +14,7 @@
 #include "align/workspace.hpp"
 #include "core/cluster_params.hpp"
 #include "core/overlap_engine.hpp"
+#include "core/serial_cluster.hpp"
 #include "seq/fragment_store.hpp"
 #include "test_helpers.hpp"
 
@@ -90,23 +91,6 @@ TEST(Workspace, DirtyFullOverlapReuseMatchesFreshWorkspace) {
     Workspace fresh;
     const auto want = align::overlap_align(c.a, c.b, sc, fresh, opts);
     expect_same_result(got, want);
-  }
-}
-
-TEST(Workspace, DirtyGlobalReuseMatchesFreshWorkspace) {
-  const Scoring sc;
-  const AlignOptions opts{.keep_ops = true};
-  Workspace reused;
-  util::Prng rng(1234);
-  for (int i = 0; i < 30; ++i) {
-    const auto a = test::random_dna(rng, 1 + rng.below(120));
-    const auto b = test::random_dna(rng, 1 + rng.below(120));
-    const auto got = align::global_align(a, b, sc, reused, opts);
-    const auto want = align::global_align(a, b, sc, opts);
-    EXPECT_EQ(got.score, want.score);
-    EXPECT_EQ(got.ops, want.ops);
-    EXPECT_EQ(got.matches, want.matches);
-    EXPECT_EQ(got.columns, want.columns);
   }
 }
 
@@ -251,8 +235,20 @@ TEST(ValidateParams, RejectsUselessCombinations) {
 
   core::ClusterParams cp;  // defaults are valid
   EXPECT_NO_THROW(core::validate_cluster_params(cp));
-  cp.psi = cp.overlap.min_overlap + 10;
-  EXPECT_THROW(core::validate_cluster_params(cp), std::invalid_argument);
+  core::ClusterParams big_psi = cp;
+  big_psi.psi = cp.overlap.min_overlap + 10;
+  EXPECT_THROW(core::validate_cluster_params(big_psi), std::invalid_argument);
+
+  // A negative tolerance would wrap when the consistency check widens its
+  // band by it.
+  core::ClusterParams negative_tolerance = cp;
+  negative_tolerance.placement_tolerance = -1;
+  EXPECT_THROW(core::validate_cluster_params(negative_tolerance),
+               std::invalid_argument);
+  EXPECT_THROW(core::cluster_serial(seq::FragmentStore{}, negative_tolerance),
+               std::invalid_argument);
+  negative_tolerance.placement_tolerance = 0;
+  EXPECT_NO_THROW(core::validate_cluster_params(negative_tolerance));
 }
 
 }  // namespace

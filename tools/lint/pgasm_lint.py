@@ -374,7 +374,6 @@ def check_w003() -> None:
 HOT_FILE_RELS = [
     Path("align/overlap.cpp"),
     Path("align/overlap.hpp"),
-    Path("align/pairwise.cpp"),
     Path("align/linear_space.cpp"),
     Path("align/workspace.hpp"),
     Path("core/overlap_engine.cpp"),
