@@ -80,6 +80,32 @@ void BM_SuffixTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SuffixTreeBuild)->Arg(100)->Arg(400)->Arg(1600);
 
+void BM_SuffixTreeBuildCovered(benchmark::State& state) {
+  // Reads sampled at 8X from one genome with ~1.5% substitutions: shared
+  // stretches give long non-branching edges, which independent random
+  // reads (above) barely have.
+  util::Prng rng(6);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto genome = random_dna(rng, n * 600 / 8 + 600);
+  seq::FragmentStore store;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t start = rng.below(genome.size() - 600);
+    std::vector<seq::Code> read(genome.begin() + start,
+                                genome.begin() + start + 600);
+    for (auto& c : read) {
+      if (rng.chance(0.015))
+        c = static_cast<seq::Code>((c + 1 + rng.below(3)) % 4);
+    }
+    store.add(read);
+  }
+  for (auto _ : state) {
+    gst::SuffixTree tree(store, gst::GstParams{.min_match = 20});
+    benchmark::DoNotOptimize(tree.num_nodes());
+  }
+  state.SetBytesProcessed(state.iterations() * store.total_length());
+}
+BENCHMARK(BM_SuffixTreeBuildCovered)->Arg(100)->Arg(400)->Arg(1600);
+
 void BM_PairGeneration(benchmark::State& state) {
   // Reads sampled from one genome => dense overlaps => many pairs.
   util::Prng rng(5);

@@ -9,7 +9,8 @@
 #                            # full-pipeline fault schedules must converge
 #                            # to bit-identical contigs
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
-#   scripts/ci.sh asan       # just the ASan build of the align + core suites
+#   scripts/ci.sh asan       # just the ASan build of the align, GST and
+#                            # core suites
 #   scripts/ci.sh lint       # pgasm-lint + protocol_check + strict-warnings
 #                            # build (+ clang tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
@@ -90,15 +91,18 @@ tsan() {
 }
 
 asan() {
-  echo "== ASan: alignment hot path + cluster engine tests =="
+  echo "== ASan: alignment hot path + GST + cluster engine tests =="
   # The overlap workspace hands out grow-only dirty buffers and the banded
-  # kernel runs a guard-free inner loop; ASan is the check that every read
-  # and write stays inside the live extents.
+  # kernel runs a guard-free inner loop; GST construction compares suffixes
+  # eight bytes at a time up to their effective lengths, and the pair
+  # generator builds one-suffix leaf lsets late from shared pool slots. ASan
+  # is the check that every read and write stays inside the live extents.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
-    --target test_align test_workspace test_linear_space test_cluster
+    --target test_align test_workspace test_linear_space test_cluster \
+    test_gst test_parallel_gst
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Hirschberg|Cluster')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Hirschberg|Cluster|SuffixTree|PairGen|ParallelGst|Partition')
 }
 
 lint() {

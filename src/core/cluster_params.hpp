@@ -12,7 +12,7 @@ namespace pgasm::core {
 struct ClusterParams {
   /// ψ: minimum maximal-match length for a promising pair (Section 4).
   std::uint32_t psi = 20;
-  /// w: bucket prefix length for the parallel GST build (w <= ψ).
+  /// w: bucket prefix length for the parallel GST build, in [1, min(ψ, 12)].
   std::uint32_t prefix_w = 6;
   /// Suffix–prefix alignment acceptance (less stringent than assembly).
   align::OverlapParams overlap{};
@@ -97,7 +97,8 @@ struct ClusterParams {
 /// Entry-point sanity check shared by cluster_serial, cluster_parallel and
 /// the pipeline: rejects parameter combinations that would silently produce
 /// a useless clustering (band 0, identity outside (0,1], min_overlap below
-/// ψ) or break the consistency check (negative placement_tolerance). Throws
+/// ψ), break the consistency check (negative placement_tolerance) or the
+/// parallel GST and its checkpoint (prefix_w outside [1, min(ψ, 12)]). Throws
 /// std::invalid_argument with a message naming the offending field.
 void validate_cluster_params(const ClusterParams& params);
 

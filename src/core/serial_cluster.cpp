@@ -36,6 +36,14 @@ bool pair_overlaps(const seq::FragmentStore& doubled, std::uint32_t seq_a,
 
 void validate_cluster_params(const ClusterParams& params) {
   align::validate_overlap_params(params.overlap, params.psi);
+  // The parallel GST buckets suffixes by their first prefix_w characters:
+  // every kept suffix must have that many (prefix_w <= ψ), and a recorded
+  // GST checkpoint holds at most 4^12 bucket owners.
+  if (params.prefix_w == 0 || params.prefix_w > std::min(params.psi, 12u)) {
+    throw std::invalid_argument(
+        "cluster params: prefix_w must be in [1, min(psi, 12)], got " +
+        std::to_string(params.prefix_w));
+  }
   if (params.placement_tolerance < 0) {
     throw std::invalid_argument(
         "cluster params: placement_tolerance must be >= 0, got " +

@@ -107,8 +107,10 @@ struct NodeLsets {
   }
 };
 
-/// Pool of NodeLsets with a free list: only "frontier" nodes (processed but
-/// their parent not yet) hold live lsets, so the pool stays small.
+/// Pool of NodeLsets with a free list: only the internal frontier (internal
+/// nodes and multi-suffix leaves processed but their parent not yet) holds
+/// live lsets between node visits, so the pool stays small. One-suffix
+/// leaves take an entry only while their parent is being processed.
 class LsetPool {
  public:
   std::uint32_t alloc() {

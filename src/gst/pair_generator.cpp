@@ -1,7 +1,8 @@
 #include "gst/pair_generator.hpp"
 
-#include <cassert>
 #include <utility>
+
+#include "util/contract.hpp"
 
 namespace pgasm::gst {
 
@@ -36,7 +37,7 @@ constexpr std::size_t kNumInternalCombos = std::size(kInternalCombos);
 PairGenerator::PairGenerator(const SuffixTree& tree, PairGenParams params)
     : tree_(&tree),
       params_(params),
-      order_(tree.nodes_by_depth_desc(tree.params().min_match)),
+      order_(tree.pair_nodes_by_depth_desc(tree.params().min_match)),
       arena_(tree.num_suffixes()),
       lset_ref_(tree.num_nodes(), kNilNode),
       seen_(tree.store().size(), 0) {}
@@ -56,7 +57,17 @@ void PairGenerator::enter_node(std::uint32_t u) {
     children_.clear();
     for (std::uint32_t c = nd.first_child; c != kNilNode;
          c = tree_->node(c).next_sibling) {
-      assert(lset_ref_[c] != kNilNode && "child lsets must be ready");
+      if (lset_ref_[c] == kNilNode) {
+        // A one-suffix leaf emits nothing and is not in order_; its lset
+        // is built only now that the parent needs it.
+        const Node& leaf = tree_->node(c);
+        PGASM_DCHECK(leaf.is_leaf() && leaf.num_suffixes() == 1,
+                     "child lsets must be ready");
+        lset_ref_[c] = pool_.alloc();
+        arena_.push_back(
+            pool_[lset_ref_[c]].cls[tree_->suffix(leaf.suffix_begin).cls],
+            leaf.suffix_begin);
+      }
       children_.push_back(c);
     }
     if (params_.dup_elim) dedup_children();

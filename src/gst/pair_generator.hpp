@@ -6,6 +6,9 @@
 // length order without ever being stored (O(N) space), and each pair costs
 // O(1): cross-products of lsets across different children (conditions
 // C1..C4 of Lemma 1), lists dissolved upward by O(1) concatenation.
+// Leaves holding a single suffix (most leaves) can pair with nothing, so
+// they are not visited: their one-entry lsets are built when the parent is
+// entered, and only the internal frontier holds pool entries between nodes.
 //
 // Two generation modes:
 //   * suffix-level  (dup_elim = false): emits every maximal match once,
@@ -76,7 +79,8 @@ class PairGenerator {
     return filtered_mirror_;
   }
 
-  /// Bytes held by generator state (arena + pool + node order).
+  /// Bytes held by generator state (arena + pool + node order + lset refs
+  /// + dedup bitmap).
   std::uint64_t memory_bytes() const noexcept;
 
   /// Convenience: run a fresh generator to exhaustion.
@@ -94,7 +98,7 @@ class PairGenerator {
   const SuffixTree* tree_;
   PairGenParams params_;
 
-  std::vector<std::uint32_t> order_;   // nodes, deepest first
+  std::vector<std::uint32_t> order_;   // visited nodes, deepest first
   std::size_t oi_ = 0;                 // next node to enter
   bool in_node_ = false;
   bool done_ = false;

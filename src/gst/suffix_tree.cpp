@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <numeric>
+#include <bit>
+#include <cstring>
 #include <sstream>
+
+#include "util/contract.hpp"
 
 namespace pgasm::gst {
 
@@ -37,86 +40,97 @@ SuffixTree::SuffixTree(const seq::FragmentStore& store,
   scratch_.shrink_to_fit();
 }
 
+namespace {
+
+/// Length of the common prefix of a[0, limit) and b[0, limit), compared a
+/// word at a time. Never reads at or past `limit` in either string.
+std::uint32_t common_prefix(const seq::Code* a, const seq::Code* b,
+                            std::uint32_t limit) noexcept {
+  static_assert(std::endian::native == std::endian::little ||
+                    std::endian::native == std::endian::big,
+                "word compare needs a byte-ordered endianness");
+  std::uint32_t k = 0;
+  for (; k + 8 <= limit; k += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + k, 8);
+    std::memcpy(&y, b + k, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+      // The first differing byte in memory order is the lowest-addressed.
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return k + static_cast<std::uint32_t>(bit) / 8;
+    }
+  }
+  while (k < limit && a[k] == b[k]) ++k;
+  return k;
+}
+
+}  // namespace
+
 void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
                              std::uint32_t depth, std::uint32_t parent) {
   const auto& store = *store_;
+  // Append a node as the first child of `under`; returns its id.
+  const auto add_node = [&](Node nd, std::uint32_t under) {
+    const auto id = static_cast<std::uint32_t>(nodes_.size());
+    nd.parent = under;
+    if (under != kNilNode) {
+      nd.next_sibling = nodes_[under].first_child;
+      nodes_[under].first_child = id;
+    }
+    nodes_.push_back(nd);
+    return id;
+  };
+  const auto add_leaf = [&](std::uint32_t leaf_depth, std::uint32_t sb,
+                            std::uint32_t se, std::uint32_t under) {
+    add_node({.depth = leaf_depth, .suffix_begin = sb, .suffix_end = se},
+             under);
+    ++num_leaves_;
+  };
 
-  // Extend depth while the range does not branch (path compression).
+  // Single suffix: leaf spanning its full effective length.
+  if (end - begin == 1) {
+    add_leaf(suffixes_[begin].len, begin, end, parent);
+    return;
+  }
+
+  // Path compression: the range shares `depth` characters; it branches
+  // (or ends) at the shortest effective length or the first character where
+  // some suffix leaves the first one's path, whichever comes first.
+  const Suffix& first = suffixes_[begin];
+  const seq::Code* first_text = store.seq(first.seq).data() + first.pos;
+  std::uint32_t branch = first.len;
+  for (std::uint32_t i = begin + 1; i < end && branch > depth; ++i) {
+    const Suffix& s = suffixes_[i];
+    const std::uint32_t limit = std::min(branch, s.len);
+    branch = depth + common_prefix(first_text + depth,
+                                   store.seq(s.seq).data() + s.pos + depth,
+                                   limit - depth);
+  }
+  depth = branch;
+
   std::array<std::uint32_t, seq::kSigma> base_count{};
   std::uint32_t ended = 0;
-  for (;;) {
-    if (end - begin == 1) {
-      // Single suffix: leaf spanning its full effective length.
-      const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-      Node leaf;
-      leaf.parent = parent;
-      leaf.depth = suffixes_[begin].len;
-      leaf.suffix_begin = begin;
-      leaf.suffix_end = end;
-      if (parent != kNilNode) {
-        leaf.next_sibling = nodes_[parent].first_child;
-        nodes_[parent].first_child = id;
-      }
-      nodes_.push_back(leaf);
-      ++num_leaves_;
-      return;
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const Suffix& s = suffixes_[i];
+    if (s.len == depth) {
+      ++ended;
+    } else {
+      ++base_count[store.seq(s.seq)[s.pos + depth]];
     }
-
-    base_count.fill(0);
-    ended = 0;
-    for (std::uint32_t i = begin; i < end; ++i) {
-      const Suffix& s = suffixes_[i];
-      if (s.len == depth) {
-        ++ended;
-      } else {
-        ++base_count[store.seq(s.seq)[s.pos + depth]];
-      }
-    }
-    if (ended == end - begin) {
-      // All suffixes are identical strings of length `depth`: one leaf.
-      const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-      Node leaf;
-      leaf.parent = parent;
-      leaf.depth = depth;
-      leaf.suffix_begin = begin;
-      leaf.suffix_end = end;
-      if (parent != kNilNode) {
-        leaf.next_sibling = nodes_[parent].first_child;
-        nodes_[parent].first_child = id;
-      }
-      nodes_.push_back(leaf);
-      ++num_leaves_;
-      return;
-    }
-    if (ended == 0) {
-      int nonempty = 0, which = -1;
-      for (int c = 0; c < seq::kSigma; ++c) {
-        if (base_count[c] > 0) {
-          ++nonempty;
-          which = c;
-        }
-      }
-      if (nonempty == 1) {
-        (void)which;
-        ++depth;  // no branching here; extend the implicit edge
-        continue;
-      }
-    }
-    break;  // branching point at `depth`
   }
+  if (ended == end - begin) {
+    // All suffixes are identical strings of length `depth`: one leaf.
+    add_leaf(depth, begin, end, parent);
+    return;
+  }
+  PGASM_DCHECK(
+      ended > 0 || std::ranges::count(base_count, 0u) < seq::kSigma - 1,
+      "path compression stopped short of a branching point");
 
   // Create the internal node for the branching point.
-  const std::uint32_t u = static_cast<std::uint32_t>(nodes_.size());
-  {
-    Node inner;
-    inner.parent = parent;
-    inner.depth = depth;
-    if (parent != kNilNode) {
-      inner.next_sibling = nodes_[parent].first_child;
-      nodes_[parent].first_child = u;
-    }
-    nodes_.push_back(inner);
-  }
+  const std::uint32_t u = add_node({.depth = depth}, parent);
 
   // Stable partition of [begin, end): ended first, then A, C, G, T.
   std::array<std::uint32_t, seq::kSigma + 1> group_begin{};
@@ -135,18 +149,7 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   }
 
   // Ended group -> one leaf child at the same string-depth ("$" edge).
-  if (ended > 0) {
-    const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-    Node leaf;
-    leaf.parent = u;
-    leaf.depth = depth;
-    leaf.suffix_begin = begin;
-    leaf.suffix_end = begin + ended;
-    leaf.next_sibling = nodes_[u].first_child;
-    nodes_[u].first_child = id;
-    nodes_.push_back(leaf);
-    ++num_leaves_;
-  }
+  if (ended > 0) add_leaf(depth, begin, begin + ended, u);
   // Base-character groups -> recurse (they share depth+1 characters).
   for (int c = 0; c < seq::kSigma; ++c) {
     const std::uint32_t gb = group_begin[c + 1];
@@ -155,17 +158,20 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   }
 }
 
-std::vector<std::uint32_t> SuffixTree::nodes_by_depth_desc(
+std::vector<std::uint32_t> SuffixTree::pair_nodes_by_depth_desc(
     std::uint32_t min_depth) const {
   // Counting sort by depth ascending (stable in id), then reverse: yields
   // depth descending with id descending inside equal depths, which puts
   // children (always created after, so larger id) before their parents.
+  const auto visited = [min_depth](const Node& nd) {
+    return nd.depth >= min_depth && !(nd.is_leaf() && nd.num_suffixes() == 1);
+  };
   std::uint32_t max_depth = 0;
   for (const Node& nd : nodes_) max_depth = std::max(max_depth, nd.depth);
   std::vector<std::uint32_t> count(max_depth + 2, 0);
   std::uint32_t kept = 0;
   for (const Node& nd : nodes_) {
-    if (nd.depth >= min_depth) {
+    if (visited(nd)) {
       ++count[nd.depth + 1];
       ++kept;
     }
@@ -173,7 +179,7 @@ std::vector<std::uint32_t> SuffixTree::nodes_by_depth_desc(
   for (std::size_t d = 1; d < count.size(); ++d) count[d] += count[d - 1];
   std::vector<std::uint32_t> out(kept);
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].depth >= min_depth) out[count[nodes_[id].depth]++] = id;
+    if (visited(nodes_[id])) out[count[nodes_[id].depth]++] = id;
   }
   std::reverse(out.begin(), out.end());
   return out;

@@ -8,9 +8,13 @@
 // serves the serial build (one implicit bucket at depth 0) and the parallel
 // build (each rank constructs the subtrees of its assigned buckets).
 //
-// Worst case build time is O(S · l) character probes for S suffixes of
-// average effective length l, matching the paper's stated bound; space is
-// O(S) nodes (leaves merge identical suffixes).
+// Each range finds its branching depth directly, as the shortest common
+// prefix (capped by effective lengths) of its first suffix with every
+// other one, compared eight characters per word; it then partitions once
+// at that depth. Worst case build time stays O(S · l) character probes for
+// S suffixes of average effective length l, the paper's stated bound; a
+// non-branching edge costs one word compare per suffix per 8 characters.
+// Space is O(S) nodes (leaves merge identical suffixes).
 #pragma once
 
 #include <cstdint>
@@ -83,10 +87,13 @@ class SuffixTree {
     return suffixes_[idx];
   }
 
-  /// Node ids in decreasing string-depth order, children before parents
-  /// (depth ties broken by descending id; children always have larger ids).
-  /// Only nodes with depth >= min_depth are included.
-  std::vector<std::uint32_t> nodes_by_depth_desc(std::uint32_t min_depth) const;
+  /// The nodes pair generation visits, in decreasing string-depth order,
+  /// children before parents (depth ties broken by descending id; children
+  /// always have larger ids). Only nodes with depth >= min_depth are
+  /// included, and one-suffix leaves are left out: they can pair with
+  /// nothing, so the generator builds their lsets when entering the parent.
+  std::vector<std::uint32_t> pair_nodes_by_depth_desc(
+      std::uint32_t min_depth) const;
 
   /// Total memory footprint of the structure, in bytes (paper §7.1 reports
   /// bytes per input character; bench/space_accounting reproduces that).

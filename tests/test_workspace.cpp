@@ -14,6 +14,7 @@
 #include "align/workspace.hpp"
 #include "core/cluster_params.hpp"
 #include "core/overlap_engine.hpp"
+#include "core/parallel_cluster.hpp"
 #include "core/serial_cluster.hpp"
 #include "seq/fragment_store.hpp"
 #include "test_helpers.hpp"
@@ -249,6 +250,39 @@ TEST(ValidateParams, RejectsUselessCombinations) {
                std::invalid_argument);
   negative_tolerance.placement_tolerance = 0;
   EXPECT_NO_THROW(core::validate_cluster_params(negative_tolerance));
+
+  // prefix_w: 0 leaves the parallel GST without buckets, above ψ some kept
+  // suffix is shorter than its bucket prefix, and above 12 the bucket table
+  // outgrows what a GST checkpoint may hold (16 would shift 1u by 32).
+  core::ClusterParams w = cp;
+  for (std::uint32_t bad : {0u, 13u, 16u, cp.psi + 1}) {
+    w.prefix_w = bad;
+    EXPECT_THROW(core::validate_cluster_params(w), std::invalid_argument)
+        << "prefix_w " << bad;
+  }
+  w.prefix_w = 13;
+  w.psi = 20;
+  try {
+    core::validate_cluster_params(w);
+    ADD_FAILURE() << "prefix_w 13 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("prefix_w"), std::string::npos);
+  }
+  util::Prng rng(3);
+  const auto frags = test::random_store(rng, 8, 60, 90);
+  EXPECT_THROW(core::cluster_parallel(frags, w, 2), std::invalid_argument);
+  w.psi = 8;
+  w.overlap.min_overlap = 8;
+  w.prefix_w = 9;
+  EXPECT_THROW(core::validate_cluster_params(w), std::invalid_argument);
+  for (std::uint32_t good : {1u, 8u}) {
+    w.prefix_w = good;
+    EXPECT_NO_THROW(core::validate_cluster_params(w)) << "prefix_w " << good;
+  }
+  w.psi = 30;
+  w.overlap.min_overlap = 40;
+  w.prefix_w = 12;
+  EXPECT_NO_THROW(core::validate_cluster_params(w));
 }
 
 }  // namespace
