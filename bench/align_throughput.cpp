@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
               "%.0f -> %.0f heap bytes/pair\n",
               speedup, ref.bytes_per_pair(), reuse.bytes_per_pair());
 
-  bench::BenchJson bj("align_throughput");
+  bench::BenchJson bj("align_throughput", {"variant"});
   bj.param("pairs", n_pairs);
   bj.param("len", len);
   bj.param("overlap", overlap);

@@ -9,6 +9,7 @@
 // maximal match*, in decreasing match-length order, in O(N) space.
 //
 //   ./baseline_lookup_filter --bp 400000 --w 11
+#include "align/workspace.hpp"
 #include "bench_util.hpp"
 #include "gst/lookup_filter.hpp"
 #include "gst/pair_generator.hpp"
@@ -63,13 +64,14 @@ int main(int argc, char** argv) {
     gst::PairGenerator gen(tree, {.dup_elim = true, .doubled_input = true});
     util::UnionFind uf(pre.store.size());
     gst::PromisingPair p;
+    align::Workspace ws;
     while (gen.next(p)) {
       ++run.pairs;
       const std::uint32_t fa = p.seq_a >> 1, fb = p.seq_b >> 1;
       if (uf.same(fa, fb)) continue;
       ++run.aligned;
       if (core::pair_overlaps(doubled, p.seq_a, p.pos_a, p.seq_b, p.pos_b,
-                              overlap)) {
+                              overlap, ws)) {
         uf.unite(fa, fb);
       }
     }
@@ -88,13 +90,14 @@ int main(int argc, char** argv) {
         doubled, {.w = w, .doubled_input = true, .dedup_per_word = dedup});
     util::UnionFind uf(pre.store.size());
     gst::PromisingPair p;
+    align::Workspace ws;
     while (filter.next(p)) {
       ++run.pairs;
       const std::uint32_t fa = p.seq_a >> 1, fb = p.seq_b >> 1;
       if (uf.same(fa, fb)) continue;
       ++run.aligned;
       if (core::pair_overlaps(doubled, p.seq_a, p.pos_a, p.seq_b, p.pos_b,
-                              overlap)) {
+                              overlap, ws)) {
         uf.unite(fa, fb);
       }
     }

@@ -195,7 +195,12 @@ class BenchJson {
     std::vector<std::pair<std::string, std::string>> fields_;
   };
 
-  explicit BenchJson(std::string name) : name_(std::move(name)) {
+  /// `keys` names the point fields that identify a configuration (ranks,
+  /// input size, ...). perf_diff groups points by these alone and compares
+  /// every other numeric field as a value, so run-varying counts never
+  /// split a group.
+  BenchJson(std::string name, std::vector<std::string> keys)
+      : name_(std::move(name)), keys_(std::move(keys)) {
     // Run metadata, stamped into every file: perf_diff refuses to compare
     // points measured under different build types or vmpi transports, and
     // records revisions. The transport is the run's effective default
@@ -203,7 +208,7 @@ class BenchJson {
     // different performance regimes (shared-memory rings + real context
     // switches vs in-process mailboxes) and must never diff against each
     // other. A bench that varies the transport per point should also set a
-    // "transport" field on its points (config_signature separates them).
+    // "transport" field on its points and name it in its keys.
     meta_.set("git", git_describe());
 #ifdef PGASM_BUILD_TYPE
     meta_.set("build_type", PGASM_BUILD_TYPE);
@@ -239,6 +244,10 @@ class BenchJson {
     write_object(out, meta_, "  ");
     out << ",\n  \"params\": ";
     write_object(out, params_, "  ");
+    out << ",\n  \"keys\": [";
+    for (std::size_t i = 0; i < keys_.size(); ++i)
+      out << (i ? ", " : "") << Point::quote(keys_[i]);
+    out << "]";
     out << ",\n  \"points\": [";
     for (std::size_t i = 0; i < points_.size(); ++i) {
       out << (i ? ",\n    " : "\n    ");
@@ -264,6 +273,7 @@ class BenchJson {
   std::string name_;
   Point meta_;
   Point params_;
+  std::vector<std::string> keys_;
   std::vector<Point> points_;
 };
 

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       "paper: 250M/500M bp on 256..1024 nodes; here: scaled inputs on "
       "2..16 vmpi ranks, alpha-beta modeled seconds");
 
-  bench::BenchJson bj("fig5_gst_scaling");
+  bench::BenchJson bj("fig5_gst_scaling", {"input_bp", "ranks"});
   bj.param("small_bp", small_bp);
   bj.param("large_bp", large_bp);
   bj.param("max_ranks", max_ranks);

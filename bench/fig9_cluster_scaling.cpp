@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
       "paper: 250M/500M bp on 256..1024 nodes; here: scaled inputs on "
       "3..16 vmpi ranks (1 master + workers), modeled seconds");
 
-  bench::BenchJson bj("fig9_cluster_scaling");
+  bench::BenchJson bj("fig9_cluster_scaling",
+                     {"input_bp", "ranks", "adaptive_batch"});
   bj.param("small_bp", small_bp);
   bj.param("large_bp", large_bp);
   bj.param("max_ranks", max_ranks);

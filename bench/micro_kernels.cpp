@@ -13,6 +13,7 @@
 #include "align/linear_space.hpp"
 #include "align/overlap.hpp"
 #include "align/pairwise.hpp"
+#include "align/workspace.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
 #include "obs/metrics.hpp"
@@ -60,9 +61,10 @@ void BM_BandedOverlapAlign(benchmark::State& state) {
   util::Prng rng(3);
   const auto [a, b] = overlap_pair(rng, 600, 200);
   const std::uint32_t band = static_cast<std::uint32_t>(state.range(0));
+  align::Workspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        align::banded_overlap_align(a, b, align::Scoring{}, -400, band));
+        align::banded_overlap_align(a, b, align::Scoring{}, -400, band, ws));
   }
 }
 BENCHMARK(BM_BandedOverlapAlign)->Arg(4)->Arg(10)->Arg(24);

@@ -45,6 +45,19 @@ mkdir -p bench/baselines
 # one perf_diff group.
 ./build/tools/transport_probe/transport_probe --iters 400
 
+# The baselines are 4-thread numbers: refuse to replace them with runs whose
+# meta.hardware_threads (what BenchJson stamped) is smaller — a different
+# performance regime, not a new reference.
+for f in BENCH_align_throughput.json BENCH_fig5_gst_scaling.json \
+  BENCH_fig9_cluster_scaling.json BENCH_transport_probe.json; do
+  hw=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["meta"]["hardware_threads"])' "$f")
+  if [ "$hw" -lt 4 ]; then
+    echo "bench_baseline.sh: $f ran on $hw hardware thread(s); refusing" \
+      "to write baselines from fewer than 4" >&2
+    exit 1
+  fi
+done
+
 mv BENCH_align_throughput.json BENCH_fig5_gst_scaling.json \
   BENCH_fig9_cluster_scaling.json BENCH_transport_probe.json \
   bench/baselines/

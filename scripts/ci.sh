@@ -24,7 +24,9 @@
 #   scripts/ci.sh fuzz-smoke # bounded deterministic fuzz run (UBSan tree)
 #   scripts/ci.sh perf-smoke # 4-rank pipeline run with tracing: assert 100%
 #                            # causal stitch coverage, perf_diff self-vs-self
-#                            # passes, and a synthetically slowed run fails
+#                            # passes, and a synthetically slowed run fails;
+#                            # a fresh fig9_cluster_scaling run must compare
+#                            # against its committed baseline
 #   scripts/ci.sh proc-smoke # multi-process transport: quickstart contigs
 #                            # bit-identical to thread, merged trace stitches
 #                            # 100%, parallel suites pass with proc default
@@ -217,10 +219,11 @@ fuzz_smoke() {
 perf_smoke() {
   echo "== perf-smoke: trace stitching + perf regression gate =="
   cmake -B build -S .
-  cmake --build build -j "$JOBS" --target quickstart perf_diff
+  cmake --build build -j "$JOBS" --target quickstart perf_diff \
+    fig9_cluster_scaling
   local tmp
   tmp=$(mktemp -d)
-  trap 'rm -rf "$tmp"' RETURN
+  trap 'rm -rf "$tmp"; trap - RETURN' RETURN
   # Two identical small runs. --trace-cap is sized so the rings never
   # overflow: dropped events would turn coverage into a lower bound and the
   # stitch check below is deliberately strict about that.
@@ -242,6 +245,22 @@ perf_smoke() {
     return 1
   fi
   echo "-- slowed run rejected as expected"
+
+  echo "-- fig9_cluster_scaling vs its committed baseline"
+  # Same sizes and seed as scripts/bench_baseline.sh. A regression (exit 1)
+  # is reported but does not fail this smoke stage; exit 2 means the runs
+  # could not be compared at all, and that does.
+  # Run from the repo root (BenchJson stamps `git describe` from the cwd).
+  ./build/bench/fig9_cluster_scaling \
+    --small 150000 --large 300000 --max-ranks 8 --seed 99 >/dev/null
+  mv BENCH_fig9_cluster_scaling.json "$tmp/"
+  local rc=0
+  ./build/tools/perf/perf_diff bench/baselines/BENCH_fig9_cluster_scaling.json \
+    "$tmp/BENCH_fig9_cluster_scaling.json" || rc=$?
+  if [ "$rc" -ge 2 ]; then
+    echo "!! perf_diff could not compare fig9_cluster_scaling (exit $rc)" >&2
+    return 1
+  fi
 }
 
 proc_smoke() {
@@ -250,7 +269,7 @@ proc_smoke() {
   cmake --build build -j "$JOBS"
   local tmp
   tmp=$(mktemp -d)
-  trap 'rm -rf "$tmp"' RETURN
+  trap 'rm -rf "$tmp"; trap - RETURN' RETURN
   echo "-- quickstart under both transports: contigs must be bit-identical"
   ./build/examples/quickstart --ranks 4 --seed 7 \
     --out "$tmp/thread.fa" 2>/dev/null
@@ -288,9 +307,15 @@ verify() {
   done
 
   echo "-- pgasm-model: every seeded protocol bug must be caught (exit 1)"
-  for bug in no-retransmit no-cached-reply no-death-terminate \
-             no-park-reply undeclared-recv no-final-abort; do
-    if ./build/tools/verify/pgasm-model --bug="$bug" >/dev/null; then
+  # Each bug at its fixture configuration (workers drops crashes; the
+  # model_bug_fixtures() table in tools/verify/model.cpp).
+  local fx bug w d c
+  for fx in "no-retransmit 1 1 0" "no-cached-reply 2 1 0" \
+            "no-park-reply 2 0 0" "undeclared-recv 2 0 0" \
+            "no-final-abort 1 0 1" "no-drain-reply 2 1 0"; do
+    read -r bug w d c <<<"$fx"
+    if ./build/tools/verify/pgasm-model --bug="$bug" --workers="$w" \
+         --drops="$d" --crashes="$c" >/dev/null; then
       echo "!! pgasm-model missed seeded bug: $bug" >&2
       return 1
     fi

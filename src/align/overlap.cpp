@@ -373,13 +373,6 @@ OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
   return r;
 }
 
-OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
-                                   std::int32_t shift, std::uint32_t band,
-                                   const AlignOptions& opts) {
-  thread_local Workspace ws;  // convenience path for low-volume callers
-  return banded_overlap_align(a, b, sc, shift, band, ws, opts);
-}
-
 int banded_overlap_score_bound(std::uint32_t la, std::uint32_t lb,
                                std::int32_t shift, std::uint32_t band,
                                const Scoring& sc) noexcept {

@@ -62,13 +62,9 @@ OverlapResult overlap_align(Seq a, Seq b, const Scoring& sc, Workspace& ws,
 
 /// Banded end-free alignment around diagonal (j - i) == shift. For a seed
 /// maximal match at positions (pos_a, pos_b), pass shift = pos_b - pos_a.
-OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
-                                   std::int32_t shift, std::uint32_t band,
-                                   const AlignOptions& opts = {});
-
-/// Workspace variant of the banded kernel — the clustering hot path. Every
-/// in-band cell is written before any neighbor reads it, so the workspace
-/// buffers are reused dirty with no per-call clear.
+/// DP cells and traceback come from the caller's `ws`: every in-band cell
+/// is written before any neighbor reads it, so the workspace buffers are
+/// reused dirty with no per-call clear.
 OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
                                    std::int32_t shift, std::uint32_t band,
                                    Workspace& ws,

@@ -53,26 +53,16 @@ struct ClusterParams {
   std::string transport;
 
   // --- fault tolerance (see DESIGN.md "Fault model & recovery") ---------
-  /// Master-side report-probe timeout (seconds) before a failure-detection
-  /// round; grows with capped exponential backoff across consecutive quiet
-  /// rounds and resets on any received report.
-  double worker_timeout = 0.25;
-  /// Cap for the backed-off probe timeout (seconds).
-  double worker_timeout_cap = 2.0;
-  /// Worker-side bound (seconds) on master silence — no reply and no
-  /// heartbeat ping — before the worker gives up (TimeoutError aborts the
-  /// run; resume from the last checkpoint).
-  double master_timeout = 10.0;
-  /// Worker-side bound (seconds) on waiting for the reply to a sent report
-  /// while the master is otherwise in contact. Heartbeat pings prove the
-  /// master alive but not that it received the report, so they must NOT
-  /// extend this deadline: on expiry the worker retransmits the report
-  /// (same sequence number — the master discards duplicates and re-sends
-  /// its cached reply). Without the bound, one dropped report or reply
-  /// livelocks the run with both sides looking healthy.
+  // Worker death is never inferred from silence: the master declares a
+  // worker dead only when the transport reports its rank failed.
+  /// Worker-side bound (seconds) on waiting for the reply to a sent report.
+  /// On expiry the worker retransmits the report (same sequence number —
+  /// the master discards duplicates and re-sends its cached reply).
+  /// Without the bound, one dropped report or reply livelocks the run with
+  /// both sides looking healthy.
   double reply_timeout = 2.0;
-  /// Retransmissions of one report before the worker gives up
-  /// (TimeoutError): the reply channel is considered irrecoverably lossy.
+  /// Retransmissions of one report before the worker gives up and fails
+  /// its own rank (the master then reassigns its work like any crash).
   std::uint32_t reply_max_retries = 8;
   /// Write a ClusterCheckpoint every N processed worker reports
   /// (0 = checkpointing disabled). Requires checkpoint_path.
@@ -124,8 +114,10 @@ struct ClusterStats {
   std::uint64_t batches_reassigned = 0;    ///< in-flight batches requeued
   std::uint64_t pairs_reassigned = 0;      ///< pairs in those batches
   std::uint64_t generator_takeovers = 0;   ///< roles adopted by survivors
-  std::uint64_t timeouts_fired = 0;        ///< master probe timeouts
-  std::uint64_t heartbeats_sent = 0;       ///< pings from the master
+  std::uint64_t timeouts_fired = 0;        ///< quiet master probe slices
+  /// Always 0: liveness comes from the transport, the protocol sends no
+  /// heartbeats. Kept so existing reports (perfbench) keep their column.
+  std::uint64_t heartbeats_sent = 0;
   /// Duplicate (retransmitted) reports the master discarded — each one
   /// means a report's reply was lost or overdue and the cached reply was
   /// re-sent instead of folding the results twice.

@@ -1,6 +1,5 @@
 #include "core/cluster_protocol.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -15,8 +14,9 @@ namespace {
 // A corrupt peer payload is counted, traced, logged, and dropped — never
 // decoded into garbage and never fatal. The retransmission machinery
 // recovers the exchange: a dropped report solicits the worker's retransmit,
-// a dropped reply is re-requested by the duplicate report. A persistently
-// corrupting peer starves into the heartbeat death path.
+// a dropped reply is re-requested by the duplicate report. A worker whose
+// replies keep failing to decode exhausts its retransmission cap and fails
+// its rank.
 void note_decode_error(int rank, const WireError& err) {
   obs::registry().counter("wire.decode_errors", rank).inc();
   obs::instant(rank, "decode_error", "cluster", "code",
@@ -26,26 +26,9 @@ void note_decode_error(int rank, const WireError& err) {
 
 }  // namespace
 
-int poll_heartbeats(vmpi::Comm& comm) {
-  int n = 0;
-  vmpi::Status st;
-  while (comm.iprobe(0, to_tag(MsgKind::kPing), &st)) {
-    const auto epoch = comm.recv_value<std::uint64_t>(0, to_tag(MsgKind::kPing));
-    comm.send_value<std::uint64_t>(0, to_tag(MsgKind::kAck), epoch);
-    ++n;
-  }
-  return n;
-}
-
 int drain_shutdown_messages(vmpi::Comm& comm) {
   int n = 0;
   vmpi::Status st;
-  while (comm.iprobe(0, to_tag(MsgKind::kPing), &st)) {
-    comm.recv_value<std::uint64_t>(0, to_tag(MsgKind::kPing));
-    ++n;
-  }
-  // Duplicate replies queued behind the terminate (a zombie-path terminate
-  // re-sent after a false death declaration, or retransmission crossfire).
   while (comm.iprobe(0, to_tag(MsgKind::kReply), &st)) {
     comm.recv(0, to_tag(MsgKind::kReply));
     ++n;
@@ -53,15 +36,14 @@ int drain_shutdown_messages(vmpi::Comm& comm) {
   return n;
 }
 
-int drain_worker_traffic(vmpi::Comm& comm) {
+int drain_worker_traffic(vmpi::Comm& comm, ReplyChannel& replies,
+                         const std::vector<std::uint8_t>& alive) {
   int n = 0;
   vmpi::Status st;
-  while (comm.iprobe(vmpi::kAnySource, to_tag(MsgKind::kAck), &st)) {
-    comm.recv_value<std::uint64_t>(st.source, to_tag(MsgKind::kAck));
-    ++n;
-  }
   while (comm.iprobe(vmpi::kAnySource, to_tag(MsgKind::kReport), &st)) {
     comm.recv(st.source, to_tag(MsgKind::kReport));
+    if (alive[st.source] && !comm.rank_done(st.source))
+      replies.resend_cached(comm, st.source);
     ++n;
   }
   return n;
@@ -101,36 +83,25 @@ void send_report(vmpi::Comm& comm, const ClusterParams& params,
 
 MasterReply await_reply(vmpi::Comm& comm, const ClusterParams& params,
                         std::uint64_t seq, const WorkerReport& report) {
-  util::WallTimer contact;     // master silence: reset by pings and replies
   util::WallTimer reply_wait;  // since the report was (re)sent
   bool parked = false;
   std::uint32_t retransmits = 0;
   for (;;) {
-    if (poll_heartbeats(comm) > 0) contact.restart();
     if (comm.rank_failed(0))
       throw vmpi::TimeoutError("worker: master rank failed");
-    if (comm.rank_done(0)) {
-      vmpi::Status qs;
-      if (!comm.iprobe(0, to_tag(MsgKind::kReply), &qs)) {
-        // The master finished and nothing is queued for us: our terminate
-        // was lost in flight. Act on the implied terminate.
-        MasterReply bye;
-        bye.terminate = 1;
-        return bye;
-      }
-    }
-    const double left = params.master_timeout - contact.elapsed();
-    if (left <= 0)
-      throw vmpi::TimeoutError("worker: no contact from master within " +
-                               std::to_string(params.master_timeout) + "s");
     if (reply_wait.elapsed() >= params.reply_timeout) {
       // Parked retransmits are uncapped keepalives: the park proved the
       // master received the report, and the duplicate solicits the cached
-      // reply again in case the eventual dispatch was itself dropped.
-      if (!parked && ++retransmits > params.reply_max_retries)
-        throw vmpi::TimeoutError(
-            "worker: no reply from master after " +
-            std::to_string(params.reply_max_retries) + " retransmits");
+      // reply again in case the eventual dispatch was itself dropped. A
+      // capped-out worker leaves as a crashed rank, not a run-wide abort:
+      // the master sees rank_failed and reassigns its work.
+      if (!parked && ++retransmits > params.reply_max_retries) {
+        const std::string why = "worker: no reply from master after " +
+                                std::to_string(params.reply_max_retries) +
+                                " retransmits; failing this rank";
+        util::log_warn() << why;
+        comm.fail_self(why);
+      }
       obs::instant(comm.rank(), "retransmit", "cluster", "seq", seq, "parked",
                    parked ? 1 : 0);
       send_report(comm, params, report);
@@ -138,11 +109,11 @@ MasterReply await_reply(vmpi::Comm& comm, const ClusterParams& params,
     }
     std::vector<std::byte> raw;
     try {
-      raw = comm.recv_timeout(0, to_tag(MsgKind::kReply), std::min(0.05, left));
+      raw = comm.recv_timeout(0, to_tag(MsgKind::kReply),
+                              kLivenessSliceSeconds);
     } catch (const vmpi::TimeoutError&) {
-      continue;  // slice expired; answer pings and re-check the bounds
+      continue;  // slice expired; re-check the master and the reply timer
     }
-    contact.restart();
     auto decoded = [&] {
       auto scope = comm.compute_scope();
       return try_decode_reply(std::span<const std::byte>(raw));
@@ -183,51 +154,6 @@ void ReplyChannel::resend_cached(vmpi::Comm& comm, int worker) {
   const auto& cached = last_reply_[worker];
   if (cached.empty()) return;
   comm.send(worker, to_tag(MsgKind::kReply), cached.data(), cached.size());
-}
-
-void heartbeat_round(vmpi::Comm& comm, const ClusterParams& params,
-                     std::uint64_t epoch,
-                     const std::vector<std::uint8_t>& alive,
-                     const std::vector<std::uint8_t>& terminated,
-                     std::uint64_t& heartbeats_sent,
-                     const std::function<void(int)>& declare_dead) {
-  const int p = comm.size();
-  obs::Span hb_span = obs::span(0, "heartbeat_round", "cluster");
-  std::vector<int> pinged;
-  for (int w = 1; w < p; ++w) {
-    if (!alive[w] || terminated[w]) continue;
-    if (comm.rank_failed(w)) {
-      declare_dead(w);
-      continue;
-    }
-    vmpi::Status s;
-    if (comm.iprobe(w, to_tag(MsgKind::kReport), &s)) continue;
-    comm.send_value<std::uint64_t>(w, to_tag(MsgKind::kPing), epoch);
-    ++heartbeats_sent;
-    pinged.push_back(w);
-  }
-  hb_span.arg("epoch", epoch);
-  hb_span.arg("pinged", pinged.size());
-  util::WallTimer t;
-  while (!pinged.empty()) {
-    const double left = params.worker_timeout - t.elapsed();
-    if (left <= 0) break;
-    try {
-      vmpi::Status ack;
-      const auto got = comm.recv_value_timeout<std::uint64_t>(
-          vmpi::kAnySource, to_tag(MsgKind::kAck), left, &ack);
-      if (got != epoch) continue;  // stale ack from an old round
-      pinged.erase(std::remove(pinged.begin(), pinged.end(), ack.source),
-                   pinged.end());
-    } catch (const vmpi::TimeoutError&) {
-      break;
-    }
-  }
-  for (int w : pinged) {
-    vmpi::Status s;
-    if (comm.iprobe(w, to_tag(MsgKind::kReport), &s)) continue;  // reported meanwhile
-    declare_dead(w);
-  }
 }
 
 }  // namespace pgasm::core

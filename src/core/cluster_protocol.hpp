@@ -1,8 +1,10 @@
 // Message-level protocol for the master–worker clustering loop (paper
-// Fig. 6), split out of the coordinator: wire tags, heartbeat ping/ack,
-// the worker's report-send/reply-wait state machine with retransmission,
-// and the master's per-worker reply channel with its duplicate-report
-// defence. Scheduling policy (what to dispatch, when to terminate) lives in
+// Fig. 6), split out of the coordinator: wire tags, the worker's
+// report-send/reply-wait state machine with retransmission, and the
+// master's per-worker reply channel with its duplicate-report defence.
+// Liveness is the transport's job: a worker is dead exactly when
+// Comm::rank_failed says so, and no message exists only to prove a peer
+// alive. Scheduling policy (what to dispatch, when to terminate) lives in
 // cluster_scheduler.*; this layer only moves and acknowledges messages.
 //
 // Zero-copy discipline: reports and replies are encoded straight into vmpi
@@ -14,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -34,13 +35,15 @@ namespace pgasm::core {
 enum class MsgKind : std::uint8_t {
   kReport = 101,  ///< worker -> master: results + new pairs + progress
   kReply = 102,   ///< master -> worker: batch / park / terminate
-  kPing = 103,    ///< master -> worker heartbeat (epoch-stamped u64)
-  kAck = 104,     ///< worker -> master heartbeat ack (echoes the epoch)
 };
 
 /// Every protocol kind, for table-driven iteration (protocol_check, tests).
-inline constexpr MsgKind kAllMsgKinds[] = {MsgKind::kReport, MsgKind::kReply,
-                                           MsgKind::kPing, MsgKind::kAck};
+inline constexpr MsgKind kAllMsgKinds[] = {MsgKind::kReport, MsgKind::kReply};
+
+/// How long one blocking wait lasts before the waiter re-checks peer
+/// liveness (rank_failed): the master's report probe and the
+/// worker's reply wait both block in slices of this length.
+inline constexpr double kLivenessSliceSeconds = 0.05;
 
 /// vmpi tag for a message kind (the enumerator value, by construction).
 constexpr int to_tag(MsgKind kind) noexcept { return static_cast<int>(kind); }
@@ -52,14 +55,12 @@ constexpr std::optional<MsgKind> msg_kind_of(int tag) noexcept {
   switch (kind) {
     case MsgKind::kReport:
     case MsgKind::kReply:
-    case MsgKind::kPing:
-    case MsgKind::kAck:
       return kind;
   }
   return std::nullopt;
 }
 
-/// Stable lowercase name ("report", "reply", "ping", "ack") for logs and
+/// Stable lowercase name ("report", "reply") for logs and
 /// trace args. Exhaustive switch: adding a MsgKind without naming it here
 /// is a compile error.
 constexpr const char* msg_kind_name(MsgKind kind) noexcept {
@@ -68,10 +69,6 @@ constexpr const char* msg_kind_name(MsgKind kind) noexcept {
       return "report";
     case MsgKind::kReply:
       return "reply";
-    case MsgKind::kPing:
-      return "ping";
-    case MsgKind::kAck:
-      return "ack";
   }
   return "?";  // unreachable for valid kinds; keeps the function total
 }
@@ -85,10 +82,6 @@ inline constexpr int kTagReport = to_tag(MsgKind::kReport);  // worker -> master
                                         // pgasm-wire: encode_report/decode_report
 inline constexpr int kTagReply = to_tag(MsgKind::kReply);  // master -> worker
                                         // pgasm-wire: encode_reply/decode_reply
-inline constexpr int kTagPing = to_tag(MsgKind::kPing);  // heartbeat
-                                        // pgasm-wire: raw-u64
-inline constexpr int kTagAck = to_tag(MsgKind::kAck);  // heartbeat ack
-                                        // pgasm-wire: raw-u64
 
 // --- Declarative protocol table --------------------------------------------
 //
@@ -120,14 +113,6 @@ inline constexpr MsgSpec kProtocol[] = {
      "try_decode_reply", "await_reply",
      "duplicate report solicits ReplyChannel::resend_cached",
      "stale seq discarded by await_reply seq filter"},
-    {MsgKind::kPing, "ping", "master->worker", "send_value",
-     "recv_value", "poll_heartbeats",
-     "next heartbeat_round or keepalive_pings re-pings",
-     "idempotent: every ping is answered with its own epoch"},
-    {MsgKind::kAck, "ack", "worker->master", "send_value",
-     "recv_value", "heartbeat_round",
-     "non-responder is passed to declare_dead (false positive is safe)",
-     "stale-epoch acks filtered by the epoch stamp"},
 };
 
 /// Table row for a kind; nullptr when the table misses one (protocol_check
@@ -149,8 +134,7 @@ constexpr const MsgSpec* find_spec(MsgKind kind) noexcept {
 // in master_loop tie the code back to the states.
 
 enum class MasterState : std::uint8_t {
-  kProbe,       ///< bounded wait for any worker report
-  kHeartbeat,   ///< probe timed out: ping workers, reap non-responders
+  kProbe,       ///< wait one liveness slice for any report; reap failed ranks
   kFold,        ///< decode + fold a report; answer duplicates from cache
   kDispatch,    ///< feed idle workers; dispatch, park, or terminate sender
   kCheckpoint,  ///< periodic recoverable-state write
@@ -158,8 +142,9 @@ enum class MasterState : std::uint8_t {
 };
 
 inline constexpr MasterState kAllMasterStates[] = {
-    MasterState::kProbe,    MasterState::kHeartbeat,  MasterState::kFold,
-    MasterState::kDispatch, MasterState::kCheckpoint, MasterState::kTerminate,
+    MasterState::kProbe,      MasterState::kFold,
+    MasterState::kDispatch,   MasterState::kCheckpoint,
+    MasterState::kTerminate,
 };
 
 /// Stable lowercase state name; exhaustive switch (see msg_kind_name).
@@ -167,8 +152,6 @@ constexpr const char* master_state_name(MasterState s) noexcept {
   switch (s) {
     case MasterState::kProbe:
       return "probe";
-    case MasterState::kHeartbeat:
-      return "heartbeat";
     case MasterState::kFold:
       return "fold";
     case MasterState::kDispatch:
@@ -189,13 +172,14 @@ struct MasterTransition {
 
 inline constexpr MasterTransition kMasterTransitions[] = {
     {MasterState::kProbe, MasterState::kFold, "report queued"},
-    {MasterState::kProbe, MasterState::kHeartbeat, "probe timeout"},
-    {MasterState::kHeartbeat, MasterState::kProbe,
-     "pinged workers acked or were reaped; work remains"},
-    {MasterState::kHeartbeat, MasterState::kTerminate,
+    {MasterState::kProbe, MasterState::kProbe,
+     "slice up: rank_failed workers with no queued report reaped, idle "
+     "fed; work remains"},
+    {MasterState::kProbe, MasterState::kTerminate,
      "remaining == 0 after reaping (all terminated or dead)"},
     {MasterState::kFold, MasterState::kDispatch,
-     "report folded, zombie dismissed, or duplicate re-answered"},
+     "report folded (a reaped worker's late one included) or duplicate "
+     "re-answered"},
     {MasterState::kDispatch, MasterState::kCheckpoint,
      "checkpoint cadence reached"},
     {MasterState::kDispatch, MasterState::kProbe, "reporter answered"},
@@ -215,12 +199,12 @@ inline constexpr MasterTransition kMasterTransitions[] = {
 // exhaustively proves deadlock freedom and terminate-reachability.
 
 enum class WorkerState : std::uint8_t {
-  kGenerate,    ///< answer pings, consume queued terminates, build a report
+  kGenerate,    ///< consume queued terminates, build a report
   kSendReport,  ///< hand the encoded report to the transport (ssend-aware)
   kAlign,       ///< align the previous batch while the reply is in flight
   kAwaitReply,  ///< wait for the reply to this seq; retransmit on timeout
   kApplyReply,  ///< adopt the new batch; rebuild taken-over portions
-  kShutdown,    ///< terminate consumed (or implied); drain and exit
+  kShutdown,    ///< terminate consumed; drain and exit
 };
 
 inline constexpr WorkerState kAllWorkerStates[] = {
@@ -262,7 +246,7 @@ inline constexpr WorkerTransition kWorkerTransitions[] = {
     {WorkerState::kSendReport, WorkerState::kAlign,
      "report handed to the transport (rendezvoused when use_ssend)"},
     {WorkerState::kAlign, WorkerState::kAwaitReply,
-     "previous batch aligned, heartbeats answered throughout"},
+     "previous batch aligned"},
     {WorkerState::kAwaitReply, WorkerState::kAwaitReply,
      "reply_timeout: report retransmitted (master answers from cache)"},
     {WorkerState::kAwaitReply, WorkerState::kAwaitReply,
@@ -270,7 +254,7 @@ inline constexpr WorkerTransition kWorkerTransitions[] = {
     {WorkerState::kAwaitReply, WorkerState::kApplyReply,
      "dispatch reply matching this seq"},
     {WorkerState::kAwaitReply, WorkerState::kShutdown,
-     "terminate reply (explicit, or implied by a finished master)"},
+     "terminate reply (re-sent by the master's drain if lost)"},
     {WorkerState::kApplyReply, WorkerState::kGenerate,
      "batch adopted; takeover portions rebuilt and fast-forwarded"},
 };
@@ -291,13 +275,8 @@ struct WorkerRecvSpec {
 };
 
 inline constexpr WorkerRecvSpec kWorkerRecvs[] = {
-    {WorkerState::kGenerate, MsgKind::kPing, "poll_heartbeats"},
     {WorkerState::kGenerate, MsgKind::kReply, "consume_pending_terminate"},
-    {WorkerState::kAlign, MsgKind::kPing, "poll_heartbeats"},
-    {WorkerState::kAwaitReply, MsgKind::kPing, "poll_heartbeats"},
     {WorkerState::kAwaitReply, MsgKind::kReply, "await_reply"},
-    {WorkerState::kApplyReply, MsgKind::kPing, "poll_heartbeats"},
-    {WorkerState::kShutdown, MsgKind::kPing, "drain_shutdown_messages"},
     {WorkerState::kShutdown, MsgKind::kReply, "drain_shutdown_messages"},
 };
 
@@ -309,66 +288,46 @@ struct MasterRecvSpec {
 
 inline constexpr MasterRecvSpec kMasterRecvs[] = {
     {MasterState::kFold, MsgKind::kReport, "recv_report"},
-    {MasterState::kHeartbeat, MsgKind::kAck, "heartbeat_round"},
-    {MasterState::kDispatch, MsgKind::kAck, "keepalive_pings"},
     {MasterState::kTerminate, MsgKind::kReport, "drain_worker_traffic"},
-    {MasterState::kTerminate, MsgKind::kAck, "drain_worker_traffic"},
 };
-
-/// Answer any queued heartbeat pings from the master. Returns how many were
-/// answered (the worker's master-silence clock resets on contact).
-int poll_heartbeats(vmpi::Comm& comm);
 
 /// Master-side receive of the report already probed from `source`. A
 /// payload that fails to decode (truncated, mistagged, corrupt counts) is
 /// returned as a typed WireError — the caller drops it, the worker's
 /// retransmission timer re-sends the report, and a healthy retransmit
-/// recovers the exchange. Decode failures are counted in the
-/// `wire.decode_errors` metric and traced as `decode_error` instants.
+/// recovers the exchange (a persistently corrupt peer exhausts its
+/// retransmission cap and fails its rank). Decode failures are counted in
+/// the `wire.decode_errors` metric and traced as `decode_error` instants.
 WireResult<WorkerReport> recv_report(vmpi::Comm& comm, int source);
 
 /// Worker-side drain of unsolicited queued replies before a (possibly
 /// synchronous) report send. Returns true when a terminate order was
-/// consumed: this worker was declared dead (a false positive, since it is
-/// here) or the run is over. Stale duplicate replies and undecodable
+/// consumed (the run is over). Stale duplicate replies and undecodable
 /// payloads are discarded.
 bool consume_pending_terminate(vmpi::Comm& comm);
 
-/// Worker-side shutdown drain, called once after a terminate is consumed.
-/// Eats queued heartbeat pings WITHOUT acking them (the master has already
-/// written this worker off — an ack now would itself be orphaned) plus any
-/// duplicate replies behind the terminate. The master pings only ranks it
-/// has not yet terminated and per-sender delivery is FIFO, so every such
-/// ping is already queued by the time the terminate is read: after this
-/// drain a fault-free run leaves no unreceived sends for the causal trace
+/// Worker-side shutdown drain, called once after a terminate is consumed:
+/// eats duplicate replies queued behind the terminate (retransmission
+/// crossfire), so a run leaves no unreceived sends for the causal trace
 /// analyzer to flag. Returns how many messages were consumed.
 int drain_shutdown_messages(vmpi::Comm& comm);
-
-/// Master-side shutdown drain: consume queued heartbeat acks and
-/// retransmitted reports that crossed a terminate in flight. The receive
-/// also matters for liveness under use_ssend — a written-off worker can be
-/// parked inside a synchronous report send that only completes when the
-/// message is consumed. Returns how many messages were consumed; call it
-/// until every worker has exited so the final sweep is complete.
-int drain_worker_traffic(vmpi::Comm& comm);
 
 /// Encode and send a worker report to the master (moved payload; ssend when
 /// the params ask for synchronous reports).
 void send_report(vmpi::Comm& comm, const ClusterParams& params,
                  const WorkerReport& report);
 
-/// Worker-side wait for the reply answering report `seq`, polling
-/// heartbeats in short timeout slices. Pings prove the master alive but not
-/// that it got the report, so they do not extend the reply deadline: after
-/// params.reply_timeout without a matching reply (and not parked), the
-/// report is retransmitted (re-encoded from `report`) — the master discards
-/// the duplicate by seq and re-sends its cached reply, which recovers a
-/// dropped report or a dropped reply alike. Throws TimeoutError when the
-/// master has failed, has been silent (no reply, no ping) for
-/// params.master_timeout seconds, or has not answered
-/// params.reply_max_retries retransmissions. A master that finished without
-/// this worker ever hearing a terminate (the terminate was lost) is treated
-/// as an implied terminate.
+/// Worker-side wait for the reply answering report `seq`, in short timeout
+/// slices. After params.reply_timeout without a matching reply, the report
+/// is retransmitted (re-encoded from `report`) — the master discards the
+/// duplicate by seq and re-sends its cached reply, which recovers a dropped
+/// report or a dropped reply alike. Throws TimeoutError when the master
+/// rank has failed (the run aborts; resume from the last checkpoint). A
+/// worker whose report goes unanswered through params.reply_max_retries
+/// retransmissions fails its own rank through the transport's crash path,
+/// so the master reaps it and reassigns its work like any other crash. A
+/// lost terminate is re-sent by the master's shutdown drain in answer to
+/// the next retransmit (drain_worker_traffic).
 MasterReply await_reply(vmpi::Comm& comm, const ClusterParams& params,
                         std::uint64_t seq, const WorkerReport& report);
 
@@ -396,34 +355,17 @@ class ReplyChannel {
   std::vector<std::vector<std::uint8_t>> last_reply_;
 };
 
-/// One epoch-stamped heartbeat round (master side). A worker whose report
-/// is already queued is alive by definition (this also covers workers
-/// blocked in a synchronous send to us). Anyone else gets a ping and a
-/// bounded window to ack; non-responders are passed to `declare_dead`. A
-/// false positive is safe: the "zombie"'s later reports still fold
-/// idempotently and it is terminated on its next contact, at the cost of
-/// some duplicated work.
-void heartbeat_round(vmpi::Comm& comm, const ClusterParams& params,
-                     std::uint64_t epoch,
-                     const std::vector<std::uint8_t>& alive,
-                     const std::vector<std::uint8_t>& terminated,
-                     std::uint64_t& heartbeats_sent,
-                     const std::function<void(int)>& declare_dead);
-
-/// Ping every parked worker (their master-silence clocks get no replies)
-/// and drain stray acks from previous rounds.
-template <typename IdleRange>
-void keepalive_pings(vmpi::Comm& comm, const IdleRange& idle,
-                     const std::vector<std::uint8_t>& alive,
-                     std::uint64_t epoch, std::uint64_t& heartbeats_sent) {
-  vmpi::Status s;
-  while (comm.iprobe(vmpi::kAnySource, to_tag(MsgKind::kAck), &s))
-    (void)comm.recv_value<std::uint64_t>(s.source, to_tag(MsgKind::kAck));
-  for (int w : idle) {
-    if (!alive[w]) continue;
-    comm.send_value<std::uint64_t>(w, to_tag(MsgKind::kPing), epoch);
-    ++heartbeats_sent;
-  }
-}
+/// Master-side shutdown drain: consume retransmitted reports that crossed
+/// a terminate, and answer each one from a worker that is still running
+/// and not reaped (`alive`) with its cached reply. That reply is the
+/// terminate, and the report shows it was lost or is still on its way; the
+/// worker cannot finish without it, and the master waits for every worker
+/// to finish. The receive also matters for liveness under use_ssend — a
+/// terminated worker can be parked inside a synchronous report send that
+/// only completes when the message is consumed. Returns how many messages
+/// were consumed; call it until every worker has exited so the final sweep
+/// is complete.
+int drain_worker_traffic(vmpi::Comm& comm, ReplyChannel& replies,
+                         const std::vector<std::uint8_t>& alive);
 
 }  // namespace pgasm::core

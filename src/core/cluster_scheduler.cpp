@@ -143,7 +143,7 @@ void MasterScheduler::note_death(int w) {
   ++workers_lost;
   --remaining;
   obs::instant(0, "death_declared", "cluster", "worker",
-               static_cast<std::uint64_t>(w), "hb_epoch", hb_epoch);
+               static_cast<std::uint64_t>(w));
   if (!exhausted[w]) {
     exhausted[w] = 1;
     --active_workers;

@@ -43,10 +43,8 @@ class MasterScheduler {
   /// protocol layer stamps and sends it.
   MasterReply make_dispatch(int worker);
 
-  /// Death bookkeeping for a worker (liveness flags, batch requeue, role
-  /// orphaning, idle-queue removal). The coordinator still sends the
-  /// farewell terminate — a false-positive declaration leaves a live
-  /// parked worker that must be released.
+  /// Death bookkeeping for a worker whose rank has failed (liveness flags,
+  /// batch requeue, role orphaning, idle-queue removal).
   void note_death(int worker);
 
   /// Fold a (first-time) report from a live worker: role progress claims,
@@ -55,9 +53,9 @@ class MasterScheduler {
   /// admission filtered against the current clustering.
   void fold_report(int worker, const WorkerReport& report);
 
-  /// Fold accepted results from a worker already declared dead (its batches
-  /// were requeued, so merges replay idempotently). Progress claims are
-  /// ignored — its roles have new owners.
+  /// Fold accepted results from a report a worker sent before it failed
+  /// (its batches were requeued, so merges replay idempotently). Progress
+  /// claims are ignored — its roles have new owners.
   void fold_zombie_results(const WorkerReport& report);
 
   /// Should this reporter be dispatched to (even an empty batch, to keep it
@@ -118,7 +116,6 @@ class MasterScheduler {
   std::vector<std::uint8_t> role_done;
   std::vector<std::uint64_t> role_pos;
   std::vector<TakeoverOrder> orphans;  // roles awaiting a new owner
-  std::uint64_t hb_epoch = 0;          // current heartbeat round
 
   // Checkpoint validity: hashes of the input store and the
   // partition-relevant params this run was started with.
@@ -139,8 +136,7 @@ class MasterScheduler {
   std::uint64_t batches_reassigned = 0;
   std::uint64_t pairs_reassigned = 0;
   std::uint64_t takeovers = 0;
-  std::uint64_t timeouts_fired = 0;
-  std::uint64_t heartbeats_sent = 0;
+  std::uint64_t timeouts_fired = 0;  // quiet liveness slices
   std::uint64_t checkpoints_written = 0;
   std::uint64_t reports_retransmitted = 0;
   std::uint64_t pairs_skipped_resume = 0;

@@ -44,7 +44,7 @@ bool ConsistencyResolver::implied_overlap_holds(std::uint32_t frag_x,
   ++verifications_;
   const auto r = align::banded_overlap_align(
       sx, sy, params_.scoring, shift,
-      params_.band + static_cast<std::uint32_t>(tolerance_));
+      params_.band + static_cast<std::uint32_t>(tolerance_), ws_);
   return align::accept_overlap(r, params_);
 }
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "align/overlap.hpp"
+#include "align/workspace.hpp"
 #include "olc/layout.hpp"
 #include "seq/fragment_store.hpp"
 
@@ -70,6 +71,7 @@ class ConsistencyResolver {
   std::vector<std::vector<std::uint32_t>> members_;  // frags by root
   std::uint64_t rejections_ = 0;
   std::uint64_t verifications_ = 0;
+  align::Workspace ws_;  // verification alignments, reused dirty
 };
 
 }  // namespace pgasm::core

@@ -1,11 +1,12 @@
 // Coordinator for the parallel master-worker clustering run. The three
 // concerns the loop used to interleave live in their own translation units:
-// message protocol (tags, heartbeats, report/reply retransmission) in
+// message protocol (tags, report/reply retransmission) in
 // cluster_protocol.*, master scheduling policy and recoverable state in
 // cluster_scheduler.*, and the per-pair alignment compute in
 // core::OverlapEngine. This file only wires them together: the master pump
 // (probe -> fold -> dispatch/park -> checkpoint -> terminate) and the
 // worker cycle (generate -> report -> align previous batch -> await reply).
+// A worker is declared dead only when the transport reports its rank failed.
 #include "core/parallel_cluster.hpp"
 
 #include <algorithm>
@@ -23,7 +24,6 @@
 #include "gst/parallel_build.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/backoff.hpp"
 #include "util/deterministic.hpp"
 #include "util/prng.hpp"
 #include "util/timer.hpp"
@@ -57,14 +57,17 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
     replies.send(comm, w, bye);
   };
 
-  auto declare_dead = [&](int w) {
-    if (!sched.alive[w]) return;
-    sched.note_death(w);
-    // If this declaration is a false positive, the worker is still alive and
-    // may be parked waiting on a master that will never contact it again.
-    // Send it a terminate so it exits instead of starving past its
-    // master_timeout; a genuinely dead rank simply never reads the message.
-    send_terminate(w);
+  // The transport is the failure detector: a crashed worker (injected
+  // crash, or a worker that gave up after its retransmission cap) reads
+  // rank_failed. A slow worker does not, however long it stays silent. A
+  // failed worker with a report still queued is reaped at a later sweep,
+  // so its last results fold first.
+  auto reap_failed = [&]() {
+    for (int w = 1; w < p; ++w) {
+      if (sched.alive[w] && !sched.terminated[w] && comm.rank_failed(w) &&
+          !comm.iprobe(w, to_tag(MsgKind::kReport), nullptr))
+        sched.note_death(w);
+    }
   };
 
   auto dispatch = [&](int w) {
@@ -96,32 +99,27 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
     ck_span.arg("pending", ck.pending.size());
   };
 
-  util::ExponentialBackoff probe_backoff(params.worker_timeout, 2.0,
-                                         params.worker_timeout_cap);
-  // Parked (idle) workers receive no replies; ping them periodically so
-  // their master-silence clocks don't expire during long healthy runs.
-  util::WallTimer keepalive_timer;
-  const double keepalive_every =
-      std::max(params.worker_timeout, params.master_timeout / 4.0);
-
+  util::WallTimer since_reap;
   while (sched.remaining > 0) {
     // [MasterState::kProbe]
-    vmpi::Status ps;
-    try {
-      ps = comm.probe_timeout(vmpi::kAnySource, to_tag(MsgKind::kReport),
-                              probe_backoff.current());
-    } catch (const vmpi::TimeoutError&) {
-      // [MasterState::kHeartbeat]
-      ++sched.timeouts_fired;
-      probe_backoff.advance();
-      heartbeat_round(comm, params, ++sched.hb_epoch, sched.alive,
-                      sched.terminated, sched.heartbeats_sent, declare_dead);
+    // Sweep for failed ranks once per slice, even while reports keep
+    // arriving: parked workers' keepalives alone can fill every slice.
+    if (since_reap.elapsed() >= kLivenessSliceSeconds) {
+      since_reap.restart();
+      reap_failed();
       feed_idle();
       try_terminate();
       continue;
     }
+    vmpi::Status ps;
+    try {
+      ps = comm.probe_timeout(vmpi::kAnySource, to_tag(MsgKind::kReport),
+                              kLivenessSliceSeconds);
+    } catch (const vmpi::TimeoutError&) {
+      ++sched.timeouts_fired;  // a quiet slice; the sweep runs next
+      continue;
+    }
     // [MasterState::kFold]
-    probe_backoff.reset();
     const int w = ps.source;
     obs::Span report_span = obs::span(0, "report", "cluster");
     report_span.arg("worker", static_cast<std::uint64_t>(w));
@@ -129,21 +127,19 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
     if (!decoded) {
       // Undecodable report (already counted by the protocol layer): drop
       // it. The worker's reply timer will retransmit; a healthy retransmit
-      // decodes fine, and a persistently corrupt worker starves into the
-      // heartbeat death path.
+      // decodes fine, and a persistently corrupt worker exhausts its
+      // retransmission cap and fails its rank.
       continue;
     }
     const WorkerReport report = std::move(decoded).value();
 
     if (!sched.alive[w]) {
-      // A worker we declared dead reported after all: fold its results
-      // (idempotent; its batches were requeued, so at worst pairs align
-      // twice) and dismiss it. Its roles have new owners — ignore progress.
-      {
-        auto scope = comm.compute_scope();
-        sched.fold_zombie_results(report);
-      }
-      send_terminate(w);
+      // A report a worker sent before it failed, probed after its reaping:
+      // fold its results (idempotent; its batches were requeued, so at
+      // worst pairs align twice). Its roles have new owners — ignore
+      // progress. The rank is gone, so nothing is sent back.
+      auto scope = comm.compute_scope();
+      sched.fold_zombie_results(report);
       continue;
     }
 
@@ -186,11 +182,6 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
     }
 
     try_terminate();
-    if (keepalive_timer.elapsed() >= keepalive_every) {
-      keepalive_timer.restart();
-      keepalive_pings(comm, sched.idle, sched.alive, sched.hb_epoch,
-                      sched.heartbeats_sent);
-    }
   }
 
   // [MasterState::kTerminate]
@@ -201,11 +192,12 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
   }
 
   // Shutdown drain: until every worker has exited (free — the runtime joins
-  // their threads right after this returns anyway), keep consuming heartbeat
-  // acks and retransmitted reports that crossed a terminate in flight. The
-  // receive also matters for liveness under use_ssend: a written-off worker
-  // can be parked inside a synchronous report send that only completes when
-  // the message is consumed. Draining after the done-check is what makes the
+  // their threads right after this returns anyway), keep consuming
+  // retransmitted reports that crossed a terminate in flight, answering
+  // each with the terminate again in case it was lost. The receive
+  // also matters for liveness under use_ssend: a terminated worker can be
+  // parked inside a synchronous report send that only completes when the
+  // message is consumed. Draining after the done-check is what makes the
   // final sweep complete — anything a worker sent is queued here by the time
   // rank_done() reads true — so a fault-free causal trace ends with zero
   // unmatched sends.
@@ -214,7 +206,7 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
     for (int w = 1; w < p; ++w) {
       if (!comm.rank_done(w) && !comm.rank_failed(w)) all_done = false;
     }
-    drain_worker_traffic(comm);
+    drain_worker_traffic(comm, replies, sched.alive);
     if (all_done) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -257,11 +249,8 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
       // Fast-forward: the stream is deterministic, so skipping resume_at
       // pairs resumes exactly where the previous owner stopped.
       gst::PromisingPair q;
-      std::uint64_t done = 0;
-      while (done < resume_at && rg.gen->next(q)) {
+      for (std::uint64_t done = 0; done < resume_at && rg.gen->next(q);)
         ++done;
-        if ((done & 0xFFFu) == 0) poll_heartbeats(comm);
-      }
     }
     gens.push_back(std::move(rg));
   };
@@ -295,10 +284,8 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
 
   for (;;) {
     // [WorkerState::kGenerate]
-    poll_heartbeats(comm);
-    // An unsolicited reply can already be queued: a terminate (this worker
-    // was declared dead — a false positive, since it is here) or a stale
-    // duplicate of the reply just consumed (retransmission crossfire).
+    // An unsolicited reply can already be queued: a stale duplicate of the
+    // reply just consumed (retransmission crossfire), or a terminate.
     // Consuming a terminate *before* the synchronous report send closes the
     // deadlock window where the master stops listening while this worker
     // blocks in ssend; duplicates are simply discarded.
@@ -333,23 +320,14 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
 
     // [WorkerState::kAlign]
     // Mask the wait for the master's reply with the alignment work of the
-    // batch allocated in the previous iteration (Fig. 8). Chunked so
-    // heartbeat pings are answered even during long alignment stretches.
-    obs::Span align_span =
-        batch.empty() ? obs::Span()
-                      : obs::span(comm.rank(), "align_batch", "cluster");
-    align_span.arg("pairs", batch.size());
-    const std::span<const PairMsg> pairs(batch);
-    std::size_t ai = 0;
-    while (ai < pairs.size()) {
-      poll_heartbeats(comm);
+    // batch allocated in the previous iteration (Fig. 8).
+    if (!batch.empty()) {
+      obs::Span align_span = obs::span(comm.rank(), "align_batch", "cluster");
+      align_span.arg("pairs", batch.size());
       auto scope = comm.compute_scope();
-      const std::size_t chunk = std::min<std::size_t>(64, pairs.size() - ai);
-      engine.run(pairs.subspan(ai, chunk), results);
-      ai += chunk;
+      engine.run(batch, results);
+      batch.clear();
     }
-    batch.clear();
-    align_span.finish();
 
     // [WorkerState::kAwaitReply]
     const MasterReply reply = await_reply(comm, params, report_seq, report);
@@ -554,7 +532,6 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
   stats.pairs_reassigned = sched.pairs_reassigned;
   stats.generator_takeovers = sched.takeovers;
   stats.timeouts_fired = sched.timeouts_fired;
-  stats.heartbeats_sent = sched.heartbeats_sent;
   stats.reports_retransmitted = sched.reports_retransmitted;
   stats.checkpoints_written = sched.checkpoints_written;
   stats.pairs_skipped_resume = sched.pairs_skipped_resume;
@@ -602,7 +579,6 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
     c("cluster.pairs_reassigned", sched.pairs_reassigned);
     c("cluster.takeovers", sched.takeovers);
     c("cluster.probe_timeouts", sched.timeouts_fired);
-    c("cluster.heartbeats_sent", sched.heartbeats_sent);
     c("cluster.checkpoints_written", sched.checkpoints_written);
     c("cluster.reports_retransmitted", sched.reports_retransmitted);
     c("cluster.pairs_skipped_resume", sched.pairs_skipped_resume);

@@ -13,8 +13,8 @@
 // computing alignments until the master terminates them.
 //
 // Fault tolerance (see DESIGN.md "Fault model & recovery"): the master
-// probes with a backed-off timeout and runs epoch-stamped heartbeat rounds
-// to detect dead or stalled workers; a dead worker's in-flight batches are
+// declares a worker dead only when the transport reports its rank failed
+// (a slow worker is never written off); a dead worker's in-flight batches are
 // requeued (union-find merges are idempotent, so replay is safe) and its
 // pair-generation role is rebuilt and fast-forwarded on a survivor. The
 // master periodically checkpoints its recoverable state; cluster_parallel

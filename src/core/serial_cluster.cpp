@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "align/workspace.hpp"
 #include "core/consistency.hpp"
 #include "core/overlap_engine.hpp"
 #include "gst/pair_generator.hpp"
@@ -19,19 +20,31 @@ align::OverlapResult pair_overlap_details(const seq::FragmentStore& doubled,
                                            std::uint32_t pos_a,
                                            std::uint32_t seq_b,
                                            std::uint32_t pos_b,
-                                           const align::OverlapParams& p) {
+                                           const align::OverlapParams& p,
+                                           align::Workspace& ws) {
   const auto a = doubled.seq(seq_a);
   const auto b = doubled.seq(seq_b);
   const std::int32_t shift =
       static_cast<std::int32_t>(pos_b) - static_cast<std::int32_t>(pos_a);
-  return align::banded_overlap_align(a, b, p.scoring, shift, p.band);
+  return align::banded_overlap_align(a, b, p.scoring, shift, p.band, ws);
+}
+
+align::OverlapResult pair_overlap_details(const seq::FragmentStore& doubled,
+                                           std::uint32_t seq_a,
+                                           std::uint32_t pos_a,
+                                           std::uint32_t seq_b,
+                                           std::uint32_t pos_b,
+                                           const align::OverlapParams& p) {
+  thread_local align::Workspace ws;
+  return pair_overlap_details(doubled, seq_a, pos_a, seq_b, pos_b, p, ws);
 }
 
 bool pair_overlaps(const seq::FragmentStore& doubled, std::uint32_t seq_a,
                    std::uint32_t pos_a, std::uint32_t seq_b,
-                   std::uint32_t pos_b, const align::OverlapParams& p) {
+                   std::uint32_t pos_b, const align::OverlapParams& p,
+                   align::Workspace& ws) {
   return align::accept_overlap(
-      pair_overlap_details(doubled, seq_a, pos_a, seq_b, pos_b, p), p);
+      pair_overlap_details(doubled, seq_a, pos_a, seq_b, pos_b, p, ws), p);
 }
 
 void validate_cluster_params(const ClusterParams& params) {

@@ -26,12 +26,25 @@ ClusterResult cluster_serial(const seq::FragmentStore& fragments,
                              const ClusterParams& params);
 
 /// Shared helper: run the accept test for a promising pair expressed in
-/// doubled-store ids, anchored at its maximal match.
+/// doubled-store ids, anchored at its maximal match, aligning in the
+/// caller's workspace.
 bool pair_overlaps(const seq::FragmentStore& doubled, std::uint32_t seq_a,
                    std::uint32_t pos_a, std::uint32_t seq_b,
-                   std::uint32_t pos_b, const align::OverlapParams& p);
+                   std::uint32_t pos_b, const align::OverlapParams& p,
+                   align::Workspace& ws);
 
 /// Same, but returns the full alignment result (for placement extraction).
+align::OverlapResult pair_overlap_details(const seq::FragmentStore& doubled,
+                                          std::uint32_t seq_a,
+                                          std::uint32_t pos_a,
+                                          std::uint32_t seq_b,
+                                          std::uint32_t pos_b,
+                                          const align::OverlapParams& p,
+                                          align::Workspace& ws);
+
+/// The workspace overload above with one workspace per thread. Kept only
+/// because perfbench/op.cpp's fixed-sample alignment measure calls this
+/// form; new callers own their Workspace.
 align::OverlapResult pair_overlap_details(const seq::FragmentStore& doubled,
                                           std::uint32_t seq_a,
                                           std::uint32_t pos_a,

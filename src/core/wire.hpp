@@ -86,9 +86,9 @@ struct MasterReply {
   std::vector<TakeoverOrder> takeovers; ///< roles to adopt (usually empty)
   std::uint32_t request_r = 0;          ///< pairs to send in the next report
   std::uint8_t terminate = 0;
-  /// Passive worker, nothing to align: wait quietly for the next dispatch
-  /// or terminate without retransmitting the report (heartbeat pings keep
-  /// the worker's master-silence clock fresh meanwhile).
+  /// Passive worker, nothing to align: wait for the next dispatch or
+  /// terminate. The report is acknowledged, so the worker's retransmits
+  /// while parked are uncapped keepalives, not a countdown to giving up.
   std::uint8_t park = 0;
 };
 

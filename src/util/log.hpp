@@ -3,7 +3,7 @@
 // Each line carries a monotonic timestamp (seconds since process start) and,
 // when the calling thread has registered one via set_log_rank(), a per-rank
 // prefix — so interleaved multi-rank fault-recovery logs stay attributable:
-//   [  12.345678] [r3] [WARN] worker 2 missed heartbeat epoch 7
+//   [  12.345678] [r3] [WARN] worker: no reply from master after 8 retransmits
 //
 // The initial threshold is read from the PGASM_LOG_LEVEL environment
 // variable (debug/info/warn/error, case-insensitive) the first time the

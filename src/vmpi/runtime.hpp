@@ -181,9 +181,10 @@ class Comm {
   /// Non-blocking probe.
   bool iprobe(int source, int tag, Status* status);
 
-  /// Failure-detector oracle: has rank r died (injected crash)? Real
-  /// deployments substitute an out-of-band detector; protocols built here
-  /// should treat it as a hint and keep timeout paths for silent stalls.
+  /// Failure-detector oracle: has rank r died (injected crash or
+  /// fail_self)? The clustering protocol takes it as the only evidence of a
+  /// worker's death; a silent stall of a live rank is outside the FaultPlan
+  /// model. Real deployments substitute an out-of-band detector.
   bool rank_failed(int r) const {
     return r >= 0 && r < size() && transport_->is_dead(r);
   }
@@ -194,6 +195,14 @@ class Comm {
   /// running out its silence timeout.
   bool rank_done(int r) const {
     return r >= 0 && r < size() && transport_->is_done(r);
+  }
+
+  /// End this rank the way an injected crash does (KilledError on threads,
+  /// SIGKILL on processes): peers see rank_failed(rank()) and the run goes
+  /// on without it. For a rank that has given up on its peers.
+  [[noreturn]] void fail_self(const std::string& why) {
+    transport_->crash_self(rank_, why);
+    throw KilledError(why);  // unreachable; virtual calls lose [[noreturn]]
   }
 
   /// Which transport this rank is running over.

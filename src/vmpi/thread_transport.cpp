@@ -50,8 +50,8 @@ void ThreadTransport::mark_dead(int r) {
 void ThreadTransport::mark_done(int r) {
   // Like mark_dead, pending synchronous sends rendezvoused on the finished
   // rank's mailbox are completed and every waiter is woken — a peer blocked
-  // in an ssend to a rank that has already returned (e.g. a worker falsely
-  // declared dead reporting to a master that finished) would otherwise hang
+  // in an ssend to a rank that has already returned (e.g. a terminated
+  // worker's keepalive report to a master that finished) would otherwise hang
   // the join forever — but the rank is not counted as failed and
   // rank_failed() stays false for it.
   done_[static_cast<std::size_t>(r)].store(true, std::memory_order_release);

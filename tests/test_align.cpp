@@ -11,6 +11,7 @@
 
 #include "align/overlap.hpp"
 #include "align/pairwise.hpp"
+#include "align/workspace.hpp"
 #include "test_helpers.hpp"
 
 namespace pgasm {
@@ -105,6 +106,7 @@ TEST_P(AlignRandom, OverlapMatchesBruteForce) {
 TEST_P(AlignRandom, BandedEqualsUnbandedWithCoveringBand) {
   util::Prng rng(GetParam() + 100);
   const Scoring sc;
+  align::Workspace ws;
   for (int t = 0; t < 16; ++t) {
     const auto a = test::random_dna(rng, 1 + rng.below(8), 0.15);
     const auto b = test::random_dna(rng, 1 + rng.below(8), 0.15);
@@ -114,8 +116,9 @@ TEST_P(AlignRandom, BandedEqualsUnbandedWithCoveringBand) {
     const auto shift = static_cast<std::int32_t>(rng.below(21)) - 10;
     const auto band = static_cast<std::uint32_t>(a.size() + b.size() +
                                                  std::abs(shift));
-    EXPECT_EQ(align::banded_overlap_align(a, b, sc, shift, band).aln.score,
-              want);
+    EXPECT_EQ(
+        align::banded_overlap_align(a, b, sc, shift, band, ws).aln.score,
+        want);
   }
 }
 
@@ -123,6 +126,7 @@ TEST_P(AlignRandom, TracebackCountsConsistent) {
   util::Prng rng(GetParam() + 200);
   const Scoring sc;
   const AlignOptions keep{.keep_ops = true};
+  align::Workspace ws;
   for (int t = 0; t < 8; ++t) {
     auto a = test::random_dna(rng, 1 + rng.below(60), 0.05);
     auto b = test::random_dna(rng, 1 + rng.below(60), 0.05);
@@ -134,7 +138,8 @@ TEST_P(AlignRandom, TracebackCountsConsistent) {
                        static_cast<std::int32_t>(a.size());
     const auto full = align::overlap_align(a, b, sc, keep);
     expect_consistent_traceback(a, b, full.aln);
-    const auto banded = align::banded_overlap_align(a, b, sc, shift, 6, keep);
+    const auto banded =
+        align::banded_overlap_align(a, b, sc, shift, 6, ws, keep);
     expect_consistent_traceback(a, b, banded.aln);
   }
 }
@@ -189,6 +194,7 @@ TEST(Overlap, ToleratesErrors) {
 
 TEST(Overlap, BandedAgreesWithFullOnSeededPairs) {
   util::Prng rng(31);
+  align::Workspace ws;
   for (int t = 0; t < 12; ++t) {
     auto a = test::random_dna(rng, 100);
     // b shares a's suffix starting at 40: seed anchor at (40, 0).
@@ -203,7 +209,7 @@ TEST(Overlap, BandedAgreesWithFullOnSeededPairs) {
     const auto full = align::overlap_align(a, b, Scoring{});
     const auto banded =
         align::banded_overlap_align(a, b, Scoring{}, /*shift=*/-40,
-                                    /*band=*/8);
+                                    /*band=*/8, ws);
     EXPECT_EQ(banded.type, full.type);
     EXPECT_NEAR(banded.aln.score, full.aln.score, 0);
   }
@@ -212,7 +218,8 @@ TEST(Overlap, BandedAgreesWithFullOnSeededPairs) {
 TEST(Overlap, BandedMissesWhenBandExcludesEnds) {
   const auto a = enc("AAAAAAAAAACGCGCGCG");
   const auto b = enc("TTTTTTTTTTTTTTTTTT");
-  const auto r = align::banded_overlap_align(a, b, Scoring{}, 100, 2);
+  align::Workspace ws;
+  const auto r = align::banded_overlap_align(a, b, Scoring{}, 100, 2, ws);
   EXPECT_EQ(r.type, OverlapType::kNone);
 }
 
@@ -238,6 +245,7 @@ std::pair<std::vector<seq::Code>, std::int32_t> mutated_overlap(
 TEST(OverlapBound, NeverBelowBandedScore) {
   util::Prng rng(91);
   const Scoring sc{};
+  align::Workspace ws;
   for (int t = 0; t < 300; ++t) {
     const auto a = test::random_dna(rng, 30 + rng.below(170), 0.01);
     const auto [b, diag] = rng.chance(0.8)
@@ -254,7 +262,7 @@ TEST(OverlapBound, NeverBelowBandedScore) {
         const int bound = align::banded_overlap_score_bound(
             static_cast<std::uint32_t>(la), static_cast<std::uint32_t>(lb),
             shift, band, sc);
-        const auto r = align::banded_overlap_align(a, b, sc, shift, band);
+        const auto r = align::banded_overlap_align(a, b, sc, shift, band, ws);
         EXPECT_GE(bound, r.aln.score)
             << "la=" << la << " lb=" << lb << " shift=" << shift
             << " band=" << band;
@@ -267,6 +275,7 @@ TEST(OverlapBound, NeverBelowBandedScore) {
 TEST(OverlapBound, TightOnErrorFreeOverlaps) {
   util::Prng rng(93);
   const Scoring sc{};
+  align::Workspace ws;
   for (int t = 0; t < 50; ++t) {
     const auto a = test::random_dna(rng, 60 + rng.below(140));
     const std::size_t start = 1 + rng.below(a.size() - 30);
@@ -277,14 +286,14 @@ TEST(OverlapBound, TightOnErrorFreeOverlaps) {
     const auto tail = test::random_dna(rng, 1 + rng.below(60));
     b.insert(b.end(), tail.begin(), tail.end());
     const auto shift = -static_cast<std::int32_t>(start);
-    const auto r = align::banded_overlap_align(a, b, sc, shift, 0);
+    const auto r = align::banded_overlap_align(a, b, sc, shift, 0, ws);
     ASSERT_EQ(r.type, OverlapType::kDovetailAB);
     EXPECT_EQ(align::banded_overlap_score_bound(
                   static_cast<std::uint32_t>(a.size()),
                   static_cast<std::uint32_t>(b.size()), shift, 0, sc),
               r.aln.score);
     // Identical copies: diagonal 0 is the longest, for any band.
-    const auto same = align::banded_overlap_align(a, a, sc, 0, 12);
+    const auto same = align::banded_overlap_align(a, a, sc, 0, 12, ws);
     EXPECT_EQ(align::banded_overlap_score_bound(
                   static_cast<std::uint32_t>(a.size()),
                   static_cast<std::uint32_t>(a.size()), 0, 12, sc),
@@ -318,20 +327,21 @@ TEST(Overlap, AcceptTestEnforcesCutoffs) {
   auto fresh = test::random_dna(rng, 50);
   b.insert(b.end(), fresh.begin(), fresh.end());
 
-  auto good = align::banded_overlap_align(a, b, p.scoring, -50, p.band);
+  align::Workspace ws;
+  auto good = align::banded_overlap_align(a, b, p.scoring, -50, p.band, ws);
   EXPECT_TRUE(align::accept_overlap(good, p));
 
   // Too-short overlap: only 20 shared chars.
   std::vector<seq::Code> c(a.begin() + 80, a.end());
   c.insert(c.end(), fresh.begin(), fresh.end());
-  auto shortr = align::banded_overlap_align(a, c, p.scoring, -80, p.band);
+  auto shortr = align::banded_overlap_align(a, c, p.scoring, -80, p.band, ws);
   EXPECT_FALSE(align::accept_overlap(shortr, p));
 
   // Low identity: corrupt 20% of the overlap.
   auto noisy = b;
   for (std::uint32_t i = 0; i < 50; i += 5)
     noisy[i] = static_cast<seq::Code>((noisy[i] + 2) % 4);
-  auto bad = align::banded_overlap_align(a, noisy, p.scoring, -50, p.band);
+  auto bad = align::banded_overlap_align(a, noisy, p.scoring, -50, p.band, ws);
   EXPECT_FALSE(align::accept_overlap(bad, p));
 }
 
@@ -354,10 +364,11 @@ TEST(Overlap, RcSymmetry) {
 TEST(Align, MaskedNeverMatches) {
   const AlignOptions keep{.keep_ops = true};
   const auto a = enc("ACNNGT");
+  align::Workspace ws;
   // The two N positions are mismatches even against themselves.
   for (const auto& r :
        {align::overlap_align(a, a, Scoring{}, keep),
-        align::banded_overlap_align(a, a, Scoring{}, 0, 4, keep)}) {
+        align::banded_overlap_align(a, a, Scoring{}, 0, 4, ws, keep)}) {
     EXPECT_EQ(r.aln.matches, 4u);
     EXPECT_EQ(r.aln.columns, 6u);
     expect_consistent_traceback(a, a, r.aln);

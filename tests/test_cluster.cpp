@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "align/workspace.hpp"
 #include "core/parallel_cluster.hpp"
 #include "core/serial_cluster.hpp"
 #include "core/wire.hpp"
@@ -160,10 +161,11 @@ TEST(SerialCluster, MatchesBruteForceOverlapClosure) {
   const auto doubled = seq::make_doubled_store(store);
   const auto matches = test::brute_force_maximal_matches(doubled, params.psi);
   util::UnionFind ref(store.size());
+  align::Workspace ws;
   for (const auto& [qa, pa, qb, pb, len] : matches) {
     const std::uint32_t fa = qa >> 1, fb = qb >> 1;
     if (fa == fb) continue;
-    if (core::pair_overlaps(doubled, qa, pa, qb, pb, params.overlap)) {
+    if (core::pair_overlaps(doubled, qa, pa, qb, pb, params.overlap, ws)) {
       ref.unite(fa, fb);
     }
   }

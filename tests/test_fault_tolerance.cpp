@@ -66,11 +66,6 @@ ClusterParams fault_params() {
   p.overlap.min_identity = 0.9;
   p.overlap.band = 8;
   p.batch_size = 16;
-  // Tight detection so recovery tests run in seconds, but not so tight that
-  // a loaded CI machine triggers spurious death declarations.
-  p.worker_timeout = 0.25;
-  p.worker_timeout_cap = 1.0;
-  p.master_timeout = 10.0;
   return p;
 }
 
@@ -219,8 +214,8 @@ TEST(FaultVmpi, SsendToDeadRankCompletes) {
 TEST(FaultVmpi, SsendToFinishedRankCompletes) {
   // A rank that returns normally (finished, not failed) must release
   // synchronous senders blocked on it and fail pending receives fast —
-  // otherwise a worker falsely declared dead that ssends one last report
-  // after the master exits would hang the whole run at thread join.
+  // otherwise a worker that ssends one last report after the master exits
+  // would hang the whole run at thread join.
   vmpi::Runtime rt(2);
   run_with_watchdog([&] {
     return rt.run([&](vmpi::Comm& comm) {
@@ -361,8 +356,6 @@ TEST(Checkpoint, HashesTrackInputAndParams) {
   // Operational knobs must NOT invalidate a checkpoint: retuning timeouts
   // or checkpoint cadence between a run and its resume is legitimate.
   auto operational = params;
-  operational.worker_timeout *= 3;
-  operational.master_timeout *= 2;
   operational.reply_timeout *= 2;
   operational.checkpoint_every_reports = 7;
   operational.use_ssend = !operational.use_ssend;
@@ -463,10 +456,8 @@ TEST(FaultCluster, DroppedReportRecovers) {
   util::Prng rng(404);
   const auto store = sampled_reads(rng, 1600, 48, 100, 0.01);
   auto params = fault_params();
-  // No heartbeat pings (huge probe timeout): user-send indices are then
-  // deterministic, so worker 1's send #1 is exactly its first report.
-  params.worker_timeout = 30.0;
-  params.worker_timeout_cap = 30.0;
+  // Worker 1's user sends are all reports, so its send #1 is exactly its
+  // first report.
   params.reply_timeout = 0.2;
 
   const auto baseline =
@@ -488,9 +479,7 @@ TEST(FaultCluster, DroppedReplyRecoversViaRetransmit) {
   util::Prng rng(405);
   const auto store = sampled_reads(rng, 1600, 48, 100, 0.01);
   auto params = fault_params();
-  params.worker_timeout = 30.0;  // no pings: master's send #1 is a reply
-  params.worker_timeout_cap = 30.0;
-  params.reply_timeout = 0.2;
+  params.reply_timeout = 0.2;  // the master's user sends are all replies
 
   const auto baseline =
       run_with_watchdog([&] { return cluster_parallel(store, params, 3); });
@@ -508,6 +497,85 @@ TEST(FaultCluster, DroppedReplyRecoversViaRetransmit) {
   expect_same_partition(baseline.clusters, faulty.clusters);
 }
 
+TEST(FaultCluster, DelayedWorkerIsNotDeclaredDead) {
+  // A slow worker is a live worker: only the transport may declare a rank
+  // dead. Worker 1 stalls 0.6 s inside each of its first three report
+  // sends — longer than any probe slice — and must still finish the run.
+  util::Prng rng(77);
+  const auto store = sampled_reads(rng, 2400, 64, 100, 0.01);
+  const auto params = fault_params();
+  vmpi::FaultPlan plan;
+  for (std::uint64_t i = 1; i <= 3; ++i)
+    plan.delays.push_back({.rank = 1, .at_send = i, .seconds = 0.6});
+
+  for (const int p : {2, 3}) {
+    SCOPED_TRACE("ranks=" + std::to_string(p));
+    const auto baseline =
+        run_with_watchdog([&] { return cluster_parallel(store, params, p); });
+    const auto slow = run_with_watchdog(
+        [&] { return cluster_parallel(store, params, p, {}, plan); });
+    EXPECT_EQ(slow.cost.faults.messages_delayed, 3u);
+    EXPECT_EQ(slow.stats.workers_lost, 0u);
+    EXPECT_EQ(slow.stats.generator_takeovers, 0u);
+    EXPECT_EQ(slow.stats.heartbeats_sent, 0u);
+    expect_same_partition(baseline.clusters, slow.clusters);
+  }
+}
+
+TEST(FaultCluster, RetransmitCapFailsTheRankNotTheRun) {
+  util::Prng rng(404);
+  const auto store = sampled_reads(rng, 1600, 48, 100, 0.01);
+  auto params = fault_params();
+  params.reply_timeout = 0.05;
+  params.reply_max_retries = 2;
+
+  const auto baseline =
+      run_with_watchdog([&] { return cluster_parallel(store, params, 3); });
+
+  // Worker 1's user sends are all reports: its first report and both
+  // retransmissions are lost, so it exhausts its cap before the master
+  // ever hears from it. (The fourth drop is never reached.)
+  vmpi::FaultPlan plan;
+  for (std::uint64_t i = 1; i <= params.reply_max_retries + 2; ++i)
+    plan.drops.push_back({.rank = 1, .at_send = i});
+  const auto faulty = run_with_watchdog(
+      [&] { return cluster_parallel(store, params, 3, {}, plan); });
+
+  EXPECT_EQ(faulty.cost.faults.messages_dropped, params.reply_max_retries + 1);
+  EXPECT_EQ(faulty.cost.faults.crashes_injected, 0u);
+  EXPECT_EQ(faulty.cost.faults.ranks_failed, 1u);
+  EXPECT_EQ(faulty.stats.workers_lost, 1u);
+  EXPECT_EQ(faulty.stats.generator_takeovers, 1u);
+  expect_same_partition(baseline.clusters, faulty.clusters);
+}
+
+TEST(FaultCluster, CrashIsReapedWhileParkedWorkersKeepReporting) {
+  // Worker 3 stalls 0.3 s in its first report send, so the other workers
+  // run out of work and park waiting on its generator role; then it crashes
+  // at its second send. At reply_timeout 0.05 the parked workers' keepalives
+  // (two at P=4, four at P=6) leave the master almost no quiet 50 ms slice,
+  // so the failure sweep must not wait for one.
+  util::Prng rng(2026);
+  const auto store = sampled_reads(rng, 2400, 64, 100, 0.01);
+  auto params = fault_params();
+  params.reply_timeout = 0.05;
+  vmpi::FaultPlan plan;
+  plan.delays.push_back({.rank = 3, .at_send = 1, .seconds = 0.3});
+  plan.crashes.push_back({.rank = 3, .at_send = 2});
+
+  for (const int p : {4, 6}) {
+    SCOPED_TRACE("ranks=" + std::to_string(p));
+    const auto baseline =
+        run_with_watchdog([&] { return cluster_parallel(store, params, p); });
+    const auto faulty = run_with_watchdog(
+        [&] { return cluster_parallel(store, params, p, {}, plan); }, 30);
+    EXPECT_EQ(faulty.cost.faults.crashes_injected, 1u);
+    EXPECT_EQ(faulty.stats.workers_lost, 1u);
+    EXPECT_EQ(faulty.stats.generator_takeovers, 1u);
+    expect_same_partition(baseline.clusters, faulty.clusters);
+  }
+}
+
 TEST(FaultCluster, RandomDropsStillSamePartition) {
   util::Prng rng(406);
   const auto store = sampled_reads(rng, 1600, 48, 100, 0.01);
@@ -519,7 +587,7 @@ TEST(FaultCluster, RandomDropsStillSamePartition) {
 
   vmpi::FaultPlan plan;
   plan.seed = 4242;
-  plan.drop_prob = 0.03;  // reports, replies, pings, acks all at risk
+  plan.drop_prob = 0.03;  // reports and replies alike at risk
   const auto faulty = run_with_watchdog(
       [&] { return cluster_parallel(store, params, 4, {}, plan); });
 
@@ -531,7 +599,6 @@ TEST(FaultCluster, MasterCrashThenCheckpointResumeCompletes) {
   util::Prng rng(31415);
   const auto store = sampled_reads(rng, 2400, 64, 100, 0.01);
   auto params = fault_params();
-  params.master_timeout = 1.0;  // workers give up on the dead master fast
 
   const auto baseline =
       run_with_watchdog([&] { return cluster_parallel(store, params, 3); });
@@ -619,8 +686,8 @@ TEST(FaultClusterGst, RankKilledMidGstRecoversSamePartition) {
   EXPECT_EQ(faulty.cost.faults.crashes_injected, 1u);
   EXPECT_GE(faulty.stats.gst_buckets_reassigned, 1u);
   // The dead rank never reaches the clustering phase either: the master
-  // declares it dead on the first heartbeat round and a survivor rebuilds
-  // its (empty, under the final table) generator role.
+  // reaps it on its first quiet probe slice and a survivor rebuilds its
+  // (empty, under the final table) generator role.
   EXPECT_GE(faulty.stats.workers_lost, 1u);
   expect_same_partition(baseline.clusters, faulty.clusters);
 }

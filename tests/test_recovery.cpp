@@ -56,8 +56,6 @@ PipelineParams recovery_params() {
   p.cluster.overlap.min_overlap = 30;
   p.cluster.overlap.min_identity = 0.9;
   p.cluster.prefix_w = 4;
-  p.cluster.worker_timeout = 0.25;
-  p.cluster.worker_timeout_cap = 1.0;
   p.assembly.psi = 16;
   p.assembly.overlap.min_overlap = 30;
   p.assembly.overlap.min_identity = 0.93;
@@ -274,10 +272,8 @@ TEST(RecoveryPipeline, FaultsAppliedOnFirstAttemptOnlyHealOnRetry) {
   const auto rs = small_reads(25);
   auto params = recovery_params();
   // Small batches so the master makes enough user-channel sends (replies)
-  // for the injected crash index to fire; short master_timeout so the
-  // orphaned workers give up quickly after it dies.
+  // for the injected crash index to fire.
   params.cluster.batch_size = 16;
-  params.cluster.master_timeout = 1.0;
 
   const auto baseline = run_pipeline(rs.store, sim::vector_library(), params);
 

@@ -47,17 +47,18 @@ TEST(VerifyModel, CrashWithWorkRemainingReachesAbortFinal) {
   ModelConfig with = clean_config(1);
   const ModelResult r = run_model(with);
   EXPECT_GT(r.abort_finals, 0u);
-  // Without crashes AND without drops no worker can ever be written off
-  // (a false reap needs a dropped ping or ack), so the abort is
-  // unreachable. With drops alone it IS reachable — message loss can
-  // falsely reap every worker — which is why the clean-model run above
-  // must count those outcomes as finals rather than deadlocks.
+  // Without crashes no worker can ever be written off: only a crashed rank
+  // is reaped, so message loss alone never reaches the abort.
   ModelConfig without = clean_config(2);
   without.crashes = 0;
   without.drops = 0;
   const ModelResult r2 = run_model(without);
   EXPECT_EQ(r2.abort_finals, 0u);
   EXPECT_TRUE(r2.ok) << r2.property << ": " << r2.message;
+  without.drops = 2;
+  const ModelResult r3 = run_model(without);
+  EXPECT_EQ(r3.abort_finals, 0u);
+  EXPECT_TRUE(r3.ok) << r3.property << ": " << r3.message;
 }
 
 TEST(VerifyModel, EverySeededBugIsCaughtByItsExpectedProperty) {
@@ -75,18 +76,19 @@ TEST(VerifyModel, EverySeededBugIsCaughtByItsExpectedProperty) {
 }
 
 TEST(VerifyModel, SeededBugsCoverAllViolationKinds) {
-  // The fixture table must exercise deadlock (P1), conformance (P3) and
-  // loss tolerance (P4) so every property checker is proven live. (P2
-  // livelock is subsumed: any P2 violation is also found via P1/P4 in
-  // these small configs, and the clean run proves the P2 pass runs.)
-  bool p1 = false, p3 = false, p4 = false;
+  // The fixture table must exercise deadlock (P1), livelock (P2),
+  // conformance (P3) and loss tolerance (P4) so every property checker is
+  // proven live.
+  bool p1 = false, p2 = false, p3 = false, p4 = false;
   for (const ModelBugFixture& fx : model_bug_fixtures()) {
     const std::string p = fx.expected_property;
     p1 = p1 || p == "P1";
+    p2 = p2 || p == "P2";
     p3 = p3 || p == "P3";
     p4 = p4 || p == "P4";
   }
   EXPECT_TRUE(p1);
+  EXPECT_TRUE(p2);
   EXPECT_TRUE(p3);
   EXPECT_TRUE(p4);
 }

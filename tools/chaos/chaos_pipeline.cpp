@@ -115,9 +115,6 @@ PipelineParams chaos_params(int ranks) {
   p.cluster.overlap.min_identity = 0.9;
   p.cluster.prefix_w = 4;
   p.cluster.batch_size = 16;
-  p.cluster.worker_timeout = 0.25;
-  p.cluster.worker_timeout_cap = 1.0;
-  p.cluster.master_timeout = 1.0;
   p.assembly.psi = 16;
   p.assembly.overlap.min_overlap = 30;
   p.assembly.overlap.min_identity = 0.93;
@@ -198,7 +195,7 @@ bool run_seed(std::uint64_t seed, const Options& opt) {
   const std::string dir =
       (fs::temp_directory_path() /
        ("pgasm_chaos_" + std::to_string(seed) + "_" +
-        std::to_string(opt.ranks)))
+        std::to_string(opt.ranks) + "_" + opt.transport))
           .string();
   fs::remove_all(dir);
   fs::create_directories(dir);

@@ -22,10 +22,13 @@
 //   --allow-meta-mismatch   compare BENCH files despite different
 //                           build_type metadata
 //
-// Noise handling: bench points with identical configuration (identical
-// non-float fields) are collapsed to their per-field median before
-// comparison, and a regression needs to clear BOTH the relative threshold
-// and the absolute floor. Fields are direction-classified by name: times
+// Noise handling: bench points with identical configuration are collapsed
+// to their per-field median before comparison. The configuration is the
+// point fields the file names in its top-level "keys" array (the BenchJson
+// constructor's keys; the new file's declaration wins, so an older baseline
+// without one still compares); every other numeric field is a value. A
+// regression needs to clear BOTH the relative threshold and the absolute
+// floor. Fields are direction-classified by name: times
 // (*_s, *_us, *_ms, *seconds*, *time*) regress upward, rates (*per_s*,
 // *throughput*, *cups*) regress downward, anything else is reported but
 // never fails the gate.
@@ -56,7 +59,6 @@ struct Json {
   Type type = Type::kNull;
   bool b = false;
   double num = 0;
-  bool is_integer = false;  ///< source text had no '.' / exponent
   std::string str;
   std::vector<Json> arr;
   std::vector<std::pair<std::string, Json>> obj;  ///< insertion order kept
@@ -168,13 +170,10 @@ class JsonParser {
   bool number(Json* out) {
     const std::size_t start = i_;
     if (i_ < s_.size() && (s_[i_] == '-' || s_[i_] == '+')) ++i_;
-    bool integer = true;
     while (i_ < s_.size()) {
       const char c = s_[i_];
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-        ++i_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
-        integer = c != '.' && c != 'e' && c != 'E' ? integer : false;
+      if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '.' ||
+          c == 'e' || c == 'E' || c == '-' || c == '+') {
         ++i_;
       } else {
         break;
@@ -182,7 +181,6 @@ class JsonParser {
     }
     if (i_ == start) return false;
     out->type = Json::Type::kNumber;
-    out->is_integer = integer;
     out->num = std::strtod(s_.c_str() + start, nullptr);
     return true;
   }
@@ -421,16 +419,29 @@ int diff_obs(const std::string& old_arg, const std::string& new_arg,
 
 // --- bench mode ------------------------------------------------------------
 
-/// Configuration signature of a point: every non-float field, in key order.
-/// Points sharing a signature are repeats of the same configuration and are
-/// collapsed to their per-field median (noise suppression).
-std::string config_signature(const Json& point) {
+/// The configuration fields a bench file declares in its top-level "keys"
+/// array; empty when it declares none.
+std::vector<std::string> declared_keys(const Json& bench) {
+  std::vector<std::string> keys;
+  if (const Json* k = bench.find("keys")) {
+    for (const Json& name : k->arr) keys.push_back(name.str);
+  }
+  return keys;
+}
+
+bool is_config_field(const std::string& key,
+                     const std::vector<std::string>& keys) {
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
+}
+
+/// Configuration signature of a point: its configuration fields, in key
+/// order. Points sharing a signature are repeats of the same configuration
+/// and are collapsed to their per-field median (noise suppression).
+std::string config_signature(const Json& point,
+                             const std::vector<std::string>& keys) {
   std::string sig;
   for (const auto& [k, v] : point.obj) {
-    const bool is_config =
-        v.type == Json::Type::kString || v.type == Json::Type::kBool ||
-        (v.type == Json::Type::kNumber && v.is_integer);
-    if (!is_config) continue;
+    if (!is_config_field(k, keys)) continue;
     sig += k;
     sig += '=';
     if (v.type == Json::Type::kString) {
@@ -445,15 +456,16 @@ std::string config_signature(const Json& point) {
   return sig;
 }
 
+/// Every numeric non-configuration field is a value.
 std::map<std::string, std::map<std::string, std::vector<double>>>
-collect_points(const Json& bench) {
+collect_points(const Json& bench, const std::vector<std::string>& keys) {
   std::map<std::string, std::map<std::string, std::vector<double>>> out;
   const Json* points = bench.find("points");
   if (points == nullptr) return out;
   for (const Json& p : points->arr) {
-    auto& group = out[config_signature(p)];
+    auto& group = out[config_signature(p, keys)];
     for (const auto& [k, v] : p.obj) {
-      if (v.type == Json::Type::kNumber && !v.is_integer) {
+      if (v.type == Json::Type::kNumber && !is_config_field(k, keys)) {
         group[k].push_back(v.num);
       }
     }
@@ -520,8 +532,16 @@ int diff_bench(const std::string& old_path, const std::string& new_path,
     }
   }
 
-  const auto old_groups = collect_points(oldj);
-  const auto new_groups = collect_points(newj);
+  std::vector<std::string> keys = declared_keys(newj);
+  if (keys.empty()) keys = declared_keys(oldj);
+  if (keys.empty()) {
+    std::fprintf(stderr,
+                 "perf_diff: neither file declares its configuration "
+                 "\"keys\"\n");
+    return 2;
+  }
+  const auto old_groups = collect_points(oldj, keys);
+  const auto new_groups = collect_points(newj, keys);
   std::size_t compared = 0;
   for (const auto& [sig, new_fields] : new_groups) {
     const auto oit = old_groups.find(sig);

@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> sizes = {8,        1024,     16384,
                                           1u << 18, 1u << 20};
 
-  bench::BenchJson bj("transport_probe");
+  bench::BenchJson bj("transport_probe", {"transport", "msg_bytes", "fit"});
   bj.param("iters", iters);
   bj.param("warmup", warmup);
 

@@ -48,9 +48,6 @@ struct Worker {
   unsigned report = 0;            ///< 1 bit: report in flight to master
   unsigned slot = kReplyNone;     ///< 2 bits: reply in flight to worker
   unsigned cached = kReplyNone;   ///< 2 bits: master's cached last reply
-  unsigned ping = 0;              ///< 1 bit: heartbeat ping in flight
-  unsigned ack = 0;               ///< 1 bit: heartbeat ack in flight
-  unsigned hb = 0;                ///< 1 bit: master awaits this worker's ack
 };
 
 struct State {
@@ -65,8 +62,7 @@ constexpr unsigned kWorkerBits = 16;
 std::uint64_t pack_worker(const Worker& w) {
   return static_cast<std::uint64_t>(w.mode) | (w.view << 3) |
          (w.answered << 5) | (w.retx << 6) | (w.report << 8) |
-         (w.slot << 9) | (w.cached << 11) | (w.ping << 13) | (w.ack << 14) |
-         (w.hb << 15);
+         (w.slot << 9) | (w.cached << 11);
 }
 
 Worker unpack_worker(std::uint64_t v) {
@@ -78,9 +74,6 @@ Worker unpack_worker(std::uint64_t v) {
   w.report = (v >> 8) & 1u;
   w.slot = (v >> 9) & 3u;
   w.cached = (v >> 11) & 3u;
-  w.ping = (v >> 13) & 1u;
-  w.ack = (v >> 14) & 1u;
-  w.hb = (v >> 15) & 1u;
   return w;
 }
 
@@ -160,25 +153,19 @@ enum class Act : std::uint8_t {
   kSendReport,
   kRetransmit,
   kKeepalive,
-  kConsumePing,
   kConsumeReply,
   kDiscardStaleReply,
   kConsumeTerminateGen,
-  kImpliedTerminate,
+  kGiveUp,
   kCrash,
-  kDrainPingExited,
   kDrainReplyExited,
   kFoldFresh,
   kFoldDup,
   kFoldZombie,
   kDrainReport,
-  kMasterPing,
   kMasterWake,
-  kConsumeAck,
   kReap,
   kDropReport,
-  kDropAck,
-  kDropPing,
   kDropReply,
 };
 
@@ -187,27 +174,22 @@ const char* act_name(Act a) {
     case Act::kSendReport: return "worker sends fresh report";
     case Act::kRetransmit: return "worker retransmits report (capped)";
     case Act::kKeepalive: return "parked worker keepalive retransmit";
-    case Act::kConsumePing: return "worker answers heartbeat ping";
     case Act::kConsumeReply: return "worker consumes reply";
     case Act::kDiscardStaleReply: return "worker discards stale reply";
     case Act::kConsumeTerminateGen:
       return "worker consumes queued terminate before sending";
-    case Act::kImpliedTerminate:
-      return "worker takes implied terminate (master finished)";
+    case Act::kGiveUp:
+      return "worker exhausts its retransmissions and fails its rank";
     case Act::kCrash: return "worker crashes";
-    case Act::kDrainPingExited: return "exited worker drains ping (no ack)";
     case Act::kDrainReplyExited: return "exited worker drains stale reply";
     case Act::kFoldFresh: return "master folds fresh report and replies";
     case Act::kFoldDup: return "master answers duplicate from cache";
-    case Act::kFoldZombie: return "master terminates zombie reporter";
-    case Act::kDrainReport: return "finished master drains report";
-    case Act::kMasterPing: return "master sends heartbeat ping";
+    case Act::kFoldZombie: return "master folds a reaped worker's report";
+    case Act::kDrainReport:
+      return "finished master drains report, re-sends terminate";
     case Act::kMasterWake: return "master wakes parked worker with dispatch";
-    case Act::kConsumeAck: return "master consumes heartbeat ack";
-    case Act::kReap: return "master declares silent worker dead";
+    case Act::kReap: return "master reaps failed worker";
     case Act::kDropReport: return "channel drops report";
-    case Act::kDropAck: return "channel drops ack";
-    case Act::kDropPing: return "channel drops ping";
     case Act::kDropReply: return "channel drops reply";
   }
   return "?";
@@ -230,27 +212,28 @@ std::string act_describe(std::uint32_t code) {
 /// core/cluster_protocol.hpp. kUndeclaredRecv removes one row to prove the
 /// checker notices a consumption outside the declared protocol.
 struct Capabilities {
-  // Index: state * 4 + (tag - 101).
-  std::array<bool, 6 * 4> worker{};
-  std::array<bool, 6 * 4> master{};
+  static constexpr std::size_t kKinds = std::size(pgasm::core::kAllMsgKinds);
+  // Index: state * kKinds + (tag - 101).
+  std::array<bool, 6 * kKinds> worker{};
+  std::array<bool, 6 * kKinds> master{};
   // Transitive closure of kWorkerTransitions over the declared states.
   std::array<std::array<bool, 6>, 6> closure{};
 
   explicit Capabilities(ModelBug bug) {
     for (const auto& r : pgasm::core::kWorkerRecvs) {
-      worker[static_cast<std::size_t>(r.state) * 4 +
+      worker[static_cast<std::size_t>(r.state) * kKinds +
              static_cast<std::size_t>(pgasm::core::to_tag(r.kind) - 101)] =
           true;
     }
     for (const auto& r : pgasm::core::kMasterRecvs) {
-      master[static_cast<std::size_t>(r.state) * 4 +
+      master[static_cast<std::size_t>(r.state) * kKinds +
              static_cast<std::size_t>(pgasm::core::to_tag(r.kind) - 101)] =
           true;
     }
     if (bug == ModelBug::kUndeclaredRecv) {
-      worker[static_cast<std::size_t>(WorkerState::kShutdown) * 4 +
+      worker[static_cast<std::size_t>(WorkerState::kAwaitReply) * kKinds +
              static_cast<std::size_t>(
-                 pgasm::core::to_tag(MsgKind::kPing) - 101)] = false;
+                 pgasm::core::to_tag(MsgKind::kReply) - 101)] = false;
     }
     for (std::size_t i = 0; i < 6; ++i) closure[i][i] = true;
     for (std::size_t pass = 0; pass < 6; ++pass) {
@@ -326,7 +309,8 @@ struct Explorer {
         static_cast<std::size_t>(pgasm::core::to_tag(kind) - 101);
     if (by_worker) {
       const WorkerState ds = declared_state(mode_or_master_state);
-      if (!caps.worker[static_cast<std::size_t>(ds) * 4 + tag_ix]) {
+      if (!caps.worker[static_cast<std::size_t>(ds) * Capabilities::kKinds +
+                       tag_ix]) {
         violate("P3",
                 std::string("worker consumes ") +
                     pgasm::core::msg_kind_name(kind) + " in state " +
@@ -336,7 +320,8 @@ struct Explorer {
       }
     } else {
       const auto ms = static_cast<MasterState>(mode_or_master_state);
-      if (!caps.master[static_cast<std::size_t>(ms) * 4 + tag_ix]) {
+      if (!caps.master[static_cast<std::size_t>(ms) * Capabilities::kKinds +
+                       tag_ix]) {
         violate("P3",
                 std::string("master consumes ") +
                     pgasm::core::msg_kind_name(kind) + " in state " +
@@ -416,11 +401,6 @@ struct Explorer {
       sink(t, act_code(a, i));
     };
 
-    bool any_report = false;
-    for (int i = 0; i < n; ++i) {
-      if (s.w[static_cast<std::size_t>(i)].report) any_report = true;
-    }
-
     for (int i = 0; i < n; ++i) {
       const Worker& w = s.w[static_cast<std::size_t>(i)];
       const auto wi = static_cast<std::size_t>(i);
@@ -462,19 +442,10 @@ struct Explorer {
         --t.w[wi].retx;
         emit(t, Act::kRetransmit, i);
       }
-      if (w.mode == kModeParked && w.report == 0 && w.slot == kReplyNone &&
-          !finished) {
+      if (w.mode == kModeParked && w.report == 0 && w.slot == kReplyNone) {
         State t = s;
         t.w[wi].report = 1;
         emit(t, Act::kKeepalive, i);
-      }
-      if (alive(w) && w.ping) {
-        State t = s;
-        check_consumption(true, w.mode, MsgKind::kPing, at,
-                          act_code(Act::kConsumePing, i));
-        t.w[wi].ping = 0;
-        t.w[wi].ack = 1;
-        emit(t, Act::kConsumePing, i);
       }
       if ((w.mode == kModeAwait || w.mode == kModeParked) &&
           w.slot != kReplyNone) {
@@ -490,29 +461,22 @@ struct Explorer {
         t.w[wi].mode = to;
         emit(t, Act::kConsumeReply, i);
       }
-      if ((w.mode == kModeAwait || w.mode == kModeParked) && finished &&
-          w.slot == kReplyNone) {
+      if (w.mode == kModeAwait && w.report == 0 && w.slot == kReplyNone &&
+          w.retx == 0) {
+        // await_reply's cap: the worker fails its own rank (Comm::fail_self)
+        // and the master reaps it like a crash. P4 flags every such state
+        // while the master is unfinished.
         State t = s;
-        check_worker_edge(w.mode, kModeExited, at,
-                          act_code(Act::kImpliedTerminate, i));
-        t.w[wi].mode = kModeExited;
-        emit(t, Act::kImpliedTerminate, i);
+        t.w[wi].mode = kModeCrashed;
+        emit(t, Act::kGiveUp, i);
       }
       if (alive(w) && s.crash > 0) {
         State t = s;
         t.w[wi].mode = kModeCrashed;
         // A crashed rank's mailbox is inert: queued messages to it vanish.
-        t.w[wi].ping = 0;
         t.w[wi].slot = kReplyNone;
         --t.crash;
         emit(t, Act::kCrash, i);
-      }
-      if (w.mode == kModeExited && w.ping) {
-        State t = s;
-        check_consumption(true, w.mode, MsgKind::kPing, at,
-                          act_code(Act::kDrainPingExited, i));
-        t.w[wi].ping = 0;  // drained WITHOUT an ack
-        emit(t, Act::kDrainPingExited, i);
       }
       if (w.mode == kModeExited && w.slot != kReplyNone) {
         State t = s;
@@ -531,19 +495,23 @@ struct Explorer {
                             static_cast<unsigned>(MasterState::kTerminate),
                             MsgKind::kReport, at,
                             act_code(Act::kDrainReport, i));
+          // A retransmit that crossed its terminate: the master cannot
+          // finish before this worker does, so it re-sends the terminate.
+          if (cfg.bug != ModelBug::kNoDrainReply && w.view == kViewTerm &&
+              alive(w)) {
+            t.w[wi].slot = w.cached;
+          }
           emit(t, Act::kDrainReport, i);
         } else {
           check_consumption(false, static_cast<unsigned>(MasterState::kFold),
                             MsgKind::kReport, at, act_code(Act::kFoldDup, i));
-          if (w.view == kViewDead || w.view == kViewTerm) {
-            // Zombie: a report from a written-off worker. Fold is
-            // idempotent; the master's answer is a (re-)terminate.
-            if (cfg.bug != ModelBug::kNoDeathTerminate && alive(t.w[wi])) {
-              t.w[wi].slot = kReplyTerminate;
-            }
+          if (w.view == kViewDead) {
+            // A report the worker sent before it crashed, folded after the
+            // reap: idempotent, and nothing is sent to the dead rank.
             emit(t, Act::kFoldZombie, i);
           } else if (w.answered) {
-            // Duplicate of an already-folded report: re-send the cache.
+            // Duplicate of an already-folded report (a terminated worker's
+            // included): re-send the cache.
             if (cfg.bug != ModelBug::kNoCachedReply &&
                 w.cached != kReplyNone && alive(t.w[wi])) {
               t.w[wi].slot = w.cached;
@@ -556,13 +524,6 @@ struct Explorer {
           }
         }
       }
-      if (!finished && !any_report && w.hb == 0 &&
-          (w.view == kViewBusy || w.view == kViewParked)) {
-        State t = s;
-        t.w[wi].hb = 1;
-        if (alive(w)) t.w[wi].ping = 1;  // sends to the dead are absorbed
-        emit(t, Act::kMasterPing, i);
-      }
       if (s.pool > 0 && w.view == kViewParked) {
         State t = s;
         --t.pool;
@@ -571,26 +532,13 @@ struct Explorer {
         if (alive(w)) t.w[wi].slot = kReplyDispatch;
         emit(t, Act::kMasterWake, i);
       }
-      if (w.ack) {
-        State t = s;
-        const auto ms = finished ? MasterState::kTerminate
-                        : w.hb   ? MasterState::kHeartbeat
-                                 : MasterState::kDispatch;
-        check_consumption(false, static_cast<unsigned>(ms), MsgKind::kAck, at,
-                          act_code(Act::kConsumeAck, i));
-        t.w[wi].ack = 0;
-        t.w[wi].hb = 0;
-        emit(t, Act::kConsumeAck, i);
-      }
-      if (w.hb && w.ping == 0 && w.ack == 0 && w.report == 0 &&
+      // The transport is the failure detector: only a crashed worker is
+      // reaped, and only once its own queued report has been consumed.
+      if (w.mode == kModeCrashed && !w.report &&
           (w.view == kViewBusy || w.view == kViewParked)) {
         State t = s;
-        t.w[wi].hb = 0;
         if (w.view == kViewBusy) ++t.pool;  // requeue the held unit
         t.w[wi].view = kViewDead;
-        if (cfg.bug != ModelBug::kNoDeathTerminate && alive(w)) {
-          t.w[wi].slot = kReplyTerminate;
-        }
         emit(t, Act::kReap, i);
       }
 
@@ -601,18 +549,6 @@ struct Explorer {
           t.w[wi].report = 0;
           --t.drops;
           emit(t, Act::kDropReport, i);
-        }
-        if (w.ack) {
-          State t = s;
-          t.w[wi].ack = 0;
-          --t.drops;
-          emit(t, Act::kDropAck, i);
-        }
-        if (w.ping) {
-          State t = s;
-          t.w[wi].ping = 0;
-          --t.drops;
-          emit(t, Act::kDropPing, i);
         }
         if (w.slot != kReplyNone) {
           State t = s;
@@ -625,7 +561,8 @@ struct Explorer {
     return enabled;
   }
 
-  /// P4: the state in which the real await_reply gives up and throws —
+  /// P4: the state in which the real await_reply gives up and fails its
+  /// rank —
   /// a live waiting worker with no retransmit budget left, nothing queued
   /// for it, its report gone, and a master that has not finished.
   void check_stranded(const State& s, std::uint32_t at) {
@@ -638,7 +575,7 @@ struct Explorer {
                 "worker " + std::to_string(i) +
                     " is stranded: retransmission budget exhausted, no "
                     "reply queued, report gone, master unfinished — the "
-                    "real await_reply throws TimeoutError here and message "
+                    "real await_reply fails the rank here and message "
                     "loss has killed a healthy worker",
                 at);
         return;
@@ -760,10 +697,10 @@ const char* model_bug_name(ModelBug bug) {
     case ModelBug::kNone: return "none";
     case ModelBug::kNoRetransmit: return "no-retransmit";
     case ModelBug::kNoCachedReply: return "no-cached-reply";
-    case ModelBug::kNoDeathTerminate: return "no-death-terminate";
     case ModelBug::kNoParkReply: return "no-park-reply";
     case ModelBug::kUndeclaredRecv: return "undeclared-recv";
     case ModelBug::kNoFinalAbort: return "no-final-abort";
+    case ModelBug::kNoDrainReply: return "no-drain-reply";
   }
   return "?";
 }
@@ -771,8 +708,9 @@ const char* model_bug_name(ModelBug bug) {
 bool parse_model_bug(const std::string& name, ModelBug* out) {
   for (const ModelBug b :
        {ModelBug::kNone, ModelBug::kNoRetransmit, ModelBug::kNoCachedReply,
-        ModelBug::kNoDeathTerminate, ModelBug::kNoParkReply,
-        ModelBug::kUndeclaredRecv, ModelBug::kNoFinalAbort}) {
+        ModelBug::kNoParkReply,
+        ModelBug::kUndeclaredRecv, ModelBug::kNoFinalAbort,
+        ModelBug::kNoDrainReply}) {
     if (name == model_bug_name(b)) {
       *out = b;
       return true;
@@ -807,12 +745,11 @@ std::vector<ModelBugFixture> model_bug_fixtures() {
       {ModelBug::kNoRetransmit, cfg(1, 1, 0, ModelBug::kNoRetransmit), "P4"},
       {ModelBug::kNoCachedReply, cfg(2, 1, 0, ModelBug::kNoCachedReply),
        "P4"},
-      {ModelBug::kNoDeathTerminate,
-       cfg(2, 1, 0, ModelBug::kNoDeathTerminate), "P4"},
       {ModelBug::kNoParkReply, cfg(2, 0, 0, ModelBug::kNoParkReply), "P4"},
       {ModelBug::kUndeclaredRecv, cfg(2, 0, 0, ModelBug::kUndeclaredRecv),
        "P3"},
       {ModelBug::kNoFinalAbort, cfg(1, 0, 1, ModelBug::kNoFinalAbort), "P1"},
+      {ModelBug::kNoDrainReply, cfg(2, 1, 0, ModelBug::kNoDrainReply), "P2"},
   };
 }
 

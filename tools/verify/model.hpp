@@ -7,14 +7,16 @@
 // The model: each worker is the declared WorkerState machine collapsed to
 // its five operational modes (generating, awaiting a reply, parked, exited,
 // crashed); the master is modelled through its per-worker bookkeeping (view,
-// cached reply, heartbeat epoch) plus a work pool; the channel holds at most
+// cached reply) plus a work pool; the channel holds at most
 // one in-flight instance of each message kind per worker pair (duplicate
 // collapse — a retransmit merges with the copy already in flight, which
 // soundly covers reordering across kinds and duplication within one), can
 // drop up to `drops` messages, and up to `crashes` workers can die at any
-// alive point. Every reachable state of the composed system is enumerated
-// by BFS over a canonical packed-u64 encoding (worker fields sorted:
-// workers are symmetric, so permutations are collapsed).
+// alive point. The master reaps a worker only after it crashed (liveness
+// comes from the transport, never from silence). Every reachable state of
+// the composed system is enumerated by BFS over a canonical packed-u64
+// encoding (worker fields sorted: workers are symmetric, so permutations
+// are collapsed).
 //
 // Properties proved on the real tables:
 //   P1 deadlock freedom — every reachable non-final state has an enabled
@@ -29,8 +31,8 @@
 //      path (transitive closure).
 //   P4 loss tolerance — no reachable state strands a live worker with an
 //      exhausted retransmission budget, an empty reply queue, and an
-//      unfinished master (the state in which the real await_reply throws
-//      TimeoutError and the worker dies). With retransmits == drops this is
+//      unfinished master (the state in which the real await_reply gives up
+//      and fails its rank). With retransmits == drops this is
 //      unreachable: message loss alone never kills a worker.
 //
 // On violation the checker prints a minimal counterexample: the BFS-parent
@@ -50,10 +52,10 @@ enum class ModelBug {
   kNone,
   kNoRetransmit,      ///< worker never retransmits (budget forced to 0)
   kNoCachedReply,     ///< duplicate reports are discarded, nothing re-sent
-  kNoDeathTerminate,  ///< declare_dead/zombie paths send no terminate
   kNoParkReply,       ///< the park decision is never sent (nor cached)
-  kUndeclaredRecv,    ///< kWorkerRecvs loses its (kShutdown, kPing) row
+  kUndeclaredRecv,    ///< kWorkerRecvs loses its (kAwaitReply, kReply) row
   kNoFinalAbort,      ///< the all-workers-lost abort is not a final state
+  kNoDrainReply,      ///< the shutdown drain never re-sends a lost terminate
 };
 
 const char* model_bug_name(ModelBug bug);
