@@ -1,11 +1,12 @@
-// Micro-benchmark for the allocation-free overlap engine refactor: pairs
-// per second and heap bytes per pair through the suffix–prefix alignment
-// kernels, full-matrix and banded, with and without workspace reuse.
+// Micro-benchmark for the suffix–prefix alignment kernels, full-matrix and
+// banded, with and without workspace reuse: pairs per second, the unit cost
+// in MCUPS (million DP cells per second, cells counted before timing), and
+// heap bytes per pair.
 //
-// The "reference" variant is the pre-refactor allocating banded kernel
-// (banded_overlap_align_reference), kept bit-identical to the workspace
-// kernel precisely so this comparison isolates memory discipline from
-// algorithmic change. Heap traffic is measured for real by counting every
+// The "reference" variant is the scalar allocating banded kernel
+// (banded_overlap_align_reference), bit-identical to the anti-diagonal SIMD
+// workspace kernel: the same cells, so the checksums match and the speedup
+// is the kernel's alone. Heap traffic is measured for real by counting every
 // global operator new in the process — after warmup the reuse variants must
 // report zero bytes per pair.
 //
@@ -83,8 +84,23 @@ std::vector<BenchPair> make_pairs(std::size_t n, std::size_t len,
   return pairs;
 }
 
+/// DP cells of the (la+1) × (lb+1) matrix on diagonals j − i within `band`
+/// of `shift`: the cells the banded kernels fill.
+std::uint64_t band_cells(std::size_t la, std::size_t lb, std::int32_t shift,
+                         std::uint32_t band) {
+  std::uint64_t cells = 0;
+  for (std::int64_t i = 0; i <= static_cast<std::int64_t>(la); ++i) {
+    const std::int64_t lo = std::max<std::int64_t>(0, i + shift - band);
+    const std::int64_t hi =
+        std::min<std::int64_t>(static_cast<std::int64_t>(lb), i + shift + band);
+    if (hi >= lo) cells += static_cast<std::uint64_t>(hi - lo + 1);
+  }
+  return cells;
+}
+
 struct Measurement {
   double seconds = 0;
+  std::uint64_t cells = 0;  // DP cells over all measured passes
   std::uint64_t heap_bytes = 0;
   std::uint64_t heap_allocs = 0;
   std::uint64_t pairs = 0;
@@ -92,6 +108,9 @@ struct Measurement {
 
   double pairs_per_sec() const {
     return seconds > 0 ? static_cast<double>(pairs) / seconds : 0;
+  }
+  double mcups() const {
+    return seconds > 0 ? static_cast<double>(cells) / seconds / 1e6 : 0;
   }
   double bytes_per_pair() const {
     return pairs ? static_cast<double>(heap_bytes) /
@@ -106,8 +125,10 @@ struct Measurement {
 };
 
 /// One warmup pass (grows any persistent workspace to its high-water mark),
-/// then `reps` measured passes over the whole pair list.
+/// then `reps` measured passes over the whole pair list, each filling
+/// `cells_per_pass` DP cells.
 Measurement run_variant(const std::vector<BenchPair>& pairs, std::size_t reps,
+                        std::uint64_t cells_per_pass,
                         const std::function<long long(const BenchPair&)>& fn) {
   Measurement m;
   for (const BenchPair& p : pairs) m.checksum += fn(p);
@@ -122,6 +143,7 @@ Measurement run_variant(const std::vector<BenchPair>& pairs, std::size_t reps,
   m.heap_bytes = g_heap_bytes - bytes0;
   m.heap_allocs = g_heap_allocs - allocs0;
   m.pairs = static_cast<std::uint64_t>(pairs.size()) * reps;
+  m.cells = cells_per_pass * reps;
   return m;
 }
 
@@ -138,11 +160,17 @@ int main(int argc, char** argv) {
   flags.finish();
 
   bench::print_header(
-      "Alignment hot path — allocation-free workspace refactor",
-      "pairs/sec and heap bytes/pair, full vs banded, with/without reuse");
+      "Alignment hot path — overlap kernels",
+      "pairs/sec, MCUPS and heap bytes/pair, full vs banded, "
+      "with/without reuse");
 
   const auto pairs = make_pairs(n_pairs, len, overlap, seed);
   const align::Scoring sc;
+  std::uint64_t banded_cells = 0, full_cells = 0;
+  for (const BenchPair& p : pairs) {
+    banded_cells += band_cells(p.a.size(), p.b.size(), p.shift, band);
+    full_cells += static_cast<std::uint64_t>(p.a.size() + 1) * (p.b.size() + 1);
+  }
 
   struct Variant {
     const char* name;
@@ -150,9 +178,10 @@ int main(int argc, char** argv) {
   };
   std::vector<Variant> variants;
 
-  {  // Pre-refactor allocating banded kernel (fresh buffers every call).
+  {  // Scalar allocating reference kernel (fresh buffers every call).
     variants.push_back({"banded_reference",
-                        run_variant(pairs, reps, [&](const BenchPair& p) {
+                        run_variant(pairs, reps, banded_cells,
+                                    [&](const BenchPair& p) {
                           return static_cast<long long>(
                               align::banded_overlap_align_reference(
                                   p.a, p.b, sc, p.shift, band)
@@ -161,7 +190,8 @@ int main(int argc, char** argv) {
   }
   {  // Workspace kernel, but a fresh workspace per pair (reuse disabled).
     variants.push_back({"banded_fresh_ws",
-                        run_variant(pairs, reps, [&](const BenchPair& p) {
+                        run_variant(pairs, reps, banded_cells,
+                                    [&](const BenchPair& p) {
                           align::Workspace ws;
                           return static_cast<long long>(
                               align::banded_overlap_align(p.a, p.b, sc,
@@ -172,7 +202,8 @@ int main(int argc, char** argv) {
   {  // Workspace kernel with one persistent workspace (the engine path).
     align::Workspace ws;
     variants.push_back({"banded_reuse",
-                        run_variant(pairs, reps, [&](const BenchPair& p) {
+                        run_variant(pairs, reps, banded_cells,
+                                    [&](const BenchPair& p) {
                           return static_cast<long long>(
                               align::banded_overlap_align(p.a, p.b, sc,
                                                           p.shift, band, ws)
@@ -181,7 +212,8 @@ int main(int argc, char** argv) {
   }
   {  // Full-matrix end-free alignment, fresh workspace per pair.
     variants.push_back({"full_fresh_ws",
-                        run_variant(pairs, reps, [&](const BenchPair& p) {
+                        run_variant(pairs, reps, full_cells,
+                                    [&](const BenchPair& p) {
                           align::Workspace ws;
                           return static_cast<long long>(
                               align::overlap_align(p.a, p.b, sc, ws)
@@ -191,18 +223,20 @@ int main(int argc, char** argv) {
   {  // Full-matrix with one persistent workspace.
     align::Workspace ws;
     variants.push_back({"full_reuse",
-                        run_variant(pairs, reps, [&](const BenchPair& p) {
+                        run_variant(pairs, reps, full_cells,
+                                    [&](const BenchPair& p) {
                           return static_cast<long long>(
                               align::overlap_align(p.a, p.b, sc, ws)
                                   .aln.score);
                         })});
   }
 
-  util::Table t({"variant", "pairs/s", "B/pair", "allocs/pair", "seconds",
-                 "checksum"});
+  util::Table t({"variant", "pairs/s", "MCUPS", "B/pair", "allocs/pair",
+                 "seconds", "checksum"});
   for (const Variant& v : variants) {
     t.add_row({v.name, util::fmt_count(static_cast<std::uint64_t>(
                            v.m.pairs_per_sec())),
+               util::fmt_double(v.m.mcups(), 1),
                util::fmt_double(v.m.bytes_per_pair(), 1),
                util::fmt_double(v.m.allocs_per_pair(), 3),
                util::fmt_double(v.m.seconds, 3),
@@ -233,6 +267,7 @@ int main(int argc, char** argv) {
         .set("pairs", v.m.pairs)
         .set("seconds", v.m.seconds)
         .set("pairs_per_sec", v.m.pairs_per_sec())
+        .set("mcups", v.m.mcups())
         .set("heap_bytes_per_pair", v.m.bytes_per_pair())
         .set("heap_allocs_per_pair", v.m.allocs_per_pair())
         .set("checksum", static_cast<std::int64_t>(v.m.checksum));

@@ -25,8 +25,9 @@
 #   scripts/ci.sh perf-smoke # 4-rank pipeline run with tracing: assert 100%
 #                            # causal stitch coverage, perf_diff self-vs-self
 #                            # passes, and a synthetically slowed run fails;
-#                            # a fresh fig9_cluster_scaling run must compare
-#                            # against its committed baseline
+#                            # fresh fig9_cluster_scaling and align_throughput
+#                            # runs must compare against their committed
+#                            # baselines
 #   scripts/ci.sh proc-smoke # multi-process transport: quickstart contigs
 #                            # bit-identical to thread, merged trace stitches
 #                            # 100%, parallel suites pass with proc default
@@ -95,7 +96,8 @@ tsan() {
 asan() {
   echo "== ASan: alignment hot path + GST + cluster engine tests =="
   # The overlap workspace hands out grow-only dirty buffers and the banded
-  # kernel runs a guard-free inner loop; GST construction compares suffixes
+  # kernel moves 16-byte lane vectors through memcpy over padded
+  # anti-diagonals and sequence copies; GST construction compares suffixes
   # eight bytes at a time up to their effective lengths, and the pair
   # generator builds one-suffix leaf lsets late from shared pool slots. ASan
   # is the check that every read and write stays inside the live extents.
@@ -212,15 +214,34 @@ fuzz_smoke() {
   echo "== fuzz-smoke: bounded deterministic fuzz run (UBSan tree) =="
   cmake -B build-ubsan -S . -DPGASM_SANITIZE=undefined
   cmake --build build-ubsan -j "$JOBS" \
-    --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest
+    --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest \
+    fuzz_assembly fuzz_banded
   (cd build-ubsan && ctest --output-on-failure -L fuzz)
+}
+
+# diff_baseline TMPDIR BENCH ARGS...: runs build/bench/BENCH from the repo
+# root (BenchJson stamps `git describe` from the cwd) and diffs its JSON
+# against bench/baselines/. A regression (perf_diff exit 1) is reported but
+# does not fail; exit 2 means the runs could not be compared, and that does.
+diff_baseline() {
+  local tmp=$1 name=$2 rc=0
+  shift 2
+  echo "-- $name vs its committed baseline"
+  "./build/bench/$name" "$@" >/dev/null
+  mv "BENCH_$name.json" "$tmp/"
+  ./build/tools/perf/perf_diff "bench/baselines/BENCH_$name.json" \
+    "$tmp/BENCH_$name.json" || rc=$?
+  if [ "$rc" -ge 2 ]; then
+    echo "!! perf_diff could not compare $name (exit $rc)" >&2
+    return 1
+  fi
 }
 
 perf_smoke() {
   echo "== perf-smoke: trace stitching + perf regression gate =="
   cmake -B build -S .
   cmake --build build -j "$JOBS" --target quickstart perf_diff \
-    fig9_cluster_scaling
+    fig9_cluster_scaling align_throughput
   local tmp
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
@@ -246,21 +267,11 @@ perf_smoke() {
   fi
   echo "-- slowed run rejected as expected"
 
-  echo "-- fig9_cluster_scaling vs its committed baseline"
-  # Same sizes and seed as scripts/bench_baseline.sh. A regression (exit 1)
-  # is reported but does not fail this smoke stage; exit 2 means the runs
-  # could not be compared at all, and that does.
-  # Run from the repo root (BenchJson stamps `git describe` from the cwd).
-  ./build/bench/fig9_cluster_scaling \
-    --small 150000 --large 300000 --max-ranks 8 --seed 99 >/dev/null
-  mv BENCH_fig9_cluster_scaling.json "$tmp/"
-  local rc=0
-  ./build/tools/perf/perf_diff bench/baselines/BENCH_fig9_cluster_scaling.json \
-    "$tmp/BENCH_fig9_cluster_scaling.json" || rc=$?
-  if [ "$rc" -ge 2 ]; then
-    echo "!! perf_diff could not compare fig9_cluster_scaling (exit $rc)" >&2
-    return 1
-  fi
+  # At the sizes and seeds of scripts/bench_baseline.sh.
+  diff_baseline "$tmp" fig9_cluster_scaling \
+    --small 150000 --large 300000 --max-ranks 8 --seed 99
+  diff_baseline "$tmp" align_throughput \
+    --pairs 2000 --len 600 --overlap 120 --band 12 --reps 5 --seed 17
 }
 
 proc_smoke() {

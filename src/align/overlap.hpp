@@ -14,7 +14,10 @@
 //                            (the maximal match that generated the pair),
 //                            O((|a|+|b|)·band); this is the hot kernel the
 //                            clustering phase calls, "anchored to the maximal
-//                            matches" as in Section 5.
+//                            matches" as in Section 5. It sweeps the band's
+//                            anti-diagonals with 16-byte vectors of 16-bit
+//                            (32-bit for long inputs) lanes and computes
+//                            the same cells as its scalar reference.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +65,12 @@ OverlapResult overlap_align(Seq a, Seq b, const Scoring& sc, Workspace& ws,
 
 /// Banded end-free alignment around diagonal (j - i) == shift. For a seed
 /// maximal match at positions (pos_a, pos_b), pass shift = pos_b - pos_a.
-/// DP cells and traceback come from the caller's `ws`: every in-band cell
-/// is written before any neighbor reads it, so the workspace buffers are
-/// reused dirty with no per-call clear.
+/// DP cells and traceback come from the caller's `ws`: every lane is
+/// written before any neighbor reads it, so the workspace buffers are
+/// reused dirty with no per-call clear. Every result field, ops included,
+/// equals banded_overlap_align_reference's. Throws std::invalid_argument
+/// when 32-bit lanes could overflow: a weight beyond 2^28 in magnitude, or
+/// max |weight| × (|a| + |b| + 2) above 2^31 − 2^28.
 OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
                                    std::int32_t shift, std::uint32_t band,
                                    Workspace& ws,
@@ -82,10 +88,10 @@ int banded_overlap_score_bound(std::uint32_t la, std::uint32_t lb,
                                std::int32_t shift, std::uint32_t band,
                                const Scoring& sc) noexcept;
 
-/// Pre-refactor banded kernel: fresh full-size buffers (allocated and
-/// cleared) every call. Kept as the baseline for bench/align_throughput and
-/// as the fresh-memory oracle for dirty-buffer reuse tests; bit-identical
-/// results to the workspace variant.
+/// Scalar row-major banded kernel with fresh, cleared buffers every call and
+/// a reachability guard on every neighbor: the oracle banded_overlap_align
+/// must match in every field (tests, tests/fuzz/fuzz_banded) and the
+/// baseline of bench/align_throughput.
 OverlapResult banded_overlap_align_reference(Seq a, Seq b, const Scoring& sc,
                                              std::int32_t shift,
                                              std::uint32_t band,

@@ -32,7 +32,9 @@ namespace pgasm::align {
 
 class Workspace {
  public:
-  /// DP score cells (full-matrix or band-relative layout, kernel's choice).
+  /// DP score cells (layout is the kernel's choice). The banded kernel
+  /// uses them as raw bytes, through std::memcpy, for its 16- or 32-bit
+  /// anti-diagonal lanes and its padded sequence copies.
   int* score_cells(std::size_t n) { return grow(score_, n); }
   /// Traceback codes with the same geometry as the score cells.
   std::uint8_t* tb_cells(std::size_t n) { return grow(tb_, n); }

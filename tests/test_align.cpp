@@ -1,12 +1,14 @@
 // Tests for the end-free overlap kernels: a brute-force oracle on tiny
 // inputs, banded == full matrix with a covering band, traceback
-// consistency, overlap classification, the score bound, and the clustering
-// accept test.
+// consistency, the banded kernel against its scalar reference cell for
+// cell, overlap classification, the score bound, and the clustering accept
+// test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "align/overlap.hpp"
@@ -314,6 +316,155 @@ TEST(OverlapBound, UnboundedScoringSkipsNothing) {
             kMax);
   EXPECT_EQ(align::banded_overlap_score_bound(100, 100, 0, 12, Scoring{}),
             200);
+}
+
+// --- The banded kernel against its scalar oracle, cell for cell ------------
+
+/// Every field of two results, ops and type included.
+void expect_same_result(const align::OverlapResult& got,
+                        const align::OverlapResult& want) {
+  EXPECT_EQ(got.aln.score, want.aln.score);
+  EXPECT_EQ(got.aln.a_begin, want.aln.a_begin);
+  EXPECT_EQ(got.aln.a_end, want.aln.a_end);
+  EXPECT_EQ(got.aln.b_begin, want.aln.b_begin);
+  EXPECT_EQ(got.aln.b_end, want.aln.b_end);
+  EXPECT_EQ(got.aln.matches, want.aln.matches);
+  EXPECT_EQ(got.aln.columns, want.aln.columns);
+  EXPECT_EQ(got.aln.ops, want.aln.ops);
+  EXPECT_EQ(got.type, want.type);
+}
+
+/// banded_overlap_align through `ws` against banded_overlap_align_reference.
+void expect_banded_exact(Seq a, Seq b, const Scoring& sc, std::int32_t shift,
+                         std::uint32_t band, align::Workspace& ws) {
+  SCOPED_TRACE(::testing::Message()
+               << "la=" << a.size() << " lb=" << b.size()
+               << " shift=" << shift << " band=" << band << " scoring="
+               << sc.match << "/" << sc.mismatch << "/" << sc.gap);
+  const AlignOptions keep{.keep_ops = true};
+  expect_same_result(
+      align::banded_overlap_align(a, b, sc, shift, band, ws, keep),
+      align::banded_overlap_align_reference(a, b, sc, shift, band, keep));
+}
+
+// Band widths around the lane counts of one and two 8-lane vectors, the
+// clustering band and polish's band.
+constexpr std::uint32_t kBands[] = {0, 1, 7, 8, 9, 12, 15, 16, 17, 56};
+
+// Default, unit, heavier, and one whose mismatch weight alone exceeds the
+// 16-bit lanes' bound, so even short pairs take 32-bit lanes.
+const Scoring kScorings[] = {Scoring{}, Scoring{1, -1, -1}, Scoring{5, -4, -7},
+                             Scoring{4, -5000, -6}};
+
+TEST(BandedExact, EverySequenceUpToLengthTwo) {
+  // Every sequence of length 0-2 over {A, C, mask}, every shift that puts
+  // the band on, across or off the matrix, every band.
+  std::vector<std::vector<seq::Code>> seqs{{}};
+  for (std::size_t at = 0; at < seqs.size() && seqs[at].size() < 2; ++at) {
+    for (const seq::Code c : {seq::kA, seq::kC, seq::kMask}) {
+      auto s = seqs[at];
+      s.push_back(c);
+      seqs.push_back(std::move(s));
+    }
+  }
+  ASSERT_EQ(seqs.size(), 13u);
+  align::Workspace ws;
+  for (const auto& a : seqs) {
+    for (const auto& b : seqs) {
+      for (const std::uint32_t band : kBands) {
+        for (std::int32_t shift = -4; shift <= 4; ++shift) {
+          expect_banded_exact(a, b, Scoring{}, shift, band, ws);
+        }
+      }
+    }
+  }
+}
+
+TEST(BandedExact, BandPartlyOrWhollyOffTheMatrix) {
+  util::Prng rng(1701);
+  align::Workspace ws;
+  for (int t = 0; t < 40; ++t) {
+    const auto a = test::random_dna(rng, rng.below(90), 0.03);
+    const auto b = test::random_dna(rng, rng.below(90), 0.03);
+    const auto la = static_cast<std::int32_t>(a.size());
+    const auto lb = static_cast<std::int32_t>(b.size());
+    for (const std::uint32_t band : kBands) {
+      const auto w = static_cast<std::int32_t>(band);
+      // Band edges at, just inside and just outside each matrix corner.
+      for (const std::int32_t shift :
+           {-la - w - 1, -la - w, -la - w + 1, -la, -la + w, lb - la, 0,
+            lb - w - 1, lb - w, lb, lb + w, lb + w + 1, lb + 3 * w + 5}) {
+        expect_banded_exact(a, b, Scoring{}, shift, band, ws);
+      }
+    }
+  }
+}
+
+TEST(BandedExact, MaskedCodesUnderFourScorings) {
+  util::Prng rng(1702);
+  align::Workspace ws;
+  for (int t = 0; t < 60; ++t) {
+    const auto a = test::random_dna(rng, 1 + rng.below(150), 0.08);
+    auto [b, diag] = mutated_overlap(rng, a);
+    for (std::size_t j = 0; j < b.size(); j += 1 + rng.below(20)) {
+      b[j] = seq::kMask;  // masked codes in both sequences
+    }
+    for (const Scoring& sc : kScorings) {
+      for (const std::uint32_t band : kBands) {
+        const auto noise = static_cast<std::int32_t>(rng.below(9)) - 4;
+        expect_banded_exact(a, b, sc, diag + noise, band, ws);
+      }
+    }
+  }
+}
+
+TEST(BandedExact, OneDirtyWorkspaceAcrossGrowingAndShrinkingShapes) {
+  util::Prng rng(1703);
+  align::Workspace ws;  // never cleared: every call inherits the last's cells
+  const std::size_t lens[] = {2, 300, 5, 700, 40, 1, 450, 0, 90, 600};
+  for (int t = 0; t < 30; ++t) {
+    const std::size_t la = lens[t % 10] + rng.below(10);
+    const std::size_t lb = lens[(t + 7) % 10] + rng.below(10);
+    const auto a = test::random_dna(rng, la, 0.02);
+    auto b = test::random_dna(rng, lb, 0.02);
+    const std::size_t ov = std::min(la, lb) / 2;
+    std::copy(a.end() - static_cast<std::ptrdiff_t>(ov), a.end(), b.begin());
+    const std::int32_t shift = static_cast<std::int32_t>(ov) -
+                               static_cast<std::int32_t>(la);
+    expect_banded_exact(a, b, kScorings[t % 4], shift, kBands[t % 10], ws);
+  }
+}
+
+TEST(BandedExact, LongPairsTakeThe32BitLanes) {
+  // At the default weights 16-bit lanes hold pairs up to la + lb = 7166;
+  // these go past it, with a long planted overlap so scores run high.
+  util::Prng rng(1704);
+  align::Workspace ws;
+  for (const std::size_t la : {3400u, 3700u, 4200u}) {
+    const auto a = test::random_dna(rng, la, 0.002);
+    std::vector<seq::Code> b(a.begin() + 600, a.end());
+    for (std::size_t j = 0; j < b.size(); j += 97) {
+      b[j] = static_cast<seq::Code>((b[j] + 1) % 4);
+    }
+    const auto tail = test::random_dna(rng, 4000);
+    b.insert(b.end(), tail.begin(), tail.end());
+    ASSERT_GT(a.size() + b.size(), 7200u);
+    for (const std::uint32_t band : {12u, 56u}) {
+      expect_banded_exact(a, b, Scoring{}, -600, band, ws);
+      expect_banded_exact(a, b, Scoring{}, -590, band, ws);
+    }
+  }
+  // All mismatches: scores fall by 3 a column, past what 16 bits hold.
+  const std::vector<seq::Code> as(12000, seq::kA), cs(12000, seq::kC);
+  expect_banded_exact(as, cs, Scoring{}, 0, 12, ws);
+}
+
+TEST(BandedExact, RejectsScoresBeyond32Bits) {
+  const auto a = enc("ACGTACGT");
+  align::Workspace ws;
+  EXPECT_THROW(align::banded_overlap_align(a, a, Scoring{2, -3, -(1 << 29)},
+                                           0, 4, ws),
+               std::invalid_argument);
 }
 
 TEST(Overlap, AcceptTestEnforcesCutoffs) {

@@ -414,8 +414,18 @@ TEST(FaultCluster, WorkerCrashSamePartitionWithReassignment) {
       run_with_watchdog([&] { return cluster_parallel(store, params, 4); });
   ASSERT_EQ(baseline.stats.workers_lost, 0u);
 
+  // Rank 2 dies in place of its third report, the first to carry results:
+  // those of the batch the master allocated in reply to its first report.
+  // Ranks 1 and 3 hold their first reports back for 0.5 s, so rank 2's
+  // first report, unless rank 2 is stalled longer than that, is the first
+  // the master folds: no merge has happened yet, so all its new pairs are
+  // admitted, no worker is parked to take them, and that first batch is
+  // non-empty. Without the hold, a rank 2 started late on a loaded host
+  // could find every pair already merged and be handed only empty batches.
   vmpi::FaultPlan plan;
   plan.crashes.push_back({.rank = 2, .at_send = 3});
+  plan.delays.push_back({.rank = 1, .at_send = 1, .seconds = 0.5});
+  plan.delays.push_back({.rank = 3, .at_send = 1, .seconds = 0.5});
   const auto faulty = run_with_watchdog(
       [&] { return cluster_parallel(store, params, 4, {}, plan); });
 
