@@ -2,7 +2,9 @@
 // overlap and linear-space alignment kernels, GST construction,
 // promising-pair generation, union-find, reverse complement, k-mer
 // extraction, vmpi messaging, and the obs tracer/registry hot paths.
-// Results also land in
+// GST construction reports ns_per_node (per node built) and pair
+// generation ns_per_pair (per pair emitted), so a regression points at one
+// layer's unit cost. Results also land in
 // BENCH_micro_kernels.json (google-benchmark's JSON schema).
 #include <benchmark/benchmark.h>
 
@@ -27,6 +29,15 @@
 namespace {
 
 using namespace pgasm;
+
+/// Nanoseconds of CPU time per unit, where `units` are counted once per
+/// iteration. An inverted rate is printed with an "s" suffix on the
+/// console; the value is in nanoseconds, as the counter's name says.
+benchmark::Counter ns_per(double units) {
+  return benchmark::Counter(units * 1e-9,
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
 
 std::vector<seq::Code> random_dna(util::Prng& rng, std::size_t len) {
   std::vector<seq::Code> out(len);
@@ -74,11 +85,14 @@ void BM_SuffixTreeBuild(benchmark::State& state) {
   seq::FragmentStore store;
   const auto n = static_cast<std::size_t>(state.range(0));
   for (std::size_t i = 0; i < n; ++i) store.add(random_dna(rng, 600));
+  std::size_t nodes = 0;
   for (auto _ : state) {
     gst::SuffixTree tree(store, gst::GstParams{.min_match = 20});
-    benchmark::DoNotOptimize(tree.num_nodes());
+    nodes = tree.num_nodes();
+    benchmark::DoNotOptimize(nodes);
   }
   state.SetBytesProcessed(state.iterations() * store.total_length());
+  state.counters["ns_per_node"] = ns_per(static_cast<double>(nodes));
 }
 BENCHMARK(BM_SuffixTreeBuild)->Arg(100)->Arg(400)->Arg(1600);
 
@@ -100,11 +114,14 @@ void BM_SuffixTreeBuildCovered(benchmark::State& state) {
     }
     store.add(read);
   }
+  std::size_t nodes = 0;
   for (auto _ : state) {
     gst::SuffixTree tree(store, gst::GstParams{.min_match = 20});
-    benchmark::DoNotOptimize(tree.num_nodes());
+    nodes = tree.num_nodes();
+    benchmark::DoNotOptimize(nodes);
   }
   state.SetBytesProcessed(state.iterations() * store.total_length());
+  state.counters["ns_per_node"] = ns_per(static_cast<double>(nodes));
 }
 BENCHMARK(BM_SuffixTreeBuildCovered)->Arg(100)->Arg(400)->Arg(1600);
 
@@ -126,6 +143,7 @@ void BM_PairGeneration(benchmark::State& state) {
     while (gen.next(p)) ++count;
     benchmark::DoNotOptimize(count);
     state.counters["pairs"] = static_cast<double>(count);
+    state.counters["ns_per_pair"] = ns_per(static_cast<double>(count));
   }
 }
 BENCHMARK(BM_PairGeneration);

@@ -25,9 +25,9 @@
 #   scripts/ci.sh perf-smoke # 4-rank pipeline run with tracing: assert 100%
 #                            # causal stitch coverage, perf_diff self-vs-self
 #                            # passes, and a synthetically slowed run fails;
-#                            # fresh fig9_cluster_scaling and align_throughput
-#                            # runs must compare against their committed
-#                            # baselines
+#                            # fresh fig5_gst_scaling, fig9_cluster_scaling
+#                            # and align_throughput runs must compare against
+#                            # their committed baselines
 #   scripts/ci.sh proc-smoke # multi-process transport: quickstart contigs
 #                            # bit-identical to thread, merged trace stitches
 #                            # 100%, parallel suites pass with proc default
@@ -99,8 +99,9 @@ asan() {
   # kernel moves 16-byte lane vectors through memcpy over padded
   # anti-diagonals and sequence copies; GST construction compares suffixes
   # eight bytes at a time up to their effective lengths, and the pair
-  # generator builds one-suffix leaf lsets late from shared pool slots. ASan
-  # is the check that every read and write stays inside the live extents.
+  # generator builds the lsets of one-suffix leaves and inert subtrees late
+  # from shared pool slots. ASan is the check that every read and write
+  # stays inside the live extents.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
     --target test_align test_workspace test_linear_space test_cluster \
@@ -241,7 +242,7 @@ perf_smoke() {
   echo "== perf-smoke: trace stitching + perf regression gate =="
   cmake -B build -S .
   cmake --build build -j "$JOBS" --target quickstart perf_diff \
-    fig9_cluster_scaling align_throughput
+    fig5_gst_scaling fig9_cluster_scaling align_throughput
   local tmp
   tmp=$(mktemp -d)
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
@@ -268,6 +269,8 @@ perf_smoke() {
   echo "-- slowed run rejected as expected"
 
   # At the sizes and seeds of scripts/bench_baseline.sh.
+  diff_baseline "$tmp" fig5_gst_scaling \
+    --small 200000 --large 400000 --max-ranks 8 --seed 55
   diff_baseline "$tmp" fig9_cluster_scaling \
     --small 150000 --large 300000 --max-ranks 8 --seed 99
   diff_baseline "$tmp" align_throughput \

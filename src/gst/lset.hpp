@@ -110,7 +110,8 @@ struct NodeLsets {
 /// Pool of NodeLsets with a free list: only the internal frontier (internal
 /// nodes and multi-suffix leaves processed but their parent not yet) holds
 /// live lsets between node visits, so the pool stays small. One-suffix
-/// leaves take an entry only while their parent is being processed.
+/// leaves and inert subtrees take an entry only while their parent is
+/// being processed.
 class LsetPool {
  public:
   std::uint32_t alloc() {

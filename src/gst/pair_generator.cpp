@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/contract.hpp"
-
 namespace pgasm::gst {
 
 namespace {
@@ -37,7 +35,7 @@ constexpr std::size_t kNumInternalCombos = std::size(kInternalCombos);
 PairGenerator::PairGenerator(const SuffixTree& tree, PairGenParams params)
     : tree_(&tree),
       params_(params),
-      order_(tree.pair_nodes_by_depth_desc(tree.params().min_match)),
+      order_(tree.pair_nodes_by_depth_desc()),
       arena_(tree.num_suffixes()),
       lset_ref_(tree.num_nodes(), kNilNode),
       seen_(tree.store().size(), 0) {}
@@ -58,21 +56,34 @@ void PairGenerator::enter_node(std::uint32_t u) {
     for (std::uint32_t c = nd.first_child; c != kNilNode;
          c = tree_->node(c).next_sibling) {
       if (lset_ref_[c] == kNilNode) {
-        // A one-suffix leaf emits nothing and is not in order_; its lset
-        // is built only now that the parent needs it.
-        const Node& leaf = tree_->node(c);
-        PGASM_DCHECK(leaf.is_leaf() && leaf.num_suffixes() == 1,
-                     "child lsets must be ready");
+        // A one-suffix leaf or an inert subtree emits nothing and is not
+        // in order_; its lset is built only now that the parent needs it.
         lset_ref_[c] = pool_.alloc();
-        arena_.push_back(
-            pool_[lset_ref_[c]].cls[tree_->suffix(leaf.suffix_begin).cls],
-            leaf.suffix_begin);
+        collect_subtree(c, pool_[lset_ref_[c]]);
       }
       children_.push_back(c);
     }
     if (params_.dup_elim) dedup_children();
     ci_ = 0;
     cj_ = 1;
+  }
+}
+
+void PairGenerator::collect_subtree(std::uint32_t root, NodeLsets& L) {
+  // Depth-first in sibling order, each leaf's suffixes in index order: the
+  // order in which visiting every node would have concatenated them.
+  std::uint32_t v = root;
+  for (;;) {
+    while (!tree_->node(v).is_leaf()) v = tree_->node(v).first_child;
+    const Node& leaf = tree_->node(v);
+    for (std::uint32_t i = leaf.suffix_begin; i < leaf.suffix_end; ++i) {
+      arena_.push_back(L.cls[tree_->suffix(i).cls], i);
+    }
+    while (v != root && tree_->node(v).next_sibling == kNilNode) {
+      v = tree_->node(v).parent;
+    }
+    if (v == root) return;
+    v = tree_->node(v).next_sibling;
   }
 }
 

@@ -6,9 +6,24 @@
 // length order without ever being stored (O(N) space), and each pair costs
 // O(1): cross-products of lsets across different children (conditions
 // C1..C4 of Lemma 1), lists dissolved upward by O(1) concatenation.
-// Leaves holding a single suffix (most leaves) can pair with nothing, so
-// they are not visited: their one-entry lsets are built when the parent is
-// entered, and only the internal frontier holds pool entries between nodes.
+// Only the nodes the tree recorded as able to emit are visited
+// (SuffixTree::pair_nodes_by_depth_desc). Two kinds of subtree are skipped:
+// leaves holding a single suffix (most leaves), and *inert* subtrees, whose
+// suffixes all share one non-λ preceding character, so that no pair inside
+// is left-maximal (condition C4). When a visited node is entered, each
+// skipped child's lset is built by one depth-first walk of its subtree
+// (sibling order, each leaf's suffixes in index order), and only the
+// internal frontier holds pool entries between nodes.
+//
+// The pair stream is the same as if every node at depth >= ψ were visited:
+//   * a skipped node produces no combination of classes, so it emits
+//     nothing; visiting it would only have concatenated its children's
+//     lsets upward, which is exactly the order the walk appends them in;
+//   * duplicate elimination keeps the first occurrence of each sequence,
+//     and that filter composes: filter(A ++ filter(B) ++ C) =
+//     filter(A ++ B ++ C). Deferring it from the skipped nodes to their
+//     first visited ancestor therefore keeps the same entries in the same
+//     order, and that ancestor's cross-products run over identical lists.
 //
 // Two generation modes:
 //   * suffix-level  (dup_elim = false): emits every maximal match once,
@@ -89,6 +104,7 @@ class PairGenerator {
 
  private:
   void enter_node(std::uint32_t u);
+  void collect_subtree(std::uint32_t root, NodeLsets& L);
   void finish_node(std::uint32_t u);
   void dedup_children();
   bool produce(PromisingPair& out);  // next raw pair at current node

@@ -89,7 +89,8 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
     ++num_leaves_;
   };
 
-  // Single suffix: leaf spanning its full effective length.
+  // Single suffix: leaf spanning its full effective length. It can pair
+  // with nothing, so it is never recorded for pair generation.
   if (end - begin == 1) {
     add_leaf(suffixes_[begin].len, begin, end, parent);
     return;
@@ -110,18 +111,35 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   }
   depth = branch;
 
+  // One pass counts the branch characters and ORs the lset classes
+  // (1 << cls) of the whole range and of its ended group.
   std::array<std::uint32_t, seq::kSigma> base_count{};
   std::uint32_t ended = 0;
+  std::uint32_t mask = 0, ended_mask = 0;
   for (std::uint32_t i = begin; i < end; ++i) {
     const Suffix& s = suffixes_[i];
+    const std::uint32_t bit = 1u << s.cls;
+    mask |= bit;
     if (s.len == depth) {
       ++ended;
+      ended_mask |= bit;
     } else {
       ++base_count[store.seq(s.seq)[s.pos + depth]];
     }
   }
+  // A node can emit a pair only if it lies at depth >= ψ and its subtree
+  // is not inert (all suffixes in one non-λ class: condition C4 fails for
+  // every pair under it). Called just before the node with class mask `m`
+  // is appended, so ids are recorded in ascending order.
+  const auto record_next = [&](std::uint32_t m) {
+    const bool inert = std::has_single_bit(m) && m != 1u << kClassLambda;
+    if (depth >= params_.min_match && !inert) {
+      pair_nodes_.push_back(static_cast<std::uint32_t>(nodes_.size()));
+    }
+  };
   if (ended == end - begin) {
     // All suffixes are identical strings of length `depth`: one leaf.
+    record_next(mask);
     add_leaf(depth, begin, end, parent);
     return;
   }
@@ -130,6 +148,7 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
       "path compression stopped short of a branching point");
 
   // Create the internal node for the branching point.
+  record_next(mask);
   const std::uint32_t u = add_node({.depth = depth}, parent);
 
   // Stable partition of [begin, end): ended first, then A, C, G, T.
@@ -149,6 +168,7 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   }
 
   // Ended group -> one leaf child at the same string-depth ("$" edge).
+  if (ended > 1) record_next(ended_mask);
   if (ended > 0) add_leaf(depth, begin, begin + ended, u);
   // Base-character groups -> recurse (they share depth+1 characters).
   for (int c = 0; c < seq::kSigma; ++c) {
@@ -158,35 +178,28 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   }
 }
 
-std::vector<std::uint32_t> SuffixTree::pair_nodes_by_depth_desc(
-    std::uint32_t min_depth) const {
-  // Counting sort by depth ascending (stable in id), then reverse: yields
-  // depth descending with id descending inside equal depths, which puts
-  // children (always created after, so larger id) before their parents.
-  const auto visited = [min_depth](const Node& nd) {
-    return nd.depth >= min_depth && !(nd.is_leaf() && nd.num_suffixes() == 1);
-  };
+std::vector<std::uint32_t> SuffixTree::pair_nodes_by_depth_desc() const {
+  // Counting sort of the recorded ids by depth ascending (stable in id),
+  // then reverse: yields depth descending with id descending inside equal
+  // depths, which puts children (always created after, so larger id)
+  // before their parents.
   std::uint32_t max_depth = 0;
-  for (const Node& nd : nodes_) max_depth = std::max(max_depth, nd.depth);
+  for (const std::uint32_t id : pair_nodes_)
+    max_depth = std::max(max_depth, nodes_[id].depth);
   std::vector<std::uint32_t> count(max_depth + 2, 0);
-  std::uint32_t kept = 0;
-  for (const Node& nd : nodes_) {
-    if (visited(nd)) {
-      ++count[nd.depth + 1];
-      ++kept;
-    }
-  }
+  for (const std::uint32_t id : pair_nodes_) ++count[nodes_[id].depth + 1];
   for (std::size_t d = 1; d < count.size(); ++d) count[d] += count[d - 1];
-  std::vector<std::uint32_t> out(kept);
-  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
-    if (visited(nodes_[id])) out[count[nodes_[id].depth]++] = id;
+  std::vector<std::uint32_t> out(pair_nodes_.size());
+  for (const std::uint32_t id : pair_nodes_) {
+    out[count[nodes_[id].depth]++] = id;
   }
   std::reverse(out.begin(), out.end());
   return out;
 }
 
 std::uint64_t SuffixTree::memory_bytes() const noexcept {
-  return suffixes_.size() * sizeof(Suffix) + nodes_.size() * sizeof(Node);
+  return suffixes_.size() * sizeof(Suffix) + nodes_.size() * sizeof(Node) +
+         pair_nodes_.size() * sizeof(std::uint32_t);
 }
 
 std::string SuffixTree::check_invariants() const {

@@ -15,6 +15,15 @@
 // S suffixes of average effective length l, the paper's stated bound; a
 // non-branching edge costs one word compare per suffix per 8 characters.
 // Space is O(S) nodes (leaves merge identical suffixes).
+//
+// The same pass that counts a range's branch characters ORs the lset
+// classes of its suffixes into a mask, and records the node for pair
+// generation if it can emit a pair: depth >= ψ, not a one-suffix leaf, and
+// a mask other than one non-λ class. A subtree whose suffixes all share
+// one non-λ preceding character is *inert*: no pair in it is left-maximal
+// (condition C4 of Lemma 1). On shotgun reads only 7-11% of the nodes at
+// depth >= ψ that are not one-suffix leaves are recorded, so pair
+// generation never visits the rest.
 #pragma once
 
 #include <cstdint>
@@ -89,11 +98,12 @@ class SuffixTree {
 
   /// The nodes pair generation visits, in decreasing string-depth order,
   /// children before parents (depth ties broken by descending id; children
-  /// always have larger ids). Only nodes with depth >= min_depth are
-  /// included, and one-suffix leaves are left out: they can pair with
-  /// nothing, so the generator builds their lsets when entering the parent.
-  std::vector<std::uint32_t> pair_nodes_by_depth_desc(
-      std::uint32_t min_depth) const;
+  /// always have larger ids). These are the nodes recorded at build time
+  /// as able to emit a pair: depth >= ψ, not a one-suffix leaf, and not
+  /// inert (every suffix below carries the same non-λ class, so no pair
+  /// under it is left-maximal). The generator builds the lsets of the
+  /// skipped subtrees when it enters their parent.
+  std::vector<std::uint32_t> pair_nodes_by_depth_desc() const;
 
   /// Total memory footprint of the structure, in bytes (paper §7.1 reports
   /// bytes per input character; bench/space_accounting reproduces that).
@@ -115,6 +125,7 @@ class SuffixTree {
   std::vector<Suffix> suffixes_;
   std::vector<Node> nodes_;
   std::size_t num_leaves_ = 0;
+  std::vector<std::uint32_t> pair_nodes_;  // nodes that can emit, ascending
   std::vector<Suffix> scratch_;  // partition buffer, build time only
 };
 

@@ -1,9 +1,12 @@
 // Tests for the generalized suffix tree and promising-pair generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <limits>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "gst/lookup_filter.hpp"
 #include "gst/pair_generator.hpp"
@@ -704,6 +707,19 @@ std::pair<std::uint64_t, std::uint64_t> stream_hash(const SuffixTree& tree,
   return {f.h, n};
 }
 
+/// Ids reversed fragment-wise; on a doubled store each fragment's two
+/// strands stay adjacent. Exercises the translation ahead of the
+/// doubled-input filters.
+std::vector<std::uint32_t> reversed_ids(const seq::FragmentStore& store,
+                                        bool doubled) {
+  const auto n = static_cast<std::uint32_t>(store.size());
+  std::vector<std::uint32_t> ids(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    ids[i] = doubled ? n - 2 - (i & ~1u) + (i & 1u) : n - 1 - i;
+  }
+  return ids;
+}
+
 struct Golden {
   std::uint64_t serial_tree, bucketed_tree;
   std::uint64_t elim, elim_n, suffix_level, suffix_level_n, global, global_n;
@@ -716,13 +732,7 @@ void expect_golden(bool repeat_rich, std::uint32_t psi, const Golden& want) {
   auto [grouped, begins] = group_by_bucket(store, psi, w);
   SuffixTree bucketed(store, std::move(grouped), begins, w,
                       GstParams{.min_match = psi, .prefix_w = w});
-  // Ids reversed fragment-wise, strands kept: exercises the translation
-  // ahead of the doubled-input filters.
-  std::vector<std::uint32_t> global(store.size());
-  for (std::uint32_t i = 0; i < store.size(); ++i) {
-    global[i] = static_cast<std::uint32_t>(store.size()) - 2 - (i & ~1u) +
-                (i & 1u);
-  }
+  const auto global = reversed_ids(store, true);
   const auto elim = stream_hash(serial, {.doubled_input = true});
   const auto suffix_level =
       stream_hash(serial, {.dup_elim = false, .doubled_input = true});
@@ -752,10 +762,301 @@ TEST(SuffixTreeGolden, RepeatRichTreeAndPairStream) {
                  11985902126707122588ull, 7472});
 }
 
+// --- Visiting only the nodes that can emit ---------------------------------
+//
+// The reference below visits every node of depth >= ψ, deepest first, keeps
+// each node's lsets as plain vectors and dissolves them into the parent on
+// the way up; the production generator skips one-suffix leaves and inert
+// subtrees and must still emit the same stream, field for field.
+
+struct RefStream {
+  std::vector<PromisingPair> pairs;
+  std::uint64_t filtered_self = 0, filtered_mirror = 0;
+};
+
+RefStream every_node_reference(const SuffixTree& tree, PairGenParams params) {
+  using Lists = std::array<std::vector<std::uint32_t>, gst::kNumClasses>;
+  std::vector<Lists> lists(tree.num_nodes());
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t id = 0; id < tree.num_nodes(); ++id) {
+    if (tree.node(id).depth >= tree.params().min_match) order.push_back(id);
+  }
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const std::uint32_t da = tree.node(a).depth, db = tree.node(b).depth;
+    return da != db ? da > db : a > b;
+  });
+  RefStream ref;
+  const auto emit = [&](std::uint32_t ea, std::uint32_t eb, std::uint32_t len) {
+    const gst::Suffix& sa = tree.suffix(ea);
+    const gst::Suffix& sb = tree.suffix(eb);
+    if (sa.seq == sb.seq) {
+      ++ref.filtered_self;
+      return;
+    }
+    const auto id = [&](std::uint32_t s) {
+      return params.global_ids ? (*params.global_ids)[s] : s;
+    };
+    PromisingPair p{id(sa.seq), sa.pos, id(sb.seq), sb.pos, len};
+    const auto swap_sides = [&p] {
+      std::swap(p.seq_a, p.seq_b);
+      std::swap(p.pos_a, p.pos_b);
+    };
+    if (params.doubled_input) {
+      if (p.seq_a >> 1 == p.seq_b >> 1) {
+        ++ref.filtered_self;
+        return;
+      }
+      if (p.seq_a >> 1 > p.seq_b >> 1) swap_sides();
+      if (p.seq_a & 1u) {
+        ++ref.filtered_mirror;
+        return;
+      }
+    } else if (p.seq_a > p.seq_b) {
+      swap_sides();
+    }
+    ref.pairs.push_back(p);
+  };
+  std::vector<std::uint8_t> seen(tree.store().size(), 0);
+  for (const std::uint32_t u : order) {
+    const gst::Node& nd = tree.node(u);
+    Lists& own = lists[u];
+    if (nd.is_leaf()) {
+      for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
+        own[tree.suffix(i).cls].push_back(i);
+      }
+      // Classes within the leaf: different ones, or λ with λ.
+      for (int x = 0; x < gst::kNumClasses; ++x) {
+        for (int y = x; y < gst::kNumClasses; ++y) {
+          if (x == y && x != gst::kClassLambda) continue;
+          for (std::size_t i = 0; i < own[x].size(); ++i) {
+            for (std::size_t j = x == y ? i + 1 : 0; j < own[y].size(); ++j) {
+              emit(own[x][i], own[y][j], nd.depth);
+            }
+          }
+        }
+      }
+      continue;
+    }
+    std::vector<std::uint32_t> children;
+    for (std::uint32_t c = nd.first_child; c != gst::kNilNode;
+         c = tree.node(c).next_sibling) {
+      children.push_back(c);
+    }
+    if (params.dup_elim) {
+      // First occurrence of each sequence, children in sibling order and
+      // classes in order within a child.
+      for (const std::uint32_t c : children) {
+        for (auto& l : lists[c]) {
+          std::erase_if(l, [&](std::uint32_t e) {
+            return std::exchange(seen[tree.suffix(e).seq], 1) != 0;
+          });
+        }
+      }
+      for (const std::uint32_t c : children) {
+        for (auto& l : lists[c]) {
+          for (const std::uint32_t e : l) seen[tree.suffix(e).seq] = 0;
+        }
+      }
+    }
+    // Classes across two different children, all but same-base.
+    for (std::size_t ci = 0; ci < children.size(); ++ci) {
+      for (std::size_t cj = ci + 1; cj < children.size(); ++cj) {
+        for (int x = 0; x < gst::kNumClasses; ++x) {
+          for (int y = 0; y < gst::kNumClasses; ++y) {
+            if (x == y && x != gst::kClassLambda) continue;
+            for (const std::uint32_t a : lists[children[ci]][x]) {
+              for (const std::uint32_t b : lists[children[cj]][y]) {
+                emit(a, b, nd.depth);
+              }
+            }
+          }
+        }
+      }
+    }
+    for (const std::uint32_t c : children) {
+      for (int x = 0; x < gst::kNumClasses; ++x) {
+        own[x].insert(own[x].end(), lists[c][x].begin(), lists[c][x].end());
+        lists[c][x].clear();
+      }
+    }
+  }
+  return ref;
+}
+
+/// Reads sampled from one small genome with substitutions, plus masked runs
+/// (λ classes inside reads), identical fragments, a read holding a repeat
+/// of itself and fragments shorter than a word.
+seq::FragmentStore mixed_store(util::Prng& rng) {
+  const auto genome = test::random_dna(rng, 300 + rng.below(300));
+  const auto slice = [&](std::size_t len) {
+    const std::size_t at = rng.below(genome.size() - len + 1);
+    return std::vector<seq::Code>(genome.begin() + at,
+                                  genome.begin() + at + len);
+  };
+  seq::FragmentStore store;
+  const std::size_t reads = 10 + rng.below(8);
+  for (std::size_t r = 0; r < reads; ++r) {
+    auto read = slice(30 + rng.below(91));
+    for (auto& c : read) {
+      if (rng.chance(0.01))
+        c = static_cast<seq::Code>((c + 1 + rng.below(3)) % 4);
+    }
+    const auto id = store.add(read);
+    if (rng.chance(0.3)) {
+      const auto at = static_cast<std::uint32_t>(rng.below(read.size()));
+      store.mask(id, at,
+                 std::min(static_cast<std::uint32_t>(read.size()),
+                          at + 1 + static_cast<std::uint32_t>(rng.below(5))));
+    }
+  }
+  for (int k = 0; k < 2; ++k) {
+    const auto copy = store.seq(static_cast<std::uint32_t>(rng.below(reads)));
+    store.add(std::vector<seq::Code>(copy.begin(), copy.end()));
+  }
+  auto repeat = slice(25);
+  auto twice = slice(10);
+  twice.insert(twice.end(), repeat.begin(), repeat.end());
+  twice.insert(twice.end(), repeat.begin(), repeat.end());
+  store.add(twice);
+  for (int k = 0; k < 3; ++k) store.add(slice(1 + rng.below(7)));
+  return store;
+}
+
+void expect_same_stream(const SuffixTree& tree, PairGenParams params,
+                        const std::string& what) {
+  const RefStream ref = every_node_reference(tree, params);
+  PairGenerator gen(tree, params);
+  std::vector<PromisingPair> got;
+  gen.fill(got, std::numeric_limits<std::size_t>::max());
+  ASSERT_EQ(got.size(), ref.pairs.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const PromisingPair& a = got[i];
+    const PromisingPair& b = ref.pairs[i];
+    ASSERT_TRUE(a == b) << what << ": pair " << i << " is (" << a.seq_a << ","
+                        << a.pos_a << "," << a.seq_b << "," << a.pos_b << ","
+                        << a.match_len << "), reference (" << b.seq_a << ","
+                        << b.pos_a << "," << b.seq_b << "," << b.pos_b << ","
+                        << b.match_len << ")";
+  }
+  EXPECT_EQ(gen.pairs_filtered_self(), ref.filtered_self) << what;
+  EXPECT_EQ(gen.pairs_filtered_mirror(), ref.filtered_mirror) << what;
+}
+
+/// Nodes the generator would visit if inert subtrees were not skipped.
+std::size_t visit_candidates(const SuffixTree& tree) {
+  std::size_t n = 0;
+  for (std::uint32_t id = 0; id < tree.num_nodes(); ++id) {
+    const gst::Node& nd = tree.node(id);
+    n += nd.depth >= tree.params().min_match &&
+         !(nd.is_leaf() && nd.num_suffixes() == 1);
+  }
+  return n;
+}
+
+TEST_P(PairGenRandom, StreamEqualsEveryNodeReference) {
+  util::Prng rng(GetParam());
+  const auto plain = mixed_store(rng);
+  const std::uint32_t psi = 6 + static_cast<std::uint32_t>(rng.below(9));
+  const std::uint32_t w = 6;
+  for (const bool doubled : {false, true}) {
+    const auto store = doubled ? seq::make_doubled_store(plain) : plain;
+    const auto global = reversed_ids(store, doubled);
+    SuffixTree serial(store, GstParams{.min_match = psi, .prefix_w = 0});
+    auto [grouped, begins] = group_by_bucket(store, psi, w);
+    SuffixTree bucketed(store, std::move(grouped), begins, w,
+                        GstParams{.min_match = psi, .prefix_w = w});
+    // Inert subtrees must be there to skip, or the comparison is vacuous.
+    EXPECT_LT(serial.pair_nodes_by_depth_desc().size(),
+              visit_candidates(serial));
+    for (const SuffixTree* tree : {&serial, &bucketed}) {
+      for (const bool dup_elim : {false, true}) {
+        for (const bool translate : {false, true}) {
+          const std::string what =
+              "seed " + std::to_string(GetParam()) + " psi " +
+              std::to_string(psi) + (doubled ? " doubled" : " plain") +
+              (tree == &bucketed ? " bucketed" : " serial") +
+              (dup_elim ? " dup_elim" : "") + (translate ? " global_ids" : "");
+          expect_same_stream(*tree,
+                             {.dup_elim = dup_elim,
+                              .doubled_input = doubled,
+                              .global_ids = translate ? &global : nullptr},
+                             what);
+        }
+      }
+    }
+  }
+}
+
+/// Checks pair_nodes_by_depth_desc() against a class mask recomputed bottom
+/// up: exactly the nodes of depth >= ψ that are neither inert nor one-suffix
+/// leaves, deepest first with ties by descending id. Returns how many nodes
+/// at depth >= ψ were left out for being inert.
+std::size_t expect_pair_nodes(const SuffixTree& tree, const std::string& what) {
+  const std::uint32_t psi = tree.params().min_match;
+  std::vector<std::uint32_t> mask(tree.num_nodes(), 0);
+  // Children always have larger ids than their parent.
+  for (auto id = static_cast<std::uint32_t>(tree.num_nodes()); id-- > 0;) {
+    const gst::Node& nd = tree.node(id);
+    if (nd.is_leaf()) {
+      for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
+        mask[id] |= 1u << tree.suffix(i).cls;
+      }
+    }
+    if (nd.parent != gst::kNilNode) mask[nd.parent] |= mask[id];
+  }
+  std::vector<std::uint32_t> want;
+  std::size_t inert = 0;
+  for (std::uint32_t id = 0; id < tree.num_nodes(); ++id) {
+    const gst::Node& nd = tree.node(id);
+    if (nd.depth < psi || (nd.is_leaf() && nd.num_suffixes() == 1)) continue;
+    const std::uint32_t m = mask[id];
+    if ((m & (m - 1)) == 0 && m != 1u << gst::kClassLambda) {
+      ++inert;
+      continue;
+    }
+    want.push_back(id);
+  }
+  const auto got = tree.pair_nodes_by_depth_desc();
+  for (std::size_t i = 1; i < got.size(); ++i) {
+    const std::uint32_t da = tree.node(got[i - 1]).depth;
+    const std::uint32_t db = tree.node(got[i]).depth;
+    EXPECT_TRUE(da > db || (da == db && got[i - 1] > got[i]))
+        << what << ": order broken at " << i;
+  }
+  auto sorted = got;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, want) << what;
+  return inert;
+}
+
+TEST(SuffixTree, PairNodesAreExactlyTheEmittingCandidates) {
+  std::size_t inert = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Prng rng(seed);
+    const auto store = seq::make_doubled_store(mixed_store(rng));
+    for (const std::uint32_t psi : {1u, 6u, 12u}) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " psi " + std::to_string(psi);
+      inert += expect_pair_nodes(
+          SuffixTree(store, GstParams{.min_match = psi, .prefix_w = 0}), what);
+      const std::uint32_t w = std::min(psi, 6u);
+      auto [grouped, begins] = group_by_bucket(store, psi, w);
+      inert += expect_pair_nodes(
+          SuffixTree(store, std::move(grouped), begins, w,
+                     GstParams{.min_match = psi, .prefix_w = w}),
+          what + " bucketed");
+    }
+  }
+  const auto golden = golden_store(false);
+  inert += expect_pair_nodes(
+      SuffixTree(golden, GstParams{.min_match = 20, .prefix_w = 0}), "golden");
+  EXPECT_GT(inert, 0u);
+}
+
 TEST(PairGen, PeakMemoryHoldsOnlyTheInternalFrontier) {
-  // Reads sampled from one genome: most leaves hold a single suffix. Their
-  // lsets are built when the parent is entered, so neither the node order
-  // nor the lset pool scales with them.
+  // Reads sampled from one genome: most leaves hold a single suffix and
+  // most subtrees are inert. Their lsets are built when the parent is
+  // entered, so neither the node order nor the lset pool scales with them.
   const auto store = golden_store(false);
   SuffixTree tree(store, GstParams{.min_match = 20, .prefix_w = 0});
   PairGenerator gen(tree, {.doubled_input = true});
@@ -764,10 +1065,11 @@ TEST(PairGen, PeakMemoryHoldsOnlyTheInternalFrontier) {
   while (gen.next(p)) peak = std::max(peak, gen.memory_bytes());
   const double per_char =
       static_cast<double>(peak) / static_cast<double>(store.total_length());
-  // The bound sits between the measured ~45 bytes per character of a
-  // generator that pools every leaf from its own visit to its parent's and
-  // the ~19 of one that pools only the internal frontier.
-  EXPECT_LT(per_char, 30.0);
+  // The bound sits between the measured ~18.6 bytes per character of a
+  // generator that visits and pools every inert subtree and the ~11.1 of
+  // one that skips them (a generator that also pools every leaf measures
+  // ~45).
+  EXPECT_LT(per_char, 14.0);
 }
 
 }  // namespace
