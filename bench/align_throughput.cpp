@@ -84,20 +84,6 @@ std::vector<BenchPair> make_pairs(std::size_t n, std::size_t len,
   return pairs;
 }
 
-/// DP cells of the (la+1) × (lb+1) matrix on diagonals j − i within `band`
-/// of `shift`: the cells the banded kernels fill.
-std::uint64_t band_cells(std::size_t la, std::size_t lb, std::int32_t shift,
-                         std::uint32_t band) {
-  std::uint64_t cells = 0;
-  for (std::int64_t i = 0; i <= static_cast<std::int64_t>(la); ++i) {
-    const std::int64_t lo = std::max<std::int64_t>(0, i + shift - band);
-    const std::int64_t hi =
-        std::min<std::int64_t>(static_cast<std::int64_t>(lb), i + shift + band);
-    if (hi >= lo) cells += static_cast<std::uint64_t>(hi - lo + 1);
-  }
-  return cells;
-}
-
 struct Measurement {
   double seconds = 0;
   std::uint64_t cells = 0;  // DP cells over all measured passes
@@ -168,7 +154,7 @@ int main(int argc, char** argv) {
   const align::Scoring sc;
   std::uint64_t banded_cells = 0, full_cells = 0;
   for (const BenchPair& p : pairs) {
-    banded_cells += band_cells(p.a.size(), p.b.size(), p.shift, band);
+    banded_cells += bench::band_cells(p.a.size(), p.b.size(), p.shift, band);
     full_cells += static_cast<std::uint64_t>(p.a.size() + 1) * (p.b.size() + 1);
   }
 

@@ -5,6 +5,7 @@
 // deterministic in the seed so EXPERIMENTS.md numbers are replayable.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -102,6 +103,20 @@ inline core::ClusterParams bench_cluster_params() {
   p.overlap.band = 10;
   p.batch_size = 128;
   return p;
+}
+
+/// DP cells of the (la+1) × (lb+1) matrix on diagonals j − i within `band`
+/// of `shift`: the cells the banded kernels fill.
+inline std::uint64_t band_cells(std::size_t la, std::size_t lb,
+                                std::int32_t shift, std::uint32_t band) {
+  std::uint64_t cells = 0;
+  for (std::int64_t i = 0; i <= static_cast<std::int64_t>(la); ++i) {
+    const std::int64_t lo = std::max<std::int64_t>(0, i + shift - band);
+    const std::int64_t hi =
+        std::min<std::int64_t>(static_cast<std::int64_t>(lb), i + shift + band);
+    if (hi >= lo) cells += static_cast<std::uint64_t>(hi - lo + 1);
+  }
+  return cells;
 }
 
 /// Best-effort `git describe` of the working tree, "" when unavailable

@@ -2,13 +2,16 @@
 // overlap and linear-space alignment kernels, GST construction,
 // promising-pair generation, union-find, reverse complement, k-mer
 // extraction, vmpi messaging, and the obs tracer/registry hot paths.
-// GST construction reports ns_per_node (per node built) and pair
-// generation ns_per_pair (per pair emitted), so a regression points at one
-// layer's unit cost. Results also land in
+// Each layer reports its unit cost, so a regression points at one layer:
+// the banded kernel ns_per_cell (per banded DP cell), GST construction
+// ns_per_suffix (per suffix indexed) and ns_per_node (per node built; an
+// inert range is one leaf, so fewer nodes raise it), and pair generation
+// ns_per_pair (per pair emitted). Results also land in
 // BENCH_micro_kernels.json (google-benchmark's JSON schema).
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "align/overlap.hpp"
 #include "align/pairwise.hpp"
 #include "align/workspace.hpp"
+#include "bench_util.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
 #include "obs/metrics.hpp"
@@ -77,22 +81,32 @@ void BM_BandedOverlapAlign(benchmark::State& state) {
     benchmark::DoNotOptimize(
         align::banded_overlap_align(a, b, align::Scoring{}, -400, band, ws));
   }
+  state.counters["ns_per_cell"] = ns_per(
+      static_cast<double>(bench::band_cells(a.size(), b.size(), -400, band)));
 }
 BENCHMARK(BM_BandedOverlapAlign)->Arg(4)->Arg(10)->Arg(24);
+
+/// Times the serial GST build of `store` at ψ = 20 and reports the unit
+/// costs per suffix indexed and per node built.
+void build_tree(benchmark::State& state, const seq::FragmentStore& store) {
+  std::size_t nodes = 0, suffixes = 0;
+  for (auto _ : state) {
+    gst::SuffixTree tree(store, gst::GstParams{.min_match = 20});
+    nodes = tree.num_nodes();
+    suffixes = tree.num_suffixes();
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.SetBytesProcessed(state.iterations() * store.total_length());
+  state.counters["ns_per_suffix"] = ns_per(static_cast<double>(suffixes));
+  state.counters["ns_per_node"] = ns_per(static_cast<double>(nodes));
+}
 
 void BM_SuffixTreeBuild(benchmark::State& state) {
   util::Prng rng(4);
   seq::FragmentStore store;
   const auto n = static_cast<std::size_t>(state.range(0));
   for (std::size_t i = 0; i < n; ++i) store.add(random_dna(rng, 600));
-  std::size_t nodes = 0;
-  for (auto _ : state) {
-    gst::SuffixTree tree(store, gst::GstParams{.min_match = 20});
-    nodes = tree.num_nodes();
-    benchmark::DoNotOptimize(nodes);
-  }
-  state.SetBytesProcessed(state.iterations() * store.total_length());
-  state.counters["ns_per_node"] = ns_per(static_cast<double>(nodes));
+  build_tree(state, store);
 }
 BENCHMARK(BM_SuffixTreeBuild)->Arg(100)->Arg(400)->Arg(1600);
 
@@ -114,16 +128,44 @@ void BM_SuffixTreeBuildCovered(benchmark::State& state) {
     }
     store.add(read);
   }
-  std::size_t nodes = 0;
-  for (auto _ : state) {
-    gst::SuffixTree tree(store, gst::GstParams{.min_match = 20});
-    nodes = tree.num_nodes();
-    benchmark::DoNotOptimize(nodes);
-  }
-  state.SetBytesProcessed(state.iterations() * store.total_length());
-  state.counters["ns_per_node"] = ns_per(static_cast<double>(nodes));
+  build_tree(state, store);
 }
 BENCHMARK(BM_SuffixTreeBuildCovered)->Arg(100)->Arg(400)->Arg(1600);
+
+void BM_SuffixTreeBuildRepeats(benchmark::State& state) {
+  // The worst case for sorting inert leaves: an exact 300 bp repeat in N
+  // copies with unique flanks. Copy 0 has a read starting at every repeat
+  // offset, so every repeat offset's suffixes hold a λ suffix and branch
+  // only where the flanks start, deep in the tree. Each other copy has 8
+  // reads spanning the repeat, each stored twice, which form one inert
+  // leaf per offset of up to 16 long, nearly identical strings that must
+  // be sorted. About two thirds of the suffixes go through that sort.
+  util::Prng rng(7);
+  const auto copies = static_cast<std::size_t>(state.range(0));
+  const auto repeat = random_dna(rng, 300);
+  seq::FragmentStore store;
+  for (std::size_t copy = 0; copy < copies; ++copy) {
+    std::vector<seq::Code> unit = random_dna(rng, 150);
+    unit.insert(unit.end(), repeat.begin(), repeat.end());
+    const auto right = random_dna(rng, 150);
+    unit.insert(unit.end(), right.begin(), right.end());
+    if (copy == 0) {
+      for (std::size_t o = 0; o < repeat.size(); ++o) {
+        store.add(std::span(unit).subspan(150 + o));
+      }
+      continue;
+    }
+    for (int r = 0; r < 8; ++r) {
+      const std::size_t start = rng.below(150);
+      const std::size_t end = 450 + rng.below(150);
+      const auto read = std::span(unit).subspan(start, end - start);
+      store.add(read);
+      store.add(read);
+    }
+  }
+  build_tree(state, store);
+}
+BENCHMARK(BM_SuffixTreeBuildRepeats)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_PairGeneration(benchmark::State& state) {
   // Reads sampled from one genome => dense overlaps => many pairs.

@@ -98,9 +98,9 @@ asan() {
   # The overlap workspace hands out grow-only dirty buffers and the banded
   # kernel moves 16-byte lane vectors through memcpy over padded
   # anti-diagonals and sequence copies; GST construction compares suffixes
-  # eight bytes at a time up to their effective lengths, and the pair
-  # generator builds the lsets of one-suffix leaves and inert subtrees late
-  # from shared pool slots. ASan is the check that every read and write
+  # eight bytes at a time up to their effective lengths (also when it
+  # sorts an inert leaf), and the pair generator builds the lsets of
+  # one-suffix and inert leaves late from shared pool slots. ASan is the check that every read and write
   # stays inside the live extents.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
@@ -216,7 +216,7 @@ fuzz_smoke() {
   cmake -B build-ubsan -S . -DPGASM_SANITIZE=undefined
   cmake --build build-ubsan -j "$JOBS" \
     --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest \
-    fuzz_assembly fuzz_banded
+    fuzz_assembly fuzz_banded fuzz_gst
   (cd build-ubsan && ctest --output-on-failure -L fuzz)
 }
 

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/contract.hpp"
+
 namespace pgasm::gst {
 
 namespace {
@@ -48,18 +50,18 @@ void PairGenerator::enter_node(std::uint32_t u) {
   cursors_fresh_ = true;
   if (leaf_) {
     leaf_ref_ = pool_.alloc();
-    for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
-      arena_.push_back(pool_[leaf_ref_].cls[tree_->suffix(i).cls], i);
-    }
+    collect_leaf(u, pool_[leaf_ref_]);
   } else {
     children_.clear();
     for (std::uint32_t c = nd.first_child; c != kNilNode;
          c = tree_->node(c).next_sibling) {
       if (lset_ref_[c] == kNilNode) {
-        // A one-suffix leaf or an inert subtree emits nothing and is not
-        // in order_; its lset is built only now that the parent needs it.
+        // A one-suffix or inert leaf emits nothing and is not in order_;
+        // its lset is built only now that the parent needs it.
+        PGASM_DCHECK(tree_->node(c).is_leaf(),
+                     "an unvisited child of a visited node must be a leaf");
         lset_ref_[c] = pool_.alloc();
-        collect_subtree(c, pool_[lset_ref_[c]]);
+        collect_leaf(c, pool_[lset_ref_[c]]);
       }
       children_.push_back(c);
     }
@@ -69,21 +71,10 @@ void PairGenerator::enter_node(std::uint32_t u) {
   }
 }
 
-void PairGenerator::collect_subtree(std::uint32_t root, NodeLsets& L) {
-  // Depth-first in sibling order, each leaf's suffixes in index order: the
-  // order in which visiting every node would have concatenated them.
-  std::uint32_t v = root;
-  for (;;) {
-    while (!tree_->node(v).is_leaf()) v = tree_->node(v).first_child;
-    const Node& leaf = tree_->node(v);
-    for (std::uint32_t i = leaf.suffix_begin; i < leaf.suffix_end; ++i) {
-      arena_.push_back(L.cls[tree_->suffix(i).cls], i);
-    }
-    while (v != root && tree_->node(v).next_sibling == kNilNode) {
-      v = tree_->node(v).parent;
-    }
-    if (v == root) return;
-    v = tree_->node(v).next_sibling;
+void PairGenerator::collect_leaf(std::uint32_t leaf, NodeLsets& L) {
+  const Node& nd = tree_->node(leaf);
+  for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
+    arena_.push_back(L.cls[tree_->suffix(i).cls], i);
   }
 }
 

@@ -7,21 +7,23 @@
 // O(1): cross-products of lsets across different children (conditions
 // C1..C4 of Lemma 1), lists dissolved upward by O(1) concatenation.
 // Only the nodes the tree recorded as able to emit are visited
-// (SuffixTree::pair_nodes_by_depth_desc). Two kinds of subtree are skipped:
-// leaves holding a single suffix (most leaves), and *inert* subtrees, whose
-// suffixes all share one non-λ preceding character, so that no pair inside
-// is left-maximal (condition C4). When a visited node is entered, each
-// skipped child's lset is built by one depth-first walk of its subtree
-// (sibling order, each leaf's suffixes in index order), and only the
-// internal frontier holds pool entries between nodes.
+// (SuffixTree::pair_nodes_by_depth_desc). Every other child of a visited
+// node is a leaf: one holding a single suffix (most leaves), or an *inert*
+// leaf, which the tree builds in place of a subtree whose suffixes all
+// share one non-λ preceding character, so that no pair inside is
+// left-maximal (condition C4). When a visited node is entered, each such
+// child's lset is filled from the leaf's suffixes in index order, and only
+// the internal frontier holds pool entries between nodes.
 //
-// The pair stream is the same as if every node at depth >= ψ were visited:
-//   * a skipped node produces no combination of classes, so it emits
-//     nothing; visiting it would only have concatenated its children's
-//     lsets upward, which is exactly the order the walk appends them in;
+// The pair stream is the same as if every node at depth >= ψ of the full,
+// uncollapsed tree were visited:
+//   * an inert subtree produces no combination of classes, so it emits
+//     nothing; visiting it would only have concatenated its leaves' lsets
+//     upward in depth-first sibling order, and the tree stores an inert
+//     leaf under a visited parent in exactly that order (suffix_tree.hpp);
 //   * duplicate elimination keeps the first occurrence of each sequence,
 //     and that filter composes: filter(A ++ filter(B) ++ C) =
-//     filter(A ++ B ++ C). Deferring it from the skipped nodes to their
+//     filter(A ++ B ++ C). Deferring it from the inert subtree to its
 //     first visited ancestor therefore keeps the same entries in the same
 //     order, and that ancestor's cross-products run over identical lists.
 //
@@ -104,7 +106,7 @@ class PairGenerator {
 
  private:
   void enter_node(std::uint32_t u);
-  void collect_subtree(std::uint32_t root, NodeLsets& L);
+  void collect_leaf(std::uint32_t leaf, NodeLsets& L);
   void finish_node(std::uint32_t u);
   void dedup_children();
   bool produce(PromisingPair& out);  // next raw pair at current node

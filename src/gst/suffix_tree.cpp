@@ -20,12 +20,21 @@ SuffixTree::SuffixTree(const seq::FragmentStore& store,
                        std::span<const std::uint32_t> bucket_begin,
                        std::uint32_t start_depth, const GstParams& params)
     : store_(&store), params_(params), suffixes_(std::move(suffixes)) {
-  nodes_.reserve(suffixes_.size() / 2 + 16);
+  // On reads a leaf per inert range leaves about half a node per suffix.
+  // Reserving one per suffix avoids regrowing the array, a copy that would
+  // land at the build's memory peak; pages never written cost no memory.
+  nodes_.reserve(suffixes_.size() + 16);
   scratch_.resize(suffixes_.size());
+  // A root range's class mask is computed once here; below the roots each
+  // partition pass hands its groups their masks.
+  const auto build_root = [&](std::uint32_t begin, std::uint32_t end) {
+    std::uint32_t mask = 0;
+    for (std::uint32_t i = begin; i < end; ++i) mask |= 1u << suffixes_[i].cls;
+    build_range(begin, end, start_depth, kNilNode, mask);
+  };
   if (bucket_begin.empty()) {
     if (!suffixes_.empty())
-      build_range(0, static_cast<std::uint32_t>(suffixes_.size()), start_depth,
-                  kNilNode);
+      build_root(0, static_cast<std::uint32_t>(suffixes_.size()));
   } else {
     for (std::size_t b = 0; b < bucket_begin.size(); ++b) {
       const std::uint32_t begin = bucket_begin[b];
@@ -33,7 +42,7 @@ SuffixTree::SuffixTree(const seq::FragmentStore& store,
           b + 1 < bucket_begin.size()
               ? bucket_begin[b + 1]
               : static_cast<std::uint32_t>(suffixes_.size());
-      if (begin < end) build_range(begin, end, start_depth, kNilNode);
+      if (begin < end) build_root(begin, end);
     }
   }
   scratch_.clear();
@@ -66,10 +75,17 @@ std::uint32_t common_prefix(const seq::Code* a, const seq::Code* b,
   return k;
 }
 
+/// True if class mask `m` is a single non-λ class: no pair under a range
+/// with this mask is left-maximal (condition C4 of Lemma 1).
+bool inert(std::uint32_t m) noexcept {
+  return std::has_single_bit(m) && m != 1u << kClassLambda;
+}
+
 }  // namespace
 
 void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
-                             std::uint32_t depth, std::uint32_t parent) {
+                             std::uint32_t depth, std::uint32_t parent,
+                             std::uint32_t mask) {
   const auto& store = *store_;
   // Append a node as the first child of `under`; returns its id.
   const auto add_node = [&](Node nd, std::uint32_t under) {
@@ -96,6 +112,27 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
     return;
   }
 
+  // Inert range: one leaf at the entry depth, never recorded. If a recorded
+  // parent will collect it, order its suffixes as the depth-first walk of
+  // the subtree it replaces would have: descending over effective lengths,
+  // a proper prefix after its extensions, equal strings in range order.
+  if (inert(mask)) {
+    if (parent != kNilNode && nodes_[parent].depth >= params_.min_match) {
+      std::stable_sort(
+          suffixes_.begin() + begin, suffixes_.begin() + end,
+          [&](const Suffix& a, const Suffix& b) {
+            const seq::Code* ta = store.seq(a.seq).data() + a.pos;
+            const seq::Code* tb = store.seq(b.seq).data() + b.pos;
+            const std::uint32_t limit = std::min(a.len, b.len);
+            const std::uint32_t k =
+                depth + common_prefix(ta + depth, tb + depth, limit - depth);
+            return k < limit ? ta[k] > tb[k] : a.len > b.len;
+          });
+    }
+    add_leaf(depth, begin, end, parent);
+    return;
+  }
+
   // Path compression: the range shares `depth` characters; it branches
   // (or ends) at the shortest effective length or the first character where
   // some suffix leaves the first one's path, whichever comes first.
@@ -111,35 +148,28 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   }
   depth = branch;
 
-  // One pass counts the branch characters and ORs the lset classes
-  // (1 << cls) of the whole range and of its ended group.
+  // Count the branch characters.
   std::array<std::uint32_t, seq::kSigma> base_count{};
   std::uint32_t ended = 0;
-  std::uint32_t mask = 0, ended_mask = 0;
   for (std::uint32_t i = begin; i < end; ++i) {
     const Suffix& s = suffixes_[i];
-    const std::uint32_t bit = 1u << s.cls;
-    mask |= bit;
     if (s.len == depth) {
       ++ended;
-      ended_mask |= bit;
     } else {
       ++base_count[store.seq(s.seq)[s.pos + depth]];
     }
   }
-  // A node can emit a pair only if it lies at depth >= ψ and its subtree
-  // is not inert (all suffixes in one non-λ class: condition C4 fails for
-  // every pair under it). Called just before the node with class mask `m`
-  // is appended, so ids are recorded in ascending order.
-  const auto record_next = [&](std::uint32_t m) {
-    const bool inert = std::has_single_bit(m) && m != 1u << kClassLambda;
-    if (depth >= params_.min_match && !inert) {
+  // The range is not inert, so its node can emit a pair iff it lies at
+  // depth >= ψ. Called just before the node is appended, so ids are
+  // recorded in ascending order.
+  const auto record_next = [&] {
+    if (depth >= params_.min_match) {
       pair_nodes_.push_back(static_cast<std::uint32_t>(nodes_.size()));
     }
   };
   if (ended == end - begin) {
     // All suffixes are identical strings of length `depth`: one leaf.
-    record_next(mask);
+    record_next();
     add_leaf(depth, begin, end, parent);
     return;
   }
@@ -148,7 +178,7 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
       "path compression stopped short of a branching point");
 
   // Create the internal node for the branching point.
-  record_next(mask);
+  record_next();
   const std::uint32_t u = add_node({.depth = depth}, parent);
 
   // Stable partition of [begin, end): ended first, then A, C, G, T.
@@ -158,23 +188,27 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   for (int c = 1; c < seq::kSigma; ++c)
     group_begin[c + 1] = group_begin[c] + base_count[c - 1];
   std::array<std::uint32_t, seq::kSigma + 1> cursor = group_begin;
+  // The same pass ORs each group's lset classes (1 << cls) into its mask.
+  std::array<std::uint32_t, seq::kSigma + 1> group_mask{};
   std::copy(suffixes_.begin() + begin, suffixes_.begin() + end,
             scratch_.begin() + begin);
   for (std::uint32_t i = begin; i < end; ++i) {
     const Suffix& s = scratch_[i];
     const int g =
         s.len == depth ? 0 : 1 + store.seq(s.seq)[s.pos + depth];
+    group_mask[g] |= 1u << s.cls;
     suffixes_[cursor[g]++] = s;
   }
 
-  // Ended group -> one leaf child at the same string-depth ("$" edge).
-  if (ended > 1) record_next(ended_mask);
+  // Ended group -> one leaf child at the same string-depth ("$" edge). Its
+  // suffixes are identical, so range order is already the walk order.
+  if (ended > 1 && !inert(group_mask[0])) record_next();
   if (ended > 0) add_leaf(depth, begin, begin + ended, u);
   // Base-character groups -> recurse (they share depth+1 characters).
   for (int c = 0; c < seq::kSigma; ++c) {
     const std::uint32_t gb = group_begin[c + 1];
     const std::uint32_t ge = gb + base_count[c];
-    if (gb < ge) build_range(gb, ge, depth + 1, u);
+    if (gb < ge) build_range(gb, ge, depth + 1, u, group_mask[c + 1]);
   }
 }
 
@@ -223,12 +257,18 @@ std::string SuffixTree::check_invariants() const {
       }
       covered[i] = 1;
     }
-    // All suffixes of a leaf are identical strings of length == depth.
+    // A leaf's suffixes share its first `depth` characters. Either they
+    // are identical strings of length == depth, or they hold two or more
+    // suffixes of one non-λ class (an inert leaf at its entry depth).
     const Suffix& first = suffixes_[nd.suffix_begin];
+    bool identical = true;
+    std::uint32_t mask = 0;
     for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
       const Suffix& s = suffixes_[i];
-      if (s.len != nd.depth) {
-        err << "leaf " << id << ": suffix len " << s.len << " != depth "
+      mask |= 1u << s.cls;
+      identical = identical && s.len == nd.depth;
+      if (s.len < nd.depth) {
+        err << "leaf " << id << ": suffix len " << s.len << " < depth "
             << nd.depth;
         return err.str();
       }
@@ -236,7 +276,30 @@ std::string SuffixTree::check_invariants() const {
       const auto tb = store.seq(s.seq);
       for (std::uint32_t k = 0; k < nd.depth; ++k) {
         if (ta[first.pos + k] != tb[s.pos + k]) {
-          err << "leaf " << id << ": non-identical suffixes";
+          err << "leaf " << id << ": suffixes differ above its depth";
+          return err.str();
+        }
+      }
+    }
+    if (!identical && (nd.num_suffixes() < 2 || !inert(mask))) {
+      err << "leaf " << id << ": suffixes neither identical nor inert";
+      return err.str();
+    }
+    // A recorded parent collects an inert leaf's suffixes in their order,
+    // which must be that of the depth-first walk of the replaced subtree.
+    if (!identical && nd.parent != kNilNode &&
+        nodes_[nd.parent].depth >= params_.min_match) {
+      for (std::uint32_t i = nd.suffix_begin + 1; i < nd.suffix_end; ++i) {
+        const Suffix& a = suffixes_[i - 1];
+        const Suffix& b = suffixes_[i];
+        const auto ta = store.seq(a.seq).subspan(a.pos, a.len);
+        const auto tb = store.seq(b.seq).subspan(b.pos, b.len);
+        const auto [pa, pb] = std::ranges::mismatch(ta, tb);
+        const bool descending = pb == tb.end() ||
+                                (pa != ta.end() && *pa > *pb);
+        if (!descending) {
+          err << "inert leaf " << id << ": suffixes " << i - 1 << " and "
+              << i << " out of walk order";
           return err.str();
         }
       }
@@ -310,8 +373,23 @@ std::string SuffixTree::check_invariants() const {
     }
   }
 
+  // An inert range is always one leaf, so no internal node is inert.
+  // Children always have larger ids than their parent.
+  std::vector<std::uint32_t> subtree_mask(nodes_.size(), 0);
+  for (auto id = static_cast<std::uint32_t>(nodes_.size()); id-- > 0;) {
+    const Node& nd = nodes_[id];
+    if (nd.is_leaf()) {
+      for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i)
+        subtree_mask[id] |= 1u << suffixes_[i].cls;
+    } else if (inert(subtree_mask[id])) {
+      err << "internal node " << id << " roots an inert subtree";
+      return err.str();
+    }
+    if (nd.parent != kNilNode) subtree_mask[nd.parent] |= subtree_mask[id];
+  }
+
   // 3. Prefix property: every suffix under a node shares its path label.
-  // Verified transitively: each leaf's suffixes are identical (checked
+  // Verified transitively: each leaf's suffixes share its label (checked
   // above) and each child-representative agrees with the parent's label up
   // to parent depth by construction of branching; do a direct spot check
   // for each internal node against its first child's representative chain.

@@ -14,16 +14,41 @@
 // at that depth. Worst case build time stays O(S · l) character probes for
 // S suffixes of average effective length l, the paper's stated bound; a
 // non-branching edge costs one word compare per suffix per 8 characters.
-// Space is O(S) nodes (leaves merge identical suffixes).
+// Space is O(S) nodes.
 //
-// The same pass that counts a range's branch characters ORs the lset
-// classes of its suffixes into a mask, and records the node for pair
-// generation if it can emit a pair: depth >= ψ, not a one-suffix leaf, and
-// a mask other than one non-λ class. A subtree whose suffixes all share
-// one non-λ preceding character is *inert*: no pair in it is left-maximal
-// (condition C4 of Lemma 1). On shotgun reads only 7-11% of the nodes at
-// depth >= ψ that are not one-suffix leaves are recorded, so pair
-// generation never visits the rest.
+// Each range arrives with the OR of its suffixes' lset classes (1 << cls):
+// the root or bucket-root call computes it once, and below that the parent's
+// partition pass computes each group's mask. A range whose mask is a single
+// non-λ class is *inert*: its suffixes all share one preceding character,
+// so no pair under it is left-maximal (condition C4 of Lemma 1). On shotgun
+// reads nearly every suffix lies in an inert range. There are two kinds of
+// leaf:
+//   * a *plain* leaf holds one suffix, or identical strings of length
+//     `depth`, as in the paper's tree;
+//   * an *inert* leaf holds an inert range of two or more suffixes, built
+//     without path compression, partitioning or recursion. Its `depth` is
+//     the entry depth (its parent's depth + 1, or the start depth for a
+//     root), which its suffixes share; nothing reads it. An internal node
+//     is never inert.
+// A node is recorded for pair generation if it can emit a pair: depth >= ψ,
+// not inert, not a one-suffix leaf.
+//
+// A recorded parent collects an inert child's suffixes in index order. So
+// under a parent of depth >= ψ an inert leaf is stable-sorted into the
+// order a depth-first walk of the subtree it replaces would give (siblings
+// are prepended, so they run from T down to the ended group): descending
+// over effective lengths, a proper prefix after its extensions, and equal
+// strings in range order. The comparisons start at the entry depth and
+// compare words. Nothing reads the order of an inert leaf under a shallower
+// parent, so it stays in range order. The pair stream is therefore
+// byte-identical to that of the full tree:
+//   * the recorded nodes are the same ones, in the same relative preorder,
+//     because an inert subtree holds no recorded node and everything
+//     outside it is built as before;
+//   * each recorded node keeps its children in the same sibling order,
+//     because an inert leaf takes the place of its subtree's root;
+//   * an inert child's lset holds the same suffixes in the same order as
+//     the walk over the subtree it replaces.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +67,9 @@ inline constexpr std::uint32_t kNilNode =
 
 struct Node {
   std::uint32_t parent = kNilNode;
-  std::uint32_t depth = 0;          ///< string-depth (path-label length)
+  /// String-depth (path-label length). An inert leaf stores its entry
+  /// depth, the length of the prefix its suffixes are known to share.
+  std::uint32_t depth = 0;
   std::uint32_t first_child = kNilNode;
   std::uint32_t next_sibling = kNilNode;
   /// Leaves: the (reordered) suffix range they own. Internal nodes: empty.
@@ -99,10 +126,9 @@ class SuffixTree {
   /// The nodes pair generation visits, in decreasing string-depth order,
   /// children before parents (depth ties broken by descending id; children
   /// always have larger ids). These are the nodes recorded at build time
-  /// as able to emit a pair: depth >= ψ, not a one-suffix leaf, and not
-  /// inert (every suffix below carries the same non-λ class, so no pair
-  /// under it is left-maximal). The generator builds the lsets of the
-  /// skipped subtrees when it enters their parent.
+  /// as able to emit a pair: depth >= ψ, not a one-suffix leaf, and not an
+  /// inert leaf. Every other child of a recorded node is a leaf, whose
+  /// lsets the generator builds when it enters that node.
   std::vector<std::uint32_t> pair_nodes_by_depth_desc() const;
 
   /// Total memory footprint of the structure, in bytes (paper §7.1 reports
@@ -111,14 +137,18 @@ class SuffixTree {
 
   /// Structural invariant check used by the tests. Returns an empty string
   /// if all invariants hold, else a description of the first violation.
-  /// Verifies: suffix partition across leaves, path-label prefix property,
-  /// sibling first-character distinctness, parent/child depth ordering,
-  /// and right-maximality of branching.
+  /// Verifies: suffix partition across leaves, the two leaf kinds (and the
+  /// walk order of inert leaves under parents of depth >= ψ), no inert
+  /// internal node, path-label prefix property, sibling first-character
+  /// distinctness, parent/child depth ordering, and right-maximality of
+  /// branching.
   std::string check_invariants() const;
 
  private:
+  /// Builds the subtree of [begin, end) under `parent`. The range shares
+  /// its first `depth` characters, and `mask` ORs 1 << cls over it.
   void build_range(std::uint32_t begin, std::uint32_t end, std::uint32_t depth,
-                   std::uint32_t parent);
+                   std::uint32_t parent, std::uint32_t mask);
 
   const seq::FragmentStore* store_;
   GstParams params_;

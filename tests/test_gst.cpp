@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <map>
 #include <set>
@@ -396,11 +397,13 @@ TEST(PairGen, MemoryIsLinear) {
 
 // --- Reference construction and golden identity -----------------------------
 //
-// The production build compresses non-branching edges by comparing words;
-// the reference below extends them one character at a time, exactly as the
-// paper describes. Both must yield the same node array (ids, depths, sibling
-// order) and the same suffix permutation, because partitions, contigs and
-// checkpoint fast-forward positions all follow from them.
+// The production build compresses non-branching edges by comparing words
+// and builds each inert range (two or more suffixes, one non-λ class) as a
+// single leaf; the reference below builds the paper's full tree, extending
+// edges one character at a time. collapse() turns the full tree into the
+// one production must build, node for node and suffix for suffix, because
+// partitions, contigs and checkpoint fast-forward positions all follow
+// from the tree.
 
 struct RefTree {
   std::vector<gst::Suffix> suffixes;
@@ -483,6 +486,98 @@ RefTree reference_tree(const seq::FragmentStore& store,
   return t;
 }
 
+bool is_inert(std::uint32_t mask) {
+  return std::has_single_bit(mask) && mask != 1u << gst::kClassLambda;
+}
+
+/// The full tree with every topmost inert subtree of two or more suffixes
+/// (except an ended-group leaf, which keeps its depth) replaced by one leaf
+/// at its entry depth. Under a parent of depth >= ψ the leaf holds its
+/// suffixes in depth-first sibling order, each old leaf's suffixes in index
+/// order; under a shallower parent (or none) it holds them in input order,
+/// the order of `input`.
+RefTree collapse(const RefTree& full, const std::vector<gst::Suffix>& input,
+                 std::uint32_t start_depth, std::uint32_t psi) {
+  const auto& nodes = full.nodes;
+  const auto n = static_cast<std::uint32_t>(nodes.size());
+  std::vector<std::uint32_t> mask(n, 0), nsuf(n, 0);
+  for (std::uint32_t id = n; id-- > 0;) {
+    const gst::Node& nd = nodes[id];
+    for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
+      mask[id] |= 1u << full.suffixes[i].cls;
+      ++nsuf[id];
+    }
+    if (nd.parent != gst::kNilNode) {
+      mask[nd.parent] |= mask[id];
+      nsuf[nd.parent] += nsuf[id];
+    }
+  }
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> input_rank;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input_rank[{input[i].seq, input[i].pos}] = i;
+  }
+  RefTree out{full.suffixes, {}};
+  std::vector<std::uint32_t> new_id(n, gst::kNilNode);
+  std::vector<bool> dropped(n, false);
+  for (std::uint32_t id = 0; id < n; ++id) {
+    const gst::Node& nd = nodes[id];
+    const std::uint32_t par = nd.parent;
+    if (par != gst::kNilNode && dropped[par]) {
+      dropped[id] = true;
+      continue;
+    }
+    gst::Node copy = nd;
+    const bool ended_leaf =
+        nd.is_leaf() && par != gst::kNilNode && nd.depth == nodes[par].depth;
+    if (nsuf[id] >= 2 && is_inert(mask[id]) && !ended_leaf) {
+      // Gather the subtree's leaves in sibling order.
+      std::vector<gst::Suffix> walk;
+      std::uint32_t lo = std::numeric_limits<std::uint32_t>::max(), hi = 0;
+      const auto visit = [&](const auto& self, std::uint32_t v) -> void {
+        const gst::Node& x = nodes[v];
+        if (x.is_leaf()) {
+          lo = std::min(lo, x.suffix_begin);
+          hi = std::max(hi, x.suffix_end);
+          for (std::uint32_t i = x.suffix_begin; i < x.suffix_end; ++i)
+            walk.push_back(full.suffixes[i]);
+          return;
+        }
+        for (std::uint32_t c = x.first_child; c != gst::kNilNode;
+             c = nodes[c].next_sibling)
+          self(self, c);
+      };
+      visit(visit, id);
+      EXPECT_EQ(hi - lo, walk.size()) << "subtree range not contiguous";
+      if (par == gst::kNilNode || nodes[par].depth < psi) {
+        std::ranges::sort(walk, {}, [&](const gst::Suffix& sf) {
+          return input_rank.at({sf.seq, sf.pos});
+        });
+      }
+      std::ranges::copy(walk, out.suffixes.begin() + lo);
+      copy = {.depth = par == gst::kNilNode ? start_depth
+                                             : nodes[par].depth + 1,
+              .next_sibling = nd.next_sibling,
+              .suffix_begin = lo,
+              .suffix_end = hi};
+      dropped[id] = true;
+    }
+    new_id[id] = static_cast<std::uint32_t>(out.nodes.size());
+    copy.parent = par;
+    out.nodes.push_back(copy);
+  }
+  // Re-link through the new ids; the next kept sibling of a kept node is
+  // always kept, since dropped nodes lie strictly inside a collapsed one.
+  for (gst::Node& nd : out.nodes) {
+    const auto map = [&](std::uint32_t v) {
+      return v == gst::kNilNode ? v : new_id[v];
+    };
+    if (!nd.is_leaf()) nd.first_child = map(nd.first_child);
+    nd.parent = map(nd.parent);
+    nd.next_sibling = map(nd.next_sibling);
+  }
+  return out;
+}
+
 /// Production-style bucket grouping (first-appearance bucket order, stable
 /// inside a bucket), as the parallel construction does it.
 std::pair<std::vector<gst::Suffix>, std::vector<std::uint32_t>> group_by_bucket(
@@ -516,7 +611,11 @@ void expect_same_tree(const SuffixTree& tree, const RefTree& ref,
                 a.next_sibling == b.next_sibling &&
                 a.suffix_begin == b.suffix_begin &&
                 a.suffix_end == b.suffix_end)
-        << what << ": node " << i << " differs";
+        << what << ": node " << i << " differs: (" << a.parent << ","
+        << a.depth << "," << a.first_child << "," << a.next_sibling << ","
+        << a.suffix_begin << "," << a.suffix_end << ") vs (" << b.parent
+        << "," << b.depth << "," << b.first_child << "," << b.next_sibling
+        << "," << b.suffix_begin << "," << b.suffix_end << ")";
   }
   for (std::uint32_t i = 0; i < ref.suffixes.size(); ++i) {
     ASSERT_TRUE(tree.suffix(i).seq == ref.suffixes[i].seq &&
@@ -529,17 +628,19 @@ void expect_same_tree(const SuffixTree& tree, const RefTree& ref,
 void expect_matches_reference(const seq::FragmentStore& store,
                               std::uint32_t psi, const std::string& what) {
   SuffixTree tree(store, GstParams{.min_match = psi, .prefix_w = 0});
-  expect_same_tree(tree,
-                   reference_tree(store, gst::enumerate_suffixes(store, psi),
-                                  {}, 0),
-                   what + " psi=" + std::to_string(psi));
+  const auto input = gst::enumerate_suffixes(store, psi);
+  expect_same_tree(
+      tree, collapse(reference_tree(store, input, {}, 0), input, 0, psi),
+      what + " psi=" + std::to_string(psi));
   if (psi < 2) return;
   const std::uint32_t w = std::min(psi, 3u);
   auto [grouped, begins] = group_by_bucket(store, psi, w);
   SuffixTree bucketed(store, grouped, begins, w,
                       GstParams{.min_match = psi, .prefix_w = w});
-  expect_same_tree(bucketed, reference_tree(store, grouped, begins, w),
-                   what + " bucketed psi=" + std::to_string(psi));
+  expect_same_tree(
+      bucketed,
+      collapse(reference_tree(store, grouped, begins, w), grouped, w, psi),
+      what + " bucketed psi=" + std::to_string(psi));
 }
 
 TEST(SuffixTreeEdges, SuffixEndsAtLastByteOfText) {
@@ -750,45 +851,48 @@ void expect_golden(bool repeat_rich, std::uint32_t psi, const Golden& want) {
 
 TEST(SuffixTreeGolden, WgsLikeMaskedTreeAndPairStream) {
   expect_golden(false, 14,
-                {1073758169962678514ull, 275085291655867109ull,
+                {2455680537054370699ull, 14166434539394872910ull,
                  9434392479842476710ull, 3589, 9434392479842476710ull, 3589,
                  2811020808190467920ull, 3589});
 }
 
 TEST(SuffixTreeGolden, RepeatRichTreeAndPairStream) {
   expect_golden(true, 24,
-                {2156688863464338066ull, 6908513644142939263ull,
+                {11098695567233721055ull, 13940360034262082199ull,
                  13410265634253747581ull, 7457, 1717882182973441283ull, 8331,
                  11985902126707122588ull, 7472});
 }
 
 // --- Visiting only the nodes that can emit ---------------------------------
 //
-// The reference below visits every node of depth >= ψ, deepest first, keeps
-// each node's lsets as plain vectors and dissolves them into the parent on
-// the way up; the production generator skips one-suffix leaves and inert
-// subtrees and must still emit the same stream, field for field.
+// The reference below visits every node of depth >= ψ of the full,
+// uncollapsed reference tree, deepest first, keeps each node's lsets as
+// plain vectors and dissolves them into the parent on the way up; the
+// production tree replaces inert subtrees by single leaves and the
+// production generator skips one-suffix and inert leaves, and together
+// they must still emit the same stream, field for field.
 
 struct RefStream {
   std::vector<PromisingPair> pairs;
   std::uint64_t filtered_self = 0, filtered_mirror = 0;
 };
 
-RefStream every_node_reference(const SuffixTree& tree, PairGenParams params) {
+RefStream every_node_reference(const RefTree& tree, std::size_t num_seqs,
+                               std::uint32_t psi, PairGenParams params) {
   using Lists = std::array<std::vector<std::uint32_t>, gst::kNumClasses>;
-  std::vector<Lists> lists(tree.num_nodes());
+  std::vector<Lists> lists(tree.nodes.size());
   std::vector<std::uint32_t> order;
-  for (std::uint32_t id = 0; id < tree.num_nodes(); ++id) {
-    if (tree.node(id).depth >= tree.params().min_match) order.push_back(id);
+  for (std::uint32_t id = 0; id < tree.nodes.size(); ++id) {
+    if (tree.nodes[id].depth >= psi) order.push_back(id);
   }
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const std::uint32_t da = tree.node(a).depth, db = tree.node(b).depth;
+    const std::uint32_t da = tree.nodes[a].depth, db = tree.nodes[b].depth;
     return da != db ? da > db : a > b;
   });
   RefStream ref;
   const auto emit = [&](std::uint32_t ea, std::uint32_t eb, std::uint32_t len) {
-    const gst::Suffix& sa = tree.suffix(ea);
-    const gst::Suffix& sb = tree.suffix(eb);
+    const gst::Suffix& sa = tree.suffixes[ea];
+    const gst::Suffix& sb = tree.suffixes[eb];
     if (sa.seq == sb.seq) {
       ++ref.filtered_self;
       return;
@@ -816,13 +920,13 @@ RefStream every_node_reference(const SuffixTree& tree, PairGenParams params) {
     }
     ref.pairs.push_back(p);
   };
-  std::vector<std::uint8_t> seen(tree.store().size(), 0);
+  std::vector<std::uint8_t> seen(num_seqs, 0);
   for (const std::uint32_t u : order) {
-    const gst::Node& nd = tree.node(u);
+    const gst::Node& nd = tree.nodes[u];
     Lists& own = lists[u];
     if (nd.is_leaf()) {
       for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
-        own[tree.suffix(i).cls].push_back(i);
+        own[tree.suffixes[i].cls].push_back(i);
       }
       // Classes within the leaf: different ones, or λ with λ.
       for (int x = 0; x < gst::kNumClasses; ++x) {
@@ -839,7 +943,7 @@ RefStream every_node_reference(const SuffixTree& tree, PairGenParams params) {
     }
     std::vector<std::uint32_t> children;
     for (std::uint32_t c = nd.first_child; c != gst::kNilNode;
-         c = tree.node(c).next_sibling) {
+         c = tree.nodes[c].next_sibling) {
       children.push_back(c);
     }
     if (params.dup_elim) {
@@ -848,13 +952,13 @@ RefStream every_node_reference(const SuffixTree& tree, PairGenParams params) {
       for (const std::uint32_t c : children) {
         for (auto& l : lists[c]) {
           std::erase_if(l, [&](std::uint32_t e) {
-            return std::exchange(seen[tree.suffix(e).seq], 1) != 0;
+            return std::exchange(seen[tree.suffixes[e].seq], 1) != 0;
           });
         }
       }
       for (const std::uint32_t c : children) {
         for (auto& l : lists[c]) {
-          for (const std::uint32_t e : l) seen[tree.suffix(e).seq] = 0;
+          for (const std::uint32_t e : l) seen[tree.suffixes[e].seq] = 0;
         }
       }
     }
@@ -922,9 +1026,10 @@ seq::FragmentStore mixed_store(util::Prng& rng) {
   return store;
 }
 
-void expect_same_stream(const SuffixTree& tree, PairGenParams params,
-                        const std::string& what) {
-  const RefStream ref = every_node_reference(tree, params);
+void expect_same_stream(const SuffixTree& tree, const RefTree& full,
+                        PairGenParams params, const std::string& what) {
+  const RefStream ref = every_node_reference(full, tree.store().size(),
+                                             tree.params().min_match, params);
   PairGenerator gen(tree, params);
   std::vector<PromisingPair> got;
   gen.fill(got, std::numeric_limits<std::size_t>::max());
@@ -942,13 +1047,12 @@ void expect_same_stream(const SuffixTree& tree, PairGenParams params,
   EXPECT_EQ(gen.pairs_filtered_mirror(), ref.filtered_mirror) << what;
 }
 
-/// Nodes the generator would visit if inert subtrees were not skipped.
-std::size_t visit_candidates(const SuffixTree& tree) {
+/// Nodes of the full tree a generator would visit if inert subtrees were
+/// neither collapsed nor skipped.
+std::size_t visit_candidates(const RefTree& tree, std::uint32_t psi) {
   std::size_t n = 0;
-  for (std::uint32_t id = 0; id < tree.num_nodes(); ++id) {
-    const gst::Node& nd = tree.node(id);
-    n += nd.depth >= tree.params().min_match &&
-         !(nd.is_leaf() && nd.num_suffixes() == 1);
+  for (const gst::Node& nd : tree.nodes) {
+    n += nd.depth >= psi && !(nd.is_leaf() && nd.num_suffixes() == 1);
   }
   return n;
 }
@@ -962,12 +1066,17 @@ TEST_P(PairGenRandom, StreamEqualsEveryNodeReference) {
     const auto store = doubled ? seq::make_doubled_store(plain) : plain;
     const auto global = reversed_ids(store, doubled);
     SuffixTree serial(store, GstParams{.min_match = psi, .prefix_w = 0});
+    const RefTree serial_full =
+        reference_tree(store, gst::enumerate_suffixes(store, psi), {}, 0);
     auto [grouped, begins] = group_by_bucket(store, psi, w);
+    const RefTree bucketed_full = reference_tree(store, grouped, begins, w);
     SuffixTree bucketed(store, std::move(grouped), begins, w,
                         GstParams{.min_match = psi, .prefix_w = w});
-    // Inert subtrees must be there to skip, or the comparison is vacuous.
+    // Inert subtrees must be there to collapse and skip, or the comparison
+    // is vacuous.
+    EXPECT_LT(serial.num_nodes(), serial_full.nodes.size());
     EXPECT_LT(serial.pair_nodes_by_depth_desc().size(),
-              visit_candidates(serial));
+              visit_candidates(serial_full, psi));
     for (const SuffixTree* tree : {&serial, &bucketed}) {
       for (const bool dup_elim : {false, true}) {
         for (const bool translate : {false, true}) {
@@ -977,6 +1086,7 @@ TEST_P(PairGenRandom, StreamEqualsEveryNodeReference) {
               (tree == &bucketed ? " bucketed" : " serial") +
               (dup_elim ? " dup_elim" : "") + (translate ? " global_ids" : "");
           expect_same_stream(*tree,
+                             tree == &bucketed ? bucketed_full : serial_full,
                              {.dup_elim = dup_elim,
                               .doubled_input = doubled,
                               .global_ids = translate ? &global : nullptr},
@@ -1051,6 +1161,99 @@ TEST(SuffixTree, PairNodesAreExactlyTheEmittingCandidates) {
   inert += expect_pair_nodes(
       SuffixTree(golden, GstParams{.min_match = 20, .prefix_w = 0}), "golden");
   EXPECT_GT(inert, 0u);
+}
+
+/// Checks the two leaf kinds without check_invariants(): no internal node
+/// is inert, every multi-suffix leaf holds identical strings or one non-λ
+/// class, and an inert leaf under a parent of depth >= ψ holds its suffixes
+/// in depth-first order: descending, a proper prefix after its extensions,
+/// equal strings in input order. Returns how many such deep inert leaves
+/// hold two different strings.
+std::size_t expect_inert_leaves(const SuffixTree& tree,
+                                const std::string& what) {
+  const auto& store = tree.store();
+  std::vector<std::uint32_t> mask(tree.num_nodes(), 0);
+  for (auto id = static_cast<std::uint32_t>(tree.num_nodes()); id-- > 0;) {
+    const gst::Node& nd = tree.node(id);
+    for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
+      mask[id] |= 1u << tree.suffix(i).cls;
+    }
+    if (nd.parent != gst::kNilNode) mask[nd.parent] |= mask[id];
+  }
+  const auto text = [&](std::uint32_t i) {
+    const gst::Suffix& sf = tree.suffix(i);
+    return store.seq(sf.seq).subspan(sf.pos, sf.len);
+  };
+  std::size_t ordered = 0;
+  for (std::uint32_t id = 0; id < tree.num_nodes(); ++id) {
+    const gst::Node& nd = tree.node(id);
+    if (!nd.is_leaf()) {
+      EXPECT_FALSE(is_inert(mask[id])) << what << ": internal node " << id;
+      continue;
+    }
+    if (nd.num_suffixes() < 2) continue;
+    bool identical = true;
+    for (std::uint32_t i = nd.suffix_begin + 1; i < nd.suffix_end; ++i) {
+      identical = identical && std::ranges::equal(text(i), text(i - 1));
+    }
+    EXPECT_TRUE(identical || is_inert(mask[id])) << what << ": leaf " << id;
+    if (!is_inert(mask[id]) || nd.parent == gst::kNilNode ||
+        tree.node(nd.parent).depth < tree.params().min_match)
+      continue;
+    ordered += !identical;
+    for (std::uint32_t i = nd.suffix_begin + 1; i < nd.suffix_end; ++i) {
+      const auto a = text(i - 1), b = text(i);
+      EXPECT_FALSE(std::ranges::lexicographical_compare(a, b))
+          << what << ": inert leaf " << id << " ascends at " << i;
+      if (std::ranges::equal(a, b)) {
+        const gst::Suffix& x = tree.suffix(i - 1);
+        const gst::Suffix& y = tree.suffix(i);
+        EXPECT_LT(std::pair(x.seq, x.pos), std::pair(y.seq, y.pos))
+            << what << ": inert leaf " << id << " reorders equal strings";
+      }
+    }
+  }
+  return ordered;
+}
+
+TEST(SuffixTree, InertRangesAreSingleLeaves) {
+  std::size_t ordered = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Prng rng(seed);
+    const auto store = seq::make_doubled_store(mixed_store(rng));
+    for (const std::uint32_t psi : {1u, 6u, 12u}) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " psi " + std::to_string(psi);
+      ordered += expect_inert_leaves(
+          SuffixTree(store, GstParams{.min_match = psi, .prefix_w = 0}), what);
+      const std::uint32_t w = std::min(psi, 6u);
+      auto [grouped, begins] = group_by_bucket(store, psi, w);
+      ordered += expect_inert_leaves(
+          SuffixTree(store, std::move(grouped), begins, w,
+                     GstParams{.min_match = psi, .prefix_w = w}),
+          what + " bucketed");
+    }
+  }
+  EXPECT_GT(ordered, 0u);
+  // On reads nearly every suffix lies in an inert range, so the trees of
+  // the golden stores hold fewer nodes than suffixes: 0.53-0.56 nodes per
+  // suffix, where the full tree holds 1.86-1.88.
+  for (const bool repeat_rich : {false, true}) {
+    const auto store = golden_store(repeat_rich);
+    const std::uint32_t psi = repeat_rich ? 24 : 14, w = 6;
+    SuffixTree serial(store, GstParams{.min_match = psi, .prefix_w = 0});
+    auto [grouped, begins] = group_by_bucket(store, psi, w);
+    SuffixTree bucketed(store, std::move(grouped), begins, w,
+                        GstParams{.min_match = psi, .prefix_w = w});
+    for (const SuffixTree* tree : {&serial, &bucketed}) {
+      const std::string what = std::string(repeat_rich ? "repeat" : "wgs") +
+                               (tree == &bucketed ? " bucketed" : " serial");
+      expect_inert_leaves(*tree, what);
+      EXPECT_LT(static_cast<double>(tree->num_nodes()),
+                0.75 * static_cast<double>(tree->num_suffixes()))
+          << what;
+    }
+  }
 }
 
 TEST(PairGen, PeakMemoryHoldsOnlyTheInternalFrontier) {
