@@ -6,7 +6,8 @@
 // the banded kernel ns_per_cell (per banded DP cell), GST construction
 // ns_per_suffix (per suffix indexed) and ns_per_node (per node built; an
 // inert range is one leaf, so fewer nodes raise it), and pair generation
-// ns_per_pair (per pair emitted). Results also land in
+// ns_per_pair (per pair emitted), and k-mer extraction and the whole of
+// preprocess() ns_per_base (per base scanned). Results also land in
 // BENCH_micro_kernels.json (google-benchmark's JSON schema).
 #include <benchmark/benchmark.h>
 
@@ -24,8 +25,11 @@
 #include "gst/suffix_tree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "preprocess/repeat_masker.hpp"
+#include "preprocess/kmer_set.hpp"
+#include "preprocess/preprocess.hpp"
 #include "seq/fragment_store.hpp"
+#include "sim/genome.hpp"
+#include "sim/reads.hpp"
 #include "util/prng.hpp"
 #include "util/union_find.hpp"
 #include "vmpi/runtime.hpp"
@@ -256,6 +260,8 @@ void BM_ReverseComplement(benchmark::State& state) {
 }
 BENCHMARK(BM_ReverseComplement);
 
+/// Per-position baseline: every 16-mer of a 64 kbp text re-encoded from
+/// scratch by the canonical_kmer definition.
 void BM_CanonicalKmers(benchmark::State& state) {
   util::Prng rng(8);
   const auto s = random_dna(rng, 1 << 16);
@@ -267,8 +273,44 @@ void BM_CanonicalKmers(benchmark::State& state) {
     benchmark::DoNotOptimize(acc);
   }
   state.SetBytesProcessed(state.iterations() * s.size());
+  state.counters["ns_per_base"] = ns_per(static_cast<double>(s.size()));
 }
 BENCHMARK(BM_CanonicalKmers);
+
+/// The same keys from the rolling enumerator preprocessing uses.
+void BM_RollingCanonicalKmers(benchmark::State& state) {
+  util::Prng rng(8);
+  const auto s = random_dna(rng, 1 << 16);
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    preprocess::for_each_canonical_kmer(
+        s, 16, [&](std::uint32_t, std::uint64_t key) { acc ^= key; });
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetBytesProcessed(state.iterations() * s.size());
+  state.counters["ns_per_base"] = ns_per(static_cast<double>(s.size()));
+}
+BENCHMARK(BM_RollingCanonicalKmers);
+
+/// Whole preprocess() of a simulated 8X shotgun run of a 60 kbp genome:
+/// quality trim, vector screen, spectrum from a 1/8 sample, masking.
+void BM_Preprocess(benchmark::State& state) {
+  const auto genome = sim::simulate_genome(sim::shotgun_like(60'000, 205));
+  util::Prng rng(206);
+  sim::ReadSet reads;
+  sim::sample_wgs(reads, genome, 8.0, {.len_mean = 550, .len_spread = 120},
+                  rng);
+  preprocess::PreprocessParams params;
+  params.repeat.sample_fraction = 1.0 / 8.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        preprocess::preprocess(reads.store, sim::vector_library(), params));
+  }
+  state.SetBytesProcessed(state.iterations() * reads.store.total_length());
+  state.counters["ns_per_base"] =
+      ns_per(static_cast<double>(reads.store.total_length()));
+}
+BENCHMARK(BM_Preprocess);
 
 void BM_VmpiPingPong(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

@@ -9,8 +9,8 @@
 #                            # full-pipeline fault schedules must converge
 #                            # to bit-identical contigs
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
-#   scripts/ci.sh asan       # just the ASan build of the align, GST and
-#                            # core suites
+#   scripts/ci.sh asan       # just the ASan build of the align, GST,
+#                            # core and preprocess suites
 #   scripts/ci.sh lint       # pgasm-lint + protocol_check + strict-warnings
 #                            # build (+ clang tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
@@ -101,13 +101,15 @@ asan() {
   # eight bytes at a time up to their effective lengths (also when it
   # sorts an inert leaf), and the pair generator builds the lsets of
   # one-suffix and inert leaves late from shared pool slots. ASan is the check that every read and write
-  # stays inside the live extents.
+  # stays inside the live extents. Preprocessing masks a fragment in place
+  # while its rolling k-mer scan is still reading it, and KmerSet's
+  # branch-free search reads the key array without bounds checks.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
     --target test_align test_workspace test_linear_space test_cluster \
-    test_gst test_parallel_gst
+    test_gst test_parallel_gst test_preprocess
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Hirschberg|Cluster|SuffixTree|PairGen|ParallelGst|Partition')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Hirschberg|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet')
 }
 
 lint() {
@@ -216,7 +218,7 @@ fuzz_smoke() {
   cmake -B build-ubsan -S . -DPGASM_SANITIZE=undefined
   cmake --build build-ubsan -j "$JOBS" \
     --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest \
-    fuzz_assembly fuzz_banded fuzz_gst
+    fuzz_assembly fuzz_banded fuzz_gst fuzz_preprocess
   (cd build-ubsan && ctest --output-on-failure -L fuzz)
 }
 

@@ -148,7 +148,9 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
                             const PipelineParams& params) {
   // Fail fast on parameter combinations that would run the whole pipeline
   // and silently produce a useless clustering or assembly (zero-width band,
-  // identity outside (0,1], min_overlap below ψ, negative tolerance).
+  // identity outside (0,1], min_overlap below ψ, negative tolerance, k-mer
+  // lengths that do not fit a 64-bit key).
+  preprocess::validate_preprocess_params(params.pre);
   core::validate_cluster_params(params.cluster);
   align::validate_overlap_params(params.assembly.overlap, params.assembly.psi);
   if (params.assembly.placement_tolerance < 0) {

@@ -1,7 +1,9 @@
 #include "preprocess/preprocess.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <utility>
+
+#include "preprocess/kmer_set.hpp"
 
 namespace pgasm::preprocess {
 
@@ -36,13 +38,13 @@ class VectorScreen {
   VectorScreen(const std::vector<std::vector<seq::Code>>& vectors,
                std::uint32_t k)
       : k_(k) {
+    std::vector<std::uint64_t> keys;
     for (const auto& v : vectors) {
-      if (v.size() < k_) continue;
-      for (std::uint32_t p = 0; p + k_ <= v.size(); ++p) {
-        std::uint64_t key;
-        if (RepeatMasker::canonical_kmer(v, p, k_, &key)) kmers_.insert(key);
-      }
+      for_each_canonical_kmer(v, k_, [&](std::uint32_t, std::uint64_t key) {
+        keys.push_back(key);
+      });
     }
+    kmers_ = KmerSet(std::move(keys));
   }
 
   /// Trim vector-contaminated ends: returns [lo, hi) within [0, len).
@@ -50,39 +52,42 @@ class VectorScreen {
       std::span<const seq::Code> text, std::uint32_t search_window) const {
     const std::uint32_t n = static_cast<std::uint32_t>(text.size());
     if (n < k_ || kmers_.empty()) return {0, n};
+    // A hit among the first search_window k-mers trims through its end; a
+    // hit among the last search_window k-mers trims from its start.
     std::uint32_t lo = 0, hi = n;
     const std::uint32_t front_end = std::min(search_window, n - k_ + 1);
-    for (std::uint32_t p = 0; p < front_end; ++p) {
-      std::uint64_t key;
-      if (RepeatMasker::canonical_kmer(text, p, k_, &key) &&
-          kmers_.count(key)) {
-        lo = std::max(lo, p + k_);
-      }
-    }
+    for_each_canonical_kmer(
+        text.first(front_end + k_ - 1), k_,
+        [&](std::uint32_t p, std::uint64_t key) {
+          if (kmers_.contains(key)) lo = p + k_;
+        });
     const std::uint32_t back_start =
         n - k_ + 1 > search_window ? n - k_ + 1 - search_window : 0;
-    for (std::uint32_t p = back_start; p + k_ <= n; ++p) {
-      std::uint64_t key;
-      if (RepeatMasker::canonical_kmer(text, p, k_, &key) &&
-          kmers_.count(key)) {
-        hi = std::min(hi, p);
-      }
-    }
+    for_each_canonical_kmer(
+        text.subspan(back_start), k_, [&](std::uint32_t p, std::uint64_t key) {
+          if (kmers_.contains(key)) hi = std::min(hi, back_start + p);
+        });
     if (lo >= hi) return {0, 0};
     return {lo, hi};
   }
 
  private:
   std::uint32_t k_;
-  std::unordered_set<std::uint64_t> kmers_;
+  KmerSet kmers_;
 };
 
 }  // namespace
+
+void validate_preprocess_params(const PreprocessParams& params) {
+  validate_kmer_length(params.repeat.k, "preprocess params: repeat.k");
+  validate_kmer_length(params.vector_k, "preprocess params: vector_k");
+}
 
 PreprocessResult preprocess(
     const seq::FragmentStore& input,
     const std::vector<std::vector<seq::Code>>& vectors,
     const PreprocessParams& params) {
+  validate_preprocess_params(params);
   PreprocessResult result;
   PreprocessStats& stats = result.stats;
 
@@ -134,9 +139,8 @@ PreprocessResult preprocess(
   if (params.mask_repeats) {
     RepeatMasker masker(trimmed, params.repeat);
     stats.repetitive_kmers = masker.num_repetitive_kmers();
-    // Fingerprint over the canonical spectrum view (W016): folding in
-    // hash-bucket order would make the fingerprint differ run to run even
-    // when the learned spectrum is identical.
+    // Fingerprint over the key-ordered spectrum (W016), so equal spectra
+    // fold to equal fingerprints on every run.
     std::uint64_t fp = 1469598103934665603ull;  // FNV-1a offset basis
     for (const std::uint64_t kmer : masker.repetitive_kmers()) {
       fp ^= kmer;

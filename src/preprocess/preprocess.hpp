@@ -23,7 +23,7 @@ struct PreprocessParams {
 
   // Vector screening: exact k-mer hits against the vector library within
   // this distance of either end cause trimming past the hit.
-  std::uint32_t vector_k = 12;
+  std::uint32_t vector_k = 12;  ///< in [1, 32], like repeat.k
   std::uint32_t vector_search_window = 80;
 
   RepeatMaskParams repeat{};
@@ -49,7 +49,7 @@ struct PreprocessStats {
   std::uint64_t discarded_short = 0;
   std::uint64_t discarded_masked = 0;
   std::size_t repetitive_kmers = 0;
-  /// FNV-1a fold over the canonical (sorted) repetitive-kmer spectrum: a
+  /// FNV-1a fold over the key-ordered repetitive-kmer spectrum: a
   /// run-stable fingerprint of what the masker learned. Equal input +
   /// params must yield equal fingerprints at every rank count and
   /// transport — test_determinism asserts exactly that.
@@ -66,7 +66,10 @@ struct PreprocessResult {
   PreprocessStats stats;
 };
 
-/// Run the full preprocessing chain. `vectors` is the cloning-vector
+/// Throws std::invalid_argument unless repeat.k and vector_k lie in [1, 32].
+void validate_preprocess_params(const PreprocessParams& params);
+
+/// Run the full preprocessing chain (validating `params` first). `vectors` is the cloning-vector
 /// library to screen against (see sim::vector_library()).
 PreprocessResult preprocess(
     const seq::FragmentStore& input,

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "util/prng.hpp"
+#include "util/radix_sort.hpp"
 
 namespace pgasm::preprocess {
 
@@ -22,6 +26,7 @@ bool RepeatMasker::canonical_kmer(std::span<const seq::Code> text,
 RepeatMasker::RepeatMasker(const seq::FragmentStore& store,
                            const RepeatMaskParams& params)
     : k_(params.k) {
+  validate_kmer_length(k_, "repeat mask params: k");
   if (params.threshold_multiple <= 0) return;
   util::Prng rng(params.seed);
   // Restrict the sample to uniformly-sampled fragment types when present.
@@ -34,28 +39,30 @@ RepeatMasker::RepeatMasker(const seq::FragmentStore& store,
       have_uniform = is_uniform(store.type(id));
     }
   }
-  std::unordered_map<std::uint64_t, std::uint32_t> counts;
-  std::uint64_t total_kmers = 0;
+  // One rng draw per eligible fragment, before the length check: the
+  // sample, and so the spectrum, depends on that exact draw order.
+  std::vector<std::uint64_t> sampled;
   for (seq::FragmentId id = 0; id < store.size(); ++id) {
     if (have_uniform && !is_uniform(store.type(id))) continue;
     if (!rng.chance(params.sample_fraction)) continue;
     const auto text = store.seq(id);
     if (text.size() < k_) continue;
-    for (std::uint32_t p = 0; p + k_ <= text.size(); ++p) {
-      std::uint64_t key;
-      if (!canonical_kmer(text, p, k_, &key)) continue;
-      ++counts[key];
-      ++total_kmers;
-    }
+    for_each_canonical_kmer(text, k_, [&](std::uint32_t, std::uint64_t key) {
+      sampled.push_back(key);
+    });
   }
-  if (counts.empty()) return;
-  (void)total_kmers;
-  // Canonical key-ordered snapshot (W016): `counts` iterates in hash-bucket
-  // order, which varies run to run. The histogram fill below is a
-  // commutative integer fold, but the repetitive-set build feeds the
-  // spectrum fingerprint (preprocess.cpp) and repetitive_kmers(), so every
-  // consumer sees the one ordering that is reproducible everywhere.
-  const auto spectrum = util::sorted_items(counts);
+  if (sampled.empty()) return;
+  // The spectrum as (key, count) runs of the sorted sample: key-ordered by
+  // construction (W016), so the repetitive set, its fingerprint and
+  // repetitive_kmers() see one order everywhere.
+  util::radix_sort_u64(sampled);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> spectrum;
+  for (std::size_t i = 0; i < sampled.size();) {
+    std::size_t j = i + 1;
+    while (j < sampled.size() && sampled[j] == sampled[i]) ++j;
+    spectrum.emplace_back(sampled[i], static_cast<std::uint32_t>(j - i));
+    i = j;
+  }
   if (params.fixed_threshold > 0) {
     threshold_ = params.fixed_threshold;
   } else {
@@ -105,56 +112,56 @@ RepeatMasker::RepeatMasker(const seq::FragmentStore& store,
         params.min_count, static_cast<std::uint32_t>(std::ceil(
                               baseline * params.threshold_multiple)));
   }
+  std::vector<std::uint64_t> repetitive;
   for (const auto& [key, count] : spectrum) {
-    if (count >= threshold_) repetitive_.insert(key);
+    if (count >= threshold_) repetitive.push_back(key);
   }
+  repetitive_ = KmerSet(std::move(repetitive));
 }
 
 void RepeatMasker::add_library_sequence(std::span<const seq::Code> sequence) {
-  if (sequence.size() < k_) return;
-  for (std::uint32_t p = 0; p + k_ <= sequence.size(); ++p) {
-    std::uint64_t key;
-    if (canonical_kmer(sequence, p, k_, &key)) repetitive_.insert(key);
-  }
+  std::vector<std::uint64_t> keys;
+  for_each_canonical_kmer(sequence, k_, [&](std::uint32_t, std::uint64_t key) {
+    keys.push_back(key);
+  });
+  repetitive_.insert(keys);
 }
 
 std::uint64_t RepeatMasker::mask_fragment(seq::FragmentStore& store,
                                           seq::FragmentId id) const {
   if (repetitive_.empty()) return 0;
-  const auto text = store.seq(id);
-  if (text.size() < k_) return 0;
-  // Mark positions covered by any repetitive k-mer, then apply as runs.
-  std::vector<std::uint8_t> hit(text.size(), 0);
-  bool any = false;
-  for (std::uint32_t p = 0; p + k_ <= text.size(); ++p) {
-    std::uint64_t key;
-    if (!canonical_kmer(text, p, k_, &key)) continue;
-    if (repetitive_.count(key)) {
-      std::fill(hit.begin() + p, hit.begin() + p + k_, std::uint8_t{1});
-      any = true;
-    }
-  }
-  if (!any) return 0;
-  // Bridge short unmasked holes between repetitive hits: point mutations in
+  auto text = store.mutable_seq(id);
+  // Positions covered by a repetitive k-mer, as maximal runs [lo, hi).
+  // Short unmasked holes between hits are bridged: point mutations in
   // diverged repeat copies break individual k-mers but the surrounding
-  // sequence is still repeat-derived and must not seed promising pairs.
-  const std::size_t bridge = k_;
-  std::size_t last_hit = SIZE_MAX;
-  for (std::size_t p = 0; p < hit.size(); ++p) {
-    if (!hit[p]) continue;
-    if (last_hit != SIZE_MAX && p - last_hit <= bridge + 1) {
-      std::fill(hit.begin() + last_hit, hit.begin() + p, std::uint8_t{1});
-    }
-    last_hit = p;
-  }
+  // sequence is still repeat-derived and must not seed promising pairs. So a
+  // hit window joins the open run when at most k unhit positions separate
+  // them.
   std::uint64_t masked = 0;
-  auto span = store.mutable_seq(id);
-  for (std::size_t p = 0; p < hit.size(); ++p) {
-    if (hit[p] && seq::is_base(span[p])) {
-      span[p] = seq::kMask;
-      ++masked;
+  std::uint32_t lo = 0, hi = 0;
+  bool open = false;
+  auto flush = [&] {
+    for (std::uint32_t p = lo; p < hi; ++p) {
+      if (seq::is_base(text[p])) {
+        text[p] = seq::kMask;
+        ++masked;
+      }
     }
-  }
+  };
+  // A flushed run ends at least k positions before the current window, so
+  // masking it never changes a base the scan has yet to read.
+  for_each_canonical_kmer(text, k_, [&](std::uint32_t p, std::uint64_t key) {
+    if (!repetitive_.contains(key)) return;
+    if (open && p <= hi + k_) {
+      hi = p + k_;
+      return;
+    }
+    flush();  // a no-op before the first run
+    lo = p;
+    hi = p + k_;
+    open = true;
+  });
+  flush();
   return masked;
 }
 

@@ -8,23 +8,22 @@
 // threshold (a multiple of the sample mean) are called repetitive, and any
 // window of a fragment dominated by repetitive k-mers is masked. An
 // optional library of known repeat/vector sequences is screened the same
-// way (exact k-mer membership).
+// way (exact k-mer membership). Every read is scanned once with a rolling
+// k-mer (kmer_set.hpp); the spectrum is a radix-sorted, run-length counted
+// key list, so it is key-ordered by construction.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "preprocess/kmer_set.hpp"
 #include "seq/fragment_store.hpp"
-#include "util/deterministic.hpp"
-#include "util/prng.hpp"
 
 namespace pgasm::preprocess {
 
 struct RepeatMaskParams {
-  std::uint32_t k = 16;
+  std::uint32_t k = 16;  ///< in [1, 32]: a key packs k bases in 64 bits
   /// Fraction of fragments sampled to build the k-mer spectrum. Keep the
   /// *sampled coverage* shallow (~0.1-1X, i.e. fraction ~= 1/coverage): the
   /// paper deliberately samples 0.1X so that any k-mer seen several times
@@ -48,7 +47,8 @@ struct RepeatMaskParams {
 
 class RepeatMasker {
  public:
-  /// Learn the repetitive k-mer set from a subsample of `store`.
+  /// Learn the repetitive k-mer set from a subsample of `store`. Throws
+  /// std::invalid_argument unless 1 <= params.k <= 32.
   RepeatMasker(const seq::FragmentStore& store, const RepeatMaskParams& params);
 
   /// Add every k-mer of a known repeat/vector sequence to the mask set.
@@ -62,16 +62,16 @@ class RepeatMasker {
   std::size_t num_repetitive_kmers() const noexcept { return repetitive_.size(); }
   std::uint32_t threshold() const noexcept { return threshold_; }
 
-  /// Canonical (ascending) snapshot of the repetitive k-mer set. The
-  /// backing set is unordered; every consumer that *iterates* the
-  /// spectrum (the preprocess fingerprint, reports, serialization) must
-  /// go through this view so its order never depends on the hash seed.
-  std::vector<std::uint64_t> repetitive_kmers() const {
-    return util::sorted_items(repetitive_);
+  /// The repetitive k-mer set in ascending key order. The set is stored
+  /// sorted, so every consumer that iterates the spectrum (the preprocess
+  /// fingerprint, reports) sees one fixed order.
+  const std::vector<std::uint64_t>& repetitive_kmers() const noexcept {
+    return repetitive_.keys();
   }
 
   /// Canonical (strand-independent) encoding of the k-mer at text[pos..).
-  /// Returns false if the window contains a masked base.
+  /// Returns false if the window contains a masked base. The per-window
+  /// definition that for_each_canonical_kmer rolls; hot paths use that.
   static bool canonical_kmer(std::span<const seq::Code> text,
                              std::uint32_t pos, std::uint32_t k,
                              std::uint64_t* out) noexcept;
@@ -79,7 +79,7 @@ class RepeatMasker {
  private:
   std::uint32_t k_;
   std::uint32_t threshold_ = 0;
-  std::unordered_set<std::uint64_t> repetitive_;
+  KmerSet repetitive_;
 };
 
 }  // namespace pgasm::preprocess

@@ -3,10 +3,13 @@
 // The pair-generation phase (paper Section 5, step S2) sorts GST nodes by
 // string-depth; depths are bounded by the maximum fragment length, so a
 // counting/LSD radix sort beats comparison sorting and keeps the phase O(N).
+// Preprocessing sorts its sampled k-mer keys the same way (paper Section 8).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 namespace pgasm::util {
@@ -43,13 +46,19 @@ std::vector<T> counting_sort_desc(std::span<const T> items,
   return out;
 }
 
-/// LSD radix sort of 64-bit keys carrying a payload index; ascending.
-/// Sorts `keys` and applies the same permutation to `payload`.
+namespace detail {
+
+struct NoPayload {};
+
+/// LSD radix sort of `keys` over 16-bit digits, ascending and stable;
+/// applies the same permutation to `*payload` unless P is NoPayload.
 template <typename P>
-void radix_sort_u64(std::vector<std::uint64_t>& keys, std::vector<P>& payload) {
+void radix_sort_u64(std::vector<std::uint64_t>& keys,
+                    std::vector<P>* payload) {
+  constexpr bool kPayload = !std::is_same_v<P, NoPayload>;
   const std::size_t n = keys.size();
   std::vector<std::uint64_t> kbuf(n);
-  std::vector<P> pbuf(n);
+  std::vector<P> pbuf(kPayload ? n : 0);
   constexpr int kBits = 16;
   constexpr std::size_t kBuckets = 1u << kBits;
   std::vector<std::uint32_t> count(kBuckets);
@@ -75,12 +84,26 @@ void radix_sort_u64(std::vector<std::uint64_t>& keys, std::vector<P>& payload) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t d = (keys[i] >> shift) & (kBuckets - 1);
       kbuf[count[d]] = keys[i];
-      pbuf[count[d]] = payload[i];
+      if constexpr (kPayload) pbuf[count[d]] = (*payload)[i];
       ++count[d];
     }
     keys.swap(kbuf);
-    payload.swap(pbuf);
+    if constexpr (kPayload) payload->swap(pbuf);
   }
+}
+
+}  // namespace detail
+
+/// LSD radix sort of 64-bit keys carrying a payload index; ascending.
+/// Sorts `keys` and applies the same permutation to `payload`.
+template <typename P>
+void radix_sort_u64(std::vector<std::uint64_t>& keys, std::vector<P>& payload) {
+  detail::radix_sort_u64(keys, &payload);
+}
+
+/// LSD radix sort of 64-bit keys alone; ascending.
+inline void radix_sort_u64(std::vector<std::uint64_t>& keys) {
+  detail::radix_sort_u64<detail::NoPayload>(keys, nullptr);
 }
 
 }  // namespace pgasm::util

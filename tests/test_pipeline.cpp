@@ -73,6 +73,17 @@ TEST(Pipeline, RejectsNegativeAssemblyTolerance) {
   expect_rejected(p, "placement_tolerance");
 }
 
+TEST(Pipeline, RejectsKmerLengthsOutsideOneTo32) {
+  for (const std::uint32_t k : {0u, 33u}) {
+    auto p = small_pipeline_params();
+    p.pre.repeat.k = k;
+    expect_rejected(p, "repeat.k");
+    p = small_pipeline_params();
+    p.pre.vector_k = k;
+    expect_rejected(p, "vector_k");
+  }
+}
+
 TEST(Validation, BenchmarkIslandsMergeOverlaps) {
   std::vector<sim::ReadTruth> truth = {
       {0, 0, 100, false, -1},    // island 0

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "preprocess/kmer_set.hpp"
 #include "preprocess/preprocess.hpp"
 #include "sim/genome.hpp"
 #include "sim/reads.hpp"
@@ -12,6 +16,7 @@
 namespace pgasm {
 namespace {
 
+using preprocess::KmerSet;
 using preprocess::PreprocessParams;
 using preprocess::RepeatMasker;
 using preprocess::RepeatMaskParams;
@@ -30,6 +35,146 @@ TEST(RepeatMasker, RejectsMaskedWindow) {
   std::uint64_t k = 0;
   EXPECT_FALSE(RepeatMasker::canonical_kmer(s, 0, 16, &k));
   EXPECT_TRUE(RepeatMasker::canonical_kmer(s, 5, 12, &k));
+}
+
+TEST(RepeatMasker, RollingKmersMatchCanonicalKmer) {
+  // The rolling enumerator must report exactly the windows canonical_kmer
+  // accepts, with the same keys, in ascending position: random texts with
+  // masked runs and single masked bases, at the extremes of k.
+  util::Prng rng(17);
+  for (const std::uint32_t k : {1u, 2u, 12u, 16u, 31u, 32u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      auto text = test::random_dna(rng, rng.below(300), 0.01);
+      for (int run = 0; run < 3 && !text.empty(); ++run) {
+        const auto at = rng.below(text.size());
+        const auto len = std::min<std::size_t>(1 + rng.below(40),
+                                               text.size() - at);
+        std::fill_n(text.begin() + static_cast<std::ptrdiff_t>(at), len,
+                    seq::kMask);
+      }
+      std::vector<std::pair<std::uint32_t, std::uint64_t>> want, got;
+      for (std::uint32_t p = 0; p + k <= text.size(); ++p) {
+        std::uint64_t key = 0;
+        if (RepeatMasker::canonical_kmer(text, p, k, &key))
+          want.emplace_back(p, key);
+      }
+      preprocess::for_each_canonical_kmer(
+          text, k, [&](std::uint32_t p, std::uint64_t key) {
+            got.emplace_back(p, key);
+          });
+      EXPECT_EQ(got, want) << "k = " << k << ", trial " << trial;
+    }
+  }
+}
+
+TEST(KmerSet, EmptySetHasNoMembers) {
+  const KmerSet empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_FALSE(empty.contains(0));
+  EXPECT_FALSE(empty.contains(~0ull));
+  const KmerSet from_nothing(std::vector<std::uint64_t>{});
+  EXPECT_TRUE(from_nothing.empty());
+  EXPECT_FALSE(from_nothing.contains(0));
+}
+
+TEST(KmerSet, PrefilterFalsePositivesResolvedExactly) {
+  // Keys arrive unsorted and duplicated; the set keeps them sorted and
+  // unique. At 64-128 filter bits per key about one odd probe in 100
+  // passes the bitmap prefilter; the binary search must still reject every
+  // one.
+  util::Prng rng(19);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 500; ++i) keys.push_back(rng.below(1ull << 32) * 2);
+  keys.insert(keys.end(), keys.begin(), keys.begin() + 100);
+  const KmerSet set(keys);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  EXPECT_EQ(set.keys(), keys);
+  for (const std::uint64_t key : keys) EXPECT_TRUE(set.contains(key));
+  for (std::uint64_t probe = 1; probe < 200'000; probe += 2) {
+    EXPECT_FALSE(set.contains(probe));
+  }
+}
+
+TEST(KmerSet, InsertMergesIntoSortedUniqueKeys) {
+  KmerSet set(std::vector<std::uint64_t>{40, 10, 30});
+  const std::vector<std::uint64_t> more = {20, 30, 50, 5};
+  set.insert(more);
+  EXPECT_EQ(set.keys(), (std::vector<std::uint64_t>{5, 10, 20, 30, 40, 50}));
+  for (const std::uint64_t key : set.keys()) EXPECT_TRUE(set.contains(key));
+  EXPECT_FALSE(set.contains(25));
+}
+
+TEST(RepeatMasker, LibraryKeysMergeAfterSpectrum) {
+  // Library k-mers join the learned spectrum: the set stays sorted and
+  // unique, keeps every spectrum key, and masks library-only sequence.
+  util::Prng rng(23);
+  const auto repeat = test::random_dna(rng, 200);
+  const auto known = test::random_dna(rng, 80);
+  seq::FragmentStore store;
+  for (int i = 0; i < 40; ++i) store.add(repeat);
+  std::vector<seq::Code> read = test::random_dna(rng, 60);
+  read.insert(read.end(), known.begin(), known.end());
+  const auto tail = test::random_dna(rng, 60);
+  read.insert(read.end(), tail.begin(), tail.end());
+  const auto read_id = store.add(read);
+
+  RepeatMaskParams params;
+  params.sample_fraction = 1.0;
+  params.fixed_threshold = 4;
+  RepeatMasker masker(store, params);
+  const auto spectrum = masker.repetitive_kmers();
+  ASSERT_FALSE(spectrum.empty());
+  masker.add_library_sequence(known);
+  masker.add_library_sequence(repeat);  // all already present
+  const auto& merged = masker.repetitive_kmers();
+  EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));
+  EXPECT_EQ(std::adjacent_find(merged.begin(), merged.end()), merged.end());
+  EXPECT_TRUE(std::includes(merged.begin(), merged.end(), spectrum.begin(),
+                            spectrum.end()));
+  EXPECT_EQ(merged.size(), spectrum.size() + known.size() - 16 + 1);
+  EXPECT_EQ(masker.mask_fragment(store, read_id), known.size());
+}
+
+TEST(RepeatMasker, K32MasksHighCopySequence) {
+  // k = 32 fills the 64-bit key exactly; it must still mask the repeat and
+  // leave unique reads alone.
+  util::Prng rng(29);
+  const auto repeat = test::random_dna(rng, 200);
+  seq::FragmentStore store;
+  for (int i = 0; i < 40; ++i) store.add(repeat);
+  for (int i = 0; i < 20; ++i) store.add(test::random_dna(rng, 200));
+  RepeatMaskParams params;
+  params.k = 32;
+  params.sample_fraction = 0.5;
+  RepeatMasker masker(store, params);
+  EXPECT_EQ(masker.num_repetitive_kmers(), 200u - 32 + 1);
+  EXPECT_EQ(masker.mask_fragment(store, 0), 200u);
+  EXPECT_EQ(masker.mask_fragment(store, 45), 0u);
+}
+
+TEST(Preprocess, RejectsKmerLengthsOutsideOneTo32) {
+  const seq::FragmentStore store;
+  for (const std::uint32_t k : {0u, 33u}) {
+    PreprocessParams params;
+    params.repeat.k = k;
+    EXPECT_THROW(preprocess::validate_preprocess_params(params),
+                 std::invalid_argument);
+    EXPECT_THROW(preprocess::preprocess(store, {}, params),
+                 std::invalid_argument);
+    EXPECT_THROW(RepeatMasker(store, params.repeat), std::invalid_argument);
+    params = PreprocessParams{};
+    params.vector_k = k;
+    EXPECT_THROW(preprocess::preprocess(store, {}, params),
+                 std::invalid_argument);
+  }
+  PreprocessParams edge;
+  edge.repeat.k = 32;
+  edge.vector_k = 32;
+  EXPECT_NO_THROW(preprocess::validate_preprocess_params(edge));
+  edge.repeat.k = 1;
+  edge.vector_k = 1;
+  EXPECT_NO_THROW(preprocess::validate_preprocess_params(edge));
 }
 
 TEST(RepeatMasker, MasksHighCopySequence) {
@@ -53,9 +198,9 @@ TEST(RepeatMasker, MasksHighCopySequence) {
 }
 
 TEST(RepeatMasker, SpectrumSnapshotSortedAndStable) {
-  // repetitive_kmers() is the canonicalized view of the unordered k-mer
-  // set (DESIGN.md §16): key-sorted, so every consumer — the spectrum
-  // stats loops, the preprocess fingerprint — sees one fixed order.
+  // repetitive_kmers() is the key-sorted set itself (DESIGN.md §16), so
+  // every consumer — the preprocess fingerprint, reports — sees one fixed
+  // order.
   util::Prng rng(3);
   const auto repeat = test::random_dna(rng, 200);
   seq::FragmentStore store;
@@ -244,6 +389,106 @@ TEST(Preprocess, MaskingAblationSwitch) {
   const auto result = preprocess::preprocess(store, {}, params);
   EXPECT_EQ(result.stats.masked_bases, 0u);
   EXPECT_EQ(result.store.size(), 30u);
+}
+
+// --- Golden output --------------------------------------------------------
+//
+// One FNV-1a hash over everything preprocess() returns: both stores (codes,
+// type, name, qualities), kept_ids and every PreprocessStats field. The
+// hashes were recorded with the per-position canonical_kmer / hash-table
+// implementation, so any change to the k-mer layer must keep the output
+// byte for byte.
+
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+void hash_store(Fnv& f, const seq::FragmentStore& s) {
+  f.add(s.size());
+  for (seq::FragmentId id = 0; id < s.size(); ++id) {
+    f.add(static_cast<std::uint64_t>(s.type(id)));
+    f.add(s.length(id));
+    for (const seq::Code c : s.seq(id)) f.add(c);
+    for (const std::uint8_t q : s.quality(id)) f.add(q);
+    for (const char c : s.name(id)) f.add(static_cast<unsigned char>(c));
+  }
+}
+
+std::uint64_t output_hash(const preprocess::PreprocessResult& r) {
+  Fnv f;
+  hash_store(f, r.store);
+  hash_store(f, r.unmasked_store);
+  for (const std::uint32_t id : r.kept_ids) f.add(id);
+  const auto& st = r.stats;
+  for (const auto& [type, ts] : st.by_type) {
+    f.add(static_cast<std::uint64_t>(type));
+    for (std::uint64_t v : {ts.fragments_before, ts.bases_before,
+                            ts.fragments_after, ts.bases_after})
+      f.add(v);
+  }
+  for (std::uint64_t v :
+       {st.quality_trimmed_bases, st.vector_trimmed_bases, st.masked_bases,
+        st.discarded_short, st.discarded_masked,
+        static_cast<std::uint64_t>(st.repetitive_kmers),
+        st.repeat_spectrum_fingerprint})
+    f.add(v);
+  return f.h;
+}
+
+// A wgs-like 8X shotgun run with vector contamination, qualities and masked
+// runs (restarts for the k-mer scan), sampled at 1/8 like perfbench's wgs.
+preprocess::PreprocessResult golden_wgs() {
+  const auto g = sim::simulate_genome(sim::shotgun_like(60'000, 205));
+  util::Prng rng(206);
+  sim::ReadSet rs;
+  sim::sample_wgs(rs, g, 8.0, {.len_mean = 550, .len_spread = 120}, rng);
+  for (seq::FragmentId id = 0; id < rs.store.size(); ++id) {
+    if (!rng.chance(0.2)) continue;
+    const std::uint32_t len = rs.store.length(id);
+    const auto at = static_cast<std::uint32_t>(rng.below(len));
+    rs.store.mask(id, at, std::min(len, at + 1 + static_cast<std::uint32_t>(
+                                                     rng.below(20))));
+  }
+  PreprocessParams params;
+  params.repeat.sample_fraction = 1.0 / 8.0;
+  return preprocess::preprocess(rs.store, sim::vector_library(), params);
+}
+
+// A maize-like repeat-rich genome sampled by MF, HC, BAC and WGS, with the
+// full sample perfbench's maize workload uses.
+preprocess::PreprocessResult golden_maize() {
+  constexpr std::uint64_t kGenome = 90'000;
+  const auto g = sim::simulate_genome(sim::maize_like(kGenome, 2006));
+  util::Prng rng(2007);
+  sim::ReadSet rs;
+  const sim::ReadParams rp{.len_mean = 650, .len_spread = 150};
+  sim::sample_gene_enriched(rs, g, kGenome / 900, 0.90, rp, rng,
+                            seq::FragType::kMF);
+  sim::sample_gene_enriched(rs, g, kGenome / 900, 0.85, rp, rng,
+                            seq::FragType::kHC);
+  sim::sample_bac(rs, g, 3, kGenome / 15, 0.6, rp, rng);
+  sim::sample_wgs(rs, g, 1.0, rp, rng);
+  PreprocessParams params;
+  params.repeat.sample_fraction = 1.0;
+  return preprocess::preprocess(rs.store, sim::vector_library(), params);
+}
+
+TEST(Preprocess, GoldenOutput) {
+  const auto wgs = golden_wgs();
+  const auto maize = golden_maize();
+  // Non-trivial inputs: every stage changes something.
+  EXPECT_GT(wgs.stats.vector_trimmed_bases, 0u);
+  EXPECT_GT(wgs.stats.quality_trimmed_bases, 0u);
+  EXPECT_GT(maize.stats.masked_bases, 0u);
+  EXPECT_GT(maize.stats.discarded_masked, 0u);
+  EXPECT_EQ(output_hash(wgs), 16395549102635686475ull);
+  EXPECT_EQ(output_hash(maize), 818748654739186077ull);
 }
 
 }  // namespace
