@@ -69,26 +69,13 @@ struct ClusterParams {
   std::uint32_t checkpoint_every_reports = 0;
   /// Checkpoint file location (written atomically via temp + rename).
   std::string checkpoint_path;
-  /// Fault-tolerant GST construction: a rank death during the build phase
-  /// is survived (buckets reassigned to confirmed survivors) instead of
-  /// aborting the run. Opt-in because the point-to-point protocol adds
-  /// user-channel sends, which shifts the send indices FaultPlan rules key
-  /// on. Operational knob — excluded from cluster_params_hash.
-  bool fault_tolerant_gst = false;
-  /// Where to record the final GST bucket-owner table after a
-  /// fault-tolerant build (empty = no GST checkpoint). On resume the
-  /// recorded table short-circuits construction: every rank rebuilds its
-  /// portion locally with zero GST traffic. A ClusterCheckpoint's
-  /// generator positions are only meaningful under the table they were
-  /// produced with, so resuming clustering requires this file to load.
-  std::string gst_checkpoint_path;
 };
 
 /// Entry-point sanity check shared by cluster_serial, cluster_parallel and
 /// the pipeline: rejects parameter combinations that would silently produce
 /// a useless clustering (band 0, identity outside (0,1], min_overlap below
 /// ψ), break the consistency check (negative placement_tolerance) or the
-/// parallel GST and its checkpoint (prefix_w outside [1, min(ψ, 12)]). Throws
+/// parallel GST (prefix_w outside [1, min(ψ, 12)]). Throws
 /// std::invalid_argument with a message naming the offending field.
 void validate_cluster_params(const ClusterParams& params);
 
@@ -125,12 +112,6 @@ struct ClusterStats {
   std::uint64_t checkpoints_written = 0;
   std::uint64_t pairs_skipped_resume = 0;  ///< generation fast-forwarded
   std::uint64_t resumed_from_epoch = 0;    ///< 0 = fresh (not resumed) run
-
-  // GST-phase recovery (fault_tolerant_gst runs only; summed over ranks).
-  std::uint64_t gst_ranks_recovered = 0;    ///< peer inputs recomputed
-  std::uint64_t gst_buckets_reassigned = 0; ///< buckets moved off dead ranks
-  std::uint64_t gst_ft_retries = 0;         ///< GST receive timeouts retried
-  std::uint64_t gst_resumed = 0;            ///< ranks resumed from the table
 
   double savings_fraction() const noexcept {
     return pairs_generated == 0

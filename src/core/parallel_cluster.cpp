@@ -35,7 +35,6 @@ namespace {
 // Stash keys for per-rank phase-boundary results (Comm::stash_value).
 // These ride the exit blob on the proc transport, so they must be
 // trivially copyable values, not pointers into rank memory.
-constexpr std::uint32_t kStashGstStats = 0x6773;  // "gs": gst::GstBuildStats
 constexpr std::uint32_t kStashGstBusy = 0x6762;   // "gb": double, ledger busy
 constexpr std::uint32_t kStashGstWall = 0x6777;   // "gw": double, wall secs
 
@@ -442,31 +441,6 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
           "parameters");
   }
 
-  // Fault-tolerant GST resume: if a recorded owner table matches this run
-  // (ranks, prefix, hashes), every rank rebuilds its portion locally and
-  // construction traffic is skipped entirely. A ClusterCheckpoint's
-  // generator positions are only meaningful under the table they were
-  // produced with, so a cluster resume without the table must refuse
-  // rather than replay positions against a differently-shaped portion.
-  std::vector<std::int32_t> gst_resume_table;
-  if (params.fault_tolerant_gst && !params.gst_checkpoint_path.empty()) {
-    auto loaded = try_load_gst_checkpoint(params.gst_checkpoint_path);
-    if (loaded) {
-      GstCheckpoint gck = std::move(loaded).take_or_throw();
-      if (gck.num_ranks == static_cast<std::uint32_t>(num_ranks) &&
-          gck.prefix_w == params.prefix_w &&
-          (gck.input_hash == 0 || gck.input_hash == sched.input_hash) &&
-          (gck.params_hash == 0 || gck.params_hash == sched.params_hash)) {
-        gst_resume_table = std::move(gck.bucket_owner);
-      }
-    }
-  }
-  if (resume && params.fault_tolerant_gst && gst_resume_table.empty()) {
-    throw std::invalid_argument(
-        "resume checkpoint requires the GST checkpoint it was written "
-        "under (missing, corrupt, or mismatched gst_checkpoint_path)");
-  }
-
   util::WallTimer total_timer;
   vmpi::Runtime rt(num_ranks, params.transport, cost_params, faults);
   result.cost = rt.run([&](vmpi::Comm& comm) {
@@ -476,43 +450,16 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
                             .prefix_w = params.prefix_w};
     gp.fetch_batch_chars = params.fetch_batch_chars;
     gp.exclude_rank0 = true;
-    gp.fault_tolerant = params.fault_tolerant_gst;
-    if (!gst_resume_table.empty()) gp.resume_bucket_owner = &gst_resume_table;
     auto dist = gst::build_distributed_gst(comm, doubled, gp);
+    comm.barrier();
     // Phase-boundary results travel through the stash, not captured
     // vectors: on the proc transport each rank is a forked child whose
     // memory writes the driver never sees. A rank that dies mid-run
     // simply never stashes — the driver reads defaults for it.
-    comm.stash_value(kStashGstStats, dist.stats);
-    // The barrier is a collective: with fault tolerance on, a rank that
-    // died during construction would abort it (and the whole run), so the
-    // fault-tolerant path skips the sync and relies on the protocol's own
-    // completion round for the phase boundary.
-    if (!params.fault_tolerant_gst) comm.barrier();
     comm.stash_value(kStashGstBusy, comm.ledger().busy_seconds());
     comm.stash_value(kStashGstWall, phase_timer.elapsed());
 
     if (comm.rank() == 0) {
-      if (params.fault_tolerant_gst && !params.gst_checkpoint_path.empty() &&
-          !dist.stats.resumed_from_plan) {
-        // Record the final owner table every survivor agreed on. All roles
-        // are complete under it by construction (dead ranks own nothing).
-        GstCheckpoint gck;
-        gck.input_hash = sched.input_hash;
-        gck.params_hash = sched.params_hash;
-        gck.num_ranks = static_cast<std::uint32_t>(num_ranks);
-        gck.prefix_w = params.prefix_w;
-        gck.bucket_owner = dist.bucket_owner;
-        gck.role_done.assign(static_cast<std::size_t>(num_ranks), 1);
-        const auto bytes = encode_gst_checkpoint(gck);
-        save_frame_atomic(params.gst_checkpoint_path,
-                          std::span<const std::uint8_t>(bytes));
-        if (obs::tracer().enabled()) {
-          obs::registry()
-              .counter("recovery.checkpoint_bytes", 0, obs::current_phase())
-              .inc(bytes.size() + 5);
-        }
-      }
       master_loop(comm, params, sched, resume);
     } else {
       worker_loop(comm, params, gp, doubled, dist, resume);
@@ -536,15 +483,6 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
   stats.checkpoints_written = sched.checkpoints_written;
   stats.pairs_skipped_resume = sched.pairs_skipped_resume;
   stats.resumed_from_epoch = sched.resumed_from_epoch;
-  for (int rk = 0; rk < num_ranks; ++rk) {
-    const auto g = result.cost.stash_value<gst::GstBuildStats>(
-        rk, kStashGstStats);
-    if (!g) continue;  // rank died before the phase boundary
-    stats.gst_ranks_recovered += g->ranks_recovered;
-    stats.gst_buckets_reassigned += g->buckets_reassigned;
-    stats.gst_ft_retries += g->ft_retries;
-    stats.gst_resumed += g->resumed_from_plan;
-  }
 
   double gst_model = 0, total_model = 0;
   for (int rk = 0; rk < num_ranks; ++rk) {

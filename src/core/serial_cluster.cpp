@@ -50,8 +50,8 @@ bool pair_overlaps(const seq::FragmentStore& doubled, std::uint32_t seq_a,
 void validate_cluster_params(const ClusterParams& params) {
   align::validate_overlap_params(params.overlap, params.psi);
   // The parallel GST buckets suffixes by their first prefix_w characters:
-  // every kept suffix must have that many (prefix_w <= ψ), and a recorded
-  // GST checkpoint holds at most 4^12 bucket owners.
+  // every kept suffix must have that many (prefix_w <= ψ), and every rank
+  // holds a 4^prefix_w bucket histogram and owner table (4^12 = 16M).
   if (params.prefix_w == 0 || params.prefix_w > std::min(params.psi, 12u)) {
     throw std::invalid_argument(
         "cluster params: prefix_w must be in [1, min(psi, 12)], got " +

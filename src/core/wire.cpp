@@ -16,9 +16,6 @@ constexpr std::uint32_t kCheckpointVersion = 2;  // v2: input/params hashes
 constexpr std::uint32_t kManifestMagic = 0x464d4750;  // "PGMF"
 constexpr std::uint32_t kManifestVersion = 1;
 
-constexpr std::uint32_t kGstCheckpointMagic = 0x54474750;  // "PGGT"
-constexpr std::uint32_t kGstCheckpointVersion = 1;
-
 // CRC-32 lookup table (IEEE 802.3 reflected polynomial), built once at
 // compile time so crc32 itself is allocation- and lock-free.
 constexpr std::array<std::uint32_t, 256> make_crc32_table() {
@@ -552,79 +549,6 @@ WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
   }
   if (!cur.ok()) return cur.error();
   return out;
-}
-
-std::vector<std::uint8_t> encode_gst_checkpoint(const GstCheckpoint& c) {
-  std::vector<std::uint8_t> out;
-  out.reserve(40 + c.bucket_owner.size() * 4 + c.role_done.size());
-  append_pod(out, kGstCheckpointMagic);
-  append_pod(out, kGstCheckpointVersion);
-  append_pod(out, c.input_hash);
-  append_pod(out, c.params_hash);
-  append_pod(out, c.num_ranks);
-  append_pod(out, c.prefix_w);
-  append_vec(out, c.bucket_owner);
-  append_vec(out, c.role_done);
-  return out;
-}
-
-WireResult<GstCheckpoint> try_decode_gst_checkpoint(
-    std::span<const std::uint8_t> bytes) {
-  Cursor<std::uint8_t> cur(bytes);
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  if (cur.read(magic, "gst checkpoint magic") &&
-      magic != kGstCheckpointMagic) {
-    cur.fail(WireErrc::kBadMagic, "gst checkpoint magic");
-  }
-  if (cur.read(version, "gst checkpoint version") &&
-      version != kGstCheckpointVersion) {
-    cur.fail(WireErrc::kBadVersion, "gst checkpoint version");
-  }
-  GstCheckpoint c;
-  cur.read(c.input_hash, "gst checkpoint input_hash");
-  cur.read(c.params_hash, "gst checkpoint params_hash");
-  cur.read(c.num_ranks, "gst checkpoint num_ranks");
-  cur.read(c.prefix_w, "gst checkpoint prefix_w");
-  cur.read_vec(c.bucket_owner, "gst checkpoint bucket_owner");
-  cur.read_vec(c.role_done, "gst checkpoint role_done");
-  cur.expect_end("gst checkpoint trailing bytes");
-  if (!cur.ok()) return cur.error();
-  // Resume rebuilds each rank's portion straight from this table; a wrong
-  // size or out-of-range owner would index past the bucket array or spawn
-  // a role that does not exist.
-  if (c.prefix_w < 1 || c.prefix_w > 12) {
-    return WireError{WireErrc::kBadValue, cur.offset(),
-                     "gst checkpoint prefix_w out of range"};
-  }
-  if (c.bucket_owner.size() !=
-      (std::size_t{1} << (2 * c.prefix_w))) {
-    return WireError{WireErrc::kCountMismatch, cur.offset(),
-                     "gst checkpoint bucket_owner count != 4^prefix_w"};
-  }
-  for (const std::int32_t o : c.bucket_owner) {
-    if (o < -1 || o >= static_cast<std::int32_t>(c.num_ranks)) {
-      return WireError{WireErrc::kBadValue, cur.offset(),
-                       "gst checkpoint bucket owner out of range"};
-    }
-  }
-  if (c.role_done.size() != c.num_ranks) {
-    return WireError{WireErrc::kCountMismatch, cur.offset(),
-                     "gst checkpoint role_done count != num_ranks"};
-  }
-  return c;
-}
-
-void save_gst_checkpoint(const std::string& path, const GstCheckpoint& c) {
-  const auto bytes = encode_gst_checkpoint(c);
-  save_frame_atomic(path, std::span<const std::uint8_t>(bytes));
-}
-
-WireResult<GstCheckpoint> try_load_gst_checkpoint(const std::string& path) {
-  auto frame = try_load_frame(path);
-  if (!frame) return frame.error();
-  const auto payload = std::move(frame).take_or_throw();
-  return try_decode_gst_checkpoint(std::span<const std::uint8_t>(payload));
 }
 
 }  // namespace pgasm::core

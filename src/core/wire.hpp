@@ -232,8 +232,8 @@ WireResult<ClusterCheckpoint> try_decode_checkpoint(
 
 // --- CRC-protected file frame ----------------------------------------------
 //
-// Every durable artifact (PGCK cluster checkpoint, PGMF run manifest, PGGT
-// GST checkpoint) is stored inside one on-disk frame:
+// Every durable artifact (PGCK cluster checkpoint, PGMF run manifest) is
+// stored inside one on-disk frame:
 //
 //   [u8 frame_version][u32 crc32(payload)][payload bytes]
 //
@@ -302,35 +302,6 @@ WireResult<RunManifest> try_decode_manifest(
 
 void save_manifest(const std::string& path, const RunManifest& m);
 WireResult<RunManifest> try_load_manifest(const std::string& path);
-
-// --- GST phase checkpoint ---------------------------------------------------
-
-/// Durable record of a completed fault-tolerant GST construction: the final
-/// bucket-owner table every surviving rank agreed on, plus which roles
-/// finished building their portion. Resume feeds `bucket_owner` back into
-/// build_distributed_gst (ParallelGstParams::resume_bucket_owner) so every
-/// rank rebuilds its portion locally and skips all construction traffic.
-/// Lives in core (not gst) because core already depends on gst for
-/// rebuild_rank_portion, never the other way around.
-struct GstCheckpoint {
-  std::uint64_t input_hash = 0;
-  std::uint64_t params_hash = 0;
-  std::uint32_t num_ranks = 0;
-  std::uint32_t prefix_w = 0;
-  std::vector<std::int32_t> bucket_owner;  ///< size 4^prefix_w, -1 = empty
-  std::vector<std::uint8_t> role_done;     ///< size num_ranks
-};
-
-std::vector<std::uint8_t> encode_gst_checkpoint(const GstCheckpoint& c);
-
-/// Non-throwing GST-checkpoint decode. Validates the resume invariants:
-/// prefix_w in [1, 12], bucket_owner.size() == 4^prefix_w, every owner in
-/// [-1, num_ranks), role_done.size() == num_ranks.
-WireResult<GstCheckpoint> try_decode_gst_checkpoint(
-    std::span<const std::uint8_t> bytes);
-
-void save_gst_checkpoint(const std::string& path, const GstCheckpoint& c);
-WireResult<GstCheckpoint> try_load_gst_checkpoint(const std::string& path);
 
 // --- Assembly results (distributed assembly phase) ---------------------------
 

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
-#include "gst/gst_protocol.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contract.hpp"
-#include "util/timer.hpp"
 
 namespace pgasm::gst {
 
@@ -23,11 +20,6 @@ int owner_of(const std::vector<std::uint32_t>& slice_begin,
       std::upper_bound(slice_begin.begin(), slice_begin.end(), seq_id);
   return static_cast<int>(it - slice_begin.begin()) - 1;
 }
-
-// Fault-tolerant construction tags (coordinator = rank 0) come from
-// gst_protocol.hpp, where the protocol is declared as data: one
-// GstMsgSpec row per tag with its recovery/duplicate story, cross-checked
-// by tools/protocol_check and pgasm-lint W015.
 
 /// Fill `result`'s local store and id map from the global store for the
 /// suffixes in `local_suffixes` (global seq ids, canonical order), then
@@ -60,8 +52,8 @@ void materialize_from_global(DistributedGst& result,
 
 /// Group remapped suffixes by bucket (dense relabel in first-seen order +
 /// counting sort) and build the subtree forest — step 5 of the build,
-/// shared by the collective, fault-tolerant, and serial-rebuild paths so
-/// all three produce identical trees from identical suffix streams.
+/// shared by the collective and serial-rebuild paths so both produce
+/// identical trees from identical suffix streams.
 void group_and_build(DistributedGst& result,
                      std::vector<Suffix> local_suffixes,
                      const ParallelGstParams& params) {
@@ -99,28 +91,7 @@ void group_and_build(DistributedGst& result,
   result.stats.tree_nodes = result.tree->num_nodes();
 }
 
-/// What rank `src` would send rank `dest` in the suffix redistribution:
-/// the suffixes of src's slice whose bucket `dest` owns, in enumeration
-/// order. Pure function of (store, slice table, owner table), so a
-/// receiver that never hears from src can recompute the contribution
-/// locally and obtain byte-identical content.
-std::vector<Suffix> slice_contribution(
-    const seq::FragmentStore& global,
-    const std::vector<std::uint32_t>& slice, int src, int dest,
-    const std::vector<std::int32_t>& owner, const ParallelGstParams& params) {
-  const auto all = enumerate_suffixes_range(global, slice[src], slice[src + 1],
-                                            params.gst.min_match);
-  std::vector<Suffix> out;
-  for (const Suffix& s : all) {
-    if (owner[bucket_of(global, s, params.gst.prefix_w)] == dest)
-      out.push_back(s);
-  }
-  return out;
-}
-
-/// Publish one rank's build stats to the obs registry (shared by the
-/// collective and fault-tolerant paths; recovery.* counters only appear
-/// when the fault-tolerant machinery actually engaged).
+/// Publish one rank's build stats to the obs registry.
 void publish_gst_obs(int rank, const GstBuildStats& stats) {
   if (!obs::tracer().enabled()) return;
   auto& reg = obs::registry();
@@ -134,24 +105,7 @@ void publish_gst_obs(int rank, const GstBuildStats& stats) {
   reg.counter("gst.bytes_sent", rank, phase).inc(stats.bytes_sent);
   reg.gauge("gst.compute_seconds", rank, phase).add(stats.compute_seconds);
   reg.gauge("gst.comm_seconds", rank, phase).add(stats.comm_seconds);
-  if (stats.ranks_recovered)
-    reg.counter("recovery.gst_ranks_recovered", rank, phase)
-        .inc(stats.ranks_recovered);
-  if (stats.buckets_reassigned)
-    reg.counter("recovery.gst_buckets_reassigned", rank, phase)
-        .inc(stats.buckets_reassigned);
-  if (stats.ft_retries)
-    reg.counter("recovery.gst_ft_retries", rank, phase)
-        .inc(stats.ft_retries);
-  if (stats.resumed_from_plan)
-    reg.counter("recovery.gst_resumed", rank, phase).inc(1);
-  if (stats.portion_rebuilt)
-    reg.counter("recovery.gst_portion_rebuilt", rank, phase).inc(1);
 }
-
-DistributedGst build_distributed_gst_ft(vmpi::Comm& comm,
-                                        const seq::FragmentStore& global,
-                                        const ParallelGstParams& params);
 
 }  // namespace
 
@@ -214,22 +168,6 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
   const std::uint32_t w = params.gst.prefix_w;
   if (w == 0 || w > params.gst.min_match)
     throw std::runtime_error("parallel GST requires 0 < prefix_w <= psi");
-
-  if (params.resume_bucket_owner != nullptr) {
-    // Resume from a recorded owner table: every rank rebuilds its portion
-    // locally, zero construction traffic. The recorded table is the final
-    // one all survivors agreed on, so clustering's per-role resume
-    // positions stay valid.
-    auto scope = comm.compute_scope();
-    DistributedGst result =
-        rebuild_rank_portion(global, *params.resume_bucket_owner, rank, params);
-    result.stats.resumed_from_plan = 1;
-    publish_gst_obs(rank, result.stats);
-    return result;
-  }
-  if (params.fault_tolerant && p > 1) {
-    return build_distributed_gst_ft(comm, global, params);
-  }
 
   DistributedGst result;
   GstBuildStats& stats = result.stats;
@@ -464,374 +402,5 @@ DistributedGst rebuild_rank_portion(
   group_and_build(result, std::move(local_suffixes), params);
   return result;
 }
-
-namespace {
-
-// Fault-tolerant construction (coordinator = rank 0).
-//
-// The key property making recovery cheap: every protocol message's content
-// is a pure function of (global store, params, owner table). A receiver
-// that times out on a peer therefore recomputes the missing contribution
-// locally — identical bytes, identical order — instead of requesting a
-// retransmission; dead, slow, and drop-afflicted peers are all handled by
-// the same code path. The coordinator collects completion confirmations,
-// reassigns the buckets of ranks that never confirm (mirroring clustering's
-// batch takeover), and distributes one final owner table that every
-// survivor agrees on. A survivor whose owned-bucket set changed rebuilds
-// its portion locally. A worker that cannot obtain the final table after
-// bounded retries throws instead of diverging: a missing bucket would lose
-// pairs, which is never acceptable, while aborting lets the pipeline
-// supervisor retry the phase from checkpoints.
-DistributedGst build_distributed_gst_ft(vmpi::Comm& comm,
-                                        const seq::FragmentStore& global,
-                                        const ParallelGstParams& params) {
-  const int p = comm.size();
-  const int rank = comm.rank();
-  const std::uint32_t w = params.gst.prefix_w;
-  const std::uint32_t nbuckets = num_buckets(w);
-  // Bounded patience for the two worker waits that cannot be recomputed
-  // locally (the plan and the final table both originate at rank 0).
-  constexpr int kCoordinatorWaitTries = 60;
-
-  DistributedGst result;
-  GstBuildStats& stats = result.stats;
-  const auto ledger_before = comm.ledger();
-  const auto slice = partition_store(global, p);
-
-  // ---- Step 1: enumerate the local slice; local bucket histogram. -------
-  std::vector<Suffix> my_suffixes;
-  std::vector<std::uint64_t> hist(nbuckets, 0);
-  {
-    obs::Span sp = obs::span(rank, "ft_enumerate", "gst");
-    auto scope = comm.compute_scope();
-    my_suffixes = enumerate_suffixes_range(global, slice[rank],
-                                           slice[rank + 1],
-                                           params.gst.min_match);
-    for (const Suffix& s : my_suffixes) ++hist[bucket_of(global, s, w)];
-    sp.arg("suffixes", my_suffixes.size());
-  }
-
-  // ---- Step 2: coordinator builds and distributes the bucket plan. ------
-  std::vector<std::int32_t> plan;
-  // Answer queued plan re-requests (coordinator only). Workers re-send
-  // kTagFtPlanReq while their plan is missing (dropped or still in
-  // flight), so the coordinator drains the queue at every opportunity.
-  auto service_plan_reqs = [&]() {
-    if (rank != 0 || plan.empty()) return;
-    vmpi::Status st;
-    while (comm.iprobe(vmpi::kAnySource, kTagFtPlanReq, &st)) {
-      (void)comm.recv_value<int>(st.source, kTagFtPlanReq);
-      comm.send_vector(st.source, kTagFtPlan, plan);
-    }
-  };
-
-  if (rank == 0) {
-    std::vector<std::uint64_t> ghist = hist;
-    std::vector<std::uint8_t> lost(static_cast<std::size_t>(p), 0);
-    for (int s = 1; s < p; ++s) {
-      double t = params.ft_timeout;
-      int tries = 0;
-      for (;;) {
-        if (comm.rank_failed(s)) {
-          lost[s] = 1;
-          break;
-        }
-        try {
-          const auto h =
-              comm.recv_vector_timeout<std::uint64_t>(s, kTagFtHist, t);
-          if (h.size() == ghist.size()) {
-            for (std::uint32_t b = 0; b < nbuckets; ++b) ghist[b] += h[b];
-          }
-          break;
-        } catch (const vmpi::TimeoutError&) {
-          ++stats.ft_retries;
-          if (++tries > params.ft_max_retries) {
-            lost[s] = 1;
-            break;
-          }
-          t = std::min(t * 2, params.ft_timeout_cap);
-        }
-      }
-      if (lost[s]) {
-        // Silent or dead: its histogram is a deterministic function of its
-        // slice, so compute it here instead of waiting any longer.
-        ++stats.ranks_recovered;
-        auto scope = comm.compute_scope();
-        const auto theirs = enumerate_suffixes_range(
-            global, slice[s], slice[s + 1], params.gst.min_match);
-        for (const Suffix& x : theirs) ++ghist[bucket_of(global, x, w)];
-      }
-    }
-    {
-      auto scope = comm.compute_scope();
-      // Only ranks believed alive get buckets; a rank wrongly suspected
-      // still participates (it follows the plan it eventually receives)
-      // and simply owns nothing.
-      std::vector<int> cands;
-      const int start = (params.exclude_rank0 && p > 1) ? 1 : 0;
-      for (int r = start; r < p; ++r)
-        if (!lost[r]) cands.push_back(r);
-      if (cands.empty())
-        throw vmpi::TimeoutError("ft gst: no live ranks to assign buckets");
-      const auto idx_owner =
-          assign_buckets(ghist, static_cast<int>(cands.size()));
-      plan.assign(nbuckets, -1);
-      for (std::uint32_t b = 0; b < nbuckets; ++b)
-        if (idx_owner[b] >= 0) plan[b] = cands[idx_owner[b]];
-    }
-    for (int s = 1; s < p; ++s) comm.send_vector(s, kTagFtPlan, plan);
-    // ghist survives to the reassignment step below.
-    result.bucket_owner = plan;
-    hist = std::move(ghist);
-  } else {
-    comm.send_vector(0, kTagFtHist, hist);
-    double t = params.ft_timeout;
-    bool got = false;
-    for (int tries = 0; tries < kCoordinatorWaitTries && !got; ++tries) {
-      try {
-        plan = comm.recv_vector_timeout<std::int32_t>(0, kTagFtPlan, t);
-        got = true;
-      } catch (const vmpi::TimeoutError&) {
-        if (comm.rank_failed(0)) throw;  // coordinator death is fatal
-        ++stats.ft_retries;
-        comm.send_value<int>(0, kTagFtPlanReq, rank);
-        t = std::min(t * 2, params.ft_timeout_cap);
-      }
-    }
-    if (!got)
-      throw vmpi::TimeoutError("ft gst: no bucket plan from coordinator");
-    if (plan.size() != nbuckets)
-      throw std::runtime_error("ft gst: bucket plan size mismatch");
-    result.bucket_owner = plan;
-  }
-
-  // ---- Step 3: point-to-point suffix redistribution. --------------------
-  // Send every peer its contribution up front (sends never block), then
-  // collect contributions in ascending source order — the concatenation
-  // equals the global enumeration order, exactly as the collective path's
-  // staged alltoallv guarantees. A silent source's part is recomputed.
-  obs::Span redist_span = obs::span(rank, "ft_redistribute", "gst");
-  std::vector<std::vector<Suffix>> outgoing(static_cast<std::size_t>(p));
-  {
-    auto scope = comm.compute_scope();
-    for (const Suffix& s : my_suffixes)
-      outgoing[plan[bucket_of(global, s, w)]].push_back(s);
-    my_suffixes.clear();
-    my_suffixes.shrink_to_fit();
-  }
-  for (int d = 0; d < p; ++d)
-    if (d != rank) comm.send_vector(d, kTagFtSuffix, outgoing[d]);
-
-  std::vector<Suffix> local_suffixes;
-  for (int s = 0; s < p; ++s) {
-    std::vector<Suffix> part;
-    if (s == rank) {
-      part = std::move(outgoing[s]);
-    } else {
-      double t = params.ft_timeout;
-      int tries = 0;
-      bool got = false;
-      for (;;) {
-        if (comm.rank_failed(s)) break;
-        try {
-          part = comm.recv_vector_timeout<Suffix>(s, kTagFtSuffix, t);
-          got = true;
-          break;
-        } catch (const vmpi::TimeoutError&) {
-          ++stats.ft_retries;
-          service_plan_reqs();
-          if (++tries > params.ft_max_retries) break;
-          t = std::min(t * 2, params.ft_timeout_cap);
-        }
-      }
-      if (!got) {
-        ++stats.ranks_recovered;
-        auto scope = comm.compute_scope();
-        part = slice_contribution(global, slice, s, rank, plan, params);
-      }
-    }
-    local_suffixes.insert(local_suffixes.end(), part.begin(), part.end());
-  }
-  outgoing.clear();
-  stats.local_suffixes = local_suffixes.size();
-  redist_span.finish();
-
-  // ---- Steps 4+5: materialize fragments locally, group, build. ----------
-  // The fault-tolerant path reads fragment text straight from the global
-  // store (in-process it is shared memory); the batched fetch protocol
-  // would otherwise need its own recovery story for no correctness gain.
-  // The multi-process vmpi backend will need a fetch-with-timeout here.
-  {
-    obs::Span sp = obs::span(rank, "ft_build_subtrees", "gst");
-    auto scope = comm.compute_scope();
-    materialize_from_global(result, global, local_suffixes);
-    group_and_build(result, std::move(local_suffixes), params);
-    sp.arg("buckets", stats.local_buckets);
-  }
-
-  // ---- Step 6: confirm completion; coordinator reassigns stragglers. ----
-  std::vector<std::int32_t> final_table;
-  if (rank == 0) {
-    std::vector<std::uint8_t> done(static_cast<std::size_t>(p), 0);
-    // p >= 1 (this branch is rank 0); the guard exists because GCC's
-    // -Wnull-dereference cannot prove the vector's data pointer non-null.
-    if (!done.empty()) done.front() = 1;
-    auto all_done = [&]() {
-      for (int s = 1; s < p; ++s)
-        if (!done[s] && !comm.rank_failed(s)) return false;
-      return true;
-    };
-    double t = params.ft_timeout;
-    int idle = 0;
-    while (!all_done() && idle <= params.ft_max_retries) {
-      service_plan_reqs();
-      try {
-        const vmpi::Status st =
-            comm.probe_timeout(vmpi::kAnySource, kTagFtDone, t);
-        (void)comm.recv_value<int>(st.source, kTagFtDone);
-        done[st.source] = 1;
-        idle = 0;
-        t = params.ft_timeout;
-      } catch (const vmpi::TimeoutError&) {
-        ++stats.ft_retries;
-        ++idle;
-        t = std::min(t * 2, params.ft_timeout_cap);
-      }
-    }
-
-    // Buckets owned by ranks that died or never confirmed move to
-    // confirmed survivors (LPT over current loads, heaviest first).
-    final_table = plan;
-    std::vector<std::uint8_t> keep(static_cast<std::size_t>(p), 0);
-    for (int r = 0; r < p; ++r)
-      keep[r] = done[r] && !comm.rank_failed(r) ? 1 : 0;
-    std::vector<int> confirmed;
-    const int start = (params.exclude_rank0 && p > 1) ? 1 : 0;
-    for (int r = start; r < p; ++r)
-      if (keep[r]) confirmed.push_back(r);
-    if (confirmed.empty())
-      throw vmpi::TimeoutError("ft gst: every bucket owner was lost");
-    {
-      auto scope = comm.compute_scope();
-      std::vector<int> idx_of(static_cast<std::size_t>(p), -1);
-      for (std::size_t i = 0; i < confirmed.size(); ++i)
-        idx_of[confirmed[i]] = static_cast<int>(i);
-      std::vector<std::uint64_t> load(confirmed.size(), 0);
-      std::vector<std::uint32_t> orphans;
-      for (std::uint32_t b = 0; b < nbuckets; ++b) {
-        const std::int32_t o = final_table[b];
-        if (o < 0) continue;
-        if (keep[o]) {
-          load[idx_of[o]] += hist[b];
-        } else {
-          orphans.push_back(b);
-        }
-      }
-      std::stable_sort(orphans.begin(), orphans.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return hist[a] > hist[b];
-                       });
-      for (const std::uint32_t b : orphans) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < load.size(); ++i)
-          if (load[i] < load[best]) best = i;
-        final_table[b] = confirmed[best];
-        load[best] += hist[b];
-        ++stats.buckets_reassigned;
-      }
-    }
-
-    // Distribute the final table and wait for acknowledgements so no
-    // survivor is left on the stale plan (its Final may have been
-    // dropped; duplicate Done messages double as re-requests).
-    for (int s = 1; s < p; ++s)
-      if (!comm.rank_failed(s)) comm.send_vector(s, kTagFtFinal, final_table);
-    std::vector<std::uint8_t> acked(static_cast<std::size_t>(p), 1);
-    for (int s = 1; s < p; ++s) acked[s] = keep[s] ? 0 : 1;
-    auto all_acked = [&]() {
-      for (int s = 1; s < p; ++s)
-        if (!acked[s] && !comm.rank_failed(s)) return false;
-      return true;
-    };
-    double ta = params.ft_timeout;
-    int ack_idle = 0;
-    while (!all_acked() && ack_idle <= params.ft_max_retries) {
-      service_plan_reqs();
-      vmpi::Status st;
-      while (comm.iprobe(vmpi::kAnySource, kTagFtDone, &st)) {
-        (void)comm.recv_value<int>(st.source, kTagFtDone);
-        if (!comm.rank_failed(st.source))
-          comm.send_vector(st.source, kTagFtFinal, final_table);
-      }
-      try {
-        const vmpi::Status ast =
-            comm.probe_timeout(vmpi::kAnySource, kTagFtFinalAck, ta);
-        (void)comm.recv_value<int>(ast.source, kTagFtFinalAck);
-        acked[ast.source] = 1;
-        ack_idle = 0;
-        ta = params.ft_timeout;
-      } catch (const vmpi::TimeoutError&) {
-        ++stats.ft_retries;
-        ++ack_idle;
-        for (int s = 1; s < p; ++s)
-          if (!acked[s] && !comm.rank_failed(s))
-            comm.send_vector(s, kTagFtFinal, final_table);
-        ta = std::min(ta * 2, params.ft_timeout_cap);
-      }
-    }
-  } else {
-    comm.send_value<int>(0, kTagFtDone, rank);
-    double t = params.ft_timeout;
-    bool got = false;
-    for (int tries = 0; tries < kCoordinatorWaitTries && !got; ++tries) {
-      try {
-        final_table = comm.recv_vector_timeout<std::int32_t>(0, kTagFtFinal, t);
-        got = true;
-      } catch (const vmpi::TimeoutError&) {
-        if (comm.rank_failed(0)) throw;
-        ++stats.ft_retries;
-        comm.send_value<int>(0, kTagFtDone, rank);
-        t = std::min(t * 2, params.ft_timeout_cap);
-      }
-    }
-    // One-table invariant: a survivor that cannot learn the final table
-    // must not proceed on the stale plan — a diverged table could leave a
-    // bucket unowned (lost pairs). Abort and let the supervisor retry.
-    if (!got)
-      throw vmpi::TimeoutError("ft gst: no final owner table");
-    if (final_table.size() != nbuckets)
-      throw std::runtime_error("ft gst: final owner table size mismatch");
-    comm.send_value<int>(0, kTagFtFinalAck, rank);
-  }
-
-  // ---- Step 7: adopt the final table; rebuild if our share changed. -----
-  if (final_table != plan) {
-    bool mine_changed = false;
-    for (std::uint32_t b = 0; b < nbuckets && !mine_changed; ++b)
-      mine_changed = (plan[b] == rank) != (final_table[b] == rank);
-    if (mine_changed) {
-      auto scope = comm.compute_scope();
-      DistributedGst rebuilt =
-          rebuild_rank_portion(global, final_table, rank, params);
-      rebuilt.stats.ranks_recovered = stats.ranks_recovered;
-      rebuilt.stats.ft_retries = stats.ft_retries;
-      rebuilt.stats.buckets_reassigned = stats.buckets_reassigned;
-      rebuilt.stats.portion_rebuilt = 1;
-      result = std::move(rebuilt);
-    } else {
-      result.bucket_owner = final_table;
-    }
-  }
-
-  const auto& ledger_after = comm.ledger();
-  stats.compute_seconds =
-      ledger_after.compute_seconds - ledger_before.compute_seconds;
-  stats.comm_seconds = ledger_after.comm_seconds - ledger_before.comm_seconds;
-  stats.bytes_sent = ledger_after.bytes_sent - ledger_before.bytes_sent;
-  publish_gst_obs(rank, stats);
-  return result;
-}
-
-}  // namespace
 
 }  // namespace pgasm::gst

@@ -39,24 +39,6 @@ struct ParallelGstParams {
   /// When true (and p > 1), rank 0 is assigned no buckets: the clustering
   /// phase uses rank 0 as the master, which generates no pairs (Fig. 6).
   bool exclude_rank0 = false;
-  /// Fault-tolerant construction: replace the collective path (which aborts
-  /// if any rank dies) with a coordinator-driven point-to-point protocol.
-  /// Every message's content is a pure function of (global store, params,
-  /// bucket plan), so a receiver that times out on a dead or silent peer
-  /// recomputes the missing contribution locally instead of waiting; the
-  /// coordinator reassigns the buckets of ranks that never confirm
-  /// completion, and all survivors agree on one final owner table.
-  bool fault_tolerant = false;
-  /// Initial / maximum per-wait receive deadline in the fault-tolerant
-  /// path (seconds, doubled per retry up to the cap).
-  double ft_timeout = 0.05;
-  double ft_timeout_cap = 0.4;
-  /// Timeouts tolerated per peer before its contribution is recomputed.
-  int ft_max_retries = 3;
-  /// Resume from a recorded GST checkpoint: skip every construction phase
-  /// and rebuild this rank's portion locally under the given owner table
-  /// (no communication). Non-owning; must outlive the call.
-  const std::vector<std::int32_t>* resume_bucket_owner = nullptr;
 };
 
 struct GstBuildStats {
@@ -68,12 +50,6 @@ struct GstBuildStats {
   double comm_seconds = 0;                ///< modeled comm charge (ledger Δ)
   std::uint64_t bytes_sent = 0;           ///< ledger Δ
   std::uint64_t tree_nodes = 0;
-  // Fault-tolerant path recovery counters.
-  std::uint64_t ranks_recovered = 0;    ///< peers whose input was recomputed
-  std::uint64_t buckets_reassigned = 0; ///< buckets moved off dead ranks
-  std::uint64_t ft_retries = 0;         ///< receive timeouts retried
-  std::uint8_t resumed_from_plan = 0;   ///< built from a recorded owner table
-  std::uint8_t portion_rebuilt = 0;     ///< final table differed from plan
 };
 
 struct DistributedGst {

@@ -99,22 +99,6 @@ bool restore_final_clusters(const core::ClusterParams& cp,
   return true;
 }
 
-/// Validate the recorded GST owner table a cluster checkpoint's generator
-/// positions depend on (fault-tolerant GST runs only).
-bool gst_table_usable(const core::ClusterParams& cp, int ranks,
-                      const seq::FragmentStore& store) {
-  if (cp.gst_checkpoint_path.empty()) return false;
-  auto loaded = core::try_load_gst_checkpoint(cp.gst_checkpoint_path);
-  if (!loaded) return false;
-  const core::GstCheckpoint gck = std::move(loaded).value();
-  return gck.num_ranks == static_cast<std::uint32_t>(ranks) &&
-         gck.prefix_w == cp.prefix_w &&
-         (gck.input_hash == 0 ||
-          gck.input_hash == core::cluster_input_hash(store)) &&
-         (gck.params_hash == 0 ||
-          gck.params_hash == core::cluster_params_hash(cp));
-}
-
 }  // namespace
 
 ClusterSummary summarize_clusters(const util::UnionFind& clusters) {
@@ -229,8 +213,6 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
       if (cp.checkpoint_path.empty())
         cp.checkpoint_path = params.checkpoint_dir + "/cluster.ckpt";
       if (cp.checkpoint_every_reports == 0) cp.checkpoint_every_reports = 64;
-      if (cp.fault_tolerant_gst && cp.gst_checkpoint_path.empty())
-        cp.gst_checkpoint_path = params.checkpoint_dir + "/gst.ckpt";
     }
     // A manifest vouching for a completed clustering plus a valid final
     // checkpoint restores the partition without touching the runtime.
@@ -267,17 +249,6 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
             util::log_warn() << "ignoring unusable checkpoint "
                              << cp.checkpoint_path << ": "
                              << loaded.error().message();
-          }
-          // A cluster checkpoint's generator positions are only meaningful
-          // under the GST owner table recorded alongside it; without that
-          // table, start fresh rather than replay positions against a
-          // differently-shaped portion (cluster_parallel would refuse).
-          if (has_resume && cp.fault_tolerant_gst &&
-              !gst_table_usable(cp, params.ranks, result.pre.store)) {
-            util::log_warn()
-                << "discarding cluster checkpoint " << cp.checkpoint_path
-                << ": its GST owner table is missing or invalid";
-            has_resume = false;
           }
         }
         auto pr = core::cluster_parallel(

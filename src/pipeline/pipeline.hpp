@@ -39,9 +39,9 @@ struct PipelineParams {
   /// (testing/chaos runs; see DESIGN.md "Fault model & recovery").
   vmpi::FaultPlan faults{};
   /// Non-empty: engage the recovery supervisor (see pipeline/supervisor.hpp
-  /// and DESIGN.md "End-to-end recovery"). Periodic cluster checkpoints, the
-  /// fault-tolerant-GST owner table and the generation-numbered run manifest
-  /// live in this directory; phases are retried with capped backoff (faults
+  /// and DESIGN.md "End-to-end recovery"). Periodic cluster checkpoints and
+  /// the generation-numbered run manifest live in this directory; phases
+  /// are retried with capped backoff (faults
   /// injected on the first attempt only) and a rerun resumes from whatever
   /// persisted state the manifest vouches for — a completed clustering is
   /// restored from its final checkpoint instead of recomputed.

@@ -1,6 +1,7 @@
 #include "preprocess/preprocess.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "preprocess/kmer_set.hpp"
@@ -81,6 +82,11 @@ class VectorScreen {
 void validate_preprocess_params(const PreprocessParams& params) {
   validate_kmer_length(params.repeat.k, "preprocess params: repeat.k");
   validate_kmer_length(params.vector_k, "preprocess params: vector_k");
+  // A fragment trimmed to nothing would pass a zero length floor and then
+  // reach FragmentStore::add as an empty span, which reads as "no
+  // qualities" on a store that has them.
+  if (params.min_len == 0)
+    throw std::invalid_argument("preprocess params: min_len must be >= 1");
 }
 
 PreprocessResult preprocess(

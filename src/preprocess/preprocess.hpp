@@ -30,7 +30,7 @@ struct PreprocessParams {
   bool mask_repeats = true;  ///< ablation switch (Section 9.1)
 
   // Invalidation rules.
-  std::uint32_t min_len = 100;
+  std::uint32_t min_len = 100;  ///< >= 1
   double max_masked_fraction = 0.60;
 };
 
@@ -66,7 +66,8 @@ struct PreprocessResult {
   PreprocessStats stats;
 };
 
-/// Throws std::invalid_argument unless repeat.k and vector_k lie in [1, 32].
+/// Throws std::invalid_argument unless repeat.k and vector_k lie in [1, 32]
+/// and min_len >= 1.
 void validate_preprocess_params(const PreprocessParams& params);
 
 /// Run the full preprocessing chain (validating `params` first). `vectors` is the cloning-vector

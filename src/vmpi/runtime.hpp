@@ -279,16 +279,6 @@ class Comm {
     return vector_from_bytes<T>(bytes, st);
   }
 
-  template <typename T>
-  std::vector<T> recv_vector_timeout(int source, int tag, double timeout_s,
-                                     Status* status = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Status st;
-    auto bytes = recv_timeout(source, tag, timeout_s, &st);
-    if (status) *status = st;
-    return vector_from_bytes<T>(bytes, st);
-  }
-
   // --- collectives (must be called by all ranks, in the same order) -----
 
   void barrier();

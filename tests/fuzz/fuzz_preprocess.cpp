@@ -13,7 +13,7 @@
 //   byte 3  bit 0 qualities, bit 1 mask_repeats, bit 2 uniform_sample_only,
 //           bits 3-5 fixed_threshold (0 = the statistic), bits 6-7 pick
 //           threshold_multiple from {0 (off), 1, 2, 4}
-//   byte 4  min_len = 1 + b % 128; vector_search_window = b % 97
+//   byte 4  min_len = b % 128; vector_search_window = b % 97
 //   byte 5  max_masked_fraction = b / 255
 // Each op byte's top three bits pick the op and its low five bits are its
 // argument:
@@ -31,6 +31,8 @@
 //      picks, prepended to the last fragment (appended when arg is odd);
 //   7  the last fragment's type: arg % 5 over WGS, MF, HC, BAC, ENV.
 // Properties (abort on violation):
+//   * min_len = 0 is rejected with std::invalid_argument (nothing else is
+//     checked for such an input);
 //   * preprocess() equals the reference: both stores (codes, types, names,
 //     qualities), kept_ids and every PreprocessStats field;
 //   * a RepeatMasker built on the decoded store, with the vector library
@@ -44,6 +46,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -349,7 +352,7 @@ Decoded decode(const std::uint8_t* data, std::size_t size,
   p.repeat.uniform_sample_only = data[3] & 4u;
   p.repeat.fixed_threshold = (data[3] >> 3) & 7u;
   p.repeat.threshold_multiple = std::array{0.0, 1.0, 2.0, 4.0}[data[3] >> 6];
-  p.min_len = 1 + data[4] % 128u;
+  p.min_len = data[4] % 128u;
   p.vector_search_window = data[4] % 97u;
   p.max_masked_fraction = data[5] / 255.0;
 
@@ -503,6 +506,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (size < kHeader) return 0;
   const auto& vectors = pgasm::sim::vector_library();
   const Decoded d = decode(data, size, vectors);
+  if (d.params.min_len == 0) {
+    bool rejected = false;
+    try {
+      (void)pre::preprocess(d.store, vectors, d.params);
+    } catch (const std::invalid_argument&) {
+      rejected = true;
+    }
+    check(rejected, "min_len 0 rejected");
+    return 0;
+  }
 
   const pre::PreprocessResult got = pre::preprocess(d.store, vectors, d.params);
   const pre::PreprocessResult want = ref_preprocess(d.store, vectors, d.params);

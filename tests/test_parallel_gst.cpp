@@ -65,30 +65,27 @@ TEST(BucketAssignment, AllNonEmptyBucketsOwnedAndBalanced) {
   EXPECT_EQ(load[0] + load[1] + load[2], 300u);
 }
 
-class ParallelGstRanks : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelGstRanks, PairUnionEqualsSerial) {
-  const int p = GetParam();
-  util::Prng rng(911);
-  const auto store = test::random_store(rng, 40, 40, 120, 0.02);
-  const std::uint32_t psi = 8, w = 3;
-
-  // Serial reference.
+std::set<test::MaxMatch> serial_pairs(const seq::FragmentStore& store,
+                                      std::uint32_t psi) {
   SuffixTree serial(store, GstParams{.min_match = psi, .prefix_w = 0});
   const auto ref = PairGenerator::generate_all(serial, {.dup_elim = false});
   std::set<test::MaxMatch> expected;
   for (const auto& q : ref)
     expected.insert({q.seq_a, q.pos_a, q.seq_b, q.pos_b, q.match_len});
+  return expected;
+}
 
-  // Parallel: each rank builds its subforest and generates pairs; union.
+/// Each rank builds its subforest and generates pairs (mapped to global
+/// ids); returns the union. Sets `*dup` when a maximal match is generated
+/// on two ranks and `*cost` to the run's cost (fault counters included).
+std::set<test::MaxMatch> parallel_pair_union(
+    int p, const seq::FragmentStore& store, const ParallelGstParams& params,
+    vmpi::FaultPlan faults, bool* dup, vmpi::RunCost* cost = nullptr) {
   std::mutex mu;
   std::set<test::MaxMatch> got;
-  bool dup = false;
-  vmpi::Runtime rt(p);
-  rt.run([&](vmpi::Comm& comm) {
-    ParallelGstParams params;
-    params.gst = GstParams{.min_match = psi, .prefix_w = w};
-    params.fetch_batch_chars = 512;  // force multiple fetch rounds
+  *dup = false;
+  vmpi::Runtime rt(p, {}, std::move(faults));
+  auto run_cost = rt.run([&](vmpi::Comm& comm) {
     auto dist = gst::build_distributed_gst(comm, store, params);
     ASSERT_EQ(dist.tree->check_invariants(), "");
     PairGenerator gen(*dist.tree, {.dup_elim = false});
@@ -101,11 +98,26 @@ TEST_P(ParallelGstRanks, PairUnionEqualsSerial) {
         mm = {std::get<2>(mm), std::get<3>(mm), std::get<0>(mm),
               std::get<1>(mm), std::get<4>(mm)};
       }
-      if (!got.insert(mm).second) dup = true;
+      if (!got.insert(mm).second) *dup = true;
     }
   });
+  if (cost != nullptr) *cost = std::move(run_cost);
+  return got;
+}
+
+class ParallelGstRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelGstRanks, PairUnionEqualsSerial) {
+  const int p = GetParam();
+  util::Prng rng(911);
+  const auto store = test::random_store(rng, 40, 40, 120, 0.02);
+  ParallelGstParams params;
+  params.gst = GstParams{.min_match = 8, .prefix_w = 3};
+  params.fetch_batch_chars = 512;  // force multiple fetch rounds
+  bool dup = false;
+  const auto got = parallel_pair_union(p, store, params, {}, &dup);
   EXPECT_FALSE(dup) << "a maximal match was generated on two ranks";
-  EXPECT_EQ(got, expected);
+  EXPECT_EQ(got, serial_pairs(store, 8));
 }
 
 TEST_P(ParallelGstRanks, StatsArePopulated) {
@@ -169,155 +181,26 @@ TEST(ParallelGst, RebuiltPortionSurvivesMove) {
   EXPECT_EQ(pairs, ref.size());
 }
 
-// ---- Fault-tolerant construction -----------------------------------------
-
-// Union-equals-serial under the fault-tolerant point-to-point path, with
-// and without injected faults. Collects every surviving rank's pair stream
-// (mapped to global ids) and compares the set against the serial tree.
-std::set<test::MaxMatch> ft_pair_union(int p, const seq::FragmentStore& store,
-                                       vmpi::FaultPlan faults,
-                                       gst::GstBuildStats* agg = nullptr,
-                                       bool* dup_out = nullptr) {
-  std::mutex mu;
-  std::set<test::MaxMatch> got;
-  bool dup = false;
-  vmpi::Runtime rt(p, {}, std::move(faults));
-  rt.run([&](vmpi::Comm& comm) {
-    ParallelGstParams params;
-    params.gst = GstParams{.min_match = 8, .prefix_w = 3};
-    params.fault_tolerant = true;
-    auto dist = gst::build_distributed_gst(comm, store, params);
-    ASSERT_EQ(dist.tree->check_invariants(), "");
-    PairGenerator gen(*dist.tree, {.dup_elim = false});
-    PromisingPair q;
-    std::lock_guard<std::mutex> lock(mu);
-    if (agg != nullptr) {
-      agg->buckets_reassigned += dist.stats.buckets_reassigned;
-      agg->ranks_recovered += dist.stats.ranks_recovered;
-      agg->ft_retries += dist.stats.ft_retries;
-      agg->portion_rebuilt |= dist.stats.portion_rebuilt;
-    }
-    while (gen.next(q)) {
-      test::MaxMatch mm{dist.local_to_global[q.seq_a], q.pos_a,
-                        dist.local_to_global[q.seq_b], q.pos_b, q.match_len};
-      if (std::get<0>(mm) > std::get<2>(mm)) {
-        mm = {std::get<2>(mm), std::get<3>(mm), std::get<0>(mm),
-              std::get<1>(mm), std::get<4>(mm)};
-      }
-      if (!got.insert(mm).second) dup = true;
-    }
-  });
-  if (dup_out != nullptr) *dup_out = dup;
-  return got;
-}
-
-std::set<test::MaxMatch> serial_pairs(const seq::FragmentStore& store) {
-  SuffixTree serial(store, GstParams{.min_match = 8, .prefix_w = 0});
-  const auto ref = PairGenerator::generate_all(serial, {.dup_elim = false});
-  std::set<test::MaxMatch> expected;
-  for (const auto& q : ref)
-    expected.insert({q.seq_a, q.pos_a, q.seq_b, q.pos_b, q.match_len});
-  return expected;
-}
-
-TEST_P(ParallelGstRanks, FaultTolerantPathMatchesSerial) {
-  const int p = GetParam();
-  util::Prng rng(911);
-  const auto store = test::random_store(rng, 40, 40, 120, 0.02);
-  bool dup = false;
-  const auto got = ft_pair_union(p, store, {}, nullptr, &dup);
-  EXPECT_FALSE(dup) << "a maximal match was generated on two ranks";
-  EXPECT_EQ(got, serial_pairs(store));
-}
-
-TEST(ParallelGstFT, KilledRankBucketsAreReassigned) {
-  // Rank 2 dies at its very first user send (the histogram): the
-  // coordinator recomputes its slice, assigns it no buckets, and the
-  // survivors' union still equals the serial pair stream.
+TEST(ParallelGst, CrashPlanDoesNotFireInsideCollectiveBuild) {
+  // Fault plans act on the user channel only and the build uses
+  // collectives only, so a plan that kills every rank at its first send
+  // leaves the build untouched: a death planned "inside" the GST lands on
+  // the rank's first clustering send instead, where takeover covers it.
   util::Prng rng(313);
   const auto store = test::random_store(rng, 36, 40, 120, 0.02);
+  const int p = 4;
   vmpi::FaultPlan faults;
-  faults.crashes.push_back({.rank = 2, .at_send = 1});
-  gst::GstBuildStats agg;
-  const auto got = ft_pair_union(4, store, faults, &agg);
-  EXPECT_EQ(got, serial_pairs(store));
-  EXPECT_GE(agg.ranks_recovered, 1u);
-}
-
-TEST(ParallelGstFT, MidRedistributionCrashRecovers) {
-  // Rank 1 dies partway through its suffix sends: peers that heard from it
-  // use the message, the rest recompute the identical contribution, and
-  // its own buckets move to survivors at the confirmation round.
-  util::Prng rng(707);
-  const auto store = test::random_store(rng, 36, 40, 120, 0.02);
-  vmpi::FaultPlan faults;
-  faults.crashes.push_back({.rank = 1, .at_send = 3});
-  gst::GstBuildStats agg;
-  const auto got = ft_pair_union(4, store, faults, &agg);
-  EXPECT_EQ(got, serial_pairs(store));
-  EXPECT_GE(agg.buckets_reassigned, 1u)
-      << "the dead rank's buckets were never reassigned";
-}
-
-TEST(ParallelGstFT, DroppedMessagesAreRecomputed) {
-  util::Prng rng(515);
-  const auto store = test::random_store(rng, 36, 40, 120, 0.02);
-  vmpi::FaultPlan faults;
-  faults.drops.push_back({.rank = 1, .at_send = 1});   // lost histogram
-  faults.drops.push_back({.rank = 3, .at_send = 2});   // lost suffix batch
-  gst::GstBuildStats agg;
-  const auto got = ft_pair_union(4, store, faults, &agg);
-  EXPECT_EQ(got, serial_pairs(store));
-  EXPECT_GE(agg.ft_retries, 1u);
-}
-
-TEST(ParallelGstFT, ResumeFromRecordedTableSkipsConstruction) {
-  // A resumed build (recorded owner table) must produce the same portions
-  // with zero construction traffic.
-  util::Prng rng(212);
-  const auto store = test::random_store(rng, 30, 40, 120, 0.02);
-  std::vector<std::int32_t> table;
-  {
-    vmpi::Runtime rt(3);
-    std::mutex mu;
-    rt.run([&](vmpi::Comm& comm) {
-      ParallelGstParams params;
-      params.gst = GstParams{.min_match = 8, .prefix_w = 3};
-      params.fault_tolerant = true;
-      auto dist = gst::build_distributed_gst(comm, store, params);
-      std::lock_guard<std::mutex> lock(mu);
-      if (comm.rank() == 0) table = dist.bucket_owner;
-    });
-  }
-  ASSERT_FALSE(table.empty());
-
-  std::mutex mu;
-  std::set<test::MaxMatch> got;
-  vmpi::Runtime rt(3);
-  rt.run([&](vmpi::Comm& comm) {
-    ParallelGstParams params;
-    params.gst = GstParams{.min_match = 8, .prefix_w = 3};
-    params.fault_tolerant = true;
-    params.resume_bucket_owner = &table;
-    const auto before = comm.ledger().bytes_sent;
-    auto dist = gst::build_distributed_gst(comm, store, params);
-    EXPECT_EQ(comm.ledger().bytes_sent, before)
-        << "resume must not communicate";
-    EXPECT_EQ(dist.stats.resumed_from_plan, 1);
-    PairGenerator gen(*dist.tree, {.dup_elim = false});
-    PromisingPair q;
-    std::lock_guard<std::mutex> lock(mu);
-    while (gen.next(q)) {
-      test::MaxMatch mm{dist.local_to_global[q.seq_a], q.pos_a,
-                        dist.local_to_global[q.seq_b], q.pos_b, q.match_len};
-      if (std::get<0>(mm) > std::get<2>(mm)) {
-        mm = {std::get<2>(mm), std::get<3>(mm), std::get<0>(mm),
-              std::get<1>(mm), std::get<4>(mm)};
-      }
-      got.insert(mm);
-    }
-  });
-  EXPECT_EQ(got, serial_pairs(store));
+  for (int r = 0; r < p; ++r)
+    faults.crashes.push_back({.rank = r, .at_send = 1});
+  ParallelGstParams params;
+  params.gst = GstParams{.min_match = 8, .prefix_w = 3};
+  params.fetch_batch_chars = 512;
+  bool dup = false;
+  vmpi::RunCost cost;
+  const auto got = parallel_pair_union(p, store, params, faults, &dup, &cost);
+  EXPECT_EQ(cost.faults.crashes_injected, 0u);
+  EXPECT_FALSE(dup);
+  EXPECT_EQ(got, serial_pairs(store, 8));
 }
 
 TEST(ParallelGst, RejectsBadPrefix) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -175,6 +176,36 @@ TEST(Preprocess, RejectsKmerLengthsOutsideOneTo32) {
   edge.repeat.k = 1;
   edge.vector_k = 1;
   EXPECT_NO_THROW(preprocess::validate_preprocess_params(edge));
+}
+
+TEST(Preprocess, RejectsZeroMinLen) {
+  // The second read's qualities are all below the floor, so it trims to
+  // nothing. At min_len = 0 that empty fragment would reach
+  // FragmentStore::add as an empty quality span, which on a store with
+  // qualities reads as "no qualities" and throws an unrelated error; the
+  // parameter check must reject min_len = 0 first and name the field.
+  util::Prng rng(12);
+  seq::FragmentStore store;
+  store.add(test::random_dna(rng, 200), seq::FragType::kWGS, "good",
+            std::vector<std::uint8_t>(200, 40));
+  store.add(test::random_dna(rng, 200), seq::FragType::kWGS, "bad",
+            std::vector<std::uint8_t>(200, 5));
+  PreprocessParams params;
+  params.mask_repeats = false;
+  params.min_len = 0;
+  try {
+    preprocess::validate_preprocess_params(params);
+    ADD_FAILURE() << "min_len = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("min_len"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(preprocess::preprocess(store, {}, params),
+               std::invalid_argument);
+  params.min_len = 1;
+  const auto result = preprocess::preprocess(store, {}, params);
+  EXPECT_EQ(result.kept_ids, std::vector<std::uint32_t>{0});
+  EXPECT_EQ(result.stats.discarded_short, 1u);
 }
 
 TEST(RepeatMasker, MasksHighCopySequence) {

@@ -356,56 +356,6 @@ TEST(WireErrors, ManifestHugePhaseIdIsBadValue) {
   EXPECT_EQ(r.error().code, WireErrc::kBadValue);
 }
 
-TEST(WireErrors, GstCheckpointRoundTripsThroughDisk) {
-  GstCheckpoint g;
-  g.input_hash = 0xAABB;
-  g.params_hash = 0xCCDD;
-  g.num_ranks = 4;
-  g.prefix_w = 3;
-  g.bucket_owner.assign(1u << (2 * g.prefix_w), 1);
-  g.bucket_owner[0] = -1;
-  g.bucket_owner[5] = 3;
-  g.role_done = {1, 1, 1, 1};
-  const std::string path = testing::TempDir() + "/pgasm_gst.pgck";
-  save_gst_checkpoint(path, g);
-  auto r = try_load_gst_checkpoint(path);
-  ASSERT_TRUE(r.has_value()) << r.error().message();
-  EXPECT_EQ(r.value().bucket_owner, g.bucket_owner);
-  EXPECT_EQ(r.value().role_done, g.role_done);
-  std::remove(path.c_str());
-}
-
-TEST(WireErrors, GstCheckpointValidatesShape) {
-  GstCheckpoint g;
-  g.num_ranks = 2;
-  g.prefix_w = 2;
-  g.bucket_owner.assign(16, 0);
-  g.role_done = {1, 1};
-  {
-    auto bad = g;
-    bad.bucket_owner.pop_back();  // size != 4^w
-    const auto bytes = encode_gst_checkpoint(bad);
-    auto r = try_decode_gst_checkpoint(std::span<const std::uint8_t>(bytes));
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, WireErrc::kCountMismatch);
-  }
-  {
-    auto bad = g;
-    bad.bucket_owner[3] = 2;  // owner >= num_ranks
-    const auto bytes = encode_gst_checkpoint(bad);
-    auto r = try_decode_gst_checkpoint(std::span<const std::uint8_t>(bytes));
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, WireErrc::kBadValue);
-  }
-  {
-    auto bad = g;
-    bad.prefix_w = 13;  // outside [1, 12]
-    const auto bytes = encode_gst_checkpoint(bad);
-    auto r = try_decode_gst_checkpoint(std::span<const std::uint8_t>(bytes));
-    ASSERT_FALSE(r.has_value());
-  }
-}
-
 TEST(WireErrors, ErrorMessageNamesCodeAndOffset) {
   const auto bytes = encode_report(sample_report());
   auto r = try_decode_report(

@@ -9,9 +9,10 @@ W001  wire-protocol hygiene: every protocol tag in core/cluster_protocol.hpp
       core/wire.hpp, be claimed by exactly one tag, and be exercised by a
       round-trip test under tests/ (both halves referenced).
 W002  raw-comm confinement: vmpi send/recv calls are confined to the
-      protocol layers (src/vmpi/ itself, core/cluster_protocol.*,
-      gst/parallel_build.cpp). Anywhere else needs an explicit waiver:
-      a `pgasm-lint: allow(raw-comm): <reason>` comment on or above the line.
+      protocol layers (src/vmpi/ itself, core/cluster_protocol.*). The
+      parallel GST build uses collectives only. Anywhere else needs an
+      explicit waiver: a `pgasm-lint: allow(raw-comm): <reason>` comment
+      on or above the line.
 W003  observability naming: metric names follow subsystem.noun[_verb]
       (1-2 dot-separated snake_case segments after a known subsystem);
       trace span/instant names are single snake_case tokens and their
@@ -79,11 +80,10 @@ W014  explicit memory orders: every atomic operation in src/ must name its
 W015  wire-tag table membership: every wire-tag constant (kTag*) declared
       anywhere under src/ must correspond to exactly one row of exactly
       one declarative protocol table (the k*Protocol MsgSpec arrays in
-      *protocol*.hpp, e.g. kProtocol for clustering tags 101-104 and
-      kGstProtocol for the FT-GST tags 210-216). A tag without a table
-      row is an undocumented message the model checker and
-      protocol_check can't see; a tag with rows in two tables is a
-      colliding reuse.
+      *protocol*.hpp, e.g. kProtocol for clustering tags 101-104). A
+      tag without a table row is an undocumented message the model
+      checker and protocol_check can't see; a tag with rows in two tables
+      is a colliding reuse.
 
 Front-ends: W007-W010 are semantic checks. When a clang compiler is
 available (and unless --frontend=lexer), facts are extracted from clang's
@@ -291,7 +291,6 @@ COMM_CALL_RE = re.compile(
 COMM_ALLOWED = {
     Path("core/cluster_protocol.hpp"),
     Path("core/cluster_protocol.cpp"),
-    Path("gst/parallel_build.cpp"),
 }
 
 
@@ -576,7 +575,7 @@ RAW_LOCK_CALL_RE = re.compile(
 # a deadlock risk.
 BLOCKING_VMPI_RE = re.compile(
     r"\.\s*(recv|recv_timeout|recv_value|recv_value_timeout|recv_vector|"
-    r"recv_vector_timeout|ssend|ssend_payload|ssend_vector|probe|"
+    r"ssend|ssend_payload|ssend_vector|probe|"
     r"probe_timeout|barrier|allreduce_vector|allreduce_sum|allreduce_max|"
     r"allreduce_min)\s*(?:<[^;(]*>)?\s*\(")
 

@@ -2,15 +2,11 @@
 // message protocols (tools layer of the static concurrency verification
 // stack; see DESIGN.md sections 11 and 15).
 //
-// Two protocols are declared as data and verified here without running a
-// single message exchange:
-//
-//   - the master-worker clustering protocol — MsgKind, kProtocol,
-//     MasterState/kMasterTransitions, WorkerState/kWorkerTransitions, and
-//     the receive-capability tables kMasterRecvs/kWorkerRecvs, all in
-//     core/cluster_protocol.hpp;
-//   - the fault-tolerant GST coordinator protocol — GstMsgKind and
-//     kGstProtocol in gst/gst_protocol.hpp.
+// The master-worker clustering protocol is declared as data — MsgKind,
+// kProtocol, MasterState/kMasterTransitions, WorkerState/kWorkerTransitions,
+// and the receive-capability tables kMasterRecvs/kWorkerRecvs, all in
+// core/cluster_protocol.hpp — and verified here without running a single
+// message exchange.
 //
 // The checks:
 //
@@ -29,7 +25,7 @@
 //      appears in that side's recv table, and every recv handler exists.
 //
 // The cheap structural invariants (row-per-kind, name agreement, distinct
-// tags, tag-space disjointness, terminal reachability) are also
+// tags, terminal reachability) are also
 // static_asserts: breaking them fails this tool's *compilation*, which the
 // tier-1 build runs before ctest ever gets to execute it.
 //
@@ -49,7 +45,6 @@
 #include <vector>
 
 #include "core/cluster_protocol.hpp"
-#include "gst/gst_protocol.hpp"
 
 namespace {
 
@@ -68,16 +63,10 @@ using pgasm::core::master_state_name;
 using pgasm::core::msg_kind_name;
 using pgasm::core::msg_kind_of;
 using pgasm::core::worker_state_name;
-using pgasm::gst::GstMsgKind;
-using pgasm::gst::kAllGstMsgKinds;
-using pgasm::gst::kGstProtocol;
-using pgasm::gst::gst_msg_kind_name;
-using pgasm::gst::gst_msg_kind_of;
 
 constexpr std::size_t kNumKinds = std::size(kAllMsgKinds);
 constexpr std::size_t kNumStates = std::size(kAllMasterStates);
 constexpr std::size_t kNumWorkerStates = std::size(kAllWorkerStates);
-constexpr std::size_t kNumGstKinds = std::size(kAllGstMsgKinds);
 
 constexpr bool str_eq(const char* a, const char* b) {
   for (; *a != '\0' && *a == *b; ++a, ++b) {
@@ -114,51 +103,6 @@ constexpr bool tags_distinct_and_roundtrip() {
     }
     const auto back = msg_kind_of(pgasm::core::to_tag(a));
     if (!back.has_value() || *back != a) return false;
-  }
-  return true;
-}
-
-// --- Compile-time layer: GST message table ----------------------------------
-
-constexpr bool gst_kinds_have_unique_specs() {
-  for (GstMsgKind kind : kAllGstMsgKinds) {
-    int rows = 0;
-    for (const auto& spec : kGstProtocol) {
-      if (spec.kind == kind) ++rows;
-    }
-    if (rows != 1) return false;
-  }
-  return std::size(kGstProtocol) == kNumGstKinds;
-}
-
-constexpr bool gst_spec_names_match() {
-  for (const auto& spec : kGstProtocol) {
-    if (!str_eq(spec.name, gst_msg_kind_name(spec.kind))) return false;
-  }
-  return true;
-}
-
-constexpr bool gst_tags_distinct_and_roundtrip() {
-  for (GstMsgKind a : kAllGstMsgKinds) {
-    for (GstMsgKind b : kAllGstMsgKinds) {
-      if (a != b && pgasm::gst::to_tag(a) == pgasm::gst::to_tag(b)) {
-        return false;
-      }
-    }
-    const auto back = gst_msg_kind_of(pgasm::gst::to_tag(a));
-    if (!back.has_value() || *back != a) return false;
-  }
-  return true;
-}
-
-/// The two protocols share one vmpi tag namespace: their tag ranges must
-/// never collide, or a probe in one layer could consume the other's
-/// message.
-constexpr bool tag_spaces_disjoint() {
-  for (MsgKind a : kAllMsgKinds) {
-    for (GstMsgKind b : kAllGstMsgKinds) {
-      if (pgasm::core::to_tag(a) == pgasm::gst::to_tag(b)) return false;
-    }
   }
   return true;
 }
@@ -220,15 +164,6 @@ static_assert(spec_names_match(),
               "kProtocol row names must agree with msg_kind_name()");
 static_assert(tags_distinct_and_roundtrip(),
               "MsgKind tag values must be distinct and msg_kind_of-invertible");
-static_assert(gst_kinds_have_unique_specs(),
-              "every GstMsgKind needs exactly one kGstProtocol row");
-static_assert(gst_spec_names_match(),
-              "kGstProtocol row names must agree with gst_msg_kind_name()");
-static_assert(gst_tags_distinct_and_roundtrip(),
-              "GstMsgKind tag values must be distinct and "
-              "gst_msg_kind_of-invertible");
-static_assert(tag_spaces_disjoint(),
-              "clustering and GST protocols must not share vmpi tags");
 static_assert(terminate_reachable_from_all(),
               "kTerminate must be reachable from every MasterState");
 static_assert(shutdown_reachable_from_all(),
@@ -285,20 +220,6 @@ void check_table_completeness() {
     cell("on_drop", spec.on_drop);
     cell("on_duplicate", spec.on_duplicate);
   }
-  for (const auto& spec : kGstProtocol) {
-    const auto cell = [&](const char* field, const char* value) {
-      if (value == nullptr || *value == '\0') {
-        fail(std::string("kGstProtocol[") + spec.name + "]." + field +
-             " is empty — every message kind must declare it");
-      }
-    };
-    cell("direction", spec.direction);
-    cell("encoder", spec.encoder);
-    cell("decoder", spec.decoder);
-    cell("handler", spec.handler);
-    cell("on_drop", spec.on_drop);
-    cell("on_duplicate", spec.on_duplicate);
-  }
 }
 
 void check_identifiers_exist(const std::string& src_root) {
@@ -326,17 +247,6 @@ void check_identifiers_exist(const std::string& src_root) {
     present("kProtocol", spec.name, "encoder", spec.encoder, haystack);
     present("kProtocol", spec.name, "decoder", spec.decoder, haystack);
     present("kProtocol", spec.name, "handler", spec.handler, haystack);
-  }
-  // The GST protocol's implementation surface: the FT construction path
-  // plus the vmpi comm forms it sends/receives with.
-  const std::string gst_haystack =
-      slurp(src_root + "/src/gst/gst_protocol.hpp") +
-      slurp(src_root + "/src/gst/parallel_build.cpp") +
-      slurp(src_root + "/src/vmpi/runtime.hpp");
-  for (const auto& spec : kGstProtocol) {
-    present("kGstProtocol", spec.name, "encoder", spec.encoder, gst_haystack);
-    present("kGstProtocol", spec.name, "decoder", spec.decoder, gst_haystack);
-    present("kGstProtocol", spec.name, "handler", spec.handler, gst_haystack);
   }
   // Receive-capability handlers must exist in the clustering sources.
   for (const auto& r : kWorkerRecvs) {
@@ -503,8 +413,8 @@ int main(int argc, char** argv) {
 
   if (g_findings == 0) {
     std::cout << "protocol_check: OK — " << kNumKinds
-              << " clustering message kinds, " << kNumGstKinds
-              << " gst message kinds, " << kNumStates << " master states, "
+              << " clustering message kinds, " << kNumStates
+              << " master states, "
               << kNumWorkerStates << " worker states, "
               << std::size(kMasterTransitions) + std::size(kWorkerTransitions)
               << " transitions; terminal state reachable from every state\n";
