@@ -1,7 +1,7 @@
 // Micro-benchmarks of the framework's kernels (google-benchmark): the
-// overlap and linear-space alignment kernels, GST construction,
-// promising-pair generation, union-find, reverse complement, k-mer
-// extraction, vmpi messaging, and the obs tracer/registry hot paths.
+// overlap alignment kernels, GST construction, promising-pair generation,
+// union-find, reverse complement, k-mer extraction, vmpi messaging, and
+// the obs tracer/registry hot paths.
 // Each layer reports its unit cost, so a regression points at one layer:
 // the banded kernel ns_per_cell (per banded DP cell), GST construction
 // ns_per_suffix (per suffix indexed) and ns_per_node (per node built; an
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "align/linear_space.hpp"
 #include "align/overlap.hpp"
 #include "align/pairwise.hpp"
 #include "align/workspace.hpp"
@@ -193,45 +192,6 @@ void BM_PairGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairGeneration);
-
-void BM_MyersEditDistance(benchmark::State& state) {
-  util::Prng rng(12);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto a = random_dna(rng, len);
-  auto b = a;
-  for (auto& c : b) {
-    if (rng.chance(0.05)) c = static_cast<seq::Code>((c + 1) % 4);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(align::myers_edit_distance(a, b));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MyersEditDistance)->Arg(200)->Arg(800)->Arg(3200);
-
-void BM_MyersBounded(benchmark::State& state) {
-  util::Prng rng(13);
-  const auto a = random_dna(rng, 800);
-  const auto b = random_dna(rng, 800);  // unrelated: bound exits early
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(align::myers_edit_distance_bounded(a, b, 40));
-  }
-}
-BENCHMARK(BM_MyersBounded);
-
-void BM_HirschbergAlign(benchmark::State& state) {
-  util::Prng rng(14);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  const auto a = random_dna(rng, len);
-  auto b = a;
-  for (auto& c : b) {
-    if (rng.chance(0.05)) c = static_cast<seq::Code>((c + 1) % 4);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(align::hirschberg_align(a, b, align::Scoring{}));
-  }
-}
-BENCHMARK(BM_HirschbergAlign)->Arg(400)->Arg(1600);
 
 void BM_UnionFind(benchmark::State& state) {
   util::Prng rng(6);

@@ -11,7 +11,7 @@
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
 #   scripts/ci.sh asan       # just the ASan build of the align, GST,
 #                            # core and preprocess suites
-#   scripts/ci.sh lint       # pgasm-lint + protocol_check + strict-warnings
+#   scripts/ci.sh lint       # pgasm-lint + pgasm-model P5 + strict-warnings
 #                            # build (+ clang tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
 #                            # (W016-W019): src/ must carry zero
@@ -106,23 +106,25 @@ asan() {
   # branch-free search reads the key array without bounds checks.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
-    --target test_align test_workspace test_linear_space test_cluster \
+    --target test_align test_workspace test_cluster \
     test_gst test_parallel_gst test_preprocess
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|LinearSpace|Hirschberg|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet')
 }
 
 lint() {
   echo "== lint: pgasm-lint project invariants (W001-W015) =="
   python3 tools/lint/pgasm_lint.py
 
-  echo "== lint: protocol exhaustiveness checker =="
-  # Compiling protocol_check already enforces the structural static_asserts
-  # (one kProtocol row per kind, distinct tags, terminate reachable);
-  # running it adds the source cross-checks with readable diagnostics.
+  echo "== lint: protocol tables against the sources (pgasm-model P5) =="
+  # Compiling pgasm-model already enforces the structural static_asserts
+  # (one complete kProtocol row per kind, distinct tags, terminal state
+  # reachable); running it adds the source cross-checks (codec and handler
+  # identifiers, state markers) on the smallest model.
   cmake -B build -S .
-  cmake --build build -j "$JOBS" --target protocol_check
-  ./build/tools/protocol_check/protocol_check "$(pwd)"
+  cmake --build build -j "$JOBS" --target pgasm-model
+  ./build/tools/verify/pgasm-model --workers=1 --drops=0 --crashes=0 \
+    --root="$(pwd)"
 
   echo "== lint: strict-warnings build (PGASM_EXTRA_WARNINGS + Werror) =="
   # Production code only: the strict set (notably -Wnull-dereference under

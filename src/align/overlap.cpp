@@ -261,17 +261,6 @@ OverlapResult band_sweep(Seq a, Seq b, const Scoring& sc, std::int32_t shift,
 
 }  // namespace
 
-const char* overlap_type_name(OverlapType t) noexcept {
-  switch (t) {
-    case OverlapType::kNone: return "none";
-    case OverlapType::kDovetailAB: return "dovetail(a->b)";
-    case OverlapType::kDovetailBA: return "dovetail(b->a)";
-    case OverlapType::kContainsB: return "contains(b)";
-    case OverlapType::kContainedInB: return "contained-in(b)";
-  }
-  return "?";
-}
-
 OverlapResult overlap_align(Seq a, Seq b, const Scoring& sc, Workspace& ws,
                             const AlignOptions& opts) {
   const std::size_t la = a.size(), lb = b.size();

@@ -36,8 +36,6 @@ enum class OverlapType : std::uint8_t {
   kContainedInB,    ///< a is contained in b
 };
 
-const char* overlap_type_name(OverlapType t) noexcept;
-
 struct OverlapResult {
   AlignResult aln;
   OverlapType type = OverlapType::kNone;

@@ -3,17 +3,16 @@
 // Clustering and assembly call the banded suffix–prefix kernel once per
 // promising pair — millions of times per run — and an allocating kernel
 // would pay a heap allocation per call for its score cells and traceback
-// matrix. A Workspace owns those buffers, plus the rolling rows and code
-// scratch of the linear-space kernels, with grow-only semantics: each
+// matrix. A Workspace owns those two buffers with grow-only semantics: each
 // kernel call requests the sizes it needs, the workspace grows capacity the
 // first few calls, and every later call of similar shape is served without
 // touching the allocator.
 //
 // Buffers are returned DIRTY: a kernel taking a Workspace& must write every
 // cell it will later read (see DESIGN.md section 9, "Memory discipline on
-// the hot path"). banded_overlap_align_reference and the allocating
-// hirschberg_align overload are fresh-memory variants kept precisely so
-// tests can validate dirty-buffer reuse against them.
+// the hot path"). banded_overlap_align_reference is the fresh-memory
+// variant kept precisely so tests can validate dirty-buffer reuse against
+// it.
 //
 // The workspace counts its own allocator traffic (allocations performed vs
 // avoided, bytes reserved/in use) so "zero allocations per pair after
@@ -25,9 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "seq/alphabet.hpp"
-#include "util/contract.hpp"
-
 namespace pgasm::align {
 
 class Workspace {
@@ -38,19 +34,6 @@ class Workspace {
   int* score_cells(std::size_t n) { return grow(score_, n); }
   /// Traceback codes with the same geometry as the score cells.
   std::uint8_t* tb_cells(std::size_t n) { return grow(tb_, n); }
-  /// Rolling DP rows (kernels may hold up to three at once).
-  int* row(std::size_t which, std::size_t n) {
-    PGASM_DCHECK(which < kRows, "workspace row index out of range");
-    return grow(rows_[which], n);
-  }
-  /// Sequence scratch (reversed copies for Hirschberg's right halves).
-  seq::Code* codes(std::size_t which, std::size_t n) {
-    PGASM_DCHECK(which < kCodeBufs, "workspace code buffer out of range");
-    return grow(codes_[which], n);
-  }
-
-  static constexpr std::size_t kRows = 3;
-  static constexpr std::size_t kCodeBufs = 2;
 
   // --- instrumentation ----------------------------------------------------
 
@@ -63,17 +46,11 @@ class Workspace {
   }
   /// Total bytes of capacity currently held.
   std::uint64_t bytes_reserved() const noexcept {
-    std::uint64_t b = cap_bytes(score_) + cap_bytes(tb_);
-    for (const auto& r : rows_) b += cap_bytes(r);
-    for (const auto& c : codes_) b += cap_bytes(c);
-    return b;
+    return cap_bytes(score_) + cap_bytes(tb_);
   }
   /// Bytes of the largest extent actually requested so far.
   std::uint64_t bytes_in_use() const noexcept {
-    std::uint64_t b = use_bytes(score_) + use_bytes(tb_);
-    for (const auto& r : rows_) b += use_bytes(r);
-    for (const auto& c : codes_) b += use_bytes(c);
-    return b;
+    return use_bytes(score_) + use_bytes(tb_);
   }
   void reset_stats() noexcept { allocations_ = allocations_avoided_ = 0; }
 
@@ -103,8 +80,6 @@ class Workspace {
 
   std::vector<int> score_;
   std::vector<std::uint8_t> tb_;
-  std::vector<int> rows_[kRows];
-  std::vector<seq::Code> codes_[kCodeBufs];
   std::uint64_t allocations_ = 0;
   std::uint64_t allocations_avoided_ = 0;
 };

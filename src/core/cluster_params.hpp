@@ -9,6 +9,13 @@
 
 namespace pgasm::core {
 
+/// The paper's New_Pairs_Buf (Section 7): the most new pairs one worker
+/// report carries, and so the upper bound on the dispatch batch.
+inline constexpr std::uint32_t kNewPairsBuf = 8192;
+/// The paper's Pending_Work_Buf (Section 7): the master's pending-pair
+/// capacity, past which it asks workers for only a trickle of new pairs.
+inline constexpr std::uint32_t kPendingWorkBuf = 1u << 16;
+
 struct ClusterParams {
   /// ψ: minimum maximal-match length for a promising pair (Section 4).
   std::uint32_t psi = 20;
@@ -16,12 +23,9 @@ struct ClusterParams {
   std::uint32_t prefix_w = 6;
   /// Suffix–prefix alignment acceptance (less stringent than assembly).
   align::OverlapParams overlap{};
-  /// b: pairs per dispatched alignment batch (Section 7).
+  /// b: pairs per dispatched alignment batch (Section 7), in
+  /// [1, kNewPairsBuf].
   std::uint32_t batch_size = 256;
-  /// Capacity of a worker's New_Pairs_Buf (pairs).
-  std::uint32_t new_pairs_buf = 8192;
-  /// Capacity of the master's Pending_Work_Buf (pairs).
-  std::uint32_t pending_work_buf = 1u << 16;
   /// Fragment-level pair generation with duplicate elimination (Section 5).
   bool dup_elim = true;
   /// Process pairs in decreasing maximal-match order. Setting this false
@@ -74,9 +78,10 @@ struct ClusterParams {
 /// Entry-point sanity check shared by cluster_serial, cluster_parallel and
 /// the pipeline: rejects parameter combinations that would silently produce
 /// a useless clustering (band 0, identity outside (0,1], min_overlap below
-/// ψ), break the consistency check (negative placement_tolerance) or the
-/// parallel GST (prefix_w outside [1, min(ψ, 12)]). Throws
-/// std::invalid_argument with a message naming the offending field.
+/// ψ), break the consistency check (negative placement_tolerance), the
+/// parallel GST (prefix_w outside [1, min(ψ, 12)]) or the dispatch loop
+/// (batch_size outside [1, kNewPairsBuf]). Throws std::invalid_argument
+/// with a message naming the offending field.
 void validate_cluster_params(const ClusterParams& params);
 
 struct ClusterStats {

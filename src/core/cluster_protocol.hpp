@@ -37,7 +37,7 @@ enum class MsgKind : std::uint8_t {
   kReply = 102,   ///< master -> worker: batch / park / terminate
 };
 
-/// Every protocol kind, for table-driven iteration (protocol_check, tests).
+/// Every protocol kind, for table-driven iteration (pgasm-model, tests).
 inline constexpr MsgKind kAllMsgKinds[] = {MsgKind::kReport, MsgKind::kReply};
 
 /// How long one blocking wait lasts before the waiter re-checks peer
@@ -88,9 +88,9 @@ inline constexpr int kTagReply = to_tag(MsgKind::kReply);  // master -> worker
 // One row per message kind: direction, codec pair, consuming handler, and —
 // because the fault-tolerance layer's whole correctness argument rests on
 // them — the recovery path when an instance is dropped and the defence when
-// it is duplicated. tools/protocol_check parses this table plus
-// kMasterTransitions below and statically cross-checks them against
-// wire.hpp and the protocol implementation; an empty cell is a check
+// it is duplicated. tools/verify/pgasm-model (P5) checks this table plus
+// the state machines below at compile time and cross-checks them against
+// wire.hpp and the protocol implementation; an empty cell is a build
 // failure, not a shrug.
 
 struct MsgSpec {
@@ -115,7 +115,7 @@ inline constexpr MsgSpec kProtocol[] = {
      "stale seq discarded by await_reply seq filter"},
 };
 
-/// Table row for a kind; nullptr when the table misses one (protocol_check
+/// Table row for a kind; nullptr when the table misses one (pgasm-model
 /// and test_cluster assert it never does).
 constexpr const MsgSpec* find_spec(MsgKind kind) noexcept {
   for (const MsgSpec& spec : kProtocol) {
@@ -128,10 +128,10 @@ constexpr const MsgSpec* find_spec(MsgKind kind) noexcept {
 //
 // The master pump (master_loop in parallel_cluster.cpp) as an explicit
 // state/transition table. The implementation is a hand-rolled loop — this
-// table is its contract: tools/protocol_check verifies that kTerminate is
-// reachable from every state (no livelock by construction) and that every
-// state has at least one outgoing edge; the `// [MasterState::k*]` markers
-// in master_loop tie the code back to the states.
+// table is its contract: tools/verify/pgasm-model (P5) verifies that
+// kTerminate is reachable from every state (no livelock by construction)
+// and every state from kProbe; the `// [MasterState::k*]` markers in
+// master_loop tie the code back to the states.
 
 enum class MasterState : std::uint8_t {
   kProbe,       ///< wait one liveness slice for any report; reap failed ranks
@@ -192,9 +192,8 @@ inline constexpr MasterTransition kMasterTransitions[] = {
 // The worker pump (worker_loop in parallel_cluster.cpp) as an explicit
 // state/transition table, mirroring kMasterTransitions above. The
 // `// [WorkerState::k*]` markers in worker_loop tie the code back to the
-// states; tools/protocol_check verifies the markers exist, that kShutdown
-// is reachable from every state, and that every non-terminal state has an
-// outgoing edge. tools/verify/pgasm-model goes further: it composes this
+// states; tools/verify/pgasm-model verifies the markers exist and that
+// kShutdown is reachable from every state (P5). It also composes this
 // machine with the master machine and a bounded lossy channel and
 // exhaustively proves deadlock freedom and terminate-reachability.
 

@@ -14,9 +14,13 @@ MasterScheduler::MasterScheduler(const seq::FragmentStore& doubled,
       p_(p),
       n_fragments_(doubled.size() / 2),
       // Section 7.2: keep the master's message arrival rate roughly constant
-      // as workers are added by growing the per-dispatch granularity with p.
+      // as workers are added by growing the per-dispatch granularity with p,
+      // up to what one report can refill.
       batch_(params.adaptive_batch
-                 ? params.batch_size * std::max(1, (p - 1) / 4)
+                 ? std::min(params.batch_size *
+                                static_cast<std::uint32_t>(
+                                    std::max(1, (p - 1) / 4)),
+                            kNewPairsBuf)
                  : params.batch_size) {
   uf.reset(n_fragments_);
   owed.assign(p, 0);
@@ -96,12 +100,11 @@ std::uint32_t MasterScheduler::compute_r() const {
                                                static_cast<double>(generated));
   const std::uint64_t want = static_cast<std::uint64_t>(batch_ / rate);
   const std::uint64_t room =
-      pending.size() >= params_.pending_work_buf
+      pending.size() >= kPendingWorkBuf
           ? batch_  // keep a trickle flowing; master drops fast
-          : (params_.pending_work_buf - pending.size()) /
-                std::max(1, active_workers);
-  return static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-      std::min(want, room), batch_, params_.new_pairs_buf));
+          : (kPendingWorkBuf - pending.size()) / std::max(1, active_workers);
+  return static_cast<std::uint32_t>(
+      std::clamp<std::uint64_t>(std::min(want, room), batch_, kNewPairsBuf));
 }
 
 MasterReply MasterScheduler::make_dispatch(int worker) {

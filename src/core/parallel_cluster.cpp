@@ -40,8 +40,8 @@ constexpr std::uint32_t kStashGstWall = 0x6777;   // "gw": double, wall secs
 
 // The pump below implements the MasterState machine declared in
 // cluster_protocol.hpp (kMasterTransitions); the [MasterState::k*] markers
-// tie each region to its state so tools/protocol_check's reachability
-// argument reads against the code. Everything here — scheduler, reply
+// tie each region to its state so pgasm-model's reachability argument
+// reads against the code. Everything here — scheduler, reply
 // channel, checkpoint cadence — is thread-confined to the rank-0 thread:
 // no locks by design, which is why none of it carries PGASM_GUARDED_BY.
 void master_loop(vmpi::Comm& comm, const ClusterParams& params,
@@ -222,8 +222,8 @@ struct RoleGen {
 
 // The worker pump. Its phases follow core::kWorkerTransitions — the
 // `[WorkerState::k*]` markers below are machine-checked against that table
-// by tools/protocol_check, and tools/verify/pgasm-model exhaustively
-// explores the composed master×worker×channel state space built from it.
+// by tools/verify/pgasm-model, which also exhaustively explores the
+// composed master×worker×channel state space built from it.
 void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
                  const gst::ParallelGstParams& gp,
                  const seq::FragmentStore& doubled,
@@ -297,7 +297,7 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
       obs::Span gen_span = obs::span(comm.rank(), "generate_pairs", "cluster");
       auto scope = comm.compute_scope();
       gst::PromisingPair q;
-      const std::uint32_t want = std::min(r, params.new_pairs_buf);
+      const std::uint32_t want = std::min(r, kNewPairsBuf);
       while (report.new_pairs.size() < want && next_pair(q)) {
         // The generator already emits global doubled-store ids in
         // canonical orientation (global_ids translation).
@@ -409,6 +409,19 @@ std::uint64_t cluster_params_hash(const ClusterParams& params) {
   return h;
 }
 
+const char* checkpoint_mismatch(const ClusterCheckpoint& ck,
+                                const seq::FragmentStore& fragments,
+                                const ClusterParams& params) {
+  if (ck.n_fragments != fragments.size())
+    return "resume checkpoint fragment count mismatch";
+  if (ck.input_hash != 0 && ck.input_hash != cluster_input_hash(fragments))
+    return "resume checkpoint was written for a different input";
+  if (ck.params_hash != 0 && ck.params_hash != cluster_params_hash(params))
+    return "resume checkpoint was written with different clustering "
+           "parameters";
+  return nullptr;
+}
+
 ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
                                        const ClusterParams& params,
                                        int num_ranks,
@@ -429,16 +442,8 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
   sched.input_hash = cluster_input_hash(fragments);
   sched.params_hash = cluster_params_hash(params);
   if (resume) {
-    if (resume->n_fragments != fragments.size())
-      throw std::invalid_argument(
-          "resume checkpoint fragment count mismatch");
-    if (resume->input_hash != 0 && resume->input_hash != sched.input_hash)
-      throw std::invalid_argument(
-          "resume checkpoint was written for a different input");
-    if (resume->params_hash != 0 && resume->params_hash != sched.params_hash)
-      throw std::invalid_argument(
-          "resume checkpoint was written with different clustering "
-          "parameters");
+    if (const char* why = checkpoint_mismatch(*resume, fragments, params))
+      throw std::invalid_argument(why);
   }
 
   util::WallTimer total_timer;

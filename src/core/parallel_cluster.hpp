@@ -48,6 +48,13 @@ std::uint64_t cluster_input_hash(const seq::FragmentStore& fragments);
 /// legitimate.
 std::uint64_t cluster_params_hash(const ClusterParams& params);
 
+/// Why checkpoint `ck` does not belong to a run over `fragments` with
+/// `params`: its fragment count or a nonzero input/params hash differs
+/// (a zero hash is unknown and not checked). nullptr when it belongs.
+const char* checkpoint_mismatch(const ClusterCheckpoint& ck,
+                                const seq::FragmentStore& fragments,
+                                const ClusterParams& params);
+
 /// Run the full parallel clustering pipeline (distributed GST build +
 /// master-worker overlap detection) on `num_ranks` virtual ranks.
 /// Requires num_ranks >= 2 (one master + at least one worker).
@@ -57,8 +64,7 @@ std::uint64_t cluster_params_hash(const ClusterParams& params);
 /// generation fast-forward applies only when the rank count matches the
 /// checkpoint's (pair streams are per-role), otherwise generation restarts
 /// and the union-find filter discards the already-merged pairs. Throws
-/// std::invalid_argument if the checkpoint's fragment count or (nonzero)
-/// input/params hashes do not match this run's.
+/// std::invalid_argument when checkpoint_mismatch finds one.
 ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
                                        const ClusterParams& params,
                                        int num_ranks,

@@ -62,6 +62,14 @@ void validate_cluster_params(const ClusterParams& params) {
         "cluster params: placement_tolerance must be >= 0, got " +
         std::to_string(params.placement_tolerance));
   }
+  // A zero batch dispatches nothing and never finishes; a batch above
+  // New_Pairs_Buf cannot be refilled by one report.
+  if (params.batch_size == 0 || params.batch_size > kNewPairsBuf) {
+    throw std::invalid_argument(
+        "cluster params: batch_size must be in [1, " +
+        std::to_string(kNewPairsBuf) + "], got " +
+        std::to_string(params.batch_size));
+  }
 }
 
 ClusterResult cluster_serial(const seq::FragmentStore& fragments,

@@ -59,11 +59,15 @@ struct PolishRead {
   align::AlignResult aln;
 };
 
+/// Polish window padding on each side of a read's placement, in draft
+/// columns; the realignment band is kPolishBand + 8.
+constexpr std::uint32_t kPolishBand = 48;
+
 /// One polish round: banded-realign each placed fragment to the draft and
 /// re-vote per draft column (bases + gap). Columns where gaps win are
 /// dropped; placements' offsets are remapped. Returns true if changed.
 bool polish_round(Contig& contig, std::vector<PolishRead>& reads,
-                  const AssemblyParams& params, align::Workspace& ws) {
+                  align::Workspace& ws) {
   const auto& draft = contig.consensus;
   if (draft.empty()) return false;
   constexpr int kGap = seq::kSigma;  // vote index for "delete this column"
@@ -74,7 +78,7 @@ bool polish_round(Contig& contig, std::vector<PolishRead>& reads,
   // can only be recovered by insertion voting).
   std::vector<std::array<std::uint32_t, seq::kSigma>> ins(
       draft.size() + 1, std::array<std::uint32_t, seq::kSigma>{});
-  const std::int64_t pad = params.polish_band;
+  const std::int64_t pad = kPolishBand;
   const align::Scoring scoring{};
 
   for (std::size_t k = 0; k < contig.layout.size(); ++k) {
@@ -99,7 +103,7 @@ bool polish_round(Contig& contig, std::vector<PolishRead>& reads,
     if (diag != rd.diag || !std::ranges::equal(window, rd.window)) {
       rd.aln = align::banded_overlap_align(
                    read, window, scoring, static_cast<std::int32_t>(diag),
-                   params.polish_band + 8, ws, {.keep_ops = true})
+                   kPolishBand + 8, ws, {.keep_ops = true})
                    .aln;
       rd.window.assign(window.begin(), window.end());
       rd.diag = diag;
@@ -208,7 +212,7 @@ void polish(Contig& contig, const seq::FragmentStore& fragments,
     }
   }
   for (int pass = 0; pass < params.polish_passes; ++pass) {
-    if (!polish_round(contig, reads, params, ws)) break;
+    if (!polish_round(contig, reads, ws)) break;
   }
 }
 
@@ -367,8 +371,7 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
     std::vector<std::pair<std::size_t, std::size_t>> segments;
     bool in_seg = false;
     for (std::size_t p = 0; p <= span; ++p) {
-      const bool covered =
-          p < span && coverage[p] >= params.min_consensus_coverage;
+      const bool covered = p < span && coverage[p] != 0;
       if (covered && !in_seg) {
         seg_begin = p;
         in_seg = true;

@@ -40,13 +40,11 @@ struct AssemblyParams {
       .band = 12,
   };
   std::int64_t placement_tolerance = 10;
-  std::uint32_t min_consensus_coverage = 1;
   /// Consensus polishing: realign every fragment to the draft consensus
   /// (banded) and re-vote per aligned column, letting gap majorities drop
   /// columns. Fixes the indel drift a fixed-offset vote cannot see — the
   /// step CAP3 performs during its consensus phase. 0 disables.
   int polish_passes = 4;
-  std::uint32_t polish_band = 48;
 };
 
 struct Placement {

@@ -65,13 +65,8 @@ bool restore_final_clusters(const core::ClusterParams& cp,
   if (!loaded) return false;
   const core::ClusterCheckpoint ck = std::move(loaded).value();
   const std::size_t n = result.pre.store.size();
-  if (ck.n_fragments != n || ck.labels.size() != n) return false;
-  if (ck.input_hash != 0 &&
-      ck.input_hash != core::cluster_input_hash(result.pre.store)) {
-    return false;
-  }
-  if (ck.params_hash != 0 &&
-      ck.params_hash != core::cluster_params_hash(cp)) {
+  if (core::checkpoint_mismatch(ck, result.pre.store, cp) ||
+      ck.labels.size() != n) {
     return false;
   }
   if (!ck.pending.empty()) return false;
@@ -235,13 +230,8 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
             resume_ck = std::move(loaded).value();
             // Only resume a checkpoint written for this very input and
             // configuration; a stale file falls back to a fresh run.
-            has_resume =
-                resume_ck.n_fragments == result.pre.store.size() &&
-                (resume_ck.input_hash == 0 ||
-                 resume_ck.input_hash ==
-                     core::cluster_input_hash(result.pre.store)) &&
-                (resume_ck.params_hash == 0 ||
-                 resume_ck.params_hash == core::cluster_params_hash(cp));
+            has_resume = !core::checkpoint_mismatch(
+                resume_ck, result.pre.store, cp);
           } else if (loaded.error().code != core::WireErrc::kIo) {
             // Missing file is the normal first-run case; anything else means
             // a checkpoint exists but cannot be trusted. Say so before

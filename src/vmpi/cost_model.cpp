@@ -35,23 +35,10 @@ double RunCost::modeled_parallel_seconds() const noexcept {
   return best;
 }
 
-double RunCost::max_compute_seconds() const noexcept {
-  double best = 0;
-  for (const auto& r : per_rank) best = std::max(best, r.compute_seconds);
-  return best;
-}
-
 double RunCost::max_comm_seconds() const noexcept {
   double best = 0;
   for (const auto& r : per_rank) best = std::max(best, r.comm_seconds);
   return best;
-}
-
-double RunCost::total_compute_seconds() const noexcept {
-  // Fixed-shape reduction over the rank-indexed vector (W018): the summary
-  // stays bit-identical even if this fold is later chunked or parallelized.
-  return util::ordered_reduce(
-      per_rank, [](const RankLedger& r) { return r.compute_seconds; });
 }
 
 std::uint64_t RunCost::total_bytes() const noexcept {

@@ -44,15 +44,6 @@ struct CostParams {
   /// forked processes over shm rings), from tools/transport_probe. Defined
   /// in cost_model.cpp next to the numbers' provenance.
   static CostParams calibrated(TransportKind kind) noexcept;
-
-  /// The paper's interconnect class (BlueGene/L-era links): the historical
-  /// defaults benches use to model at-scale runs.
-  static CostParams bluegene() noexcept {
-    CostParams p;
-    p.alpha = 5e-6;
-    p.beta = 1.0 / 150e6;
-    return p;
-  }
 };
 
 /// Per-rank accounting. Owned by the rank's thread; merged after a run.
@@ -130,9 +121,7 @@ struct RunCost {
   }
 
   double modeled_parallel_seconds() const noexcept;
-  double max_compute_seconds() const noexcept;
   double max_comm_seconds() const noexcept;
-  double total_compute_seconds() const noexcept;
   std::uint64_t total_bytes() const noexcept;
   std::uint64_t total_msgs() const noexcept;
   /// Average fraction of the modeled makespan each rank spends not busy.

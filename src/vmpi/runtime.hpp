@@ -4,8 +4,8 @@
 // substrate provides the same programming model — ranks, point-to-point
 // send/recv with tags and wildcards, synchronous (Ssend) semantics, probes,
 // and the collectives the algorithms need (barrier, bcast, reduce,
-// allreduce, gather, allgatherv, alltoallv, plus the paper's customized
-// staged Alltoallv with bounded buffers). Collectives are implemented on
+// allreduce, gather, allgatherv, and the paper's customized staged
+// Alltoallv with bounded buffers). Collectives are implemented on
 // top of point-to-point messages with real communication algorithms
 // (dissemination barrier, binomial bcast/reduce), so the cost ledger sees
 // the same message pattern a real cluster would.
@@ -287,15 +287,6 @@ class Comm {
   void bcast_bytes(std::vector<std::byte>& data, int root);
 
   template <typename T>
-  void bcast(T& value, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> buf(sizeof(T));
-    if (rank_ == root) std::memcpy(buf.data(), &value, sizeof(T));
-    bcast_bytes(buf, root);
-    std::memcpy(&value, buf.data(), sizeof(T));
-  }
-
-  template <typename T>
   void bcast_vector(std::vector<T>& v, int root) {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::byte> buf;
@@ -334,13 +325,6 @@ class Comm {
     return v[0];
   }
 
-  template <typename T>
-  T allreduce_min(T local) {
-    auto v = allreduce_vector(std::vector<T>{local},
-                              [](T a, T b) { return a < b ? a : b; });
-    return v[0];
-  }
-
   /// Gather variable-length vectors at root; result[r] = rank r's vector.
   /// Non-root ranks receive an empty result.
   template <typename T>
@@ -350,16 +334,11 @@ class Comm {
   template <typename T>
   std::vector<std::vector<T>> allgatherv(const std::vector<T>& local);
 
-  /// Personalized all-to-all: outgoing[d] goes to rank d; returns
-  /// incoming[s] = what rank s sent to this rank. Direct algorithm:
-  /// p-1 buffered sends then p-1 receives.
-  template <typename T>
-  std::vector<std::vector<T>> alltoallv(
-      const std::vector<std::vector<T>>& outgoing);
-
-  /// The paper's customized Alltoallv (Section 6): p-1 paired rounds,
-  /// round r exchanging with ranks (rank+r) mod p / (rank-r) mod p, so at
-  /// most one send and one receive buffer is in flight per rank at a time.
+  /// Personalized all-to-all, the paper's customized Alltoallv (Section 6):
+  /// outgoing[d] goes to rank d; returns incoming[s] = what rank s sent to
+  /// this rank. p-1 paired rounds, round r exchanging with ranks
+  /// (rank+r) mod p / (rank-r) mod p, so at most one send and one receive
+  /// buffer is in flight per rank at a time.
   template <typename T>
   std::vector<std::vector<T>> staged_alltoallv(
       const std::vector<std::vector<T>>& outgoing);
@@ -600,32 +579,6 @@ std::vector<std::vector<T>> Comm::allgatherv(const std::vector<T>& local) {
     off += lens[r];
   }
   return out;
-}
-
-template <typename T>
-std::vector<std::vector<T>> Comm::alltoallv(
-    const std::vector<std::vector<T>>& outgoing) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int p = size();
-  if (static_cast<int>(outgoing.size()) != p)
-    throw std::runtime_error("alltoallv: outgoing.size() != p");
-  const std::int64_t base_tag = next_collective_tag();
-  std::vector<std::vector<T>> incoming(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d) {
-    if (d == rank_) {
-      incoming[d] = outgoing[d];
-      continue;
-    }
-    send_impl(d, base_tag, outgoing[d].data(), outgoing[d].size() * sizeof(T),
-              /*internal=*/true, /*sync=*/false);
-  }
-  for (int s = 0; s < p; ++s) {
-    if (s == rank_) continue;
-    auto bytes = recv_impl(s, base_tag, /*internal=*/true, nullptr);
-    incoming[s].resize(bytes.size() / sizeof(T));
-    copy_bytes(incoming[s].data(), bytes.data(), bytes.size());
-  }
-  return incoming;
 }
 
 template <typename T>

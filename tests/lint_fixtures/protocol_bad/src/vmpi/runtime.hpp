@@ -1,2 +1,2 @@
 // protocol_bad fixture stub: deliberately missing the codec/handler
-// identifiers and [MasterState::k*] markers that protocol_check verifies.
+// identifiers and [MasterState::k*] markers that pgasm-model checks (P5).

@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
-"""Golden fixtures for pgasm-lint W007-W015, protocol_check, and
-pgasm-determcheck W016-W019.
+"""Golden fixtures for pgasm-lint W007-W015, pgasm-model's source
+conformance (P5), and pgasm-determcheck W016-W019.
 
 Each wNNN_bad/ mini-tree seeds known violations (lines marked BAD) plus
 waived/clean lines; the analyzer must flag exactly the seeded count, with
 the right check and slug, and exit 1. The clean/ tree must produce zero
 findings and exit 0 under both tools. The protocol_bad/ tree (stub
 sources missing every handler identifier and state marker) must make
-protocol_check exit 1.
+pgasm-model exit 1.
 
 Also asserts the --format=json contract: finding IDs are present, carry
 the right tool prefix (PL- for lint, PD- for determcheck), are stable
 across runs, and unique within a run.
 
-Usage: run_fixtures.py <path-to-pgasm_lint.py> [<path-to-protocol_check>]
+Usage: run_fixtures.py <path-to-pgasm_lint.py> [<path-to-pgasm-model>]
                        [<path-to-pgasm_determcheck.py>]
 Exit 0 on success, 1 on any expectation failure.
 """
@@ -67,7 +67,7 @@ def main() -> int:
         print(__doc__)
         return 1
     lint = sys.argv[1]
-    protocol_check = sys.argv[2] if len(sys.argv) > 2 else None
+    model = sys.argv[2] if len(sys.argv) > 2 else None
     determcheck = sys.argv[3] if len(sys.argv) > 3 else None
 
     # Seeded-violation counts: keep in sync with the BAD markers in each
@@ -161,19 +161,20 @@ def main() -> int:
     else:
         print("pgasm_determcheck.py not supplied; skipping W016-W019")
 
-    if protocol_check:
-        print("protocol_bad via protocol_check:")
+    if model:
+        print("protocol_bad via pgasm-model:")
         proc = subprocess.run(
-            [protocol_check, str(HERE / "protocol_bad")],
+            [model, "--workers=1", "--drops=0", "--crashes=0",
+             f"--root={HERE / 'protocol_bad'}"],
             capture_output=True, text=True, timeout=120)
         check(proc.returncode == 1,
               f"exit code 1 on stub sources (got {proc.returncode})")
-        check("marker" in proc.stderr,
-              "protocol_check names the missing state markers")
-        check("no such identifier" in proc.stderr,
-              "protocol_check names the missing handler identifiers")
+        check("marker" in proc.stdout,
+              "pgasm-model names the missing state markers")
+        check("no such identifier" in proc.stdout,
+              "pgasm-model names the missing handler identifiers")
     else:
-        print("protocol_check binary not supplied; skipping protocol_bad")
+        print("pgasm-model binary not supplied; skipping protocol_bad")
 
     if FAILURES:
         print(f"\n{len(FAILURES)} fixture expectation(s) failed")

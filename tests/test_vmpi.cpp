@@ -72,8 +72,6 @@ TEST_P(VmpiSizes, AllreduceSumAndMax) {
     EXPECT_EQ(sum, static_cast<std::int64_t>(p) * (p + 1) / 2);
     const auto mx = c.allreduce_max<int>(c.rank());
     EXPECT_EQ(mx, p - 1);
-    const auto mn = c.allreduce_min<int>(c.rank() + 100);
-    EXPECT_EQ(mn, 100);
   });
 }
 
@@ -115,28 +113,27 @@ TEST_P(VmpiSizes, GathervAndAllgatherv) {
   });
 }
 
+// The staged Alltoallv is vmpi's only all-to-all (the GST build's).
 TEST_P(VmpiSizes, AlltoallvBothVariants) {
   const int p = GetParam();
-  for (const bool staged : {false, true}) {
-    Runtime rt(p);
-    rt.run([&](Comm& c) {
-      std::vector<std::vector<std::uint32_t>> out(
-          static_cast<std::size_t>(c.size()));
-      for (int d = 0; d < c.size(); ++d) {
-        // Rank r sends to d a block of (r + d) values r*100 + d.
-        out[d].assign(static_cast<std::size_t>(c.rank() + d),
-                      static_cast<std::uint32_t>(c.rank() * 100 + d));
+  Runtime rt(p);
+  rt.run([&](Comm& c) {
+    std::vector<std::vector<std::uint32_t>> out(
+        static_cast<std::size_t>(c.size()));
+    for (int d = 0; d < c.size(); ++d) {
+      // Rank r sends to d a block of (r + d) values r*100 + d.
+      out[d].assign(static_cast<std::size_t>(c.rank() + d),
+                    static_cast<std::uint32_t>(c.rank() * 100 + d));
+    }
+    const auto in = c.staged_alltoallv(out);
+    ASSERT_EQ(in.size(), static_cast<std::size_t>(c.size()));
+    for (int s = 0; s < c.size(); ++s) {
+      ASSERT_EQ(in[s].size(), static_cast<std::size_t>(s + c.rank()));
+      for (auto v : in[s]) {
+        EXPECT_EQ(v, static_cast<std::uint32_t>(s * 100 + c.rank()));
       }
-      const auto in = staged ? c.staged_alltoallv(out) : c.alltoallv(out);
-      ASSERT_EQ(in.size(), static_cast<std::size_t>(c.size()));
-      for (int s = 0; s < c.size(); ++s) {
-        ASSERT_EQ(in[s].size(), static_cast<std::size_t>(s + c.rank()));
-        for (auto v : in[s]) {
-          EXPECT_EQ(v, static_cast<std::uint32_t>(s * 100 + c.rank()));
-        }
-      }
-    });
-  }
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, VmpiSizes,
@@ -331,12 +328,6 @@ TEST(Vmpi, CollectivesAbortInsteadOfDeadlockWhenRankDies) {
   };
   const Case cases[] = {
       {"barrier", [](Comm& c) { c.barrier(); }},
-      {"alltoallv",
-       [](Comm& c) {
-         std::vector<std::vector<std::uint32_t>> out(c.size());
-         for (int d = 0; d < c.size(); ++d) out[d].assign(4, 7);
-         (void)c.alltoallv(out);
-       }},
       {"staged_alltoallv",
        [](Comm& c) {
          std::vector<std::vector<std::uint32_t>> out(c.size());

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "align/linear_space.hpp"
 #include "align/overlap.hpp"
 #include "align/pairwise.hpp"
 #include "align/workspace.hpp"
@@ -92,20 +91,6 @@ TEST(Workspace, DirtyFullOverlapReuseMatchesFreshWorkspace) {
     Workspace fresh;
     const auto want = align::overlap_align(c.a, c.b, sc, fresh, opts);
     expect_same_result(got, want);
-  }
-}
-
-TEST(Workspace, DirtyHirschbergReuseMatchesFresh) {
-  const Scoring sc;
-  Workspace reused;
-  util::Prng rng(555);
-  for (int i = 0; i < 20; ++i) {
-    const auto a = test::random_dna(rng, 1 + rng.below(150));
-    const auto b = test::random_dna(rng, 1 + rng.below(150));
-    const auto got = align::hirschberg_align(a, b, sc, reused);
-    const auto want = align::hirschberg_align(a, b, sc);
-    EXPECT_EQ(got.score, want.score);
-    EXPECT_EQ(got.ops, want.ops);
   }
 }
 
@@ -283,6 +268,21 @@ TEST(ValidateParams, RejectsUselessCombinations) {
   w.overlap.min_overlap = 40;
   w.prefix_w = 12;
   EXPECT_NO_THROW(core::validate_cluster_params(w));
+}
+
+TEST(ValidateParams, BatchSizeWithinNewPairsBuf) {
+  // batch_size 0 dispatches nothing and never terminates; a batch above
+  // New_Pairs_Buf cannot be refilled by one report.
+  core::ClusterParams cp;
+  for (std::uint32_t bad : {0u, core::kNewPairsBuf + 1, 1u << 20}) {
+    cp.batch_size = bad;
+    EXPECT_THROW(core::validate_cluster_params(cp), std::invalid_argument)
+        << "batch_size " << bad;
+  }
+  for (std::uint32_t good : {1u, 256u, core::kNewPairsBuf}) {
+    cp.batch_size = good;
+    EXPECT_NO_THROW(core::validate_cluster_params(cp)) << "batch_size " << good;
+  }
 }
 
 }  // namespace

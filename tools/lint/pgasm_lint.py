@@ -80,10 +80,9 @@ W014  explicit memory orders: every atomic operation in src/ must name its
 W015  wire-tag table membership: every wire-tag constant (kTag*) declared
       anywhere under src/ must correspond to exactly one row of exactly
       one declarative protocol table (the k*Protocol MsgSpec arrays in
-      *protocol*.hpp, e.g. kProtocol for clustering tags 101-104). A
-      tag without a table row is an undocumented message the model
-      checker and protocol_check can't see; a tag with rows in two tables
-      is a colliding reuse.
+      *protocol*.hpp, e.g. kProtocol for clustering tags 101-102). A
+      tag without a table row is an undocumented message that pgasm-model
+      can't see; a tag with rows in two tables is a colliding reuse.
 
 Front-ends: W007-W010 are semantic checks. When a clang compiler is
 available (and unless --frontend=lexer), facts are extracted from clang's
@@ -373,7 +372,6 @@ def check_w003() -> None:
 HOT_FILE_RELS = [
     Path("align/overlap.cpp"),
     Path("align/overlap.hpp"),
-    Path("align/linear_space.cpp"),
     Path("align/workspace.hpp"),
     Path("core/overlap_engine.cpp"),
 ]
@@ -576,8 +574,8 @@ RAW_LOCK_CALL_RE = re.compile(
 BLOCKING_VMPI_RE = re.compile(
     r"\.\s*(recv|recv_timeout|recv_value|recv_value_timeout|recv_vector|"
     r"ssend|ssend_payload|ssend_vector|probe|"
-    r"probe_timeout|barrier|allreduce_vector|allreduce_sum|allreduce_max|"
-    r"allreduce_min)\s*(?:<[^;(]*>)?\s*\(")
+    r"probe_timeout|barrier|allreduce_vector|allreduce_sum|allreduce_max)"
+    r"\s*(?:<[^;(]*>)?\s*\(")
 
 LOCK_DECL_RE = re.compile(
     r"\b(?:util::)?(MutexLock|ReleasableMutexLock)\s+(\w+)\s*[({]")
@@ -1022,8 +1020,8 @@ def check_w014() -> None:
 
 # W001 checks that the clustering tags carry codec annotations; W015 checks
 # the structural half for EVERY tag in src/: each kTagX must be represented
-# by exactly one row (kind kX) of exactly one k*Protocol table, so the
-# model checker, protocol_check and the docs all see the same message set.
+# by exactly one row (kind kX) of exactly one k*Protocol table, so
+# pgasm-model and the docs see the same message set.
 
 W015_TAG_RE = re.compile(r"(?:inline\s+)?constexpr int (kTag(\w+))\s*=")
 W015_TABLE_RE = re.compile(r"\b(k\w*Protocol)\s*\[\]")
@@ -1074,8 +1072,8 @@ def check_w015() -> None:
                 finding(path, i + 1, "W015", "tag-table",
                         f"wire tag {tag} has no row in any declarative "
                         "protocol table (k*Protocol in a *protocol*.hpp) — "
-                        "an undocumented message kind that the model "
-                        "checker and protocol_check cannot see")
+                        "an undocumented message kind that pgasm-model "
+                        "cannot see")
             elif len(homes) > 1 or homes[0][1] != 1:
                 where = ", ".join(f"{t} x{n}" for t, n in homes)
                 finding(path, i + 1, "W015", "tag-table",

@@ -34,6 +34,9 @@
 //      unfinished master (the state in which the real await_reply gives up
 //      and fails its rank). With retransmits == drops this is
 //      unreachable: message loss alone never kills a worker.
+//   P5 source conformance — the tables are complete and well formed, and
+//      the implementation still carries what they name
+//      (check_protocol_sources below).
 //
 // On violation the checker prints a minimal counterexample: the BFS-parent
 // message schedule from the initial state to the violating state.
@@ -98,5 +101,15 @@ struct ModelBugFixture {
 
 /// The fixture table driven by `pgasm-model --bug=...` and ctest.
 std::vector<ModelBugFixture> model_bug_fixtures();
+
+/// P5 source conformance (protocol_sources.cpp). Its static_asserts hold
+/// the tables to one complete kProtocol row per kind with distinct tags,
+/// receive rows that follow kProtocol's directions, and state machines
+/// whose terminal is reachable from every state. At run time, every codec
+/// and handler the tables name must exist in the protocol sources under
+/// `root`, and core/parallel_cluster.cpp must carry a [MasterState::k*] or
+/// [WorkerState::k*] marker for every declared state. Returns one message
+/// per finding; throws std::runtime_error when a source cannot be read.
+std::vector<std::string> check_protocol_sources(const std::string& root);
 
 }  // namespace pgasm::verify

@@ -3,9 +3,13 @@
 //   pgasm-model [--workers=N] [--drops=K] [--crashes=C] [--retransmits=R]
 //               [--bug=NAME] [--list-bugs] [--format=text|json] [--root=DIR]
 //
+// --root is the source tree whose protocol sources P5 reads (default: the
+// working directory).
+//
 // Exit codes follow pgasm-lint: 0 clean, 1 property violation, 2 tool error.
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,8 +35,10 @@ int usage(int code) {
       "lossy channel (<=K drops, <=C crashes). Proves deadlock freedom\n"
       "(P1), termination co-reachability (P2), declared-protocol\n"
       "conformance (P3) and loss tolerance (P4), or prints a minimal\n"
-      "counterexample schedule. --bug seeds a known protocol bug and the\n"
-      "checker must catch it (exit 1).\n");
+      "counterexample schedule. P5 checks that the sources under --root\n"
+      "(default .) still carry every codec, handler and state marker the\n"
+      "tables name. --bug seeds a known protocol bug and the checker must\n"
+      "catch it (exit 1).\n");
   return code;
 }
 
@@ -41,10 +47,12 @@ const char* property_slug(const std::string& property) {
   if (property == "P2") return "livelock";
   if (property == "P3") return "undeclared-protocol";
   if (property == "P4") return "stranded-worker";
+  if (property == "P5") return "source-drift";
   return "violation";
 }
 
-void print_text(const ModelConfig& cfg, const ModelResult& r) {
+void print_text(const ModelConfig& cfg, const ModelResult& r,
+                const std::vector<std::string>& drift) {
   std::printf(
       "pgasm-model: workers=%d drops=%d crashes=%d retransmits=%d bug=%s\n",
       cfg.workers, cfg.drops, cfg.crashes,
@@ -58,25 +66,34 @@ void print_text(const ModelConfig& cfg, const ModelResult& r) {
       static_cast<unsigned long long>(r.finals),
       static_cast<unsigned long long>(r.abort_finals),
       r.exhausted ? ", exhaustive" : "");
-  if (r.ok) {
+  for (const std::string& d : drift) {
+    std::printf("pgasm-model: VIOLATION of P5: %s\n", d.c_str());
+  }
+  if (!r.ok) {
+    std::printf("pgasm-model: VIOLATION of %s: %s\n", r.property.c_str(),
+                r.message.c_str());
+    std::printf("pgasm-model: counterexample schedule (%zu steps):\n",
+                r.trace.size());
+    for (std::size_t i = 0; i < r.trace.size(); ++i) {
+      std::printf("  %2zu. %s\n", i + 1, r.trace[i].c_str());
+    }
+  } else if (drift.empty()) {
     std::printf(
         "pgasm-model: OK — P1 deadlock freedom, P2 termination "
         "co-reachability, P3 declared-protocol conformance, P4 loss "
-        "tolerance all hold\n");
-    return;
-  }
-  std::printf("pgasm-model: VIOLATION of %s: %s\n", r.property.c_str(),
-              r.message.c_str());
-  std::printf("pgasm-model: counterexample schedule (%zu steps):\n",
-              r.trace.size());
-  for (std::size_t i = 0; i < r.trace.size(); ++i) {
-    std::printf("  %2zu. %s\n", i + 1, r.trace[i].c_str());
+        "tolerance, P5 source conformance all hold\n");
   }
 }
 
-void print_json(const std::string& root, const ModelConfig& cfg,
-                const ModelResult& r) {
+void print_json(const std::string& root, const ModelResult& r,
+                const std::vector<std::string>& drift) {
   std::vector<Finding> findings;
+  for (const std::string& d : drift) {
+    findings.push_back(Finding{.check = "PM5",
+                               .slug = property_slug("P5"),
+                               .path = "src/core/cluster_protocol.hpp",
+                               .message = d});
+  }
   if (!r.ok) {
     Finding f;
     f.check = "PM" + r.property.substr(1);
@@ -88,11 +105,11 @@ void print_json(const std::string& root, const ModelConfig& cfg,
     }
     findings.push_back(std::move(f));
   }
-  const std::vector<std::string> checks = {"PM1", "PM2", "PM3", "PM4"};
+  const std::vector<std::string> checks = {"PM1", "PM2", "PM3", "PM4",
+                                           "PM5"};
   std::fputs(
       pgasm::verify::findings_json("PM", root, checks, findings).c_str(),
       stdout);
-  (void)cfg;
 }
 
 }  // namespace
@@ -152,6 +169,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  std::vector<std::string> drift;
+  try {
+    drift = pgasm::verify::check_protocol_sources(root);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "pgasm-model: %s (set --root)\n", e.what());
+    return 2;
+  }
   const ModelResult r = pgasm::verify::run_model(cfg);
   if (!r.exhausted && r.property.empty()) {
     std::fprintf(stderr, "pgasm-model: %s\n",
@@ -160,9 +184,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (format == "json") {
-    print_json(root, cfg, r);
+    print_json(root, r, drift);
   } else {
-    print_text(cfg, r);
+    print_text(cfg, r, drift);
   }
-  return r.ok ? 0 : 1;
+  return r.ok && drift.empty() ? 0 : 1;
 }
