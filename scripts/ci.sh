@@ -10,7 +10,7 @@
 #                            # to bit-identical contigs
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
 #   scripts/ci.sh asan       # just the ASan build of the align, GST,
-#                            # core and preprocess suites
+#                            # core, preprocess and wire-error suites
 #   scripts/ci.sh lint       # pgasm-lint + pgasm-model P5 + strict-warnings
 #                            # build (+ clang tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
@@ -103,13 +103,14 @@ asan() {
   # one-suffix and inert leaves late from shared pool slots. ASan is the check that every read and write
   # stays inside the live extents. Preprocessing masks a fragment in place
   # while its rolling k-mer scan is still reading it, and KmerSet's
-  # branch-free search reads the key array without bounds checks.
+  # branch-free search reads the key array without bounds checks. The wire
+  # decoders drive one bounds-checked cursor over hostile bytes.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
     --target test_align test_workspace test_cluster \
-    test_gst test_parallel_gst test_preprocess
+    test_gst test_parallel_gst test_preprocess test_wire_errors
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet|WireErrors')
 }
 
 lint() {

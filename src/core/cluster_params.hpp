@@ -69,9 +69,11 @@ struct ClusterParams {
   /// its own rank (the master then reassigns its work like any crash).
   std::uint32_t reply_max_retries = 8;
   /// Write a ClusterCheckpoint every N processed worker reports
-  /// (0 = checkpointing disabled). Requires checkpoint_path.
+  /// (0 = no mid-run checkpoints). Requires checkpoint_path.
   std::uint32_t checkpoint_every_reports = 0;
   /// Checkpoint file location (written atomically via temp + rename).
+  /// When set, the master also writes its terminal state there as the
+  /// final checkpoint.
   std::string checkpoint_path;
 };
 

@@ -52,7 +52,7 @@ int drain_worker_traffic(vmpi::Comm& comm, ReplyChannel& replies,
 WireResult<WorkerReport> recv_report(vmpi::Comm& comm, int source) {
   const auto raw = comm.recv(source, to_tag(MsgKind::kReport));
   auto scope = comm.compute_scope();
-  auto decoded = try_decode_report(std::span<const std::byte>(raw));
+  auto decoded = try_decode_report(raw);
   if (!decoded) note_decode_error(comm.rank(), decoded.error());
   return decoded;
 }
@@ -61,7 +61,7 @@ bool consume_pending_terminate(vmpi::Comm& comm) {
   vmpi::Status qs;
   while (comm.iprobe(0, to_tag(MsgKind::kReply), &qs)) {
     const auto raw = comm.recv(0, to_tag(MsgKind::kReply));
-    const auto reply = try_decode_reply(std::span<const std::byte>(raw));
+    const auto reply = try_decode_reply(raw);
     if (!reply) {
       note_decode_error(comm.rank(), reply.error());
       continue;
@@ -73,7 +73,7 @@ bool consume_pending_terminate(vmpi::Comm& comm) {
 
 void send_report(vmpi::Comm& comm, const ClusterParams& params,
                  const WorkerReport& report) {
-  auto payload = encode_report_payload(report);
+  auto payload = encode_report(report);
   if (params.use_ssend) {
     comm.ssend_payload(0, to_tag(MsgKind::kReport), std::move(payload));
   } else {
@@ -116,7 +116,7 @@ MasterReply await_reply(vmpi::Comm& comm, const ClusterParams& params,
     }
     auto decoded = [&] {
       auto scope = comm.compute_scope();
-      return try_decode_reply(std::span<const std::byte>(raw));
+      return try_decode_reply(raw);
     }();
     if (!decoded) {
       // Drop it: reply_wait keeps running, so the reply_timeout path
@@ -141,7 +141,7 @@ MasterReply await_reply(vmpi::Comm& comm, const ClusterParams& params,
 
 void ReplyChannel::send(vmpi::Comm& comm, int worker, MasterReply& reply) {
   reply.seq = last_seq_[worker];
-  auto bytes = encode_reply_payload(reply);
+  auto bytes = encode_reply(reply);
   // The cache keeps its own copy — a retransmitted report may need this
   // exact reply again after the payload below has been consumed.
   last_reply_[worker].assign(

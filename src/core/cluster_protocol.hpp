@@ -105,11 +105,11 @@ struct MsgSpec {
 };
 
 inline constexpr MsgSpec kProtocol[] = {
-    {MsgKind::kReport, "report", "worker->master", "encode_report_payload",
+    {MsgKind::kReport, "report", "worker->master", "encode_report",
      "try_decode_report", "recv_report",
      "reply_timeout retransmit in await_reply",
      "ReplyChannel::is_duplicate seq match -> resend_cached"},
-    {MsgKind::kReply, "reply", "master->worker", "encode_reply_payload",
+    {MsgKind::kReply, "reply", "master->worker", "encode_reply",
      "try_decode_reply", "await_reply",
      "duplicate report solicits ReplyChannel::resend_cached",
      "stale seq discarded by await_reply seq filter"},

@@ -1,7 +1,6 @@
 #include "core/cluster_scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -47,22 +46,10 @@ void MasterScheduler::restore(const ClusterCheckpoint& ck) {
     throw std::invalid_argument("resume checkpoint label count mismatch");
   resumed_from_epoch = ck.epoch;
   ckpt_epoch = ck.epoch;
-  // Dense labels -> union-find: unite each element with the first element
-  // seen carrying its label. The wire decoder already validates label
-  // ranges for checkpoints read from disk; re-check here because restore
-  // also accepts hand-built checkpoints from callers and tests.
-  std::vector<std::uint32_t> first(ck.labels.size(),
-                                   std::numeric_limits<std::uint32_t>::max());
-  for (std::uint32_t i = 0; i < ck.labels.size(); ++i) {
-    const std::uint32_t l = ck.labels[i];
-    if (l >= first.size())
-      throw std::invalid_argument("resume checkpoint label out of range");
-    if (first[l] == std::numeric_limits<std::uint32_t>::max()) {
-      first[l] = i;
-    } else {
-      uf.unite(first[l], i);
-    }
-  }
+  // The wire decoder already validates label ranges for checkpoints read
+  // from disk; from_labels re-checks because restore also accepts
+  // hand-built checkpoints from callers and tests.
+  uf = util::UnionFind::from_labels(ck.labels);
   pending.assign(ck.pending.begin(), ck.pending.end());
   // Resume the stats counters where the checkpoint left them, so a resumed
   // run reports totals for the whole logical run (the counters stay

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -86,13 +85,11 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
     obs::Span ck_span = obs::span(0, "checkpoint", "cluster");
     auto scope = comm.compute_scope();
     const ClusterCheckpoint ck = sched.build_checkpoint();
-    const auto bytes = encode_checkpoint(ck);
-    save_frame_atomic(params.checkpoint_path,
-                      std::span<const std::uint8_t>(bytes));
+    const std::size_t bytes = save_checkpoint(params.checkpoint_path, ck);
     if (obs::tracer().enabled()) {
       obs::registry()
           .counter("recovery.checkpoint_bytes", 0, obs::current_phase())
-          .inc(bytes.size() + 5);  // + frame header
+          .inc(bytes);
     }
     ck_span.arg("epoch", ck.epoch);
     ck_span.arg("pending", ck.pending.size());
@@ -189,6 +186,10 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
     throw vmpi::TimeoutError(
         "clustering failed: all workers lost with work remaining");
   }
+  // The final checkpoint is the terminal state: nothing pending, every
+  // role done. A rerun restores the finished partition from it, and a
+  // plain resume from it terminates at once.
+  if (!params.checkpoint_path.empty()) write_checkpoint();
 
   // Shutdown drain: until every worker has exited (free — the runtime joins
   // their threads right after this returns anyway), keep consuming

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include <unistd.h>  // fsync — durable rename needs the data on disk first
 
@@ -32,37 +33,37 @@ constexpr std::array<std::uint32_t, 256> make_crc32_table() {
 
 constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
 
-// Codec helpers are generic over the byte container (std::uint8_t for the
-// legacy/test-facing API and checkpoints, std::byte for the zero-copy vmpi
-// payload path) so both front ends share one serializer.
-
-template <typename Byte, typename T>
-void append_pod(std::vector<Byte>& out, const T& v) {
+void append_bytes(std::vector<std::byte>& out, const void* data,
+                  std::size_t n) {
   const std::size_t base = out.size();
-  out.resize(base + sizeof(T));
-  std::memcpy(out.data() + base, &v, sizeof(T));
+  out.resize(base + n);
+  if (n) std::memcpy(out.data() + base, data, n);
 }
 
-template <typename Byte, typename T>
-void append_vec(std::vector<Byte>& out, const std::vector<T>& v) {
-  const std::uint32_t n = static_cast<std::uint32_t>(v.size());
-  const std::size_t base = out.size();
-  out.resize(base + 4 + n * sizeof(T));
-  std::memcpy(out.data() + base, &n, 4);
-  if (n) std::memcpy(out.data() + base + 4, v.data(), n * sizeof(T));
+template <typename T>
+void append_pod(std::vector<std::byte>& out, const T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  append_bytes(out, &v, sizeof(T));
+}
+
+template <typename T>
+void append_vec(std::vector<std::byte>& out, const std::vector<T>& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  append_pod(out, static_cast<std::uint32_t>(v.size()));
+  append_bytes(out, v.data(), v.size() * sizeof(T));
 }
 
 // Bounds-checked reader over a received payload. Every read_* either
 // succeeds or records a WireError and makes all subsequent reads no-ops, so
 // decoders are straight-line code with one failure check at the end.
-template <typename Byte>
 class Cursor {
  public:
-  explicit Cursor(std::span<const Byte> in) : in_(in) {}
+  explicit Cursor(std::span<const std::byte> in) : in_(in) {}
 
   bool ok() const noexcept { return !failed_; }
   const WireError& error() const noexcept { return err_; }
   std::size_t offset() const noexcept { return off_; }
+  bool at_end() const noexcept { return off_ == in_.size(); }
 
   bool fail(WireErrc code, const char* detail) noexcept {
     if (!failed_) {
@@ -124,76 +125,28 @@ class Cursor {
 
   bool expect_end(const char* what) noexcept {
     if (failed_) return false;
-    if (off_ != in_.size()) return fail(WireErrc::kOversized, what);
+    if (!at_end()) return fail(WireErrc::kOversized, what);
     return true;
   }
 
  private:
-  std::span<const Byte> in_;
+  std::span<const std::byte> in_;
   std::size_t off_ = 0;
   bool failed_ = false;
   WireError err_{};
 };
 
-template <typename Byte>
-std::vector<Byte> encode_report_t(const WorkerReport& r) {
-  std::vector<Byte> out;
-  out.reserve(22 + r.results.size() * sizeof(ResultMsg) +
-              r.new_pairs.size() * sizeof(PairMsg) +
-              r.progress.size() * sizeof(RoleProgress));
-  out.push_back(static_cast<Byte>(kWireKindReport));
-  append_pod(out, r.seq);
-  append_vec(out, r.results);
-  append_vec(out, r.new_pairs);
-  append_vec(out, r.progress);
-  out.push_back(static_cast<Byte>(r.exhausted));
-  return out;
-}
-
-template <typename Byte>
-WireResult<WorkerReport> try_decode_report_t(std::span<const Byte> bytes) {
-  Cursor<Byte> cur(bytes);
-  WorkerReport r;
-  cur.expect_tag(kWireKindReport, "report kind tag");
-  cur.read(r.seq, "report seq");
-  cur.read_vec(r.results, "report results");
-  cur.read_vec(r.new_pairs, "report new_pairs");
-  cur.read_vec(r.progress, "report progress");
-  cur.read(r.exhausted, "report exhausted flag");
-  cur.expect_end("report trailing bytes");
-  if (!cur.ok()) return cur.error();
-  return r;
-}
-
-template <typename Byte>
-std::vector<Byte> encode_reply_t(const MasterReply& r) {
-  std::vector<Byte> out;
-  out.reserve(23 + r.batch.size() * sizeof(PairMsg) +
-              r.takeovers.size() * sizeof(TakeoverOrder));
-  out.push_back(static_cast<Byte>(kWireKindReply));
-  append_pod(out, r.seq);
-  append_vec(out, r.batch);
-  append_vec(out, r.takeovers);
-  append_pod(out, r.request_r);
-  out.push_back(static_cast<Byte>(r.terminate));
-  out.push_back(static_cast<Byte>(r.park));
-  return out;
-}
-
-template <typename Byte>
-WireResult<MasterReply> try_decode_reply_t(std::span<const Byte> bytes) {
-  Cursor<Byte> cur(bytes);
-  MasterReply r;
-  cur.expect_tag(kWireKindReply, "reply kind tag");
-  cur.read(r.seq, "reply seq");
-  cur.read_vec(r.batch, "reply batch");
-  cur.read_vec(r.takeovers, "reply takeovers");
-  cur.read(r.request_r, "reply request_r");
-  cur.read(r.terminate, "reply terminate flag");
-  cur.read(r.park, "reply park flag");
-  cur.expect_end("reply trailing bytes");
-  if (!cur.ok()) return cur.error();
-  return r;
+/// Read a [magic][version] header, failing with kBadMagic / kBadVersion.
+void expect_header(Cursor& cur, std::uint32_t magic, std::uint32_t version,
+                   const char* what_magic, const char* what_version) {
+  std::uint32_t got_magic = 0;
+  std::uint32_t got_version = 0;
+  if (cur.read(got_magic, what_magic) && got_magic != magic) {
+    cur.fail(WireErrc::kBadMagic, what_magic);
+  }
+  if (cur.read(got_version, what_version) && got_version != version) {
+    cur.fail(WireErrc::kBadVersion, what_version);
+  }
 }
 
 }  // namespace
@@ -226,59 +179,65 @@ std::string WireError::message() const {
   return out;
 }
 
-std::vector<std::uint8_t> encode_report(const WorkerReport& r) {
-  return encode_report_t<std::uint8_t>(r);
-}
-
-WorkerReport decode_report(const std::vector<std::uint8_t>& bytes) {
-  return try_decode_report(std::span<const std::uint8_t>(bytes))
-      .take_or_throw();
-}
-
-std::vector<std::uint8_t> encode_reply(const MasterReply& r) {
-  return encode_reply_t<std::uint8_t>(r);
-}
-
-MasterReply decode_reply(const std::vector<std::uint8_t>& bytes) {
-  return try_decode_reply(std::span<const std::uint8_t>(bytes))
-      .take_or_throw();
-}
-
-std::vector<std::byte> encode_report_payload(const WorkerReport& r) {
-  return encode_report_t<std::byte>(r);
-}
-
-WorkerReport decode_report(std::span<const std::byte> bytes) {
-  return try_decode_report(bytes).take_or_throw();
-}
-
-std::vector<std::byte> encode_reply_payload(const MasterReply& r) {
-  return encode_reply_t<std::byte>(r);
-}
-
-MasterReply decode_reply(std::span<const std::byte> bytes) {
-  return try_decode_reply(bytes).take_or_throw();
-}
-
-WireResult<WorkerReport> try_decode_report(
-    std::span<const std::uint8_t> bytes) {
-  return try_decode_report_t(bytes);
+std::vector<std::byte> encode_report(const WorkerReport& r) {
+  std::vector<std::byte> out;
+  out.reserve(22 + r.results.size() * sizeof(ResultMsg) +
+              r.new_pairs.size() * sizeof(PairMsg) +
+              r.progress.size() * sizeof(RoleProgress));
+  append_pod(out, kWireKindReport);
+  append_pod(out, r.seq);
+  append_vec(out, r.results);
+  append_vec(out, r.new_pairs);
+  append_vec(out, r.progress);
+  append_pod(out, r.exhausted);
+  return out;
 }
 
 WireResult<WorkerReport> try_decode_report(std::span<const std::byte> bytes) {
-  return try_decode_report_t(bytes);
+  Cursor cur(bytes);
+  WorkerReport r;
+  cur.expect_tag(kWireKindReport, "report kind tag");
+  cur.read(r.seq, "report seq");
+  cur.read_vec(r.results, "report results");
+  cur.read_vec(r.new_pairs, "report new_pairs");
+  cur.read_vec(r.progress, "report progress");
+  cur.read(r.exhausted, "report exhausted flag");
+  cur.expect_end("report trailing bytes");
+  if (!cur.ok()) return cur.error();
+  return r;
 }
 
-WireResult<MasterReply> try_decode_reply(std::span<const std::uint8_t> bytes) {
-  return try_decode_reply_t(bytes);
+std::vector<std::byte> encode_reply(const MasterReply& r) {
+  std::vector<std::byte> out;
+  out.reserve(23 + r.batch.size() * sizeof(PairMsg) +
+              r.takeovers.size() * sizeof(TakeoverOrder));
+  append_pod(out, kWireKindReply);
+  append_pod(out, r.seq);
+  append_vec(out, r.batch);
+  append_vec(out, r.takeovers);
+  append_pod(out, r.request_r);
+  append_pod(out, r.terminate);
+  append_pod(out, r.park);
+  return out;
 }
 
 WireResult<MasterReply> try_decode_reply(std::span<const std::byte> bytes) {
-  return try_decode_reply_t(bytes);
+  Cursor cur(bytes);
+  MasterReply r;
+  cur.expect_tag(kWireKindReply, "reply kind tag");
+  cur.read(r.seq, "reply seq");
+  cur.read_vec(r.batch, "reply batch");
+  cur.read_vec(r.takeovers, "reply takeovers");
+  cur.read(r.request_r, "reply request_r");
+  cur.read(r.terminate, "reply terminate flag");
+  cur.read(r.park, "reply park flag");
+  cur.expect_end("reply trailing bytes");
+  if (!cur.ok()) return cur.error();
+  return r;
 }
 
-std::vector<std::uint8_t> encode_checkpoint(const ClusterCheckpoint& c) {
-  std::vector<std::uint8_t> out;
+std::vector<std::byte> encode_checkpoint(const ClusterCheckpoint& c) {
+  std::vector<std::byte> out;
   out.reserve(64 + c.labels.size() * 4 + c.pending.size() * sizeof(PairMsg) +
               c.progress.size() * sizeof(RoleProgress));
   append_pod(out, kCheckpointMagic);
@@ -301,17 +260,10 @@ std::vector<std::uint8_t> encode_checkpoint(const ClusterCheckpoint& c) {
 }
 
 WireResult<ClusterCheckpoint> try_decode_checkpoint(
-    std::span<const std::uint8_t> bytes) {
-  Cursor<std::uint8_t> cur(bytes);
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  if (cur.read(magic, "checkpoint magic") && magic != kCheckpointMagic) {
-    cur.fail(WireErrc::kBadMagic, "checkpoint magic");
-  }
-  if (cur.read(version, "checkpoint version") &&
-      version != kCheckpointVersion) {
-    cur.fail(WireErrc::kBadVersion, "checkpoint version");
-  }
+    std::span<const std::byte> bytes) {
+  Cursor cur(bytes);
+  expect_header(cur, kCheckpointMagic, kCheckpointVersion, "checkpoint magic",
+                "checkpoint version");
   ClusterCheckpoint c;
   cur.read(c.epoch, "checkpoint epoch");
   cur.read(c.num_ranks, "checkpoint num_ranks");
@@ -345,24 +297,20 @@ WireResult<ClusterCheckpoint> try_decode_checkpoint(
   return c;
 }
 
-ClusterCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& raw) {
-  return try_decode_checkpoint(std::span<const std::uint8_t>(raw))
-      .take_or_throw();
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept {
+std::uint32_t crc32(std::span<const std::byte> bytes) noexcept {
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) {
-    c = kCrc32Table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  for (const std::byte b : bytes) {
+    c = kCrc32Table[(c ^ std::to_integer<std::uint32_t>(b)) & 0xFFu] ^
+        (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
 
-void save_frame_atomic(const std::string& path,
-                       std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> frame;
+std::size_t save_frame_atomic(const std::string& path,
+                              std::span<const std::byte> payload) {
+  std::vector<std::byte> frame;
   frame.reserve(5 + payload.size());
-  frame.push_back(kFrameVersion);
+  append_pod(frame, kFrameVersion);
   append_pod(frame, crc32(payload));
   frame.insert(frame.end(), payload.begin(), payload.end());
 
@@ -383,13 +331,14 @@ void save_frame_atomic(const std::string& path,
     std::remove(tmp.c_str());
     throw std::runtime_error("frame: rename failed for " + path);
   }
+  return frame.size();
 }
 
-WireResult<std::vector<std::uint8_t>> try_load_frame(const std::string& path) {
+WireResult<std::vector<std::byte>> try_load_frame(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return WireError{WireErrc::kIo, 0, "frame file unreadable"};
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
+  std::vector<std::byte> bytes;
+  std::byte buf[1 << 16];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
     bytes.insert(bytes.end(), buf, buf + n);
@@ -401,36 +350,31 @@ WireResult<std::vector<std::uint8_t>> try_load_frame(const std::string& path) {
   if (bytes.size() < 5) {
     return WireError{WireErrc::kTruncated, bytes.size(), "frame header"};
   }
-  if (bytes[0] != kFrameVersion) {
+  if (std::to_integer<std::uint8_t>(bytes[0]) != kFrameVersion) {
     return WireError{WireErrc::kBadVersion, 0, "frame version"};
   }
   std::uint32_t want = 0;
   std::memcpy(&want, bytes.data() + 1, 4);
-  std::vector<std::uint8_t> payload(bytes.begin() + 5, bytes.end());
-  if (crc32(std::span<const std::uint8_t>(payload)) != want) {
+  std::vector<std::byte> payload(bytes.begin() + 5, bytes.end());
+  if (crc32(payload) != want) {
     return WireError{WireErrc::kBadCrc, 5, "frame payload checksum"};
   }
   return payload;
 }
 
-void save_checkpoint(const std::string& path, const ClusterCheckpoint& c) {
-  const auto bytes = encode_checkpoint(c);
-  save_frame_atomic(path, std::span<const std::uint8_t>(bytes));
+std::size_t save_checkpoint(const std::string& path,
+                            const ClusterCheckpoint& c) {
+  return save_frame_atomic(path, encode_checkpoint(c));
 }
 
 WireResult<ClusterCheckpoint> try_load_checkpoint(const std::string& path) {
   auto frame = try_load_frame(path);
   if (!frame) return frame.error();
-  const auto payload = std::move(frame).take_or_throw();
-  return try_decode_checkpoint(std::span<const std::uint8_t>(payload));
+  return try_decode_checkpoint(frame.value());
 }
 
-ClusterCheckpoint load_checkpoint(const std::string& path) {
-  return try_load_checkpoint(path).take_or_throw();
-}
-
-std::vector<std::uint8_t> encode_manifest(const RunManifest& m) {
-  std::vector<std::uint8_t> out;
+std::vector<std::byte> encode_manifest(const RunManifest& m) {
+  std::vector<std::byte> out;
   out.reserve(36 + m.phases.size() * sizeof(PhaseEntry));
   append_pod(out, kManifestMagic);
   append_pod(out, kManifestVersion);
@@ -441,17 +385,10 @@ std::vector<std::uint8_t> encode_manifest(const RunManifest& m) {
   return out;
 }
 
-WireResult<RunManifest> try_decode_manifest(
-    std::span<const std::uint8_t> bytes) {
-  Cursor<std::uint8_t> cur(bytes);
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  if (cur.read(magic, "manifest magic") && magic != kManifestMagic) {
-    cur.fail(WireErrc::kBadMagic, "manifest magic");
-  }
-  if (cur.read(version, "manifest version") && version != kManifestVersion) {
-    cur.fail(WireErrc::kBadVersion, "manifest version");
-  }
+WireResult<RunManifest> try_decode_manifest(std::span<const std::byte> bytes) {
+  Cursor cur(bytes);
+  expect_header(cur, kManifestMagic, kManifestVersion, "manifest magic",
+                "manifest version");
   RunManifest m;
   cur.read(m.generation, "manifest generation");
   cur.read(m.input_hash, "manifest input_hash");
@@ -472,19 +409,17 @@ WireResult<RunManifest> try_decode_manifest(
   return m;
 }
 
-void save_manifest(const std::string& path, const RunManifest& m) {
-  const auto bytes = encode_manifest(m);
-  save_frame_atomic(path, std::span<const std::uint8_t>(bytes));
+std::size_t save_manifest(const std::string& path, const RunManifest& m) {
+  return save_frame_atomic(path, encode_manifest(m));
 }
 
 WireResult<RunManifest> try_load_manifest(const std::string& path) {
   auto frame = try_load_frame(path);
   if (!frame) return frame.error();
-  const auto payload = std::move(frame).take_or_throw();
-  return try_decode_manifest(std::span<const std::uint8_t>(payload));
+  return try_decode_manifest(frame.value());
 }
 
-void encode_assembly(std::vector<std::uint8_t>& out, std::uint32_t cluster,
+void encode_assembly(std::vector<std::byte>& out, std::uint32_t cluster,
                      const olc::AssemblyResult& ar) {
   append_pod(out, cluster);
   append_pod(out, static_cast<std::uint32_t>(ar.contigs.size()));
@@ -493,7 +428,7 @@ void encode_assembly(std::vector<std::uint8_t>& out, std::uint32_t cluster,
   append_pod(out, ar.stats.layout_conflicts);
   for (const auto& contig : ar.contigs) {
     append_pod(out, static_cast<std::uint64_t>(contig.consensus.size()));
-    out.insert(out.end(), contig.consensus.begin(), contig.consensus.end());
+    append_bytes(out, contig.consensus.data(), contig.consensus.size());
     append_pod(out, static_cast<std::uint32_t>(contig.layout.size()));
     for (const auto& pl : contig.layout) {
       append_pod(out, pl.fragment);
@@ -505,19 +440,26 @@ void encode_assembly(std::vector<std::uint8_t>& out, std::uint32_t cluster,
 }
 
 WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
-    std::span<const std::uint8_t> bytes, std::size_t n_clusters) {
+    std::span<const std::byte> bytes, std::size_t rank, std::size_t ranks,
+    std::size_t n_clusters) {
   // Smallest encodings: a contig is its two counts, a placement 17 bytes.
   constexpr std::size_t kMinContig = 8 + 4;
   constexpr std::size_t kMinPlacement = 4 + 1 + 8 + 4;
-  Cursor<std::uint8_t> cur(bytes);
+  Cursor cur(bytes);
   std::vector<ClusterAssembly> out;
-  while (cur.ok() && cur.offset() < bytes.size()) {
+  // Round-robin ownership: rank r assembled clusters r, r + ranks, ...
+  for (std::size_t want = rank;
+       cur.ok() && (want < n_clusters || !cur.at_end()); want += ranks) {
+    if (cur.at_end()) {
+      return WireError{WireErrc::kCountMismatch, cur.offset(),
+                       "assembly buffer ends before the rank's last cluster"};
+    }
     ClusterAssembly rec;
     std::uint32_t n_contigs = 0;
     if (cur.read(rec.cluster, "assembly cluster") &&
-        rec.cluster >= n_clusters) {
+        (want >= n_clusters || rec.cluster != want)) {
       return WireError{WireErrc::kBadValue, cur.offset() - 4,
-                       "assembly cluster index out of range"};
+                       "assembly cluster not the rank's next own cluster"};
     }
     cur.read(n_contigs, "assembly contig count");
     auto& stats = rec.result.stats;

@@ -9,12 +9,14 @@
 // ClusterCheckpoint serializes the master's recoverable state (union-find
 // labels, pending pairs, generator progress) so a killed run can resume.
 //
-// Error discipline (DESIGN.md section 10): every decoder is bounds-checked
-// and total — a truncated, oversized, mistagged, or internally inconsistent
-// payload produces a typed WireError through the try_decode_* entry points,
-// never a read past the buffer and never an assert. The legacy throwing
-// entry points wrap the same decoders and raise WireFormatError (a
-// std::runtime_error) carrying the WireError.
+// One encoder and one non-throwing try_decode_* per format, all on
+// std::byte: the bytes an encoder returns are what vmpi moves and what the
+// CRC frame stores. Error discipline (DESIGN.md section 10): every decoder
+// is bounds-checked and total — a truncated, oversized, mistagged, or
+// internally inconsistent payload produces a typed WireError, never a read
+// past the buffer and never an assert. WireResult::take_or_throw turns that
+// error into a WireFormatError (a std::runtime_error) where a caller wants
+// one.
 #pragma once
 
 #include <cstddef>
@@ -118,8 +120,8 @@ struct WireError {
   std::string message() const;
 };
 
-/// Thrown by the legacy decode_*/load_checkpoint entry points; carries the
-/// structured error so catch sites can still branch on the code.
+/// Thrown by WireResult::take_or_throw; carries the structured error so
+/// catch sites can still branch on the code.
 class WireFormatError : public std::runtime_error {
  public:
   explicit WireFormatError(const WireError& e)
@@ -169,27 +171,13 @@ class [[nodiscard]] WireResult {
 inline constexpr std::uint8_t kWireKindReport = 0x52;  // 'R'
 inline constexpr std::uint8_t kWireKindReply = 0x59;   // 'Y'
 
-std::vector<std::uint8_t> encode_report(const WorkerReport& r);
-WorkerReport decode_report(const std::vector<std::uint8_t>& bytes);
-
-std::vector<std::uint8_t> encode_reply(const MasterReply& r);
-MasterReply decode_reply(const std::vector<std::uint8_t>& bytes);
-
-// Zero-copy wire path: encode straight into a vmpi payload buffer (one
-// exact-size allocation, POD batches memcpy'd from their spans) so the
-// serialized message can be MOVED into the destination mailbox via
-// Comm::send_payload, and decode straight from the received payload — no
-// intermediate uint8 staging vector on either side.
-std::vector<std::byte> encode_report_payload(const WorkerReport& r);
-WorkerReport decode_report(std::span<const std::byte> bytes);
-std::vector<std::byte> encode_reply_payload(const MasterReply& r);
-MasterReply decode_reply(std::span<const std::byte> bytes);
-
-// Non-throwing decoders: the master/worker protocol layers use these so a
-// corrupt peer payload is counted and dropped instead of killing the rank.
-WireResult<WorkerReport> try_decode_report(std::span<const std::uint8_t> bytes);
+// Encoders build the final payload in one exact-size allocation (POD
+// batches memcpy'd from their spans), so it can be MOVED into the
+// destination mailbox via Comm::send_payload; decoders read straight from
+// the received buffer.
+std::vector<std::byte> encode_report(const WorkerReport& r);
 WireResult<WorkerReport> try_decode_report(std::span<const std::byte> bytes);
-WireResult<MasterReply> try_decode_reply(std::span<const std::uint8_t> bytes);
+std::vector<std::byte> encode_reply(const MasterReply& r);
 WireResult<MasterReply> try_decode_reply(std::span<const std::byte> bytes);
 
 /// Master-side recoverable state, written periodically during a run.
@@ -220,15 +208,13 @@ struct ClusterCheckpoint {
   std::uint64_t merges_rejected_inconsistent = 0;
 };
 
-std::vector<std::uint8_t> encode_checkpoint(const ClusterCheckpoint& c);
-ClusterCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& bytes);
+std::vector<std::byte> encode_checkpoint(const ClusterCheckpoint& c);
 
-/// Non-throwing checkpoint decode. Beyond framing, validates the semantic
-/// invariants a resume relies on: labels.size() == n_fragments and every
-/// label value < n_fragments (a corrupt label would index out of bounds in
-/// MasterScheduler::restore).
+/// Beyond framing, validates the semantic invariants a resume relies on:
+/// labels.size() == n_fragments and every label value < n_fragments (a
+/// corrupt label would index out of bounds in MasterScheduler::restore).
 WireResult<ClusterCheckpoint> try_decode_checkpoint(
-    std::span<const std::uint8_t> bytes);
+    std::span<const std::byte> bytes);
 
 // --- CRC-protected file frame ----------------------------------------------
 //
@@ -246,26 +232,24 @@ WireResult<ClusterCheckpoint> try_decode_checkpoint(
 inline constexpr std::uint8_t kFrameVersion = 1;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
+std::uint32_t crc32(std::span<const std::byte> bytes) noexcept;
 
-/// Atomically write `payload` to `path` wrapped in the CRC frame.
-/// Throws std::runtime_error on any filesystem failure (the temp file is
-/// removed before throwing).
-void save_frame_atomic(const std::string& path,
-                       std::span<const std::uint8_t> payload);
+/// Atomically write `payload` to `path` wrapped in the CRC frame; returns
+/// the bytes written (payload + 5-byte header). Throws std::runtime_error
+/// on any filesystem failure (the temp file is removed before throwing).
+std::size_t save_frame_atomic(const std::string& path,
+                              std::span<const std::byte> payload);
 
 /// Read a CRC frame back; returns the verified payload bytes. kIo for
 /// filesystem problems, kTruncated for a file shorter than the header,
 /// kBadVersion for an unknown frame version, kBadCrc on checksum mismatch.
-WireResult<std::vector<std::uint8_t>> try_load_frame(const std::string& path);
+WireResult<std::vector<std::byte>> try_load_frame(const std::string& path);
 
-/// Atomic write (CRC frame + temp file + fsync + rename) / read of a
-/// checkpoint on disk. load_checkpoint throws (WireFormatError or
-/// std::runtime_error) if the file is missing or malformed;
-/// try_load_checkpoint reports the same conditions as a WireError (kIo for
-/// filesystem problems, kBadCrc for torn/corrupt files).
-void save_checkpoint(const std::string& path, const ClusterCheckpoint& c);
-ClusterCheckpoint load_checkpoint(const std::string& path);
+/// The only writer of checkpoint files: atomic CRC-framed write, returning
+/// the frame bytes written (for recovery.checkpoint_bytes). The load
+/// reports a missing file as kIo and a torn or corrupt one as kBadCrc.
+std::size_t save_checkpoint(const std::string& path,
+                            const ClusterCheckpoint& c);
 WireResult<ClusterCheckpoint> try_load_checkpoint(const std::string& path);
 
 // --- Run manifest (pipeline recovery supervisor) ----------------------------
@@ -292,15 +276,15 @@ struct RunManifest {
   std::vector<PhaseEntry> phases;
 };
 
-std::vector<std::uint8_t> encode_manifest(const RunManifest& m);
+std::vector<std::byte> encode_manifest(const RunManifest& m);
 
-/// Non-throwing manifest decode: total over arbitrary bytes. Beyond
-/// framing, rejects duplicate phase ids (kBadValue) — a manifest listing a
-/// phase twice is internally inconsistent.
-WireResult<RunManifest> try_decode_manifest(
-    std::span<const std::uint8_t> bytes);
+/// Total over arbitrary bytes. Beyond framing, rejects duplicate phase ids
+/// (kBadValue) — a manifest listing a phase twice is internally
+/// inconsistent.
+WireResult<RunManifest> try_decode_manifest(std::span<const std::byte> bytes);
 
-void save_manifest(const std::string& path, const RunManifest& m);
+/// The only writer of manifest files; returns the frame bytes written.
+std::size_t save_manifest(const std::string& path, const RunManifest& m);
 WireResult<RunManifest> try_load_manifest(const std::string& path);
 
 // --- Assembly results (distributed assembly phase) ---------------------------
@@ -317,14 +301,18 @@ struct ClusterAssembly {
 ///   [u64 overlaps_accepted][u64 layout_conflicts]
 ///   n_contigs × ([u64 len][len consensus codes][u32 n_layout]
 ///                n_layout × [u32 fragment][u8 flip][i64 offset][u32 length])
-void encode_assembly(std::vector<std::uint8_t>& out, std::uint32_t cluster,
+void encode_assembly(std::vector<std::byte>& out, std::uint32_t cluster,
                      const olc::AssemblyResult& ar);
 
-/// Decode a whole gather buffer. Total over arbitrary bytes: a cluster index
-/// >= n_clusters is kBadValue, and a contig, placement or consensus count
-/// that cannot fit in the remaining bytes is kTruncated, checked before
-/// anything is allocated.
+/// Decode the whole gather buffer of `rank` out of `ranks`. Clusters are
+/// dealt round-robin, so the buffer must hold exactly clusters rank,
+/// rank + ranks, ... below n_clusters, in that order: a foreign, repeated
+/// or out-of-order index is kBadValue and a buffer that ends before the
+/// last owned cluster is kCountMismatch. Total over arbitrary bytes: a
+/// contig, placement or consensus count that cannot fit in the remaining
+/// bytes is kTruncated, checked before anything is allocated.
 WireResult<std::vector<ClusterAssembly>> try_decode_assemblies(
-    std::span<const std::uint8_t> bytes, std::size_t n_clusters);
+    std::span<const std::byte> bytes, std::size_t rank, std::size_t ranks,
+    std::size_t n_clusters);
 
 }  // namespace pgasm::core

@@ -6,6 +6,7 @@
 #include <tuple>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace pgasm::obs {
@@ -93,21 +94,6 @@ const char* kind_json(CriticalStep::Kind k) {
 
 std::string rank_label(int rank) {
   return rank == kDriverTid ? "driver" : "rank " + std::to_string(rank);
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
 }
 
 /// Messages are keyed (phase, sender, sender's user send index). The phase
@@ -703,9 +689,9 @@ std::string Analysis::to_json() const {
   for (std::size_t i = 0; i < ledgers.size(); ++i) {
     const PhaseLedger& l = ledgers[i];
     if (i != 0) out += ',';
-    out += "\n  {\"phase\":";
-    append_json_string(out, l.phase);
-    out += ",\"rank\":" + std::to_string(l.rank);
+    out += "\n  {\"phase\":\"";
+    append_json_escaped(out, l.phase);
+    out += "\",\"rank\":" + std::to_string(l.rank);
     out += ",\"wall_us\":" + std::to_string(l.wall_us);
     out += ",\"compute_us\":" + std::to_string(l.compute_us);
     out += ",\"recv_wait_us\":" + std::to_string(l.recv_wait_us);
@@ -727,11 +713,11 @@ std::string Analysis::to_json() const {
     out += "\n  {\"kind\":\"";
     out += kind_json(st.kind);
     out += "\",\"rank\":" + std::to_string(st.rank);
-    out += ",\"name\":";
-    append_json_string(out, st.name);
-    out += ",\"phase\":";
-    append_json_string(out, st.phase);
-    out += ",\"start_us\":" + std::to_string(st.start_us);
+    out += ",\"name\":\"";
+    append_json_escaped(out, st.name);
+    out += "\",\"phase\":\"";
+    append_json_escaped(out, st.phase);
+    out += "\",\"start_us\":" + std::to_string(st.start_us);
     out += ",\"end_us\":" + std::to_string(st.end_us);
     out += '}';
   }
@@ -739,17 +725,18 @@ std::string Analysis::to_json() const {
   for (std::size_t i = 0; i < critical_path.top.size() && i < 10; ++i) {
     const CriticalContribution& c = critical_path.top[i];
     if (i != 0) out += ',';
-    out += "\n  {\"label\":";
-    append_json_string(out, c.label);
-    out += ",\"us\":" + std::to_string(c.us);
+    out += "\n  {\"label\":\"";
+    append_json_escaped(out, c.label);
+    out += "\",\"us\":" + std::to_string(c.us);
     out += ",\"frac\":" + util::fmt_double(c.frac, 4);
     out += '}';
   }
   out += "]},\n \"warnings\":[";
   for (std::size_t i = 0; i < warnings.size(); ++i) {
     if (i != 0) out += ',';
-    out += "\n  ";
-    append_json_string(out, warnings[i]);
+    out += "\n  \"";
+    append_json_escaped(out, warnings[i]);
+    out += '"';
   }
   out += "]\n}\n";
   return out;

@@ -18,25 +18,6 @@ MetricKey make_key(std::string_view name, int rank, std::string_view phase) {
   return MetricKey{std::string(name), rank, std::string(phase)};
 }
 
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_key_json(std::string& out, const MetricKey& key) {
   out += "\"name\":\"";
   append_json_escaped(out, key.name);
@@ -61,6 +42,25 @@ std::string json_double(double v) {
 }
 
 }  // namespace
+
+void append_json_escaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
 
 Counter& Registry::counter(std::string_view name, int rank,
                            std::string_view phase) {

@@ -211,4 +211,9 @@ Registry& registry();
 void set_phase(const char* phase) noexcept;
 const char* current_phase() noexcept;
 
+/// Append `s` as the body of a JSON string: quote and backslash escaped,
+/// \n and \t by name, other control characters as \u00XX. The one
+/// escaper behind every JSON the obs layer writes.
+void append_json_escaped(std::string& out, std::string_view s);
+
 }  // namespace pgasm::obs

@@ -25,20 +25,6 @@ std::uint64_t thread_cpu_us() noexcept {
          static_cast<std::uint64_t>(ts.tv_nsec) / 1000;
 }
 
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-}
-
 void append_args_json(std::string& out, const TraceEvent& ev) {
   out += "\"args\":{\"seq\":";
   out += std::to_string(ev.seq);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <span>
 #include <stdexcept>
 
 #include "core/wire.hpp"
@@ -18,72 +17,22 @@ namespace pgasm::pipeline {
 
 namespace {
 
-// --- Final-checkpoint persistence (recovery supervisor) --------------------
-
-/// Write the completed clustering as a checkpoint: the full label vector,
-/// no pending pairs, every generator role marked done. A later run whose
-/// manifest says clustering completed restores the partition from this file
-/// instead of recomputing it; if only the file survives (manifest lost) a
-/// normal resume replays it and finishes immediately.
-void write_final_cluster_checkpoint(const core::ClusterParams& cp, int ranks,
-                                    const PipelineResult& result) {
-  core::ClusterCheckpoint ck;
-  ck.epoch = result.cluster_stats.resumed_from_epoch +
-             result.cluster_stats.checkpoints_written + 1;
-  ck.num_ranks = static_cast<std::uint32_t>(ranks);
-  ck.n_fragments = static_cast<std::uint32_t>(result.pre.store.size());
-  ck.input_hash = core::cluster_input_hash(result.pre.store);
-  ck.params_hash = core::cluster_params_hash(cp);
-  ck.labels = result.clusters.labels();
-  for (int r = 1; r < ranks; ++r) {
-    ck.progress.push_back(
-        core::RoleProgress{static_cast<std::uint32_t>(r), 1, 0});
-  }
-  ck.pairs_generated = result.cluster_stats.pairs_generated;
-  ck.pairs_aligned = result.cluster_stats.pairs_aligned;
-  ck.pairs_accepted = result.cluster_stats.pairs_accepted;
-  ck.merges = result.cluster_stats.merges;
-  ck.merges_rejected_inconsistent =
-      result.cluster_stats.merges_rejected_inconsistent;
-  const auto bytes = core::encode_checkpoint(ck);
-  core::save_frame_atomic(cp.checkpoint_path,
-                          std::span<const std::uint8_t>(bytes));
-  if (obs::tracer().enabled()) {
-    obs::registry()
-        .counter("recovery.checkpoint_bytes", obs::kNoRank, "recovery")
-        .inc(bytes.size() + 5);
-  }
-}
-
-/// Restore the partition from a *final* checkpoint (see above). Refuses
-/// mid-run checkpoints (pending pairs or unfinished roles) and anything
-/// whose hashes or sizes do not match this run.
+/// Restore the partition from the *final* checkpoint the master writes at
+/// the end of clustering. Refuses mid-run checkpoints (pending pairs or
+/// unfinished roles) and anything whose hashes or sizes do not match this
+/// run; the decoder has already checked every label against n_fragments.
 bool restore_final_clusters(const core::ClusterParams& cp,
                             PipelineResult& result) {
   if (cp.checkpoint_path.empty()) return false;
   auto loaded = core::try_load_checkpoint(cp.checkpoint_path);
   if (!loaded) return false;
   const core::ClusterCheckpoint ck = std::move(loaded).value();
-  const std::size_t n = result.pre.store.size();
-  if (core::checkpoint_mismatch(ck, result.pre.store, cp) ||
-      ck.labels.size() != n) {
-    return false;
-  }
+  if (core::checkpoint_mismatch(ck, result.pre.store, cp)) return false;
   if (!ck.pending.empty()) return false;
   for (const auto& rp : ck.progress) {
     if (rp.done == 0) return false;
   }
-  result.clusters.reset(n);
-  std::vector<std::uint32_t> first(n, UINT32_MAX);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t label = ck.labels[i];
-    if (label >= n) return false;
-    if (first[label] == UINT32_MAX) {
-      first[label] = i;
-    } else {
-      result.clusters.unite(first[label], i);
-    }
-  }
+  result.clusters = util::UnionFind::from_labels(ck.labels);
   result.cluster_stats.pairs_generated = ck.pairs_generated;
   result.cluster_stats.pairs_aligned = ck.pairs_aligned;
   result.cluster_stats.pairs_accepted = ck.pairs_accepted;
@@ -150,7 +99,6 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
   SupervisorParams sup_params;
   sup_params.dir = params.checkpoint_dir;
   sup_params.max_attempts = params.phase_max_attempts;
-  sup_params.keep_generations = params.keep_generations;
   if (!params.checkpoint_dir.empty()) {
     sup_params.input_hash = core::cluster_input_hash(raw);
     sup_params.params_hash = core::cluster_params_hash(params.cluster);
@@ -248,17 +196,13 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
         result.clusters = std::move(pr.clusters);
         result.cluster_stats = pr.stats;
         result.cost = std::move(pr.cost);
-        if (!cp.checkpoint_path.empty()) {
-          if (sup.enabled()) {
-            // Keep a *final* checkpoint so a rerun restores the finished
-            // partition instead of recomputing it (the manifest records
-            // which runs it is valid for).
-            write_final_cluster_checkpoint(cp, params.ranks, result);
-          } else {
-            // No manifest to vouch for it: a leftover checkpoint would make
-            // the next fresh run "resume" a finished state.
-            std::remove(cp.checkpoint_path.c_str());
-          }
+        // The master left a final checkpoint. Under the supervisor it lets
+        // a rerun restore the finished partition (the manifest records
+        // which runs it is valid for); with no manifest to vouch for it, a
+        // leftover file would make the next fresh run "resume" a finished
+        // state.
+        if (!cp.checkpoint_path.empty() && !sup.enabled()) {
+          std::remove(cp.checkpoint_path.c_str());
         }
       });
     }
@@ -352,7 +296,7 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
                        sup.enabled() && attempt == 0 ? params.faults
                                                      : vmpi::FaultPlan{});
       const auto cost = rt.run([&](vmpi::Comm& comm) {
-        std::vector<std::uint8_t> outbox;
+        std::vector<std::byte> outbox;
         {
           auto scope = comm.compute_scope();
           for (std::size_t ci = comm.rank(); ci < n_assemble;
@@ -369,13 +313,15 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
         if (comm.rank() != 0) {
           // pgasm-lint: allow(raw-comm): assembly-result gather is a one-shot
           // all-to-root ship with its own framing, not clustering traffic.
-          comm.send(0, 7, outbox.data(), outbox.size());
+          comm.send_payload(0, 7, std::move(outbox));
         } else {
           for (int src = 1; src < comm.size(); ++src) {
             // pgasm-lint: allow(raw-comm): matching root-side recv of the gather.
-            const auto bytes = comm.recv_vector<std::uint8_t>(src, 7);
+            const auto bytes = comm.recv(src, 7);
             for (auto& rec :
-                 core::try_decode_assemblies(bytes, n_assemble)
+                 core::try_decode_assemblies(
+                     bytes, static_cast<std::size_t>(src),
+                     static_cast<std::size_t>(comm.size()), n_assemble)
                      .take_or_throw()) {
               result.assemblies[rec.cluster] = std::move(rec.result);
             }

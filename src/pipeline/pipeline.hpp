@@ -49,8 +49,6 @@ struct PipelineParams {
   /// Attempts per supervised phase before giving up (min 1); only
   /// meaningful with a non-empty checkpoint_dir.
   std::uint32_t phase_max_attempts = 3;
-  /// Manifest generations kept on disk before garbage collection.
-  std::uint32_t keep_generations = 2;
   /// Optional post-assembly phase (ground-truth validation, scaffold stats,
   /// report writing). Runs under the supervisor as a NON-required phase:
   /// if it keeps failing the pipeline completes without it, marking the

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -21,6 +20,15 @@ namespace {
 
 constexpr const char* kManifestPrefix = "manifest.";
 constexpr const char* kManifestSuffix = ".pgmf";
+
+// Backoff between attempts (seconds): short enough that a retried phase
+// costs little, capped so a third attempt does not wait long either.
+constexpr double kBackoffInitial = 0.01;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffCap = 0.25;
+
+// Manifest generations kept on disk: this run's and the one it adopted.
+constexpr std::uint64_t kKeepGenerations = 2;
 
 /// Parse `manifest.<gen>.pgmf` -> generation; false for any other name.
 bool parse_generation(const std::string& name, std::uint64_t* gen) {
@@ -115,20 +123,17 @@ void Supervisor::load() {
 
 void Supervisor::persist() {
   if (!enabled()) return;
-  const auto bytes = core::encode_manifest(manifest_);
-  core::save_frame_atomic(manifest_path(params_.dir, manifest_.generation),
-                          std::span<const std::uint8_t>(bytes));
-  stats_.manifest_bytes_written += bytes.size() + 5;  // + frame header
+  stats_.manifest_bytes_written += core::save_manifest(
+      manifest_path(params_.dir, manifest_.generation), manifest_);
   if (gc_done_) return;
   gc_done_ = true;
-  const std::uint64_t keep = std::max<std::uint32_t>(1, params_.keep_generations);
-  if (manifest_.generation <= keep) return;
+  if (manifest_.generation <= kKeepGenerations) return;
   std::error_code ec;
   for (fs::directory_iterator it(params_.dir, ec), end; !ec && it != end;
        it.increment(ec)) {
     std::uint64_t gen = 0;
     if (parse_generation(it->path().filename().string(), &gen) &&
-        gen + keep <= manifest_.generation) {
+        gen + kKeepGenerations <= manifest_.generation) {
       std::error_code rm;
       fs::remove(it->path(), rm);
     }
@@ -179,9 +184,8 @@ bool Supervisor::run_phase(
     body(0);
     return true;
   }
-  util::ExponentialBackoff backoff(params_.backoff_initial,
-                                   params_.backoff_multiplier,
-                                   params_.backoff_cap);
+  util::ExponentialBackoff backoff(kBackoffInitial, kBackoffMultiplier,
+                                   kBackoffCap);
   const std::uint32_t max_attempts = std::max<std::uint32_t>(1, params_.max_attempts);
   for (std::uint32_t attempt = 0;; ++attempt) {
     try {

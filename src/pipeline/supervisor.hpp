@@ -1,13 +1,14 @@
 // Pipeline recovery supervisor (DESIGN.md "End-to-end recovery").
 //
 // Wraps each pipeline phase in a retry loop with capped exponential
-// backoff and owns the run manifest: a generation-numbered, CRC-protected
-// record (core::RunManifest inside the wire frame) of which phases
-// completed, written atomically after every phase transition. On start the
+// backoff (10 ms doubling to a 250 ms cap) and owns the run manifest: a
+// generation-numbered, CRC-protected record (core::RunManifest inside the
+// wire frame) of which phases completed, written atomically after every
+// phase transition. On start the
 // newest on-disk generation whose input/params hashes match the run is
 // adopted, so a restarted pipeline knows which phases' persisted state it
 // may reuse; corrupt or mismatched manifests are counted and skipped, and
-// generations older than `keep_generations` are garbage-collected.
+// all but the newest two generations are garbage-collected.
 //
 // Required phases rethrow once attempts are exhausted. Optional phases
 // (ground-truth validation, obs export) are instead marked *degraded*: the
@@ -46,12 +47,6 @@ struct SupervisorParams {
   std::string dir;
   /// Attempts per phase before giving up (min 1).
   std::uint32_t max_attempts = 3;
-  /// Backoff between attempts (seconds).
-  double backoff_initial = 0.01;
-  double backoff_multiplier = 2.0;
-  double backoff_cap = 0.25;
-  /// Manifest generations kept on disk; older ones are removed.
-  std::uint32_t keep_generations = 2;
   /// Hashes a loaded manifest must match to be adopted (0 = skip check).
   std::uint64_t input_hash = 0;
   std::uint64_t params_hash = 0;

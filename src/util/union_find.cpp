@@ -1,7 +1,9 @@
 #include "util/union_find.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "util/contract.hpp"
 
@@ -76,6 +78,23 @@ std::vector<UnionFind::Id> UnionFind::labels() const {
   std::vector<Id> out(n);
   for (Id x = 0; x < n; ++x) out[x] = rep_index[find_const(x)];
   return out;
+}
+
+UnionFind UnionFind::from_labels(std::span<const Id> labels) {
+  // Unite each element with the first element seen carrying its label.
+  UnionFind uf(labels.size());
+  std::vector<Id> first(labels.size(), std::numeric_limits<Id>::max());
+  for (Id i = 0; i < labels.size(); ++i) {
+    const Id l = labels[i];
+    if (l >= first.size())
+      throw std::invalid_argument("union-find label out of range");
+    if (first[l] == std::numeric_limits<Id>::max()) {
+      first[l] = i;
+    } else {
+      uf.unite(first[l], i);
+    }
+  }
+  return uf;
 }
 
 }  // namespace pgasm::util

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pgasm::util {
@@ -51,6 +52,11 @@ class UnionFind {
 
   /// Dense labeling: label[x] in [0, num_sets), equal labels iff same set.
   std::vector<Id> labels() const;
+
+  /// The partition whose sets are the equal-label classes of `labels`
+  /// (the inverse of labels()). Throws std::invalid_argument on a label
+  /// >= labels.size().
+  static UnionFind from_labels(std::span<const Id> labels);
 
  private:
   std::vector<Id> parent_;

@@ -4,8 +4,8 @@
 // substrate provides the same programming model — ranks, point-to-point
 // send/recv with tags and wildcards, synchronous (Ssend) semantics, probes,
 // and the collectives the algorithms need (barrier, bcast, reduce,
-// allreduce, gather, allgatherv, and the paper's customized staged
-// Alltoallv with bounded buffers). Collectives are implemented on
+// allreduce, and the paper's customized staged Alltoallv with bounded
+// buffers). Collectives are implemented on
 // top of point-to-point messages with real communication algorithms
 // (dissemination barrier, binomial bcast/reduce), so the cost ledger sees
 // the same message pattern a real cluster would.
@@ -325,15 +325,6 @@ class Comm {
     return v[0];
   }
 
-  /// Gather variable-length vectors at root; result[r] = rank r's vector.
-  /// Non-root ranks receive an empty result.
-  template <typename T>
-  std::vector<std::vector<T>> gatherv(const std::vector<T>& local, int root);
-
-  /// All ranks receive every rank's vector.
-  template <typename T>
-  std::vector<std::vector<T>> allgatherv(const std::vector<T>& local);
-
   /// Personalized all-to-all, the paper's customized Alltoallv (Section 6):
   /// outgoing[d] goes to rank d; returns incoming[s] = what rank s sent to
   /// this rank. p-1 paired rounds, round r exchanging with ranks
@@ -534,51 +525,6 @@ std::vector<T> Comm::reduce_vector(std::vector<T> local, int root,
     mask <<= 1;
   }
   return local;  // root
-}
-
-template <typename T>
-std::vector<std::vector<T>> Comm::gatherv(const std::vector<T>& local,
-                                          int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const int p = size();
-  const std::int64_t base_tag = next_collective_tag();
-  if (rank_ != root) {
-    send_impl(root, base_tag, local.data(), local.size() * sizeof(T),
-              /*internal=*/true, /*sync=*/false);
-    return {};
-  }
-  std::vector<std::vector<T>> out(static_cast<std::size_t>(p));
-  out[rank_] = local;
-  for (int s = 0; s < p; ++s) {
-    if (s == root) continue;
-    auto bytes = recv_impl(s, base_tag, /*internal=*/true, nullptr);
-    out[s].resize(bytes.size() / sizeof(T));
-    copy_bytes(out[s].data(), bytes.data(), bytes.size());
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<std::vector<T>> Comm::allgatherv(const std::vector<T>& local) {
-  auto gathered = gatherv(local, 0);
-  // Broadcast the concatenation with a length prefix per rank.
-  std::vector<std::uint64_t> lens(static_cast<std::size_t>(size()));
-  std::vector<T> flat;
-  if (rank_ == 0) {
-    for (int r = 0; r < size(); ++r) {
-      lens[r] = gathered[r].size();
-      flat.insert(flat.end(), gathered[r].begin(), gathered[r].end());
-    }
-  }
-  bcast_vector(lens, 0);
-  bcast_vector(flat, 0);
-  std::vector<std::vector<T>> out(static_cast<std::size_t>(size()));
-  std::size_t off = 0;
-  for (int r = 0; r < size(); ++r) {
-    out[r].assign(flat.begin() + off, flat.begin() + off + lens[r]);
-    off += lens[r];
-  }
-  return out;
 }
 
 template <typename T>

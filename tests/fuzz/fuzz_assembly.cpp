@@ -1,10 +1,12 @@
 // Fuzz harness: assembly gather decode (distributed assembly phase).
 //
-// try_decode_assemblies must be total over arbitrary bytes: a typed
-// WireError or a list of records, never a crash or a count-sized
-// allocation. Every accepted record must name a cluster below the bound
-// rank 0 indexes with, and re-encoding what was decoded must decode to the
-// same bytes again.
+// The first input byte picks the sending rank (of kRanks); the rest is its
+// gather buffer. try_decode_assemblies must be total over arbitrary bytes:
+// a typed WireError or a list of records, never a crash or a count-sized
+// allocation. An accepted buffer must hold exactly the sender's own
+// clusters — rank, rank + kRanks, ... below kClusters, in that order — so
+// rank 0 fills every slot once. Re-encoding what was decoded must decode
+// to the same bytes again.
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -15,7 +17,8 @@
 
 namespace {
 
-constexpr std::size_t kClusters = 4;
+constexpr std::size_t kRanks = 3;
+constexpr std::size_t kClusters = 7;
 
 void check(bool ok, const char* what) {
   if (!ok) {
@@ -36,12 +39,25 @@ pgasm::olc::AssemblyResult sample_assembly() {
   return ar;
 }
 
-std::vector<std::uint8_t> encode_all(
+std::vector<std::byte> encode_all(
     const std::vector<pgasm::core::ClusterAssembly>& recs) {
-  std::vector<std::uint8_t> out;
+  std::vector<std::byte> out;
   for (const auto& r : recs) {
     pgasm::core::encode_assembly(out, r.cluster, r.result);
   }
+  return out;
+}
+
+/// Seed: the sending rank's byte, then its buffer of `clusters`.
+std::vector<std::uint8_t> seed(std::uint8_t rank,
+                               const std::vector<std::uint32_t>& clusters) {
+  std::vector<std::byte> bytes;
+  for (const std::uint32_t c : clusters) {
+    const auto ar = c % 2 ? sample_assembly() : pgasm::olc::AssemblyResult{};
+    pgasm::core::encode_assembly(bytes, c, ar);
+  }
+  std::vector<std::uint8_t> out = seed_of(bytes);
+  out.insert(out.begin(), rank);
   return out;
 }
 
@@ -49,21 +65,22 @@ std::vector<std::uint8_t> encode_all(
 
 std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds() {
   std::vector<std::vector<std::uint8_t>> seeds;
-  std::vector<std::uint8_t> valid;
-  pgasm::core::encode_assembly(valid, 1, sample_assembly());
-  pgasm::core::encode_assembly(valid, 3, pgasm::olc::AssemblyResult{});
+  const auto valid = seed(1, {1, 4});
   seeds.push_back(valid);
-  seeds.emplace_back();
-  // Invalid by construction: a cluster index past the bound.
-  std::vector<std::uint8_t> bad_index;
-  pgasm::core::encode_assembly(bad_index, kClusters, sample_assembly());
-  seeds.push_back(bad_index);
-  for (std::size_t cut : {std::size_t{4}, valid.size() / 2,
+  seeds.push_back(seed(0, {0, 3, 6}));
+  seeds.push_back(seed(2, {2, 5}));
+  // Invalid by construction: an omitted, a foreign, a repeated and an
+  // out-of-range cluster.
+  seeds.push_back(seed(1, {1}));
+  seeds.push_back(seed(1, {1, 2}));
+  seeds.push_back(seed(1, {1, 4, 4}));
+  seeds.push_back(seed(1, {1, 4, 7}));
+  for (std::size_t cut : {std::size_t{5}, valid.size() / 2,
                           valid.size() - 1}) {
     seeds.emplace_back(valid.begin(),
                        valid.begin() + static_cast<std::ptrdiff_t>(cut));
   }
-  for (std::size_t flip : {std::size_t{5}, std::size_t{35},
+  for (std::size_t flip : {std::size_t{6}, std::size_t{36},
                            valid.size() - 1}) {
     auto bytes = valid;
     bytes[flip] ^= 0x40;
@@ -74,16 +91,21 @@ std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds() {
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
+  if (size == 0) return 0;
+  const std::size_t rank = data[0] % kRanks;
   auto decoded = pgasm::core::try_decode_assemblies(
-      std::span<const std::uint8_t>(data, size), kClusters);
+      wire_bytes(data + 1, size - 1), rank, kRanks, kClusters);
   if (!decoded) return 0;
   const auto recs = std::move(decoded).take_or_throw();
+  std::size_t want = rank;
   for (const auto& r : recs) {
-    check(r.cluster < kClusters, "decoder accepted an out-of-range cluster");
+    check(r.cluster == want, "decoder accepted a cluster the rank lacks");
+    want += kRanks;
   }
+  check(want >= kClusters, "decoder accepted a buffer missing an own cluster");
   const auto bytes = encode_all(recs);
-  auto again = pgasm::core::try_decode_assemblies(
-      std::span<const std::uint8_t>(bytes), kClusters);
+  auto again = pgasm::core::try_decode_assemblies(bytes, rank, kRanks,
+                                                  kClusters);
   check(again.has_value(), "re-encoded records failed to decode");
   check(encode_all(again.value()) == bytes,
         "assembly round trip changed contents");

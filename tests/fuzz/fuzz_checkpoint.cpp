@@ -67,19 +67,19 @@ ClusterCheckpoint sample_checkpoint() {
 
 std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds() {
   std::vector<std::vector<std::uint8_t>> seeds;
-  seeds.push_back(pgasm::core::encode_checkpoint(sample_checkpoint()));
-  seeds.push_back(pgasm::core::encode_checkpoint(ClusterCheckpoint{}));
+  using pgasm::core::encode_checkpoint;
+  seeds.push_back(seed_of(encode_checkpoint(sample_checkpoint())));
+  seeds.push_back(seed_of(encode_checkpoint(ClusterCheckpoint{})));
   ClusterCheckpoint wrong_count = sample_checkpoint();
   wrong_count.n_fragments = kFragments + 1;
   wrong_count.labels.push_back(0);
-  seeds.push_back(pgasm::core::encode_checkpoint(wrong_count));
+  seeds.push_back(seed_of(encode_checkpoint(wrong_count)));
   return seeds;
 }
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  auto decoded =
-      pgasm::core::try_decode_checkpoint(std::span<const std::uint8_t>(data, size));
+  auto decoded = pgasm::core::try_decode_checkpoint(wire_bytes(data, size));
   if (!decoded) return 0;
   const ClusterCheckpoint ck = std::move(decoded).take_or_throw();
 

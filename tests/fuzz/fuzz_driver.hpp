@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -30,3 +31,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 /// Builtin seed corpus: valid (and near-valid) inputs the mutator starts
 /// from, so the bounded smoke run reaches deep decode paths immediately.
 std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds();
+
+/// The fuzz input as the std::byte span the wire decoders read.
+inline std::span<const std::byte> wire_bytes(const std::uint8_t* data,
+                                             std::size_t size) {
+  return std::as_bytes(std::span(data, size));
+}
+
+/// A wire encoder's output as a seed.
+inline std::vector<std::uint8_t> seed_of(const std::vector<std::byte>& bytes) {
+  std::vector<std::uint8_t> out(bytes.size());
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    out[i] = std::to_integer<std::uint8_t>(bytes[i]);
+  return out;
+}

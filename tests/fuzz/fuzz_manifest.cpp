@@ -41,15 +41,15 @@ RunManifest sample_manifest() {
 
 std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds() {
   std::vector<std::vector<std::uint8_t>> seeds;
-  seeds.push_back(pgasm::core::encode_manifest(sample_manifest()));
-  seeds.push_back(pgasm::core::encode_manifest(RunManifest{}));
+  seeds.push_back(seed_of(pgasm::core::encode_manifest(sample_manifest())));
+  seeds.push_back(seed_of(pgasm::core::encode_manifest(RunManifest{})));
   // Invalid by construction: duplicate phase and out-of-range phase id.
   RunManifest dup = sample_manifest();
   dup.phases.push_back(PhaseEntry{.phase = 1, .attempts = 1});
-  seeds.push_back(pgasm::core::encode_manifest(dup));
+  seeds.push_back(seed_of(pgasm::core::encode_manifest(dup)));
   RunManifest huge = sample_manifest();
   huge.phases.push_back(PhaseEntry{.phase = 64, .attempts = 1});
-  seeds.push_back(pgasm::core::encode_manifest(huge));
+  seeds.push_back(seed_of(pgasm::core::encode_manifest(huge)));
   // Truncations and bit flips of a valid encoding.
   const auto valid = seeds.front();
   for (std::size_t cut : {std::size_t{0}, std::size_t{4}, valid.size() / 2,
@@ -68,8 +68,7 @@ std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds() {
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  auto decoded = pgasm::core::try_decode_manifest(
-      std::span<const std::uint8_t>(data, size));
+  auto decoded = pgasm::core::try_decode_manifest(wire_bytes(data, size));
   if (!decoded) return 0;
   const RunManifest m = std::move(decoded).take_or_throw();
 
@@ -84,8 +83,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   // Round trip: what we persist is what a restarted run reads back.
   const auto bytes = pgasm::core::encode_manifest(m);
-  auto again = pgasm::core::try_decode_manifest(
-      std::span<const std::uint8_t>(bytes));
+  auto again = pgasm::core::try_decode_manifest(bytes);
   check(again.has_value(), "re-encoded manifest failed to decode");
   const RunManifest m2 = std::move(again).take_or_throw();
   check(m2.generation == m.generation && m2.input_hash == m.input_hash &&

@@ -35,7 +35,7 @@ void check(bool ok, const char* what) {
   }
 }
 
-void fuzz_report(std::span<const std::uint8_t> payload) {
+void fuzz_report(std::span<const std::byte> payload) {
   auto decoded = pgasm::core::try_decode_report(payload);
   if (!decoded) return;
   const auto re = pgasm::core::encode_report(decoded.value());
@@ -44,7 +44,7 @@ void fuzz_report(std::span<const std::uint8_t> payload) {
         "report decode/encode round-trip is not the identity");
 }
 
-void fuzz_reply(std::span<const std::uint8_t> payload) {
+void fuzz_reply(std::span<const std::byte> payload) {
   auto decoded = pgasm::core::try_decode_reply(payload);
   if (!decoded) return;
   const auto re = pgasm::core::encode_reply(decoded.value());
@@ -53,7 +53,7 @@ void fuzz_reply(std::span<const std::uint8_t> payload) {
         "reply decode/encode round-trip is not the identity");
 }
 
-void fuzz_checkpoint(std::span<const std::uint8_t> payload) {
+void fuzz_checkpoint(std::span<const std::byte> payload) {
   auto decoded = pgasm::core::try_decode_checkpoint(payload);
   if (!decoded) return;
   const auto re = pgasm::core::encode_checkpoint(decoded.value());
@@ -100,11 +100,9 @@ ClusterCheckpoint sample_checkpoint() {
 std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds() {
   std::vector<std::vector<std::uint8_t>> seeds;
   auto tagged = [&seeds](std::uint8_t route,
-                         const std::vector<std::uint8_t>& payload) {
-    std::vector<std::uint8_t> s;
-    s.reserve(payload.size() + 1);
-    s.push_back(route);
-    s.insert(s.end(), payload.begin(), payload.end());
+                         const std::vector<std::byte>& payload) {
+    std::vector<std::uint8_t> s = seed_of(payload);
+    s.insert(s.begin(), route);
     seeds.push_back(std::move(s));
   };
   tagged(0, pgasm::core::encode_report(sample_report()));
@@ -119,7 +117,7 @@ std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds() {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size == 0) return 0;
-  const std::span<const std::uint8_t> payload(data + 1, size - 1);
+  const auto payload = wire_bytes(data + 1, size - 1);
   switch (data[0] % 3) {
     case 0: fuzz_report(payload); break;
     case 1: fuzz_reply(payload); break;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden fixtures for pgasm-lint W007-W015, pgasm-model's source
+"""Golden fixtures for pgasm-lint W001 and W007-W015, pgasm-model's source
 conformance (P5), and pgasm-determcheck W016-W019.
 
 Each wNNN_bad/ mini-tree seeds known violations (lines marked BAD) plus
@@ -72,6 +72,14 @@ def main() -> int:
 
     # Seeded-violation counts: keep in sync with the BAD markers in each
     # fixture source.
+    w1 = expect_findings(lint, "w001_bad", "W001", 2)
+    check(any("decode_lost" in f["message"] for f in w1["findings"]),
+          "W001 names the undeclared decoder decode_lost")
+    check(any("kTagQuiet" in f["message"] and "round-trip" in f["message"]
+              for f in w1["findings"]),
+          "W001 flags kTagQuiet's missing round-trip test")
+    check(not any("kTagGood" in f["message"] for f in w1["findings"]),
+          "W001 accepts try_decode_good for encode_good/decode_good")
     expect_findings(lint, "w007_bad", "W007", 5)
     expect_findings(lint, "w008_bad", "W008", 2)
     w9 = expect_findings(lint, "w009_bad", "W009", 2)

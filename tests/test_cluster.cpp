@@ -80,8 +80,8 @@ TEST(Wire, ReportRoundTrip) {
   r.new_pairs = {{10, 5, 20, 7, 31}};
   r.progress = {{1, 0, 940}, {3, 1, 12}};
   r.exhausted = 1;
-  const auto bytes = core::encode_report(r);
-  const auto back = core::decode_report(bytes);
+  const auto back =
+      core::try_decode_report(core::encode_report(r)).take_or_throw();
   ASSERT_EQ(back.results.size(), 2u);
   EXPECT_EQ(back.results[1].frag_a, 3u);
   EXPECT_EQ(back.results[0].accepted, 1u);
@@ -103,7 +103,8 @@ TEST(Wire, ReplyRoundTrip) {
   r.takeovers = {{2, 0, 4096}};
   r.request_r = 777;
   r.terminate = 0;
-  const auto back = core::decode_reply(core::encode_reply(r));
+  const auto back =
+      core::try_decode_reply(core::encode_reply(r)).take_or_throw();
   ASSERT_EQ(back.batch.size(), 2u);
   EXPECT_EQ(back.batch[1].seq_a, 6u);
   ASSERT_EQ(back.takeovers.size(), 1u);
@@ -118,7 +119,9 @@ TEST(Wire, RejectsTruncated) {
   r.new_pairs = {{1, 2, 3, 4, 5}};
   auto bytes = core::encode_report(r);
   bytes.resize(bytes.size() - 3);
-  EXPECT_THROW(core::decode_report(bytes), std::runtime_error);
+  const auto back = core::try_decode_report(bytes);
+  ASSERT_FALSE(back.has_value());
+  EXPECT_EQ(back.error().code, core::WireErrc::kTruncated);
 }
 
 TEST(SerialCluster, TwoIslandsSeparate) {

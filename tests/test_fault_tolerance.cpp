@@ -292,7 +292,8 @@ TEST(Checkpoint, EncodeDecodeRoundTrip) {
   c.pairs_generated = 1000;
   c.pairs_aligned = 400;
   c.merges = 7;
-  const auto back = core::decode_checkpoint(core::encode_checkpoint(c));
+  const auto back =
+      core::try_decode_checkpoint(core::encode_checkpoint(c)).take_or_throw();
   EXPECT_EQ(back.epoch, 9u);
   EXPECT_EQ(back.num_ranks, 4u);
   EXPECT_EQ(back.input_hash, 0x1122334455667788ULL);
@@ -313,11 +314,15 @@ TEST(Checkpoint, RejectsCorrupted) {
   c.n_fragments = 2;
   c.labels = {0, 1};
   auto bytes = core::encode_checkpoint(c);
-  bytes[0] ^= 0xFF;  // break the magic
-  EXPECT_THROW(core::decode_checkpoint(bytes), std::runtime_error);
+  bytes[0] ^= std::byte{0xFF};  // break the magic
+  auto bad_magic = core::try_decode_checkpoint(bytes);
+  ASSERT_FALSE(bad_magic.has_value());
+  EXPECT_EQ(bad_magic.error().code, core::WireErrc::kBadMagic);
   bytes = core::encode_checkpoint(c);
   bytes.resize(bytes.size() - 4);
-  EXPECT_THROW(core::decode_checkpoint(bytes), std::runtime_error);
+  auto truncated = core::try_decode_checkpoint(bytes);
+  ASSERT_FALSE(truncated.has_value());
+  EXPECT_EQ(truncated.error().code, core::WireErrc::kTruncated);
 }
 
 TEST(Checkpoint, SaveLoadRoundTrip) {
@@ -328,12 +333,15 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
   c.n_fragments = 2;
   c.labels = {0, 0};
   c.pending = {{1, 2, 3, 4, 5}};
-  core::save_checkpoint(path, c);
-  const auto back = core::load_checkpoint(path);
+  const std::size_t written = core::save_checkpoint(path, c);
+  EXPECT_EQ(written, core::encode_checkpoint(c).size() + 5);  // + frame
+  const auto back = core::try_load_checkpoint(path).take_or_throw();
   EXPECT_EQ(back.epoch, 3u);
   ASSERT_EQ(back.pending.size(), 1u);
   std::remove(path.c_str());
-  EXPECT_THROW(core::load_checkpoint(path), std::runtime_error);
+  auto missing = core::try_load_checkpoint(path);
+  ASSERT_FALSE(missing.has_value());
+  EXPECT_EQ(missing.error().code, core::WireErrc::kIo);
 }
 
 TEST(Checkpoint, HashesTrackInputAndParams) {
@@ -627,7 +635,8 @@ TEST(FaultCluster, MasterCrashThenCheckpointResumeCompletes) {
                }),
                std::runtime_error);
 
-  const auto ckpt = core::load_checkpoint(params.checkpoint_path);
+  const auto ckpt =
+      core::try_load_checkpoint(params.checkpoint_path).take_or_throw();
   EXPECT_GE(ckpt.epoch, 1u);
   EXPECT_EQ(ckpt.n_fragments, store.size());
   EXPECT_GT(ckpt.merges + ckpt.pending.size() + ckpt.pairs_aligned, 0u);

@@ -312,6 +312,17 @@ TEST_F(TracerTest, ChromeJsonStructure) {
   EXPECT_NE(json.find("\"s\":\"t\""), std::string::npos);
 }
 
+// Control characters in a trace name are escaped like in every other obs
+// JSON, not blanked: a newline reads back as \n, a tab as \t.
+TEST_F(TracerTest, ChromeJsonEscapesControlCharacters) {
+  obs::tracer().set_enabled(true);
+  obs::instant(0, "two\nlines\tand\x01", "test");
+  const std::string json = obs::tracer().to_chrome_json();
+  EXPECT_NE(json.find("\"name\":\"two\\nlines\\tand\\u0001\""),
+            std::string::npos)
+      << json;
+}
+
 TEST_F(TracerTest, CapacityAppliesToNewRings) {
   obs::tracer().set_capacity(4);
   obs::tracer().set_enabled(true);

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/parallel_cluster.hpp"
 #include "core/wire.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/supervisor.hpp"
@@ -83,8 +84,6 @@ TEST(Supervisor, RetriesUntilSuccessAndRecordsManifest) {
   SupervisorParams sp;
   sp.dir = dir;
   sp.max_attempts = 3;
-  sp.backoff_initial = 0.001;
-  sp.backoff_cap = 0.002;
   Supervisor sup(sp);
 
   int calls = 0;
@@ -110,8 +109,6 @@ TEST(Supervisor, RequiredPhaseRethrowsAfterExhaustion) {
   SupervisorParams sp;
   sp.dir = dir;
   sp.max_attempts = 2;
-  sp.backoff_initial = 0.001;
-  sp.backoff_cap = 0.002;
   Supervisor sup(sp);
   int calls = 0;
   EXPECT_THROW(sup.run_phase(PhaseId::kAssembly, /*required=*/true,
@@ -129,8 +126,6 @@ TEST(Supervisor, OptionalPhaseDegradesInsteadOfThrowing) {
   SupervisorParams sp;
   sp.dir = dir;
   sp.max_attempts = 2;
-  sp.backoff_initial = 0.001;
-  sp.backoff_cap = 0.002;
   Supervisor sup(sp);
   const bool ok = sup.run_phase(PhaseId::kValidation, /*required=*/false,
                                 [&](std::uint32_t) {
@@ -147,7 +142,6 @@ TEST(Supervisor, CorruptNewestManifestFallsBackToOlderGeneration) {
   SupervisorParams sp;
   sp.dir = dir;
   sp.max_attempts = 1;
-  sp.keep_generations = 4;
   {
     Supervisor gen1(sp);
     gen1.run_phase(PhaseId::kPreprocess, true, [](std::uint32_t) {});
@@ -182,7 +176,6 @@ TEST(Supervisor, StaleGenerationsAreGarbageCollected) {
   SupervisorParams sp;
   sp.dir = dir;
   sp.max_attempts = 1;
-  sp.keep_generations = 2;
   for (int run = 0; run < 5; ++run) {
     Supervisor sup(sp);
     sup.run_phase(PhaseId::kPreprocess, true, [](std::uint32_t) {});
@@ -230,6 +223,36 @@ TEST(RecoveryPipeline, RerunRestoresCompletedClusteringFromCheckpoint) {
             first.assembly_summary.total_contigs);
   EXPECT_EQ(second.assembly_summary.consensus_bases,
             first.assembly_summary.consensus_bases);
+  fs::remove_all(dir);
+}
+
+// The final checkpoint is the master's terminal state: nothing pending,
+// every generation role done, and labels that restore the run's partition.
+// Resuming clustering from it finishes at once with that partition.
+TEST(RecoveryPipeline, FinalCheckpointIsTheMastersTerminalState) {
+  const auto dir = scratch_dir("final");
+  const auto rs = small_reads(21);
+  auto params = recovery_params();
+  params.checkpoint_dir = dir;
+  const auto result = run_pipeline(rs.store, sim::vector_library(), params);
+
+  auto loaded = core::try_load_checkpoint(dir + "/cluster.ckpt");
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().message();
+  const core::ClusterCheckpoint ck = std::move(loaded).take_or_throw();
+  EXPECT_TRUE(ck.pending.empty());
+  EXPECT_EQ(ck.num_ranks, static_cast<std::uint32_t>(params.ranks));
+  ASSERT_EQ(ck.progress.size(), static_cast<std::size_t>(params.ranks - 1));
+  for (const auto& rp : ck.progress) EXPECT_EQ(rp.done, 1u) << rp.role;
+  EXPECT_EQ(ck.merges, result.cluster_stats.merges);
+  EXPECT_EQ(ck.pairs_aligned, result.cluster_stats.pairs_aligned);
+  expect_same_partition(result.clusters,
+                        util::UnionFind::from_labels(ck.labels));
+
+  core::ClusterParams cp = params.cluster;
+  const auto resumed = core::cluster_parallel(result.pre.store, cp,
+                                              params.ranks, {}, {}, &ck);
+  expect_same_partition(result.clusters, resumed.clusters);
+  EXPECT_EQ(resumed.stats.pairs_aligned, ck.pairs_aligned);
   fs::remove_all(dir);
 }
 

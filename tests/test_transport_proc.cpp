@@ -99,12 +99,15 @@ TEST(ProcTransport, SsendRendezvousAndCollectives) {
     EXPECT_EQ(c.allreduce_sum<int>(c.rank()),
               c.size() * (c.size() - 1) / 2);
     EXPECT_EQ(c.allreduce_max<int>(c.rank()), c.size() - 1);
-    const auto rows = c.allgatherv<std::uint32_t>(
-        std::vector<std::uint32_t>(static_cast<std::size_t>(c.rank()) + 1,
-                                   static_cast<std::uint32_t>(c.rank())));
+    std::vector<std::uint32_t> slots(static_cast<std::size_t>(c.size()), 0);
+    slots[static_cast<std::size_t>(c.rank())] =
+        static_cast<std::uint32_t>(c.rank()) + 1;
+    const auto all = c.allreduce_vector(
+        std::move(slots),
+        [](std::uint32_t a, std::uint32_t b) { return a + b; });
     for (int r = 0; r < c.size(); ++r) {
-      ASSERT_EQ(rows[static_cast<std::size_t>(r)].size(),
-                static_cast<std::size_t>(r) + 1);
+      EXPECT_EQ(all[static_cast<std::size_t>(r)],
+                static_cast<std::uint32_t>(r) + 1);
     }
     // Personalized exchange, staged variant (the paper's Alltoallv).
     std::vector<std::vector<int>> out(static_cast<std::size_t>(c.size()));
@@ -267,7 +270,10 @@ TEST(ProcTransport, ContigLevelDeterminismVsThread) {
         local.push_back(static_cast<std::uint64_t>(c.rank()) * 1000003u +
                         static_cast<std::uint64_t>(i) * 17u);
       }
-      auto rows = c.gatherv(local, 0);
+      std::vector<std::vector<std::uint64_t>> out(
+          static_cast<std::size_t>(c.size()));
+      out[0] = std::move(local);  // gather at rank 0
+      auto rows = c.staged_alltoallv(out);
       if (c.rank() == 0) {
         std::vector<std::uint64_t> flat;
         for (auto& row : rows) {

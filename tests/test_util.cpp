@@ -119,6 +119,29 @@ TEST(UnionFind, LabelsDense) {
   EXPECT_NE(labels[0], labels[1]);
 }
 
+TEST(UnionFind, FromLabelsInvertsLabels) {
+  util::Prng rng(5);
+  util::UnionFind uf(300);
+  for (int i = 0; i < 200; ++i) {
+    uf.unite(static_cast<std::uint32_t>(rng() % 300),
+             static_cast<std::uint32_t>(rng() % 300));
+  }
+  // Number each set by its first member, so equal partitions compare equal
+  // whichever members the two structures picked as representatives.
+  const auto canonical = [](const std::vector<std::uint32_t>& labels) {
+    std::map<std::uint32_t, std::uint32_t> first;
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t i = 0; i < labels.size(); ++i)
+      out.push_back(first.try_emplace(labels[i], i).first->second);
+    return out;
+  };
+  const auto rebuilt = util::UnionFind::from_labels(uf.labels());
+  EXPECT_EQ(canonical(rebuilt.labels()), canonical(uf.labels()));
+  EXPECT_EQ(rebuilt.num_sets(), uf.num_sets());
+  const std::vector<std::uint32_t> bad = {0, 2};  // label 2 >= size 2
+  EXPECT_THROW(util::UnionFind::from_labels(bad), std::invalid_argument);
+}
+
 TEST(RadixSort, U64WithPayload) {
   util::Prng rng(9);
   std::vector<std::uint64_t> keys(5000);

@@ -92,27 +92,6 @@ TEST_P(VmpiSizes, AllreduceVectorElementwise) {
   });
 }
 
-TEST_P(VmpiSizes, GathervAndAllgatherv) {
-  const int p = GetParam();
-  Runtime rt(p);
-  rt.run([&](Comm& c) {
-    std::vector<int> mine(static_cast<std::size_t>(c.rank()), c.rank());
-    auto rooted = c.gatherv(mine, 0);
-    if (c.rank() == 0) {
-      ASSERT_EQ(rooted.size(), static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        EXPECT_EQ(rooted[r].size(), static_cast<std::size_t>(r));
-        for (int v : rooted[r]) EXPECT_EQ(v, r);
-      }
-    }
-    auto all = c.allgatherv(mine);
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(all[r].size(), static_cast<std::size_t>(r));
-    }
-  });
-}
-
 // The staged Alltoallv is vmpi's only all-to-all (the GST build's).
 TEST_P(VmpiSizes, AlltoallvBothVariants) {
   const int p = GetParam();

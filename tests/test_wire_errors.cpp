@@ -1,11 +1,12 @@
 // Regression tests for the typed wire-decode error discipline (DESIGN.md
 // section 10): truncated/mistagged/corrupt payloads must surface as
-// WireError values (or WireFormatError from the legacy entry points), never
-// as out-of-bounds reads, and the protocol layer must recover from
-// duplicates and drops via the seq/cached-reply mechanism.
+// WireError values (or WireFormatError from take_or_throw), never as
+// out-of-bounds reads, and the protocol layer must recover from duplicates
+// and drops via the seq/cached-reply mechanism.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -56,13 +57,12 @@ ClusterCheckpoint sample_checkpoint() {
 TEST(WireErrors, TruncatedReportPrefixesYieldTypedErrors) {
   const auto bytes = encode_report(sample_report());
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    auto r = try_decode_report(
-        std::span<const std::uint8_t>(bytes.data(), cut));
+    auto r = try_decode_report(std::span(bytes.data(), cut));
     ASSERT_FALSE(r.has_value()) << "prefix of " << cut << " bytes decoded";
     EXPECT_EQ(r.error().code, WireErrc::kTruncated) << "cut=" << cut;
   }
   // The full payload still round-trips.
-  auto ok = try_decode_report(std::span<const std::uint8_t>(bytes));
+  auto ok = try_decode_report(bytes);
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(encode_report(ok.value()), bytes);
 }
@@ -70,42 +70,38 @@ TEST(WireErrors, TruncatedReportPrefixesYieldTypedErrors) {
 TEST(WireErrors, TruncatedReplyPrefixesYieldTypedErrors) {
   const auto bytes = encode_reply(sample_reply());
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    auto r =
-        try_decode_reply(std::span<const std::uint8_t>(bytes.data(), cut));
+    auto r = try_decode_reply(std::span(bytes.data(), cut));
     ASSERT_FALSE(r.has_value()) << "prefix of " << cut << " bytes decoded";
     EXPECT_EQ(r.error().code, WireErrc::kTruncated) << "cut=" << cut;
   }
-  auto ok = try_decode_reply(std::span<const std::uint8_t>(bytes));
+  auto ok = try_decode_reply(bytes);
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(encode_reply(ok.value()), bytes);
 }
 
 TEST(WireErrors, GarbageKindTagIsBadTag) {
   auto report_bytes = encode_report(sample_report());
-  report_bytes[0] = 0x00;
-  auto r = try_decode_report(std::span<const std::uint8_t>(report_bytes));
+  report_bytes[0] = std::byte{0x00};
+  auto r = try_decode_report(report_bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kBadTag);
 
   // A reply payload routed to the report decoder (the misrouting the kind
   // byte exists to catch) also fails with kBadTag, not a misparse.
   const auto reply_bytes = encode_reply(sample_reply());
-  auto misrouted =
-      try_decode_report(std::span<const std::uint8_t>(reply_bytes));
+  auto misrouted = try_decode_report(reply_bytes);
   ASSERT_FALSE(misrouted.has_value());
   EXPECT_EQ(misrouted.error().code, WireErrc::kBadTag);
 
-  auto reply_as_reply = try_decode_reply(
-      std::span<const std::uint8_t>(report_bytes.data() + 0,
-                                    report_bytes.size()));
+  auto reply_as_reply = try_decode_reply(report_bytes);
   ASSERT_FALSE(reply_as_reply.has_value());
   EXPECT_EQ(reply_as_reply.error().code, WireErrc::kBadTag);
 }
 
 TEST(WireErrors, TrailingBytesAreOversized) {
   auto bytes = encode_report(sample_report());
-  bytes.push_back(0xAB);
-  auto r = try_decode_report(std::span<const std::uint8_t>(bytes));
+  bytes.push_back(std::byte{0xAB});
+  auto r = try_decode_report(bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kOversized);
   EXPECT_EQ(r.error().offset, bytes.size() - 1);
@@ -114,10 +110,10 @@ TEST(WireErrors, TrailingBytesAreOversized) {
 TEST(WireErrors, HugeElementCountFailsBeforeAllocating) {
   // [kind][seq u64][results count u64 = 2^61]: the decoder must reject the
   // count against the remaining buffer size instead of trying to reserve.
-  std::vector<std::uint8_t> bytes{kWireKindReport};
-  for (int i = 0; i < 8; ++i) bytes.push_back(0);  // seq
-  bytes.insert(bytes.end(), {0, 0, 0, 0, 0, 0, 0, 0x20});  // count
-  auto r = try_decode_report(std::span<const std::uint8_t>(bytes));
+  std::vector<std::byte> bytes{std::byte{kWireKindReport}};
+  bytes.resize(1 + 8 + 7);  // seq, count's low bytes
+  bytes.push_back(std::byte{0x20});  // count's high byte
+  auto r = try_decode_report(bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kTruncated);
 }
@@ -126,8 +122,8 @@ TEST(WireErrors, LegacyDecodeThrowsWireFormatErrorWithCode) {
   auto bytes = encode_reply(sample_reply());
   bytes.resize(bytes.size() / 2);
   try {
-    (void)decode_reply(bytes);
-    FAIL() << "decode_reply accepted a truncated payload";
+    (void)try_decode_reply(bytes).take_or_throw();
+    FAIL() << "take_or_throw accepted a truncated payload";
   } catch (const WireFormatError& e) {
     EXPECT_EQ(e.error().code, WireErrc::kTruncated);
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
@@ -138,15 +134,15 @@ TEST(WireErrors, CheckpointBadMagicAndStaleVersion) {
   auto bytes = encode_checkpoint(sample_checkpoint());
   {
     auto tampered = bytes;
-    tampered[0] = 'X';  // magic is the first little-endian u32
-    auto r = try_decode_checkpoint(std::span<const std::uint8_t>(tampered));
+    tampered[0] = std::byte{'X'};  // magic is the first little-endian u32
+    auto r = try_decode_checkpoint(tampered);
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().code, WireErrc::kBadMagic);
   }
   {
     auto tampered = bytes;
-    tampered[4] = 0x7F;  // version u32 follows the magic
-    auto r = try_decode_checkpoint(std::span<const std::uint8_t>(tampered));
+    tampered[4] = std::byte{0x7F};  // version u32 follows the magic
+    auto r = try_decode_checkpoint(tampered);
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().code, WireErrc::kBadVersion);
   }
@@ -156,7 +152,7 @@ TEST(WireErrors, CheckpointLabelCountMismatchIsTyped) {
   auto ck = sample_checkpoint();
   ck.labels.pop_back();  // labels.size() != n_fragments
   const auto bytes = encode_checkpoint(ck);
-  auto r = try_decode_checkpoint(std::span<const std::uint8_t>(bytes));
+  auto r = try_decode_checkpoint(bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kCountMismatch);
 }
@@ -165,7 +161,7 @@ TEST(WireErrors, CheckpointLabelOutOfRangeIsTyped) {
   auto ck = sample_checkpoint();
   ck.labels[2] = ck.n_fragments;  // one past the legal label domain
   const auto bytes = encode_checkpoint(ck);
-  auto r = try_decode_checkpoint(std::span<const std::uint8_t>(bytes));
+  auto r = try_decode_checkpoint(bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kBadValue);
 }
@@ -233,7 +229,7 @@ TEST(WireErrors, BitFlippedCheckpointFileIsBadCrc) {
   }();
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
-  std::vector<std::uint8_t> file_bytes(original.size() + 5);
+  std::vector<std::byte> file_bytes(original.size() + 5);
   ASSERT_EQ(std::fread(file_bytes.data(), 1, file_bytes.size(), f),
             file_bytes.size());
   std::fclose(f);
@@ -241,7 +237,7 @@ TEST(WireErrors, BitFlippedCheckpointFileIsBadCrc) {
   for (const std::size_t pos :
        {std::size_t{5}, std::size_t{9}, file_bytes.size() - 1}) {
     auto tampered = file_bytes;
-    tampered[pos] ^= 0x01;
+    tampered[pos] ^= std::byte{0x01};
     // pgasm-lint: allow(raw-ckpt-write): deliberately corrupting a frame on
     // disk to prove the loader rejects it.
     std::FILE* out = std::fopen(path.c_str(), "wb");
@@ -264,11 +260,11 @@ TEST(WireErrors, TruncatedCheckpointFileIsTyped) {
   ASSERT_TRUE(frame.has_value());
   const auto payload = std::move(frame).take_or_throw();
 
-  std::vector<std::uint8_t> file_bytes;
-  file_bytes.push_back(kFrameVersion);
-  const std::uint32_t crc = crc32(std::span<const std::uint8_t>(payload));
+  std::vector<std::byte> file_bytes;
+  file_bytes.push_back(std::byte{kFrameVersion});
+  const std::uint32_t crc = crc32(payload);
   for (int i = 0; i < 4; ++i)
-    file_bytes.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    file_bytes.push_back(static_cast<std::byte>(crc >> (8 * i)));
   file_bytes.insert(file_bytes.end(), payload.begin(), payload.end());
 
   for (const std::size_t cut : {std::size_t{0}, std::size_t{3},
@@ -306,8 +302,7 @@ TEST(WireErrors, UnknownFrameVersionIsTyped) {
 TEST(WireErrors, Crc32MatchesKnownVector) {
   // The standard reflected CRC-32 of "123456789" (check value).
   const char* s = "123456789";
-  const auto crc = crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(s), 9));
+  const auto crc = crc32(std::as_bytes(std::span(s, 9)));
   EXPECT_EQ(crc, 0xCBF43926u);
 }
 
@@ -342,7 +337,7 @@ TEST(WireErrors, ManifestDuplicatePhaseIsBadValue) {
   auto m = sample_manifest();
   m.phases.push_back(m.phases[0]);
   const auto bytes = encode_manifest(m);
-  auto r = try_decode_manifest(std::span<const std::uint8_t>(bytes));
+  auto r = try_decode_manifest(bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kBadValue);
 }
@@ -351,15 +346,14 @@ TEST(WireErrors, ManifestHugePhaseIdIsBadValue) {
   auto m = sample_manifest();
   m.phases[0].phase = 64;
   const auto bytes = encode_manifest(m);
-  auto r = try_decode_manifest(std::span<const std::uint8_t>(bytes));
+  auto r = try_decode_manifest(bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kBadValue);
 }
 
 TEST(WireErrors, ErrorMessageNamesCodeAndOffset) {
   const auto bytes = encode_report(sample_report());
-  auto r = try_decode_report(
-      std::span<const std::uint8_t>(bytes.data(), bytes.size() - 1));
+  auto r = try_decode_report(std::span(bytes.data(), bytes.size() - 1));
   ASSERT_FALSE(r.has_value());
   const std::string msg = r.error().message();
   EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
@@ -384,7 +378,7 @@ olc::AssemblyResult sample_assembly() {
 TEST(WireErrors, AssemblyByteFormatIsStable) {
   olc::AssemblyResult ar = sample_assembly();
   ar.contigs.pop_back();
-  std::vector<std::uint8_t> bytes;
+  std::vector<std::byte> bytes;
   encode_assembly(bytes, 1, ar);
   const std::vector<std::uint8_t> want{
       1, 0, 0, 0,  1, 0, 0, 0,                      // cluster, n_contigs
@@ -394,76 +388,122 @@ TEST(WireErrors, AssemblyByteFormatIsStable) {
       1, 0, 0, 0,                                   // n_layout
       7, 0, 0, 0,  1,  0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
       3, 0, 0, 0};                                  // placement
-  EXPECT_EQ(bytes, want);
+  ASSERT_EQ(bytes.size(), want.size());
+  EXPECT_EQ(std::memcmp(bytes.data(), want.data(), want.size()), 0);
 }
 
+// Rank 0 of 2 owns clusters 0 and 2 of 3, in that order.
 TEST(WireErrors, AssemblyGatherRoundTrips) {
-  std::vector<std::uint8_t> bytes;
-  encode_assembly(bytes, 2, sample_assembly());
+  std::vector<std::byte> bytes;
   encode_assembly(bytes, 0, olc::AssemblyResult{});
-  auto r = try_decode_assemblies(std::span<const std::uint8_t>(bytes), 3);
+  encode_assembly(bytes, 2, sample_assembly());
+  auto r = try_decode_assemblies(bytes, 0, 2, 3);
   ASSERT_TRUE(r.has_value()) << r.error().message();
   ASSERT_EQ(r.value().size(), 2u);
-  EXPECT_EQ(r.value()[0].cluster, 2u);
-  EXPECT_EQ(r.value()[1].cluster, 0u);
-  const auto& got = r.value()[0].result;
+  EXPECT_EQ(r.value()[0].cluster, 0u);
+  EXPECT_EQ(r.value()[1].cluster, 2u);
+  const auto& got = r.value()[1].result;
   ASSERT_EQ(got.contigs.size(), 2u);
   EXPECT_EQ(got.contigs[0].consensus, sample_assembly().contigs[0].consensus);
   EXPECT_EQ(got.contigs[0].layout[0].offset, -2);
   EXPECT_TRUE(got.contigs[0].layout[0].flip);
   EXPECT_EQ(got.stats.layout_conflicts, 1u);
-  std::vector<std::uint8_t> again;
+  std::vector<std::byte> again;
   for (const auto& rec : r.value()) encode_assembly(again, rec.cluster, rec.result);
   EXPECT_EQ(again, bytes);
-  // A rank that assembled nothing sends an empty buffer.
-  auto none = try_decode_assemblies({}, 3);
+  // A rank that owns no cluster (rank 3 of 4, 3 clusters) sends an empty
+  // buffer.
+  auto none = try_decode_assemblies({}, 3, 4, 3);
   ASSERT_TRUE(none.has_value());
   EXPECT_TRUE(none.value().empty());
 }
 
+// A buffer from rank 1 of 2 over 4 clusters must hold clusters 1 and 3.
+// Holding only cluster 1 used to decode fine, and rank 0 then kept an empty
+// AssemblyResult for cluster 3 and reported success.
+TEST(WireErrors, AssemblyGatherMissingOwnClusterIsCountMismatch) {
+  std::vector<std::byte> bytes;
+  encode_assembly(bytes, 1, sample_assembly());
+  auto r = try_decode_assemblies(bytes, 1, 2, 4);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, WireErrc::kCountMismatch);
+  EXPECT_EQ(r.error().offset, bytes.size());
+  // A rank that owns clusters but sends nothing is short too.
+  auto empty = try_decode_assemblies({}, 1, 2, 4);
+  ASSERT_FALSE(empty.has_value());
+  EXPECT_EQ(empty.error().code, WireErrc::kCountMismatch);
+}
+
+// Foreign, repeated and out-of-order cluster indices are each kBadValue at
+// the offending record.
+TEST(WireErrors, AssemblyGatherForeignRepeatedOrReorderedIsBadValue) {
+  const auto decode = [](const std::vector<std::uint32_t>& clusters) {
+    std::vector<std::byte> bytes;
+    for (const std::uint32_t c : clusters)
+      encode_assembly(bytes, c, olc::AssemblyResult{});
+    return try_decode_assemblies(bytes, 1, 2, 4);
+  };
+  constexpr std::size_t kRecord = 4 + 4 + 3 * 8;  // an empty assembly
+  for (const auto& [clusters, bad_at] :
+       std::vector<std::pair<std::vector<std::uint32_t>, std::size_t>>{
+           {{0, 3}, 0},         // foreign: rank 0's cluster
+           {{1, 2}, kRecord},   // foreign: rank 0's cluster
+           {{1, 1}, kRecord},   // repeated
+           {{3, 1}, 0},         // out of order
+           {{1, 3, 3}, 2 * kRecord},  // repeated past the last own cluster
+           {{1, 3, 5}, 2 * kRecord},  // the rank's stride, but past n
+       }) {
+    auto r = decode(clusters);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().code, WireErrc::kBadValue);
+    EXPECT_EQ(r.error().offset, bad_at);
+  }
+  ASSERT_TRUE(decode({1, 3}).has_value());
+}
+
 TEST(WireErrors, TruncatedAssemblyPrefixesYieldTypedErrors) {
-  std::vector<std::uint8_t> bytes;
+  std::vector<std::byte> bytes;
   encode_assembly(bytes, 1, sample_assembly());
   for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
-    auto r = try_decode_assemblies(
-        std::span<const std::uint8_t>(bytes.data(), cut), 2);
+    auto r = try_decode_assemblies(std::span(bytes.data(), cut), 1, 2, 2);
     ASSERT_FALSE(r.has_value()) << "prefix of " << cut << " bytes decoded";
     EXPECT_EQ(r.error().code, WireErrc::kTruncated) << "cut=" << cut;
   }
 }
 
 TEST(WireErrors, AssemblyClusterIndexOutOfRangeIsBadValue) {
-  std::vector<std::uint8_t> bytes;
+  std::vector<std::byte> bytes;
   encode_assembly(bytes, 0, sample_assembly());
   const std::size_t second = bytes.size();
   encode_assembly(bytes, 3, sample_assembly());
-  auto r = try_decode_assemblies(std::span<const std::uint8_t>(bytes), 3);
+  auto r = try_decode_assemblies(bytes, 0, 1, 3);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, WireErrc::kBadValue);
   EXPECT_EQ(r.error().offset, second);
 }
 
 TEST(WireErrors, HugeAssemblyCountsFailBeforeAllocating) {
-  std::vector<std::uint8_t> bytes;
+  std::vector<std::byte> bytes;
   encode_assembly(bytes, 0, sample_assembly());
   {
     auto bad = bytes;
-    for (int k = 4; k < 8; ++k) bad[k] = 0xff;  // n_contigs = 2^32 - 1
-    auto r = try_decode_assemblies(std::span<const std::uint8_t>(bad), 1);
+    for (int k = 4; k < 8; ++k) bad[k] = std::byte{0xff};  // n_contigs 2^32-1
+    auto r = try_decode_assemblies(bad, 0, 1, 1);
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().code, WireErrc::kTruncated);
   }
   {
     auto bad = bytes;
-    for (int k = 43; k < 47; ++k) bad[k] = 0xff;  // n_layout = 2^32 - 1
-    auto r = try_decode_assemblies(std::span<const std::uint8_t>(bad), 1);
+    for (int k = 43; k < 47; ++k) bad[k] = std::byte{0xff};  // n_layout
+    auto r = try_decode_assemblies(bad, 0, 1, 1);
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().code, WireErrc::kTruncated);
   }
   {
     auto bad = bytes;
-    for (int k = 32; k < 40; ++k) bad[k] = 0xff;  // consensus length 2^64 - 1
-    auto r = try_decode_assemblies(std::span<const std::uint8_t>(bad), 1);
+    // Consensus length 2^64 - 1.
+    for (int k = 32; k < 40; ++k) bad[k] = std::byte{0xff};
+    auto r = try_decode_assemblies(bad, 0, 1, 1);
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().code, WireErrc::kTruncated);
   }
@@ -497,9 +537,9 @@ TEST(WireErrors, DuplicateSeqReportGetsCachedReply) {
       WorkerReport rep = sample_report();
       rep.seq = 41;
       for (int round = 0; round < 2; ++round) {
-        c.send_payload(0, kTagReport, encode_report_payload(rep));
+        c.send_payload(0, kTagReport, encode_report(rep));
         const auto raw = c.recv(0, kTagReply);
-        auto reply = try_decode_reply(std::span<const std::byte>(raw));
+        auto reply = try_decode_reply(raw);
         ASSERT_TRUE(reply.has_value());
         worker_got.push_back(std::move(reply).take_or_throw());
       }
@@ -528,7 +568,7 @@ TEST(WireErrors, RecvReportSurfacesCorruptPayloadAsTypedError) {
       EXPECT_EQ(retry.value().seq, 41u);
       c.send_value<int>(1, 99, 1);
     } else {
-      auto bytes = encode_report_payload([] {
+      auto bytes = encode_report([] {
         WorkerReport r;
         r.seq = 41;
         return r;

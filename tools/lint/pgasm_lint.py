@@ -5,9 +5,10 @@ Checks
 ------
 W001  wire-protocol hygiene: every protocol tag in core/cluster_protocol.hpp
       carries a `pgasm-wire:` annotation naming either `raw-u64` or exactly
-      one encode_X/decode_X codec pair; each named pair must be declared in
-      core/wire.hpp, be claimed by exactly one tag, and be exercised by a
-      round-trip test under tests/ (both halves referenced).
+      one encode_X/decode_X codec pair; core/wire.hpp must declare encode_X
+      and the decoder (decode_X or its non-throwing try_decode_X), the pair
+      must be claimed by exactly one tag, and a round-trip test under tests/
+      must reference both halves.
 W002  raw-comm confinement: vmpi send/recv calls are confined to the
       protocol layers (src/vmpi/ itself, core/cluster_protocol.*). The
       parallel GST build uses collectives only. Anywhere else needs an
@@ -264,14 +265,15 @@ def check_w001() -> None:
                     f"{tag} claims codec pair {annot} already claimed by "
                     f"{claimed[annot]}")
         claimed[annot] = tag
-        for fn in (enc, dec):
-            if not re.search(rf"\b{fn}\s*\(", wire_text):
+        # The decoder half may be declared as decode_X or try_decode_X.
+        for fn, pattern in ((enc, rf"\b{enc}\s*\("),
+                            (dec, rf"\b(try_)?{dec}\s*\(")):
+            if not re.search(pattern, wire_text):
                 finding(proto, line_no, "W001", "wire",
                         f"{tag} names {fn} but core/wire.hpp declares no "
                         "such codec")
-        # Round-trip coverage: both halves (or the try_ decode variant)
-        # must appear in a test.
-        has_enc = re.search(rf"\b{enc}\s*\(|\b{enc}_payload\s*\(", test_text)
+        # Round-trip coverage: both halves must appear in a test.
+        has_enc = re.search(rf"\b{enc}\s*\(", test_text)
         has_dec = re.search(rf"\b(try_)?{dec}\s*\(", test_text)
         if not (has_enc and has_dec):
             finding(proto, line_no, "W001", "wire",
