@@ -8,7 +8,9 @@
 // workspace kernel: the same cells, so the checksums match and the speedup
 // is the kernel's alone. Heap traffic is measured for real by counting every
 // global operator new in the process — after warmup the reuse variants must
-// report zero bytes per pair.
+// report zero bytes per pair. The banded workspace variants run the sweep
+// build banded_overlap_align picks on this CPU (AVX2 or 16-byte vectors);
+// its name is the JSON's "sweep" param.
 //
 //   ./align_throughput --pairs 4000 --len 600 --overlap 120 --band 12
 //
@@ -235,15 +237,18 @@ int main(int argc, char** argv) {
   const double speedup =
       ref.pairs_per_sec() > 0 ? reuse.pairs_per_sec() / ref.pairs_per_sec()
                               : 0;
+  const char* sweep =
+      align::detail::sweep_name(align::detail::selected_sweep());
   std::printf("\nbanded reuse vs allocating reference: %.2fx pairs/sec, "
-              "%.0f -> %.0f heap bytes/pair\n",
-              speedup, ref.bytes_per_pair(), reuse.bytes_per_pair());
+              "%.0f -> %.0f heap bytes/pair (%s sweep)\n",
+              speedup, ref.bytes_per_pair(), reuse.bytes_per_pair(), sweep);
 
   bench::BenchJson bj("align_throughput", {"variant"});
   bj.param("pairs", n_pairs);
   bj.param("len", len);
   bj.param("overlap", overlap);
   bj.param("band", static_cast<std::uint64_t>(band));
+  bj.param("sweep", sweep);
   bj.param("reps", reps);
   bj.param("seed", seed);
   bj.param("banded_speedup_vs_reference", speedup);

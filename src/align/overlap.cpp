@@ -72,6 +72,18 @@ void trace_back(Seq a, Seq b, const std::uint8_t* tb, CellIndex cell,
   r.columns = columns;
 }
 
+/// trace_back's cell index for the banded sweep: anti-diagonal k = i + j
+/// from kmin, `width` direction bytes each, lane (j − i − dl + 1) / 2.
+/// Defined here, outside the AVX2 pragma, so trace_back can inline it in
+/// either build.
+struct BandCell {
+  std::int64_t kmin, dl, width;
+  std::size_t operator()(std::int64_t i, std::int64_t j) const {
+    return static_cast<std::size_t>((i + j - kmin) * width +
+                                    ((j - i - dl + 1) >> 1));
+  }
+};
+
 /// Score of every off-matrix and out-of-band lane of the banded sweep,
 /// rewritten after each anti-diagonal so it never drifts.
 template <typename T>
@@ -89,174 +101,47 @@ bool lanes_fit(std::int64_t len, std::int64_t w) {
          w * (len + 2) <= -std::int64_t{kPoison<T>};
 }
 
-/// The banded kernel: a sweep along anti-diagonals k = i + j, 16 bytes of
-/// T lanes at a time. The band's diagonals d = j − i on one anti-diagonal
-/// share the parity of k, so lane t holds diagonal d = dl + 2t − o, where
-/// o = (k − dl) & 1. Diag is the same lane two anti-diagonals back; up
-/// (d + 1) and left (d − 1) are lanes t + 1 − o and t − o one back. Every
-/// cell computes the scalar recurrence with its strict-> preference diag,
-/// up, left; lanes off the matrix or out of the band are then reset to
-/// kPoison, and the i = 0 and j = 0 lanes to 0 / kStop.
+// The sweep's two builds (align/band_sweep.inc). The AVX2 one exists only
+// where the compiler can target it; banded_overlap_align picks it once per
+// process when the CPU has AVX2.
+namespace vec16 {
+constexpr std::size_t kVecBytes = 16;
+#include "align/band_sweep.inc"
+}  // namespace vec16
+
+#if defined(__x86_64__) || defined(__i386__)
+#define PGASM_AVX2_SWEEP 1
+#if defined(__clang__)
+#pragma clang attribute push(__attribute__((target("avx2"))), \
+                             apply_to = function)
+#else
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#endif
+namespace avx2 {
+constexpr std::size_t kVecBytes = 32;
+#include "align/band_sweep.inc"
+}  // namespace avx2
+#if defined(__clang__)
+#pragma clang attribute pop
+#else
+#pragma GCC pop_options
+#endif
+#endif
+
 template <typename T>
-OverlapResult band_sweep(Seq a, Seq b, const Scoring& sc, std::int32_t shift,
-                         std::uint32_t band, Workspace& ws,
-                         const AlignOptions& opts) {
-  typedef T Vec __attribute__((vector_size(16)));
-  constexpr std::int64_t kV = 16 / sizeof(T);
-  typedef std::uint8_t Dirs __attribute__((vector_size(kV)));
-  constexpr std::size_t kT = sizeof(T);
-
-  const std::int64_t la = static_cast<std::int64_t>(a.size());
-  const std::int64_t lb = static_cast<std::int64_t>(b.size());
-  // The band clipped to the matrix's diagonals [-la, lb]. A clipped
-  // diagonal holds one boundary cell at most, so no real cell loses a
-  // neighbor to the clip.
-  const std::int64_t dl = std::max<std::int64_t>(shift - std::int64_t{band}, -la);
-  const std::int64_t dh = std::min<std::int64_t>(shift + std::int64_t{band}, lb);
-  OverlapResult r;
-  if (dl > dh) {
-    r.aln.score = kNegInf;
-    return r;  // band never touches the matrix
+OverlapResult band_sweep_on(detail::Sweep build, Seq a, Seq b,
+                            const Scoring& sc, std::int32_t shift,
+                            std::uint32_t band, Workspace& ws,
+                            const AlignOptions& opts) {
+#ifdef PGASM_AVX2_SWEEP
+  if (build == detail::Sweep::kAvx2) {
+    return avx2::band_sweep<T>(a, b, sc, shift, band, ws, opts);
   }
-  const std::int64_t span = dh - dl;
-  const std::int64_t width = ((span + 1) / 2 + kV) / kV * kV;  // lanes
-  const std::int64_t stride = width + 2;  // plus a poison pad lane each side
-  // Anti-diagonals holding band cells: from the in-band diagonal nearest 0
-  // to where the longest in-band diagonal leaves the matrix.
-  const std::int64_t kmin = dl > 0 ? dl : dh < 0 ? -dh : 0;
-  const std::int64_t kmax = lb - la < dl   ? 2 * lb - dl
-                            : lb - la > dh ? 2 * la + dh
-                                           : la + lb;
-  // Lane t of anti-diagonal k holds cell (i0(k) − t, k − i0(k) + t).
-  auto i0 = [dl](std::int64_t k) { return (k - dl + 1) >> 1; };
-  const std::int64_t a_from = la - i0(kmax);  // first reversed-a index read
-  const std::int64_t a_lanes = i0(kmax) - i0(kmin) + width;
-  const std::int64_t b_from = kmin - i0(kmin) - 1;  // first b index read
-  const std::int64_t b_lanes = (kmax - i0(kmax)) - (kmin - i0(kmin)) + width;
-
-  // Score storage, used as raw T lanes: the band's anti-diagonals kmin − 2
-  // to kmax (the first two all poison), then `a` reversed and `b`, each
-  // padded with sentinels that never compare equal, as are masked codes,
-  // so lanes compare equal exactly where the scalar kernel scores a match.
-  const std::int64_t diagonals = kmax - kmin + 3;
-  const std::int64_t seq_a = diagonals * stride, seq_b = seq_a + a_lanes;
-  const std::int64_t lanes = seq_b + b_lanes;
-  auto* raw = reinterpret_cast<unsigned char*>(ws.score_cells(
-      (static_cast<std::size_t>(lanes) * kT + sizeof(int) - 1) / sizeof(int)));
-  std::uint8_t* tb =
-      ws.tb_cells(static_cast<std::size_t>((kmax - kmin + 1) * width));
-  auto put = [raw](std::int64_t lane, T v) {
-    std::memcpy(raw + lane * static_cast<std::int64_t>(kT), &v, kT);
-  };
-  auto get = [raw](std::int64_t lane) {
-    T v{};
-    std::memcpy(&v, raw + lane * static_cast<std::int64_t>(kT), kT);
-    return v;
-  };
-  auto load = [raw](std::int64_t lane) {
-    Vec v{};
-    std::memcpy(&v, raw + lane * static_cast<std::int64_t>(kT), sizeof v);
-    return v;
-  };
-  auto store = [raw](std::int64_t lane, const Vec& v) {
-    std::memcpy(raw + lane * static_cast<std::int64_t>(kT), &v, sizeof v);
-  };
-  constexpr T kNoA = -1, kNoB = -2;
-  for (std::int64_t lane = 0; lane < 2 * stride; ++lane) put(lane, kPoison<T>);
-  for (std::int64_t x = 0; x < a_lanes; ++x) {
-    const std::int64_t i = la - 1 - (a_from + x);
-    put(seq_a + x, i >= 0 && i < la && seq::is_base(a[i]) ? T(a[i]) : kNoA);
-  }
-  for (std::int64_t y = 0; y < b_lanes; ++y) {
-    const std::int64_t j = b_from + y;
-    put(seq_b + y, j >= 0 && j < lb && seq::is_base(b[j]) ? T(b[j]) : kNoB);
-  }
-  // Lane t of anti-diagonal k, pad lanes included.
-  auto lane_of = [kmin, stride](std::int64_t k, std::int64_t t) {
-    return (k - kmin + 2) * stride + 1 + t;
-  };
-
-  auto splat = [](std::int64_t x) { return Vec{} + static_cast<T>(x); };
-  const Vec match = splat(sc.match), mismatch = splat(sc.mismatch),
-            gap = splat(sc.gap), poison = splat(kPoison<T>);
-  Vec iota{};
-  for (std::int64_t v = 0; v < kV; ++v) iota[v] = static_cast<T>(v);
-
-  for (std::int64_t k = kmin; k <= kmax; ++k) {
-    const std::int64_t o = (k - dl) & 1;
-    const std::int64_t ik = i0(k), jk = k - ik;
-    // Lanes on the matrix and in the band.
-    const std::int64_t lo = std::max({ik - la, -jk, o});
-    const std::int64_t hi = std::min({ik, lb - jk, (span + o) >> 1});
-    const Vec vlo = splat(std::min(lo, width));
-    const Vec vhi = splat(std::max<std::int64_t>(hi, -1));
-    const std::int64_t cur = lane_of(k, 0);
-    const std::int64_t prev1 = cur - stride, prev2 = prev1 - stride;
-    const std::int64_t pa = seq_a + la - ik - a_from;  // a[ik − 1 − t]
-    const std::int64_t pb = seq_b + jk - 1 - b_from;   // b[jk − 1 + t]
-    std::uint8_t* trow = tb + (k - kmin) * width;
-    put(cur - 1, kPoison<T>);
-    put(cur + width, kPoison<T>);
-    for (std::int64_t t = 0; t < width; t += kV) {
-      const Vec eq = load(pa + t) == load(pb + t);
-      const Vec diag = load(prev2 + t) + ((eq & match) | (~eq & mismatch));
-      const Vec up = load(prev1 + 1 - o + t) + gap;
-      const Vec left = load(prev1 - o + t) + gap;
-      const Vec take_up = up > diag;
-      Vec best = (take_up & up) | (~take_up & diag);
-      const Vec take_left = left > best;
-      best = (take_left & left) | (~take_left & best);
-      const Vec dir = (T(kDiag) - take_up) | (take_left & T(kLeft));
-      const Vec tv = iota + static_cast<T>(t);
-      const Vec real = (tv >= vlo) & (tv <= vhi);
-      best = (real & best) | (~real & poison);
-      store(cur + t, best);
-      const Dirs bytes = __builtin_convertvector(dir, Dirs);
-      std::memcpy(trow + t, &bytes, sizeof bytes);
-    }
-    // Free leading gaps: cell (0, k) sits in lane ik, cell (k, 0) in −jk.
-    for (const std::int64_t t : {ik, -jk}) {
-      if (t >= lo && t <= hi) {
-        put(cur + t, 0);
-        trow[t] = kStop;
-      }
-    }
-  }
-
-  // Free trailing gaps: the first best end in the scalar kernels' order,
-  // (i, lb) for i < la ascending, then (la, j) for j ascending.
-  auto score_at = [&](std::int64_t i, std::int64_t j) -> int {
-    return get(lane_of(i + j, (j - i - dl + 1) >> 1));
-  };
-  int best = 0;
-  std::int64_t bi = -1, bj = -1;
-  auto consider_end = [&](std::int64_t i, std::int64_t j) {
-    const int v = score_at(i, j);
-    if (bi < 0 || v > best) {
-      best = v;
-      bi = i;
-      bj = j;
-    }
-  };
-  for (std::int64_t i = std::max<std::int64_t>(0, lb - dh);
-       i <= std::min(la - 1, lb - dl); ++i) {
-    consider_end(i, lb);
-  }
-  for (std::int64_t j = std::max<std::int64_t>(0, la + dl);
-       j <= std::min(lb, la + dh); ++j) {
-    consider_end(la, j);
-  }
-  r.aln.score = best;
-  trace_back(
-      a, b, tb,
-      [kmin, dl, width](std::int64_t i, std::int64_t j) {
-        return static_cast<std::size_t>((i + j - kmin) * width +
-                                        ((j - i - dl + 1) >> 1));
-      },
-      bi, bj, opts, r.aln);
-  r.type = classify(static_cast<std::uint32_t>(la),
-                    static_cast<std::uint32_t>(lb), r.aln);
-  return r;
+#else
+  (void)build;
+#endif
+  return vec16::band_sweep<T>(a, b, sc, shift, band, ws, opts);
 }
 
 }  // namespace
@@ -344,21 +229,53 @@ OverlapResult overlap_align(Seq a, Seq b, const Scoring& sc,
   return overlap_align(a, b, sc, ws, opts);
 }
 
-OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
-                                   std::int32_t shift, std::uint32_t band,
-                                   Workspace& ws, const AlignOptions& opts) {
+namespace detail {
+
+Sweep selected_sweep() noexcept {
+#ifdef PGASM_AVX2_SWEEP
+  static const Sweep build =
+      __builtin_cpu_supports("avx2") ? Sweep::kAvx2 : Sweep::kVec16;
+  return build;
+#else
+  return Sweep::kVec16;
+#endif
+}
+
+const char* sweep_name(Sweep build) noexcept {
+  return build == Sweep::kAvx2 ? "avx2" : "vec16";
+}
+
+OverlapResult banded_overlap_align(Sweep build, Seq a, Seq b,
+                                   const Scoring& sc, std::int32_t shift,
+                                   std::uint32_t band, Workspace& ws,
+                                   const AlignOptions& opts) {
+  if (build == Sweep::kAvx2 && selected_sweep() != Sweep::kAvx2) {
+    throw std::invalid_argument(
+        "banded_overlap_align: this CPU cannot run the AVX2 sweep");
+  }
   const std::int64_t len = static_cast<std::int64_t>(a.size() + b.size());
   const std::int64_t w = std::max({std::abs(std::int64_t{sc.match}),
                                    std::abs(std::int64_t{sc.mismatch}),
                                    std::abs(std::int64_t{sc.gap})});
   if (lanes_fit<std::int16_t>(len, w)) {
-    return band_sweep<std::int16_t>(a, b, sc, shift, band, ws, opts);
+    return band_sweep_on<std::int16_t>(build, a, b, sc, shift, band, ws,
+                                       opts);
   }
   if (lanes_fit<std::int32_t>(len, w)) {
-    return band_sweep<std::int32_t>(a, b, sc, shift, band, ws, opts);
+    return band_sweep_on<std::int32_t>(build, a, b, sc, shift, band, ws,
+                                       opts);
   }
   throw std::invalid_argument(
       "banded_overlap_align: |weight| x (|a| + |b|) overflows 32-bit scores");
+}
+
+}  // namespace detail
+
+OverlapResult banded_overlap_align(Seq a, Seq b, const Scoring& sc,
+                                   std::int32_t shift, std::uint32_t band,
+                                   Workspace& ws, const AlignOptions& opts) {
+  return detail::banded_overlap_align(detail::selected_sweep(), a, b, sc,
+                                      shift, band, ws, opts);
 }
 
 int banded_overlap_score_bound(std::uint32_t la, std::uint32_t lb,

@@ -15,8 +15,9 @@
 //                            O((|a|+|b|)·band); this is the hot kernel the
 //                            clustering phase calls, "anchored to the maximal
 //                            matches" as in Section 5. It sweeps the band's
-//                            anti-diagonals with 16-byte vectors of 16-bit
-//                            (32-bit for long inputs) lanes and computes
+//                            anti-diagonals with vectors of 16-bit (32-bit
+//                            for long inputs) lanes, 32 bytes wide on CPUs
+//                            with AVX2 and 16 bytes elsewhere, and computes
 //                            the same cells as its scalar reference.
 #pragma once
 
@@ -94,6 +95,30 @@ OverlapResult banded_overlap_align_reference(Seq a, Seq b, const Scoring& sc,
                                              std::int32_t shift,
                                              std::uint32_t band,
                                              const AlignOptions& opts = {});
+
+namespace detail {
+
+/// The two builds of banded_overlap_align's sweep: 16-byte vectors, which
+/// every CPU runs, and 32-byte vectors for CPUs with AVX2. Both compute the
+/// same cells, so every result field agrees.
+enum class Sweep : std::uint8_t { kVec16, kAvx2 };
+
+/// The build banded_overlap_align runs, chosen once per process: kAvx2
+/// when the CPU supports AVX2, kVec16 otherwise.
+Sweep selected_sweep() noexcept;
+
+/// "vec16" or "avx2".
+const char* sweep_name(Sweep build) noexcept;
+
+/// banded_overlap_align through one build, so tests and benches can check
+/// and time both. Throws std::invalid_argument for kAvx2 when
+/// selected_sweep() is kVec16 (the CPU cannot run it).
+OverlapResult banded_overlap_align(Sweep build, Seq a, Seq b,
+                                   const Scoring& sc, std::int32_t shift,
+                                   std::uint32_t band, Workspace& ws,
+                                   const AlignOptions& opts = {});
+
+}  // namespace detail
 
 /// Throws std::invalid_argument with a clear message unless band > 0,
 /// min_identity ∈ (0, 1], and min_overlap >= psi (an overlap shorter than

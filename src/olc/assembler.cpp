@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <queue>
-#include <set>
+#include <tuple>
 
 #include "align/workspace.hpp"
 #include "gst/pair_generator.hpp"
@@ -31,22 +31,63 @@ struct Overlap {
 struct Candidate {
   std::uint32_t seq_a, seq_b;  // doubled-store ids
   std::int32_t shift;
-  friend auto operator<=>(const Candidate&, const Candidate&) = default;
+  std::uint32_t gen;  // generation index of its first copy
 };
 
-/// Drain the generator; keep the first of each exact duplicate. Two maximal
-/// matches on one diagonal (split by a sequencing error) yield the same
-/// (seq_a, seq_b, shift): the copy aligns identically and, folded after the
-/// original, could only ever be a no-op. Returns generation order.
+/// Drain the generator and sort by (seq_a, seq_b, shift, generation
+/// index); keep the first of each exact duplicate. Two maximal matches on
+/// one diagonal (split by a sequencing error) yield the same (seq_a, seq_b,
+/// shift): the copy aligns identically and, folded after the original,
+/// could only ever be a no-op.
 std::vector<Candidate> distinct_candidates(gst::PairGenerator& gen) {
   std::vector<Candidate> out;
-  std::set<Candidate> seen;
   gst::PromisingPair pr;
-  while (gen.next(pr)) {
-    const Candidate c{pr.seq_a, pr.seq_b, pr.shift()};
-    if (seen.insert(c).second) out.push_back(c);
+  for (std::uint32_t g = 0; gen.next(pr); ++g) {
+    out.push_back({pr.seq_a, pr.seq_b, pr.shift(), g});
   }
+  auto alignment = [](const Candidate& c) {
+    return std::tuple(c.seq_a, c.seq_b, c.shift);
+  };
+  std::ranges::sort(out, {}, [](const Candidate& c) {
+    return std::tuple(c.seq_a, c.seq_b, c.shift, c.gen);
+  });
+  const auto dups = std::ranges::unique(out, {}, alignment);
+  out.erase(dups.begin(), dups.end());
   return out;
+}
+
+/// One banded DP over the hull of a run: the candidates of one oriented
+/// pair whose neighbouring shifts lie at most 2·band + 1 apart, so their
+/// bands tile the hull's diagonals [lo − band, hi + band]. A member whose
+/// own band contains the hull's traced path would align to exactly this
+/// result (DESIGN.md §5), so it takes it instead of running its own DP.
+struct Hull {
+  std::int32_t lo = 0, hi = 0;  // the run's lowest and highest shift
+  bool aligned = false;
+  align::OverlapResult r;  // ops dropped
+  std::int64_t path_lo = 0, path_hi = 0;  // diagonals the path visits
+};
+
+/// Groups the sorted candidates into runs; hull_of[i] is candidate i's.
+std::vector<Hull> hull_runs(const std::vector<Candidate>& cands,
+                            std::uint32_t band,
+                            std::vector<std::uint32_t>& hull_of) {
+  std::vector<Hull> hulls;
+  hull_of.resize(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const Candidate& c = cands[i];
+    const bool joins = i > 0 && cands[i - 1].seq_a == c.seq_a &&
+                       cands[i - 1].seq_b == c.seq_b &&
+                       std::int64_t{c.shift} - cands[i - 1].shift <=
+                           2 * std::int64_t{band} + 1;
+    if (!joins) {
+      hulls.emplace_back();
+      hulls.back().lo = c.shift;
+    }
+    hulls.back().hi = c.shift;
+    hull_of[i] = static_cast<std::uint32_t>(hulls.size() - 1);
+  }
+  return hulls;
 }
 
 /// A read as the polish passes see it: oriented once per contig, plus the
@@ -255,14 +296,18 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
                        gst::GstParams{.min_match = params.psi, .prefix_w = 0});
   gst::PairGenerator gen(tree, {.dup_elim = true, .doubled_input = true});
   const std::vector<Candidate> cands = distinct_candidates(gen);
+  const std::uint32_t band = params.overlap.band;
+  std::vector<std::uint32_t> hull_of;
+  std::vector<Hull> hulls = hull_runs(cands, band, hull_of);
 
   struct Entry {
     std::int32_t key;  // score bound, or exact score once aligned
-    std::uint32_t idx;  // generation index into cands
+    std::uint32_t gen;  // generation index: the tie-break
+    std::uint32_t idx;  // index into cands
     bool exact;
   };
   auto after = [](const Entry& x, const Entry& y) {
-    return x.key != y.key ? x.key < y.key : x.idx > y.idx;
+    return x.key != y.key ? x.key < y.key : x.gen > y.gen;
   };
   std::vector<Entry> entries;
   entries.reserve(cands.size());
@@ -272,8 +317,8 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
         {align::banded_overlap_score_bound(
              static_cast<std::uint32_t>(doubled.length(c.seq_a)),
              static_cast<std::uint32_t>(doubled.length(c.seq_b)), c.shift,
-             params.overlap.band, params.overlap.scoring),
-         i, false});
+             band, params.overlap.scoring),
+         c.gen, i, false});
   }
   std::priority_queue<Entry, std::vector<Entry>, decltype(after)> queue(
       after, std::move(entries));
@@ -281,6 +326,14 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
   std::vector<Overlap> overlaps(cands.size());
   LayoutUF layout(n);
   align::Workspace ws;
+  auto align_at = [&](const Candidate& c, std::int64_t shift,
+                      std::uint32_t half_width, bool keep_ops) {
+    ++result.stats.overlaps_considered;
+    return align::banded_overlap_align(
+        doubled.seq(c.seq_a), doubled.seq(c.seq_b), params.overlap.scoring,
+        static_cast<std::int32_t>(shift), half_width, ws,
+        {.keep_ops = keep_ops});
+  };
   while (!queue.empty()) {
     const Entry e = queue.top();
     queue.pop();
@@ -300,10 +353,29 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
     if (layout.find(c.seq_a >> 1).first == layout.find(c.seq_b >> 1).first) {
       continue;
     }
-    ++result.stats.overlaps_considered;
-    const auto r = align::banded_overlap_align(
-        doubled.seq(c.seq_a), doubled.seq(c.seq_b), params.overlap.scoring,
-        c.shift, params.overlap.band, ws);
+    Hull& h = hulls[hull_of[e.idx]];
+    if (!h.aligned) {
+      // The hull's diagonals, widened by one when hi − lo is odd.
+      const std::int64_t mid = h.lo + (std::int64_t{h.hi} - h.lo) / 2;
+      h.r = align_at(c, mid,
+                     static_cast<std::uint32_t>(h.hi - mid) + band,
+                     h.lo != h.hi);
+      std::int64_t d = std::int64_t{h.r.aln.b_begin} - h.r.aln.a_begin;
+      h.path_lo = h.path_hi = d;
+      for (const align::Op op : h.r.aln.ops) {
+        d += op == align::Op::kInsertB ? 1 : op == align::Op::kInsertA ? -1 : 0;
+        h.path_lo = std::min(h.path_lo, d);
+        h.path_hi = std::max(h.path_hi, d);
+      }
+      h.r.aln.ops = {};
+      h.aligned = true;
+    }
+    // A one-member run's hull is the member's own band.
+    const bool from_hull = h.lo == h.hi ||
+                           (h.path_lo >= std::int64_t{c.shift} - band &&
+                            h.path_hi <= std::int64_t{c.shift} + band);
+    const align::OverlapResult r =
+        from_hull ? h.r : align_at(c, c.shift, band, false);
     if (!align::accept_overlap(r, params.overlap)) continue;
     ++result.stats.overlaps_accepted;
     Overlap& ov = overlaps[e.idx];
@@ -313,7 +385,7 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
     ov.rc_b = (c.seq_b & 1u) != 0;
     ov.delta = static_cast<std::int32_t>(r.aln.a_begin) -
                static_cast<std::int32_t>(r.aln.b_begin);
-    queue.push({r.aln.score, e.idx, true});
+    queue.push({r.aln.score, e.gen, e.idx, true});
   }
 
   // --- Consensus phase ------------------------------------------------------

@@ -63,10 +63,12 @@ struct Contig {
 };
 
 struct AssemblyStats {
-  /// Promising pairs actually aligned: exact duplicates and pairs whose
-  /// fragments already shared a layout component were never aligned.
+  /// Banded DPs the layout walk ran: one per run of an oriented pair's
+  /// shifts that it reached (over the run's hull), plus one for each
+  /// member whose own band misses the hull's traced path. Exact duplicates
+  /// and pairs whose fragments already shared a layout component cost none.
   std::uint64_t overlaps_considered = 0;
-  std::uint64_t overlaps_accepted = 0;  ///< aligned pairs that passed
+  std::uint64_t overlaps_accepted = 0;  ///< reached pairs that passed
   /// Inconsistent placements rejected among the overlaps the walk reaches
   /// (an overlap skipped unaligned is never tested against the layout).
   std::uint64_t layout_conflicts = 0;

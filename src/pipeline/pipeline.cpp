@@ -277,14 +277,31 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
     }
     util::WallTimer timer;
     result.assemblies.resize(n_assemble);
-    auto assemble_one = [&](std::size_t ci) {
+    // One span per cluster on the assembling rank (the driver tid when
+    // serial), and its walk's counters per rank.
+    auto assemble_one = [&](std::size_t ci, int rank) {
+      obs::Span span = obs::span(rank, "assemble_cluster", "assembly");
       seq::FragmentStore sub;
       for (const auto id : result.cluster_sets[ci]) {
         sub.add(result.pre.unmasked_store.seq(id),
                 result.pre.unmasked_store.type(id), {},
                 result.pre.unmasked_store.quality(id));
       }
-      return olc::assemble(sub, params.assembly);
+      olc::AssemblyResult out = olc::assemble(sub, params.assembly);
+      const olc::AssemblyStats& st = out.stats;
+      span.arg("cluster", ci);
+      span.arg("fragments", sub.size());
+      span.arg("overlaps_considered", st.overlaps_considered);
+      if (obs_on) {
+        auto& reg = obs::registry();
+        reg.counter("assembly.overlaps_considered", rank, "assembly")
+            .inc(st.overlaps_considered);
+        reg.counter("assembly.overlaps_accepted", rank, "assembly")
+            .inc(st.overlaps_accepted);
+        reg.counter("assembly.layout_conflicts", rank, "assembly")
+            .inc(st.layout_conflicts);
+      }
+      return out;
     };
     if (params.ranks >= 2 && n_assemble > 0) {
       // Clusters are sorted by decreasing size; round-robin over ranks is
@@ -301,7 +318,7 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
           auto scope = comm.compute_scope();
           for (std::size_t ci = comm.rank(); ci < n_assemble;
                ci += comm.size()) {
-            auto asm_result = assemble_one(ci);
+            auto asm_result = assemble_one(ci, comm.rank());
             if (comm.rank() == 0) {
               result.assemblies[ci] = std::move(asm_result);
               continue;
@@ -332,7 +349,7 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
           cost.modeled_parallel_seconds();
     } else {
       for (std::size_t ci = 0; ci < n_assemble; ++ci) {
-        result.assemblies[ci] = assemble_one(ci);
+        result.assemblies[ci] = assemble_one(ci, obs::kDriverTid);
       }
     }
     result.assembly_summary.assembly_seconds = timer.elapsed();

@@ -3,12 +3,19 @@
 // Input layout: byte 0 picks a scoring, byte 1 is the band, bytes 2-3 the
 // shift (folded onto the band's positions relative to the matrix), byte 4
 // where the rest splits into a and b. Each remaining byte is one code:
-// mostly bases, plus kMask and an out-of-alphabet code. Property (abort on
-// violation): banded_overlap_align through one long-lived dirty Workspace
-// equals banded_overlap_align_reference in every result field, ops and
-// overlap type included.
+// mostly bases, plus kMask and an out-of-alphabet code. Properties (abort
+// on violation):
+//   * banded_overlap_align, and each sweep build the CPU runs (16-byte, and
+//     AVX2 where present; a CPU without AVX2 prints a skip once), through
+//     one long-lived dirty Workspace equals banded_overlap_align_reference
+//     in every result field, ops and overlap type included;
+//   * the narrower-band lemma: a band inside this one that holds its traced
+//     path returns the same result. Byte 1's high bits pick how far the
+//     narrow band reaches past the path's diagonals.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "align/overlap.hpp"
@@ -62,6 +69,32 @@ std::vector<std::uint8_t> overlap_seed(std::uint8_t scoring,
   return in;
 }
 
+/// Every field of two results, ops and type included.
+void check_same(const OverlapResult& got, const OverlapResult& want) {
+  check(got.aln.score == want.aln.score, "score differs");
+  check(got.aln.a_begin == want.aln.a_begin && got.aln.a_end == want.aln.a_end,
+        "a region differs");
+  check(got.aln.b_begin == want.aln.b_begin && got.aln.b_end == want.aln.b_end,
+        "b region differs");
+  check(got.aln.matches == want.aln.matches, "matches differ");
+  check(got.aln.columns == want.aln.columns, "columns differ");
+  check(got.aln.ops == want.aln.ops, "ops differ");
+  check(got.type == want.type, "overlap type differs");
+}
+
+/// The sweep builds this CPU runs.
+std::vector<pgasm::align::detail::Sweep> sweep_builds() {
+  using pgasm::align::detail::Sweep;
+  std::vector<Sweep> builds{Sweep::kVec16};
+  if (pgasm::align::detail::selected_sweep() == Sweep::kAvx2) {
+    builds.push_back(Sweep::kAvx2);
+  } else {
+    std::fprintf(stderr, "fuzz_banded: this CPU has no AVX2; skipping the "
+                         "AVX2 sweep build\n");
+  }
+  return builds;
+}
+
 }  // namespace
 
 std::vector<std::vector<std::uint8_t>> pgasm_fuzz_seeds() {
@@ -93,19 +126,49 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       raw % reach - static_cast<std::int64_t>(la + band + 1));
 
   static pgasm::align::Workspace ws;  // dirty across every input
+  static const auto builds = sweep_builds();
   const pgasm::align::AlignOptions keep{.keep_ops = true};
-  const OverlapResult got =
-      pgasm::align::banded_overlap_align(a, b, sc, shift, band, ws, keep);
   const OverlapResult want =
       pgasm::align::banded_overlap_align_reference(a, b, sc, shift, band, keep);
-  check(got.aln.score == want.aln.score, "score differs");
-  check(got.aln.a_begin == want.aln.a_begin && got.aln.a_end == want.aln.a_end,
-        "a region differs");
-  check(got.aln.b_begin == want.aln.b_begin && got.aln.b_end == want.aln.b_end,
-        "b region differs");
-  check(got.aln.matches == want.aln.matches, "matches differ");
-  check(got.aln.columns == want.aln.columns, "columns differ");
-  check(got.aln.ops == want.aln.ops, "ops differ");
-  check(got.type == want.type, "overlap type differs");
+  const OverlapResult got =
+      pgasm::align::banded_overlap_align(a, b, sc, shift, band, ws, keep);
+  check_same(got, want);
+  for (const auto build : builds) {
+    check_same(pgasm::align::detail::banded_overlap_align(build, a, b, sc,
+                                                          shift, band, ws,
+                                                          keep),
+               want);
+  }
+
+  if (want.aln.score == std::numeric_limits<int>::min() / 4) {
+    return 0;  // the band misses the matrix: no path
+  }
+  // The tightest band around the path's diagonals, widened by `slack` on
+  // each side as far as the wide band allows.
+  std::int64_t d = std::int64_t{want.aln.b_begin} - want.aln.a_begin;
+  std::int64_t lo = d, hi = d;
+  for (const auto op : want.aln.ops) {
+    d += op == pgasm::align::Op::kInsertB   ? 1
+         : op == pgasm::align::Op::kInsertA ? -1
+                                            : 0;
+    lo = std::min(lo, d);
+    hi = std::max(hi, d);
+  }
+  const std::int64_t wlo = std::int64_t{shift} - band;
+  const std::int64_t whi = std::int64_t{shift} + band;
+  if ((hi - lo) % 2 != 0) {  // a band's hi − lo is even
+    if (lo > wlo) {
+      --lo;
+    } else {
+      ++hi;
+    }
+  }
+  const std::int64_t slack =
+      std::min({std::int64_t{data[1] >> 4}, lo - wlo, whi - hi});
+  const auto narrow_shift = static_cast<std::int32_t>((lo + hi) / 2);
+  const auto narrow_band = static_cast<std::uint32_t>((hi - lo) / 2 + slack);
+  check_same(pgasm::align::banded_overlap_align(a, b, sc, narrow_shift,
+                                                narrow_band, ws, keep),
+             want);
   return 0;
 }

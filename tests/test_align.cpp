@@ -1,8 +1,8 @@
 // Tests for the end-free overlap kernels: a brute-force oracle on tiny
 // inputs, banded == full matrix with a covering band, traceback
-// consistency, the banded kernel against its scalar reference cell for
-// cell, overlap classification, the score bound, and the clustering accept
-// test.
+// consistency, the banded kernel (both sweep builds) against its scalar
+// reference cell for cell, the narrower-band lemma, overlap classification,
+// the score bound, and the clustering accept test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -334,7 +334,17 @@ void expect_same_result(const align::OverlapResult& got,
   EXPECT_EQ(got.type, want.type);
 }
 
-/// banded_overlap_align through `ws` against banded_overlap_align_reference.
+/// The sweep builds this CPU can run: the 16-byte one, and AVX2 if present.
+std::vector<align::detail::Sweep> sweep_builds() {
+  std::vector<align::detail::Sweep> builds{align::detail::Sweep::kVec16};
+  if (align::detail::selected_sweep() == align::detail::Sweep::kAvx2) {
+    builds.push_back(align::detail::Sweep::kAvx2);
+  }
+  return builds;
+}
+
+/// banded_overlap_align through `ws`, and each sweep build through the
+/// same dirty `ws`, against banded_overlap_align_reference.
 void expect_banded_exact(Seq a, Seq b, const Scoring& sc, std::int32_t shift,
                          std::uint32_t band, align::Workspace& ws) {
   SCOPED_TRACE(::testing::Message()
@@ -342,9 +352,16 @@ void expect_banded_exact(Seq a, Seq b, const Scoring& sc, std::int32_t shift,
                << " shift=" << shift << " band=" << band << " scoring="
                << sc.match << "/" << sc.mismatch << "/" << sc.gap);
   const AlignOptions keep{.keep_ops = true};
+  const auto want =
+      align::banded_overlap_align_reference(a, b, sc, shift, band, keep);
   expect_same_result(
-      align::banded_overlap_align(a, b, sc, shift, band, ws, keep),
-      align::banded_overlap_align_reference(a, b, sc, shift, band, keep));
+      align::banded_overlap_align(a, b, sc, shift, band, ws, keep), want);
+  for (const align::detail::Sweep build : sweep_builds()) {
+    SCOPED_TRACE(align::detail::sweep_name(build));
+    expect_same_result(align::detail::banded_overlap_align(
+                           build, a, b, sc, shift, band, ws, keep),
+                       want);
+  }
 }
 
 // Band widths around the lane counts of one and two 8-lane vectors, the
@@ -459,12 +476,90 @@ TEST(BandedExact, LongPairsTakeThe32BitLanes) {
   expect_banded_exact(as, cs, Scoring{}, 0, 12, ws);
 }
 
+TEST(BandedExact, Avx2BuildRunsWhereTheCpuHasIt) {
+  using align::detail::Sweep;
+  EXPECT_STREQ(align::detail::sweep_name(Sweep::kVec16), "vec16");
+  EXPECT_STREQ(align::detail::sweep_name(Sweep::kAvx2), "avx2");
+  if (align::detail::selected_sweep() != Sweep::kAvx2) {
+    // Asked for anyway, the AVX2 build is refused, not run.
+    const auto a = enc("ACGTACGT");
+    align::Workspace ws;
+    EXPECT_THROW(align::detail::banded_overlap_align(Sweep::kAvx2, a, a,
+                                                     Scoring{}, 0, 4, ws),
+                 std::invalid_argument);
+    GTEST_SKIP() << "this CPU has no AVX2: the BandedExact cases checked "
+                    "only the 16-byte sweep build";
+  }
+}
+
 TEST(BandedExact, RejectsScoresBeyond32Bits) {
   const auto a = enc("ACGTACGT");
   align::Workspace ws;
   EXPECT_THROW(align::banded_overlap_align(a, a, Scoring{2, -3, -(1 << 29)},
                                            0, 4, ws),
                std::invalid_argument);
+}
+
+// --- A narrower band that holds a wider band's path returns its result ----
+//
+// The lemma the layout walk's hull runs rest on (DESIGN.md section 5):
+// if the traced path of a call over band W lies inside a band N within W,
+// the call over N returns the same OverlapResult, ops and type included.
+
+/// Lowest and highest diagonal j − i of the cells a traced path visits.
+std::pair<std::int64_t, std::int64_t> path_diagonals(const AlignResult& r) {
+  std::int64_t d = std::int64_t{r.b_begin} - r.a_begin, lo = d, hi = d;
+  for (const align::Op op : r.ops) {
+    d += op == align::Op::kInsertB ? 1 : op == align::Op::kInsertA ? -1 : 0;
+    lo = std::min(lo, d);
+    hi = std::max(hi, d);
+  }
+  return {lo, hi};
+}
+
+TEST(BandedNesting, NarrowBandHoldingTheWidePathReturnsTheWideResult) {
+  // The test's four scorings plus one that rewards gaps.
+  const Scoring scorings[] = {kScorings[0], kScorings[1], kScorings[2],
+                              kScorings[3], Scoring{3, -1, 1}};
+  util::Prng rng(1705);
+  align::Workspace ws;
+  const AlignOptions keep{.keep_ops = true};
+  int held = 0, missed = 0;
+  for (int t = 0; t < 40; ++t) {
+    const auto a = test::random_dna(rng, 1 + rng.below(160), 0.04);
+    const auto [b, diag] = mutated_overlap(rng, a);
+    for (const Scoring& sc : scorings) {
+      const auto wide_band = static_cast<std::uint32_t>(4 + rng.below(24));
+      const std::int32_t wide_shift =
+          diag + static_cast<std::int32_t>(rng.below(9)) - 4;
+      const auto wide = align::banded_overlap_align(a, b, sc, wide_shift,
+                                                    wide_band, ws, keep);
+      if (wide.aln.score == std::numeric_limits<int>::min() / 4) continue;
+      const auto [plo, phi] = path_diagonals(wide.aln);
+      // Every narrow band inside the wide one, tight around the path or not.
+      for (std::uint32_t band = 0; band < wide_band; ++band) {
+        const auto w = static_cast<std::int32_t>(wide_band - band);
+        for (std::int32_t shift = wide_shift - w; shift <= wide_shift + w;
+             ++shift) {
+          if (plo < shift - std::int64_t{band} ||
+              phi > shift + std::int64_t{band}) {
+            ++missed;
+            continue;
+          }
+          ++held;
+          SCOPED_TRACE(::testing::Message()
+                       << "wide " << wide_shift << "±" << wide_band
+                       << " narrow " << shift << "±" << band);
+          expect_same_result(
+              align::banded_overlap_align(a, b, sc, shift, band, ws, keep),
+              wide);
+        }
+      }
+    }
+  }
+  // Both sides of the condition occur often.
+  EXPECT_GT(held, 1000) << missed;
+  EXPECT_GT(missed, 1000) << held;
 }
 
 TEST(Overlap, AcceptTestEnforcesCutoffs) {

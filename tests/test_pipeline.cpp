@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "pipeline/pipeline.hpp"
@@ -309,6 +310,28 @@ TEST(Pipeline, SkippingPreprocessKeepsAllFragments) {
 
 // --- observability export ---------------------------------------------------
 
+/// Sum of a counter's values over every rank, from metrics.jsonl text.
+std::uint64_t counter_total(const std::string& metrics,
+                            const std::string& name) {
+  std::uint64_t total = 0;
+  std::istringstream in(metrics);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"name\":\"" + name + "\"") == std::string::npos) {
+      continue;
+    }
+    total += std::stoull(line.substr(line.find("\"value\":") + 8));
+  }
+  return total;
+}
+
+/// One walk stat summed over the run's assemblies.
+std::uint64_t stat_total(const pipeline::PipelineResult& r,
+                         std::uint64_t olc::AssemblyStats::*field) {
+  std::uint64_t total = 0;
+  for (const auto& a : r.assemblies) total += a.stats.*field;
+  return total;
+}
+
 std::string slurp(const std::filesystem::path& p) {
   std::ifstream in(p);
   std::stringstream buf;
@@ -333,7 +356,7 @@ TEST(Pipeline, ObsDirSerialWritesAllOutputs) {
   const auto rs = obs_test_reads(12'000, 51);
   auto params = small_pipeline_params();
   params.obs_dir = dir;
-  (void)run_pipeline(rs.store, sim::vector_library(), params);
+  const auto result = run_pipeline(rs.store, sim::vector_library(), params);
 
   for (const char* name : {"summary.txt", "metrics.jsonl", "trace.json"}) {
     EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir) / name))
@@ -344,6 +367,9 @@ TEST(Pipeline, ObsDirSerialWritesAllOutputs) {
   EXPECT_NE(trace.find("\"name\":\"preprocess\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"cluster\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"assembly\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"assemble_cluster\",\"cat\":\"assembly\","
+                       "\"pid\":1,\"tid\":-1"),
+            std::string::npos);
   // Serial-path stats land in the registry, phase-labeled.
   const auto metrics = slurp(std::filesystem::path(dir) / "metrics.jsonl");
   EXPECT_NE(metrics.find("\"name\":\"preprocess.fragments_in\""),
@@ -352,6 +378,10 @@ TEST(Pipeline, ObsDirSerialWritesAllOutputs) {
   EXPECT_NE(metrics.find("\"name\":\"assembly.total_contigs\""),
             std::string::npos);
   EXPECT_NE(metrics.find("\"phase\":\"cluster\""), std::string::npos);
+  const auto dps =
+      stat_total(result, &olc::AssemblyStats::overlaps_considered);
+  ASSERT_GT(dps, 0u);
+  EXPECT_EQ(counter_total(metrics, "assembly.overlaps_considered"), dps);
   // Runs with obs disabled leave the tracer off.
   EXPECT_FALSE(obs::tracer().enabled());
   std::filesystem::remove_all(dir);
@@ -364,7 +394,7 @@ TEST(Pipeline, ObsDirParallelTracesMasterAndWorkers) {
   auto params = small_pipeline_params();
   params.ranks = 4;
   params.obs_dir = dir;
-  (void)run_pipeline(rs.store, sim::vector_library(), params);
+  const auto result = run_pipeline(rs.store, sim::vector_library(), params);
 
   const auto trace = slurp(std::filesystem::path(dir) / "trace.json");
   // Master-side batch accounting and worker-side batch spans.
@@ -380,6 +410,25 @@ TEST(Pipeline, ObsDirParallelTracesMasterAndWorkers) {
   EXPECT_NE(metrics.find("\"name\":\"vmpi.send_bytes\""), std::string::npos);
   EXPECT_NE(metrics.find("\"name\":\"cluster.pairs_aligned\""),
             std::string::npos);
+  // Clusters are assembled round-robin: rank 1 assembles the second one,
+  // under its own span and counters.
+  ASSERT_GE(result.assemblies.size(), 2u);
+  EXPECT_NE(trace.find("\"name\":\"assemble_cluster\",\"cat\":\"assembly\","
+                       "\"pid\":1,\"tid\":1"),
+            std::string::npos);
+  EXPECT_NE(metrics.find("\"name\":\"assembly.overlaps_considered\","
+                         "\"rank\":1"),
+            std::string::npos);
+  const std::pair<const char*, std::uint64_t olc::AssemblyStats::*>
+      counters[] = {
+          {"assembly.overlaps_considered",
+           &olc::AssemblyStats::overlaps_considered},
+          {"assembly.overlaps_accepted",
+           &olc::AssemblyStats::overlaps_accepted},
+          {"assembly.layout_conflicts", &olc::AssemblyStats::layout_conflicts}};
+  for (const auto& [name, field] : counters) {
+    EXPECT_EQ(counter_total(metrics, name), stat_total(result, field)) << name;
+  }
   std::filesystem::remove_all(dir);
 }
 

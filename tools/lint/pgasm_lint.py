@@ -372,6 +372,7 @@ def check_w003() -> None:
 # --------------------------------------------------------------------------
 
 HOT_FILE_RELS = [
+    Path("align/band_sweep.inc"),
     Path("align/overlap.cpp"),
     Path("align/overlap.hpp"),
     Path("align/workspace.hpp"),
