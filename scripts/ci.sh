@@ -10,7 +10,8 @@
 #                            # to bit-identical contigs
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
 #   scripts/ci.sh asan       # just the ASan build of the align, GST,
-#                            # core, preprocess and wire-error suites
+#                            # core, preprocess, wire-error and recovery
+#                            # suites
 #   scripts/ci.sh lint       # pgasm-lint + pgasm-model P5 + strict-warnings
 #                            # build (+ clang tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
@@ -104,13 +105,14 @@ asan() {
   # stays inside the live extents. Preprocessing masks a fragment in place
   # while its rolling k-mer scan is still reading it, and KmerSet's
   # branch-free search reads the key array without bounds checks. The wire
-  # decoders drive one bounds-checked cursor over hostile bytes.
+  # decoders drive one bounds-checked cursor over hostile bytes, and the
+  # pipeline's restore path decodes checkpoint bytes read back from disk.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
     --target test_align test_workspace test_cluster \
-    test_gst test_parallel_gst test_preprocess test_wire_errors
+    test_gst test_parallel_gst test_preprocess test_wire_errors test_recovery
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet|WireErrors')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet|WireErrors|Supervisor|RecoveryPipeline')
 }
 
 lint() {
@@ -220,7 +222,7 @@ fuzz_smoke() {
   echo "== fuzz-smoke: bounded deterministic fuzz run (UBSan tree) =="
   cmake -B build-ubsan -S . -DPGASM_SANITIZE=undefined
   cmake --build build-ubsan -j "$JOBS" \
-    --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint fuzz_manifest \
+    --target fuzz_wire fuzz_fasta fuzz_fastq fuzz_checkpoint \
     fuzz_assembly fuzz_banded fuzz_gst fuzz_preprocess
   (cd build-ubsan && ctest --output-on-failure -L fuzz)
 }

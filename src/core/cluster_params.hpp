@@ -32,11 +32,6 @@ struct ClusterParams {
   /// (ablation) shuffles the pair stream before processing, reproducing
   /// what a lookup-table filter without prioritization would do.
   bool ordered = true;
-  /// Workers report with synchronous sends (the paper uses MPI_Ssend to
-  /// protect the master's buffers; it costs ~30% — ablation flag).
-  bool use_ssend = true;
-  /// Target characters per fragment-fetch batch in the GST build.
-  std::uint64_t fetch_batch_chars = 1u << 20;
   /// Extension of the paper's future work (Section 10): resolve
   /// inconsistent overlaps during cluster formation. Accepted overlaps
   /// carry an implied relative placement (orientation + offset); a merge

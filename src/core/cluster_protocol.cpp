@@ -71,14 +71,8 @@ bool consume_pending_terminate(vmpi::Comm& comm) {
   return false;
 }
 
-void send_report(vmpi::Comm& comm, const ClusterParams& params,
-                 const WorkerReport& report) {
-  auto payload = encode_report(report);
-  if (params.use_ssend) {
-    comm.ssend_payload(0, to_tag(MsgKind::kReport), std::move(payload));
-  } else {
-    comm.send_payload(0, to_tag(MsgKind::kReport), std::move(payload));
-  }
+void send_report(vmpi::Comm& comm, const WorkerReport& report) {
+  comm.ssend_payload(0, to_tag(MsgKind::kReport), encode_report(report));
 }
 
 MasterReply await_reply(vmpi::Comm& comm, const ClusterParams& params,
@@ -104,7 +98,7 @@ MasterReply await_reply(vmpi::Comm& comm, const ClusterParams& params,
       }
       obs::instant(comm.rank(), "retransmit", "cluster", "seq", seq, "parked",
                    parked ? 1 : 0);
-      send_report(comm, params, report);
+      send_report(comm, report);
       reply_wait.restart();
     }
     std::vector<std::byte> raw;

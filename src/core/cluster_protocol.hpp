@@ -243,7 +243,7 @@ inline constexpr WorkerTransition kWorkerTransitions[] = {
     {WorkerState::kGenerate, WorkerState::kSendReport,
      "report built: results + new pairs + progress"},
     {WorkerState::kSendReport, WorkerState::kAlign,
-     "report handed to the transport (rendezvoused when use_ssend)"},
+     "report handed to the transport (rendezvous send)"},
     {WorkerState::kAlign, WorkerState::kAwaitReply,
      "previous batch aligned"},
     {WorkerState::kAwaitReply, WorkerState::kAwaitReply,
@@ -311,10 +311,9 @@ bool consume_pending_terminate(vmpi::Comm& comm);
 /// analyzer to flag. Returns how many messages were consumed.
 int drain_shutdown_messages(vmpi::Comm& comm);
 
-/// Encode and send a worker report to the master (moved payload; ssend when
-/// the params ask for synchronous reports).
-void send_report(vmpi::Comm& comm, const ClusterParams& params,
-                 const WorkerReport& report);
+/// Encode and send a worker report to the master as a synchronous send
+/// (the paper's MPI_Ssend, which protects the master's buffers).
+void send_report(vmpi::Comm& comm, const WorkerReport& report);
 
 /// Worker-side wait for the reply answering report `seq`, in short timeout
 /// slices. After params.reply_timeout without a matching reply, the report
@@ -359,9 +358,9 @@ class ReplyChannel {
 /// and not reaped (`alive`) with its cached reply. That reply is the
 /// terminate, and the report shows it was lost or is still on its way; the
 /// worker cannot finish without it, and the master waits for every worker
-/// to finish. The receive also matters for liveness under use_ssend — a
-/// terminated worker can be parked inside a synchronous report send that
-/// only completes when the message is consumed. Returns how many messages
+/// to finish. The receive also matters for liveness: a terminated worker
+/// can be parked inside a synchronous report send that only completes
+/// when the message is consumed. Returns how many messages
 /// were consumed; call it until every worker has exited so the final sweep
 /// is complete.
 int drain_worker_traffic(vmpi::Comm& comm, ReplyChannel& replies,

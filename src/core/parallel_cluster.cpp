@@ -195,9 +195,9 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
   // their threads right after this returns anyway), keep consuming
   // retransmitted reports that crossed a terminate in flight, answering
   // each with the terminate again in case it was lost. The receive
-  // also matters for liveness under use_ssend: a terminated worker can be
-  // parked inside a synchronous report send that only completes when the
-  // message is consumed. Draining after the done-check is what makes the
+  // also matters for liveness: a terminated worker can be parked inside a
+  // synchronous report send that only completes when the message is
+  // consumed. Draining after the done-check is what makes the
   // final sweep complete — anything a worker sent is queued here by the time
   // rank_done() reads true — so a fault-free causal trace ends with zero
   // unmatched sends.
@@ -316,7 +316,7 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
       gen_span.arg("pairs", report.new_pairs.size());
     }
     // [WorkerState::kSendReport]
-    send_report(comm, params, report);
+    send_report(comm, report);
 
     // [WorkerState::kAlign]
     // Mask the wait for the master's reply with the alignment work of the
@@ -454,7 +454,6 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
     gst::ParallelGstParams gp;
     gp.gst = gst::GstParams{.min_match = params.psi,
                             .prefix_w = params.prefix_w};
-    gp.fetch_batch_chars = params.fetch_batch_chars;
     gp.exclude_rank0 = true;
     auto dist = gst::build_distributed_gst(comm, doubled, gp);
     comm.barrier();

@@ -14,9 +14,6 @@ namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x4b434750;  // "PGCK"
 constexpr std::uint32_t kCheckpointVersion = 2;  // v2: input/params hashes
 
-constexpr std::uint32_t kManifestMagic = 0x464d4750;  // "PGMF"
-constexpr std::uint32_t kManifestVersion = 1;
-
 // CRC-32 lookup table (IEEE 802.3 reflected polynomial), built once at
 // compile time so crc32 itself is allocation- and lock-free.
 constexpr std::array<std::uint32_t, 256> make_crc32_table() {
@@ -371,52 +368,6 @@ WireResult<ClusterCheckpoint> try_load_checkpoint(const std::string& path) {
   auto frame = try_load_frame(path);
   if (!frame) return frame.error();
   return try_decode_checkpoint(frame.value());
-}
-
-std::vector<std::byte> encode_manifest(const RunManifest& m) {
-  std::vector<std::byte> out;
-  out.reserve(36 + m.phases.size() * sizeof(PhaseEntry));
-  append_pod(out, kManifestMagic);
-  append_pod(out, kManifestVersion);
-  append_pod(out, m.generation);
-  append_pod(out, m.input_hash);
-  append_pod(out, m.params_hash);
-  append_vec(out, m.phases);
-  return out;
-}
-
-WireResult<RunManifest> try_decode_manifest(std::span<const std::byte> bytes) {
-  Cursor cur(bytes);
-  expect_header(cur, kManifestMagic, kManifestVersion, "manifest magic",
-                "manifest version");
-  RunManifest m;
-  cur.read(m.generation, "manifest generation");
-  cur.read(m.input_hash, "manifest input_hash");
-  cur.read(m.params_hash, "manifest params_hash");
-  cur.read_vec(m.phases, "manifest phases");
-  cur.expect_end("manifest trailing bytes");
-  if (!cur.ok()) return cur.error();
-  // A phase listed twice would make resume state ambiguous; the supervisor
-  // never writes one, so treat it as corruption.
-  std::uint64_t seen = 0;
-  for (const PhaseEntry& e : m.phases) {
-    if (e.phase >= 64 || (seen & (std::uint64_t{1} << e.phase)) != 0) {
-      return WireError{WireErrc::kBadValue, cur.offset(),
-                       "manifest duplicate or out-of-range phase id"};
-    }
-    seen |= std::uint64_t{1} << e.phase;
-  }
-  return m;
-}
-
-std::size_t save_manifest(const std::string& path, const RunManifest& m) {
-  return save_frame_atomic(path, encode_manifest(m));
-}
-
-WireResult<RunManifest> try_load_manifest(const std::string& path) {
-  auto frame = try_load_frame(path);
-  if (!frame) return frame.error();
-  return try_decode_manifest(frame.value());
 }
 
 void encode_assembly(std::vector<std::byte>& out, std::uint32_t cluster,

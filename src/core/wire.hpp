@@ -218,8 +218,8 @@ WireResult<ClusterCheckpoint> try_decode_checkpoint(
 
 // --- CRC-protected file frame ----------------------------------------------
 //
-// Every durable artifact (PGCK cluster checkpoint, PGMF run manifest) is
-// stored inside one on-disk frame:
+// Every durable artifact (the PGCK cluster checkpoint) is stored inside
+// one on-disk frame:
 //
 //   [u8 frame_version][u32 crc32(payload)][payload bytes]
 //
@@ -227,7 +227,7 @@ WireResult<ClusterCheckpoint> try_decode_checkpoint(
 // rename — and a load first verifies the CRC before any payload decoder
 // runs, so a truncated or bit-flipped file surfaces as a typed
 // kBadCrc/kTruncated error and is never trusted. This is the only
-// sanctioned way to write checkpoint/manifest files (pgasm-lint W011).
+// sanctioned way to write checkpoint files (pgasm-lint W011).
 
 inline constexpr std::uint8_t kFrameVersion = 1;
 
@@ -251,41 +251,6 @@ WireResult<std::vector<std::byte>> try_load_frame(const std::string& path);
 std::size_t save_checkpoint(const std::string& path,
                             const ClusterCheckpoint& c);
 WireResult<ClusterCheckpoint> try_load_checkpoint(const std::string& path);
-
-// --- Run manifest (pipeline recovery supervisor) ----------------------------
-
-/// Per-phase progress entry in a RunManifest. POD for append_vec.
-struct PhaseEntry {
-  std::uint32_t phase = 0;     ///< pipeline::PhaseId value
-  std::uint32_t attempts = 0;  ///< attempts consumed so far
-  std::uint8_t completed = 0;
-  std::uint8_t degraded = 0;   ///< optional phase skipped after retries
-  std::uint8_t pad0 = 0, pad1 = 0;
-};
-
-/// The recovery supervisor's durable state: which phases of a pipeline run
-/// completed (or were degraded), stamped with the run's input/params hashes
-/// so a manifest from a different input or configuration is never resumed.
-/// Written as manifest.<generation>.pgmf via the CRC frame; on restart the
-/// supervisor picks the newest generation that loads, CRC-checks, and
-/// hash-matches, and garbage-collects the rest.
-struct RunManifest {
-  std::uint64_t generation = 0;  ///< 1-based, monotonically increasing
-  std::uint64_t input_hash = 0;
-  std::uint64_t params_hash = 0;
-  std::vector<PhaseEntry> phases;
-};
-
-std::vector<std::byte> encode_manifest(const RunManifest& m);
-
-/// Total over arbitrary bytes. Beyond framing, rejects duplicate phase ids
-/// (kBadValue) — a manifest listing a phase twice is internally
-/// inconsistent.
-WireResult<RunManifest> try_decode_manifest(std::span<const std::byte> bytes);
-
-/// The only writer of manifest files; returns the frame bytes written.
-std::size_t save_manifest(const std::string& path, const RunManifest& m);
-WireResult<RunManifest> try_load_manifest(const std::string& path);
 
 // --- Assembly results (distributed assembly phase) ---------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -413,33 +414,54 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
   }
 
   std::vector<CriticalStep> rsteps;  // backward order
-  const auto enclosing = [&](int rank, std::uint64_t lo, std::uint64_t hi,
-                             const std::string& fallback_phase)
-      -> std::pair<std::string, std::string> {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    const NonWaitSpan* best = nullptr;
-    auto it = nonwaits.find(rank);
-    if (it != nonwaits.end()) {
-      for (const NonWaitSpan& s : it->second) {
-        if (s.ts > mid) break;
-        if (s.end >= mid && (best == nullptr || s.ts >= best->ts)) best = &s;
-      }
-    }
-    if (best != nullptr) return {best->name, best->phase};
-    return {"(untracked)", fallback_phase};
-  };
+  // A compute step [lo, hi) is split at the start and end of every non-wait
+  // span of its rank that overlaps it; each piece is named after its
+  // innermost covering span (latest start), an uncovered piece reads
+  // "(untracked)", and adjacent pieces with the same name and phase merge.
+  // Pieces are pushed latest first, as the walk builds the path backward.
   const auto push_compute = [&](int rank, std::uint64_t lo, std::uint64_t hi,
                                 const std::string& fallback_phase) {
     if (hi <= lo) return;
-    auto [name, phase] = enclosing(rank, lo, hi, fallback_phase);
-    CriticalStep st;
-    st.kind = CriticalStep::Kind::kCompute;
-    st.rank = rank;
-    st.name = std::move(name);
-    st.phase = std::move(phase);
-    st.start_us = lo;
-    st.end_us = hi;
-    rsteps.push_back(std::move(st));
+    std::vector<const NonWaitSpan*> over;
+    std::vector<std::uint64_t> cuts{lo, hi};
+    if (auto it = nonwaits.find(rank); it != nonwaits.end()) {
+      for (const NonWaitSpan& s : it->second) {
+        if (s.ts >= hi) break;
+        if (s.end <= lo) continue;
+        over.push_back(&s);
+        if (s.ts > lo) cuts.push_back(s.ts);
+        if (s.end < hi) cuts.push_back(s.end);
+      }
+    }
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    std::vector<CriticalStep> pieces;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const NonWaitSpan* best = nullptr;
+      for (const NonWaitSpan* s : over) {
+        if (s->ts <= cuts[i] && s->end >= cuts[i + 1] &&
+            (best == nullptr || s->ts >= best->ts)) {
+          best = s;
+        }
+      }
+      const std::string name = best != nullptr ? best->name : "(untracked)";
+      const std::string& phase = best != nullptr ? best->phase : fallback_phase;
+      if (!pieces.empty() && pieces.back().name == name &&
+          pieces.back().phase == phase) {
+        pieces.back().end_us = cuts[i + 1];
+        continue;
+      }
+      CriticalStep st;
+      st.kind = CriticalStep::Kind::kCompute;
+      st.rank = rank;
+      st.name = name;
+      st.phase = phase;
+      st.start_us = cuts[i];
+      st.end_us = cuts[i + 1];
+      pieces.push_back(std::move(st));
+    }
+    rsteps.insert(rsteps.end(), std::make_move_iterator(pieces.rbegin()),
+                  std::make_move_iterator(pieces.rend()));
   };
 
   if (have_cursor) {

@@ -25,8 +25,10 @@
 //     happened mid-wait jumps to the sender (the sender was the bottleneck),
 //     a barrier jumps to the last rank to arrive, an ssend rendezvous jumps
 //     to the receiver, and anything else continues locally. Compute gaps are
-//     named by the innermost enclosing non-wait span ("align_batch",
-//     "redistribute", ...), which is what makes the report actionable.
+//     split at the edges of the non-wait spans they overlap, and each piece
+//     is named by its innermost covering span ("align_batch",
+//     "redistribute", ...; "(untracked)" where none covers it), which is
+//     what makes the report actionable.
 //
 // The analyzer is a pure function of the drained events — it never touches
 // the live tracer except through analyze_current(), so tests can feed it
@@ -97,7 +99,7 @@ struct PhaseLedger {
 /// One link of the critical path, in forward time order.
 struct CriticalStep {
   enum class Kind : std::uint8_t {
-    kCompute,      ///< rank was (presumed) computing; name = enclosing span
+    kCompute,      ///< rank was (presumed) computing; name = covering span
     kRecvWait,     ///< tail of a recv wait (message in flight / matching)
     kProbeWait,
     kBarrierWait,  ///< waiting for the latecomer

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "core/wire.hpp"
 #include "obs/export.hpp"
@@ -17,21 +20,38 @@ namespace pgasm::pipeline {
 
 namespace {
 
-/// Restore the partition from the *final* checkpoint the master writes at
-/// the end of clustering. Refuses mid-run checkpoints (pending pairs or
-/// unfinished roles) and anything whose hashes or sizes do not match this
-/// run; the decoder has already checked every label against n_fragments.
-bool restore_final_clusters(const core::ClusterParams& cp,
-                            PipelineResult& result) {
-  if (cp.checkpoint_path.empty()) return false;
-  auto loaded = core::try_load_checkpoint(cp.checkpoint_path);
-  if (!loaded) return false;
-  const core::ClusterCheckpoint ck = std::move(loaded).value();
-  if (core::checkpoint_mismatch(ck, result.pre.store, cp)) return false;
+/// Load the cluster checkpoint at `path` if it was written for this
+/// preprocessed store and these cluster params. Silent when the file is
+/// missing (the normal first run); warns when a file exists but cannot be
+/// trusted, since a silent fresh start would hide corruption forever. The
+/// decoder has already checked every label against n_fragments.
+std::optional<core::ClusterCheckpoint> load_cluster_checkpoint(
+    const std::string& path, const seq::FragmentStore& store,
+    const core::ClusterParams& cp) {
+  auto loaded = core::try_load_checkpoint(path);
+  if (!loaded) {
+    if (loaded.error().code != core::WireErrc::kIo) {
+      util::log_warn() << "ignoring unusable checkpoint " << path << ": "
+                       << loaded.error().message();
+    }
+    return std::nullopt;
+  }
+  core::ClusterCheckpoint ck = std::move(loaded).value();
+  if (core::checkpoint_mismatch(ck, store, cp)) return std::nullopt;
+  return ck;
+}
+
+/// The master's *final* checkpoint: nothing pending, every role done.
+bool is_final(const core::ClusterCheckpoint& ck) {
   if (!ck.pending.empty()) return false;
   for (const auto& rp : ck.progress) {
     if (rp.done == 0) return false;
   }
+  return true;
+}
+
+void restore_clusters(const core::ClusterCheckpoint& ck,
+                      PipelineResult& result) {
   result.clusters = util::UnionFind::from_labels(ck.labels);
   result.cluster_stats.pairs_generated = ck.pairs_generated;
   result.cluster_stats.pairs_aligned = ck.pairs_aligned;
@@ -40,7 +60,6 @@ bool restore_final_clusters(const core::ClusterParams& cp,
   result.cluster_stats.merges_rejected_inconsistent =
       ck.merges_rejected_inconsistent;
   result.cluster_stats.resumed_from_epoch = ck.epoch;
-  return true;
 }
 
 }  // namespace
@@ -96,14 +115,11 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
   }
 
   // Recovery supervisor (no-op pass-through when checkpoint_dir is empty).
-  SupervisorParams sup_params;
-  sup_params.dir = params.checkpoint_dir;
-  sup_params.max_attempts = params.phase_max_attempts;
-  if (!params.checkpoint_dir.empty()) {
-    sup_params.input_hash = core::cluster_input_hash(raw);
-    sup_params.params_hash = core::cluster_params_hash(params.cluster);
+  Supervisor sup(!params.checkpoint_dir.empty());
+  if (sup.enabled()) {
+    std::error_code ec;  // best effort; the first checkpoint save complains
+    std::filesystem::create_directories(params.checkpoint_dir, ec);
   }
-  Supervisor sup(sup_params);
 
   // --- Preprocessing --------------------------------------------------------
   sup.run_phase(PhaseId::kPreprocess, /*required=*/true, [&](std::uint32_t) {
@@ -157,50 +173,34 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
         cp.checkpoint_path = params.checkpoint_dir + "/cluster.ckpt";
       if (cp.checkpoint_every_reports == 0) cp.checkpoint_every_reports = 64;
     }
-    // A manifest vouching for a completed clustering plus a valid final
-    // checkpoint restores the partition without touching the runtime.
-    bool restored = false;
-    if (sup.enabled() && sup.completed_in_manifest(PhaseId::kCluster) &&
-        restore_final_clusters(cp, result)) {
-      restored = true;
-      sup.note_skipped(PhaseId::kCluster);
+    // A final checkpoint written for this very input and configuration
+    // restores the partition without touching the runtime; a mid-run one
+    // is where the first attempt resumes.
+    std::optional<core::ClusterCheckpoint> ck;
+    if (sup.enabled()) {
+      ck = load_cluster_checkpoint(cp.checkpoint_path, result.pre.store, cp);
     }
-    if (!restored) {
+    if (ck && is_final(*ck)) {
+      restore_clusters(*ck, result);
+      sup.note_skipped();
+    } else {
       sup.run_phase(PhaseId::kCluster, /*required=*/true,
                     [&](std::uint32_t attempt) {
-        result.clusters = util::UnionFind{};
-        result.cluster_stats = core::ClusterStats{};
-        core::ClusterCheckpoint resume_ck;
-        bool has_resume = false;
-        if (!params.checkpoint_dir.empty()) {
-          auto loaded = core::try_load_checkpoint(cp.checkpoint_path);
-          if (loaded) {
-            resume_ck = std::move(loaded).value();
-            // Only resume a checkpoint written for this very input and
-            // configuration; a stale file falls back to a fresh run.
-            has_resume = !core::checkpoint_mismatch(
-                resume_ck, result.pre.store, cp);
-          } else if (loaded.error().code != core::WireErrc::kIo) {
-            // Missing file is the normal first-run case; anything else means
-            // a checkpoint exists but cannot be trusted. Say so before
-            // starting fresh — silent fallback would hide corruption forever.
-            util::log_warn() << "ignoring unusable checkpoint "
-                             << cp.checkpoint_path << ": "
-                             << loaded.error().message();
-          }
+        // A failed attempt's master may have left a newer checkpoint.
+        if (attempt > 0) {
+          ck = load_cluster_checkpoint(cp.checkpoint_path, result.pre.store,
+                                       cp);
         }
         auto pr = core::cluster_parallel(
             result.pre.store, cp, params.ranks, params.cost,
             attempt == 0 ? params.faults : vmpi::FaultPlan{},
-            has_resume ? &resume_ck : nullptr);
+            ck ? &*ck : nullptr);
         result.clusters = std::move(pr.clusters);
         result.cluster_stats = pr.stats;
         result.cost = std::move(pr.cost);
         // The master left a final checkpoint. Under the supervisor it lets
-        // a rerun restore the finished partition (the manifest records
-        // which runs it is valid for); with no manifest to vouch for it, a
-        // leftover file would make the next fresh run "resume" a finished
-        // state.
+        // a rerun restore the finished partition; without one, a caller's
+        // checkpoint_path is scratch for this run only.
         if (!cp.checkpoint_path.empty() && !sup.enabled()) {
           std::remove(cp.checkpoint_path.c_str());
         }

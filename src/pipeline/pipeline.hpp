@@ -39,16 +39,13 @@ struct PipelineParams {
   /// (testing/chaos runs; see DESIGN.md "Fault model & recovery").
   vmpi::FaultPlan faults{};
   /// Non-empty: engage the recovery supervisor (see pipeline/supervisor.hpp
-  /// and DESIGN.md "End-to-end recovery"). Periodic cluster checkpoints and
-  /// the generation-numbered run manifest live in this directory; phases
-  /// are retried with capped backoff (faults
-  /// injected on the first attempt only) and a rerun resumes from whatever
-  /// persisted state the manifest vouches for — a completed clustering is
-  /// restored from its final checkpoint instead of recomputed.
+  /// and DESIGN.md "End-to-end recovery"). Cluster checkpoints live in
+  /// this directory (created if missing); phases are retried with capped
+  /// backoff (faults injected on the first attempt only), an attempt
+  /// resumes from the latest mid-run checkpoint, and a rerun whose final
+  /// checkpoint matches its input and params restores the finished
+  /// partition instead of recomputing it.
   std::string checkpoint_dir;
-  /// Attempts per supervised phase before giving up (min 1); only
-  /// meaningful with a non-empty checkpoint_dir.
-  std::uint32_t phase_max_attempts = 3;
   /// Optional post-assembly phase (ground-truth validation, scaffold stats,
   /// report writing). Runs under the supervisor as a NON-required phase:
   /// if it keeps failing the pipeline completes without it, marking the

@@ -38,7 +38,6 @@ struct CostParams {
   // method and the measured-vs-modeled skew discussion.
   double alpha = 2.6e-6;      ///< per-message latency, seconds
   double beta = 1.0 / 30e9;   ///< per-byte cost, seconds
-  double compute_scale = 1.0; ///< multiplier on charged compute seconds
 
   /// Measured alpha-beta of one of our real transports (thread mailboxes or
   /// forked processes over shm rings), from tools/transport_probe. Defined
@@ -67,9 +66,7 @@ struct RankLedger {
     bytes_recv += bytes;
     comm_seconds += cp.alpha + static_cast<double>(bytes) * cp.beta;
   }
-  void charge_compute(double seconds, const CostParams& cp) noexcept {
-    compute_seconds += seconds * cp.compute_scale;
-  }
+  void charge_compute(double seconds) noexcept { compute_seconds += seconds; }
 
   RankLedger& operator+=(const RankLedger& o) noexcept {
     msgs_sent += o.msgs_sent;

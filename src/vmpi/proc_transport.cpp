@@ -44,9 +44,8 @@ void poll_nap(int& idle) {
 
 }  // namespace
 
-ProcTransport::ProcTransport(int num_ranks, std::size_t ring_bytes)
+ProcTransport::ProcTransport(int num_ranks)
     : num_ranks_(num_ranks),
-      ring_bytes_(align_up(std::max<std::size_t>(ring_bytes, 4096))),
       assembly_(static_cast<std::size_t>(num_ranks)) {
   const std::size_t p = static_cast<std::size_t>(num_ranks);
   const std::size_t control_off = 0;
@@ -54,7 +53,7 @@ ProcTransport::ProcTransport(int num_ranks, std::size_t ring_bytes)
   const std::size_t done_off = dead_off + p * sizeof(detail::ShmFlag);
   const std::size_t acks_off = done_off + p * sizeof(detail::ShmFlag);
   const std::size_t rings_off = acks_off + p * p * sizeof(detail::ShmAckSlot);
-  const std::size_t ring_stride = sizeof(detail::RingHdr) + ring_bytes_;
+  const std::size_t ring_stride = sizeof(detail::RingHdr) + kRingBytes;
   region_size_ = rings_off + p * p * ring_stride;
 
   // Anonymous MAP_SHARED: the one mapping every rank process inherits over
@@ -88,7 +87,7 @@ ProcTransport::~ProcTransport() {
 }
 
 detail::RingHdr* ProcTransport::ring_hdr(int src, int dst) const noexcept {
-  const std::size_t ring_stride = sizeof(detail::RingHdr) + ring_bytes_;
+  const std::size_t ring_stride = sizeof(detail::RingHdr) + kRingBytes;
   const std::size_t idx = static_cast<std::size_t>(src) *
                               static_cast<std::size_t>(num_ranks_) +
                           static_cast<std::size_t>(dst);
@@ -165,7 +164,7 @@ void ProcTransport::drain_inbound(int self) {
       // acquire the producer-owned tail, advance the consumer-owned head
       // with a release store once the bytes are copied out.
       const std::size_t chunk = StdRing::try_pop(
-          ring, hdr->head, hdr->tail, buf, ring_bytes_, dst, want);
+          ring, hdr->head, hdr->tail, buf, kRingBytes, dst, want);
       if (chunk == 0) break;
       as.have += chunk;
     }
@@ -186,7 +185,7 @@ bool ProcTransport::write_stream(int self, int dest, const void* data,
     // a release store only after the bytes are fully in place — a consumer
     // can never observe a torn chunk, even if we are SIGKILLed right here.
     const std::size_t chunk = StdRing::try_push(
-        ring, hdr->head, hdr->tail, buf, ring_bytes_, src + written,
+        ring, hdr->head, hdr->tail, buf, kRingBytes, src + written,
         n - written);
     if (chunk == 0) {
       // Unlike the unbounded thread mailboxes, a bounded ring can block a
@@ -852,7 +851,7 @@ RunCost Runtime::run_proc(const std::function<void(Comm&)>& body) {
     ::rmdir(blob_dir.c_str());
   };
 
-  ProcTransport tp(p, proc_ring_bytes_);
+  ProcTransport tp(p);
 
   // Flush stdio before forking: with stdout piped (fully buffered), any
   // pending output would be duplicated into every child and flushed again

@@ -34,7 +34,7 @@ class ProcTransport final : public Transport {
  public:
   /// Maps the shared region and lays out control/flags/acks/rings. Must be
   /// constructed before forking; every rank process then shares it.
-  ProcTransport(int num_ranks, std::size_t ring_bytes);
+  explicit ProcTransport(int num_ranks);
   ~ProcTransport() override;
 
   ProcTransport(const ProcTransport&) = delete;
@@ -102,8 +102,11 @@ class ProcTransport final : public Transport {
   /// AbortError on abort.
   bool write_stream(int self, int dest, const void* data, std::size_t n);
 
+  /// Capacity of each per-ordered-rank-pair ring; larger messages stream
+  /// through it in chunks.
+  static constexpr std::size_t kRingBytes = std::size_t{1} << 18;
+
   int num_ranks_;
-  std::size_t ring_bytes_;
   void* region_ = nullptr;
   std::size_t region_size_ = 0;
   // Carved views into the shared region (set once in the constructor).

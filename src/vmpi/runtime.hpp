@@ -339,9 +339,9 @@ class Comm {
   RankLedger& ledger() noexcept { return ledger_; }
   const CostParams& cost_params() const noexcept { return *cost_; }
 
-  /// Directly charge compute seconds (already scaled by the thread timer).
+  /// Directly charge compute seconds (thread CPU time).
   void charge_compute(double seconds) noexcept {
-    ledger_.charge_compute(seconds, *cost_);
+    ledger_.charge_compute(seconds);
   }
 
   /// RAII scope that charges the enclosed thread-CPU time as compute.
@@ -460,13 +460,6 @@ class Runtime {
   int size() const noexcept { return num_ranks_; }
   TransportKind transport() const noexcept { return kind_; }
 
-  /// Proc transport only: capacity in bytes of each per-ordered-rank-pair
-  /// shared-memory ring (default 256 KiB). Messages larger than a ring
-  /// stream through it in chunks; tests shrink this to exercise that path.
-  void set_proc_ring_bytes(std::size_t bytes) noexcept {
-    proc_ring_bytes_ = bytes;
-  }
-
   /// Run `body(comm)` on every rank; joins all ranks; returns the merged
   /// cost ledgers. Rethrows the first rank exception (after aborting all).
   /// A rank that dies of an injected crash (KilledError / SIGKILL) does NOT
@@ -487,7 +480,6 @@ class Runtime {
   TransportKind kind_;
   CostParams cost_;
   FaultPlan faults_;
-  std::size_t proc_ring_bytes_ = std::size_t{1} << 18;
   std::unique_ptr<ThreadTransport> thread_transport_;  ///< null for kProc
 };
 

@@ -265,16 +265,5 @@ TEST(ParallelClusterEdge, NoOverlapsTerminates) {
   EXPECT_EQ(result.stats.pairs_accepted, 0u);
 }
 
-TEST(ParallelClusterEdge, SsendAblationSamePartition) {
-  util::Prng rng(8);
-  const auto store = sampled_reads(rng, 900, 24, 100, 0.01);
-  auto params = small_params();
-  params.use_ssend = true;
-  const auto a = cluster_parallel(store, params, 4);
-  params.use_ssend = false;
-  const auto b = cluster_parallel(store, params, 4);
-  expect_same_partition(a.clusters, b.clusters);
-}
-
 }  // namespace
 }  // namespace pgasm

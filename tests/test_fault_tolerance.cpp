@@ -366,14 +366,13 @@ TEST(Checkpoint, HashesTrackInputAndParams) {
   auto operational = params;
   operational.reply_timeout *= 2;
   operational.checkpoint_every_reports = 7;
-  operational.use_ssend = !operational.use_ssend;
   EXPECT_EQ(core::cluster_params_hash(params),
             core::cluster_params_hash(operational));
 }
 
 TEST(Checkpoint, DefaultParamsHashIsPinned) {
-  // Checkpoints and run manifests on disk record this value; if it moves,
-  // none of them can be resumed.
+  // Checkpoints on disk record this value; if it moves, none of them can
+  // be resumed.
   EXPECT_EQ(core::cluster_params_hash(core::ClusterParams{}),
             5527793762861676892ULL);
 }

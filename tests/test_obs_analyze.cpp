@@ -281,6 +281,58 @@ TEST(Analyze, CriticalPathBarrierJumpsToLatecomer) {
   EXPECT_GE(slowpoke_us, 90u);
 }
 
+TEST(Analyze, CriticalPathComputeSplitsAtSpanEdges) {
+  // Rank 2's GST build as one 88 ms compute step with no wait inside: five
+  // spans back to back except for a 9 ms gap between redistribute and
+  // fetch_round, which holds the step's midpoint. Each span must appear
+  // under its own name with its own duration, and only the gap reads
+  // "(untracked)".
+  std::map<int, std::vector<TraceEvent>> by_rank;
+  by_rank[2] = {compute_ev(2, "enumerate_suffixes", 0, 12'000, "gst"),
+                compute_ev(2, "bucket_histogram", 12'000, 20'000, "gst"),
+                compute_ev(2, "redistribute", 20'000, 39'500, "gst"),
+                compute_ev(2, "fetch_round", 48'500, 61'000, "gst"),
+                compute_ev(2, "build_subtrees", 61'000, 88'000, "gst")};
+
+  const Analysis a = obs::analyze(by_rank);
+  const obs::CriticalPath& cp = a.critical_path;
+  EXPECT_EQ(cp.total_us, 88'000u);
+  const char* want_name[] = {"enumerate_suffixes", "bucket_histogram",
+                             "redistribute",       "(untracked)",
+                             "fetch_round",        "build_subtrees"};
+  const std::uint64_t want_us[] = {12'000, 8'000,  19'500,
+                                   9'000,  12'500, 27'000};
+  ASSERT_EQ(cp.steps.size(), 6u);
+  std::uint64_t cursor = 0;
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(cp.steps[i].kind, CriticalStep::Kind::kCompute) << "step " << i;
+    EXPECT_EQ(cp.steps[i].rank, 2) << "step " << i;
+    EXPECT_EQ(cp.steps[i].name, want_name[i]) << "step " << i;
+    EXPECT_EQ(cp.steps[i].dur_us(), want_us[i]) << "step " << i;
+    EXPECT_EQ(cp.steps[i].start_us, cursor) << "step " << i;
+    cursor = cp.steps[i].end_us;
+  }
+  EXPECT_EQ(cp.steps[3].phase, "");  // no span covers the gap
+  EXPECT_EQ(cp.steps[4].phase, "gst");
+}
+
+TEST(Analyze, CriticalPathComputeNamesInnermostSpan) {
+  // An outer span with a nested one: the nested stretch takes the inner
+  // name, the rest of the outer span merges back into one piece per side.
+  std::map<int, std::vector<TraceEvent>> by_rank;
+  by_rank[0] = {compute_ev(0, "outer", 0, 100), compute_ev(0, "inner", 40, 60)};
+  const Analysis a = obs::analyze(by_rank);
+  const auto& steps = a.critical_path.steps;
+  ASSERT_EQ(steps.size(), 3u);
+  EXPECT_EQ(steps[0].name, "outer");
+  EXPECT_EQ(steps[0].dur_us(), 40u);
+  EXPECT_EQ(steps[1].name, "inner");
+  EXPECT_EQ(steps[1].dur_us(), 20u);
+  EXPECT_EQ(steps[2].name, "outer");
+  EXPECT_EQ(steps[2].dur_us(), 40u);
+  EXPECT_EQ(a.critical_path.total_us, 100u);
+}
+
 // ----------------------------------------------------------- flow events --
 
 class AnalyzeTracerTest : public testing::Test {

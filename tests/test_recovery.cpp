@@ -1,16 +1,18 @@
 // Pipeline recovery supervisor tests (ctest label: faults): phase retry
 // with fault injection on the first attempt only, optional-phase
-// degradation, run-manifest generations (adoption, corruption fallback,
-// GC) and resume that restores a completed clustering from its final
-// checkpoint instead of recomputing it.
+// degradation, and the restore decision end to end — a rerun restores a
+// completed clustering from its final checkpoint only when that checkpoint
+// matches the run's preprocessed input and cluster params, and otherwise
+// runs fresh.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/parallel_cluster.hpp"
 #include "core/wire.hpp"
@@ -24,11 +26,12 @@ namespace pgasm {
 namespace {
 
 namespace fs = std::filesystem;
+using pipeline::kMaxAttempts;
 using pipeline::PhaseId;
 using pipeline::PipelineParams;
+using pipeline::PipelineResult;
 using pipeline::run_pipeline;
 using pipeline::Supervisor;
-using pipeline::SupervisorParams;
 
 /// Fresh, empty scratch directory under the test tempdir.
 std::string scratch_dir(const std::string& name) {
@@ -77,39 +80,57 @@ void expect_same_partition(const util::UnionFind& a, const util::UnionFind& b) {
   }
 }
 
+/// File names in `dir`, sorted.
+std::vector<std::string> dir_entries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// A supervised run of (`first_input`, `first`) leaves its final checkpoint;
+/// a supervised rerun with (`second_input`, `second`) into the same
+/// directory must not restore or resume it, and must end with the
+/// partition of a run without any checkpoint_dir.
+PipelineResult expect_rerun_runs_fresh(const std::string& name,
+                                       const seq::FragmentStore& first_input,
+                                       PipelineParams first,
+                                       const seq::FragmentStore& second_input,
+                                       PipelineParams second) {
+  const auto dir = scratch_dir(name);
+  first.checkpoint_dir = dir;
+  (void)run_pipeline(first_input, sim::vector_library(), first);
+  const auto fresh = run_pipeline(second_input, sim::vector_library(), second);
+  second.checkpoint_dir = dir;
+  auto rerun = run_pipeline(second_input, sim::vector_library(), second);
+  EXPECT_EQ(rerun.recovery.phases_skipped_resume, 0u);
+  EXPECT_EQ(rerun.cluster_stats.resumed_from_epoch, 0u);
+  expect_same_partition(fresh.clusters, rerun.clusters);
+  fs::remove_all(dir);
+  return rerun;
+}
+
 // --- Supervisor unit behavior ----------------------------------------------
 
-TEST(Supervisor, RetriesUntilSuccessAndRecordsManifest) {
-  const auto dir = scratch_dir("retry");
-  SupervisorParams sp;
-  sp.dir = dir;
-  sp.max_attempts = 3;
-  Supervisor sup(sp);
-
-  int calls = 0;
+TEST(Supervisor, RetriesUntilSuccess) {
+  Supervisor sup(/*enabled=*/true);
+  std::uint32_t calls = 0;
   const bool ok = sup.run_phase(PhaseId::kCluster, /*required=*/true,
                                 [&](std::uint32_t attempt) {
-                                  EXPECT_EQ(attempt, static_cast<std::uint32_t>(calls));
+                                  EXPECT_EQ(attempt, calls);
                                   ++calls;
-                                  if (calls < 3) throw std::runtime_error("flaky");
+                                  if (calls < kMaxAttempts)
+                                    throw std::runtime_error("flaky");
                                 });
   EXPECT_TRUE(ok);
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls, 3u);
   EXPECT_EQ(sup.stats().phase_retries, 2u);
-
-  // The manifest on disk records the completion; a new supervisor adopts it.
-  Supervisor next(sp);
-  EXPECT_TRUE(next.completed_in_manifest(PhaseId::kCluster));
-  EXPECT_FALSE(next.completed_in_manifest(PhaseId::kAssembly));
-  fs::remove_all(dir);
 }
 
 TEST(Supervisor, RequiredPhaseRethrowsAfterExhaustion) {
-  const auto dir = scratch_dir("rethrow");
-  SupervisorParams sp;
-  sp.dir = dir;
-  sp.max_attempts = 2;
-  Supervisor sup(sp);
+  Supervisor sup(/*enabled=*/true);
   int calls = 0;
   EXPECT_THROW(sup.run_phase(PhaseId::kAssembly, /*required=*/true,
                              [&](std::uint32_t) {
@@ -117,80 +138,24 @@ TEST(Supervisor, RequiredPhaseRethrowsAfterExhaustion) {
                                throw std::runtime_error("hard failure");
                              }),
                std::runtime_error);
-  EXPECT_EQ(calls, 2);
-  fs::remove_all(dir);
+  EXPECT_EQ(calls, 3);
 }
 
 TEST(Supervisor, OptionalPhaseDegradesInsteadOfThrowing) {
-  const auto dir = scratch_dir("degrade");
-  SupervisorParams sp;
-  sp.dir = dir;
-  sp.max_attempts = 2;
-  Supervisor sup(sp);
+  Supervisor sup(/*enabled=*/true);
+  int calls = 0;
   const bool ok = sup.run_phase(PhaseId::kValidation, /*required=*/false,
                                 [&](std::uint32_t) {
+                                  ++calls;
                                   throw std::runtime_error("always broken");
                                 });
   EXPECT_FALSE(ok);
-  EXPECT_TRUE(sup.degraded(PhaseId::kValidation));
+  EXPECT_EQ(calls, 3);
   EXPECT_EQ(sup.stats().degraded_phases, 1u);
-  fs::remove_all(dir);
-}
-
-TEST(Supervisor, CorruptNewestManifestFallsBackToOlderGeneration) {
-  const auto dir = scratch_dir("fallback");
-  SupervisorParams sp;
-  sp.dir = dir;
-  sp.max_attempts = 1;
-  {
-    Supervisor gen1(sp);
-    gen1.run_phase(PhaseId::kPreprocess, true, [](std::uint32_t) {});
-    gen1.run_phase(PhaseId::kCluster, true, [](std::uint32_t) {});
-  }
-  {
-    Supervisor gen2(sp);
-    EXPECT_EQ(gen2.generation(), 2u);
-    gen2.run_phase(PhaseId::kPreprocess, true, [](std::uint32_t) {});
-  }
-  // Flip a payload bit in the newest manifest: its CRC check must fail and
-  // generation 1 (which also recorded kCluster) must be adopted instead.
-  {
-    // pgasm-lint: allow(raw-ckpt-write): corrupting the manifest on purpose
-    std::fstream f(dir + "/manifest.2.pgmf",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    f.seekg(0, std::ios::end);
-    const auto size = static_cast<std::streamoff>(f.tellg());
-    f.seekp(size - 1);
-    f.put(static_cast<char>(0xFF));
-  }
-  Supervisor sup(sp);
-  EXPECT_TRUE(sup.completed_in_manifest(PhaseId::kCluster));
-  EXPECT_GE(sup.stats().manifests_rejected, 1u);
-  EXPECT_EQ(sup.generation(), 3u);
-  fs::remove_all(dir);
-}
-
-TEST(Supervisor, StaleGenerationsAreGarbageCollected) {
-  const auto dir = scratch_dir("gc");
-  SupervisorParams sp;
-  sp.dir = dir;
-  sp.max_attempts = 1;
-  for (int run = 0; run < 5; ++run) {
-    Supervisor sup(sp);
-    sup.run_phase(PhaseId::kPreprocess, true, [](std::uint32_t) {});
-  }
-  std::size_t manifests = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    manifests += entry.path().extension() == ".pgmf" ? 1 : 0;
-  }
-  EXPECT_LE(manifests, 2u);
-  EXPECT_TRUE(fs::exists(dir + "/manifest.5.pgmf"));
-  fs::remove_all(dir);
 }
 
 TEST(Supervisor, DisabledSupervisorPropagatesImmediately) {
-  Supervisor sup(SupervisorParams{});  // no dir: disabled
+  Supervisor sup(/*enabled=*/false);
   EXPECT_FALSE(sup.enabled());
   int calls = 0;
   EXPECT_THROW(sup.run_phase(PhaseId::kValidation, /*required=*/false,
@@ -212,7 +177,8 @@ TEST(RecoveryPipeline, RerunRestoresCompletedClusteringFromCheckpoint) {
 
   const auto first = run_pipeline(rs.store, sim::vector_library(), params);
   EXPECT_EQ(first.recovery.phases_skipped_resume, 0u);
-  EXPECT_TRUE(fs::exists(dir + "/cluster.ckpt"));
+  // The final cluster checkpoint is the run's only durable record.
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"cluster.ckpt"});
 
   const auto second = run_pipeline(rs.store, sim::vector_library(), params);
   EXPECT_EQ(second.recovery.phases_skipped_resume, 1u);
@@ -256,19 +222,59 @@ TEST(RecoveryPipeline, FinalCheckpointIsTheMastersTerminalState) {
   fs::remove_all(dir);
 }
 
-TEST(RecoveryPipeline, ChangedInputInvalidatesManifestAndCheckpoint) {
-  const auto dir = scratch_dir("invalidate");
+TEST(RecoveryPipeline, ChangedInputRunsFresh) {
+  const auto rs1 = small_reads(22);
+  const auto rs2 = small_reads(23);
+  expect_rerun_runs_fresh("input", rs1.store, recovery_params(), rs2.store,
+                          recovery_params());
+}
+
+TEST(RecoveryPipeline, ChangedPsiRunsFresh) {
+  const auto rs = small_reads(22);
+  auto changed = recovery_params();
+  changed.cluster.psi += 2;
+  expect_rerun_runs_fresh("psi", rs.store, recovery_params(), rs.store,
+                          changed);
+}
+
+TEST(RecoveryPipeline, ChangedKeptStoreRunsFresh) {
+  const auto rs = small_reads(22);
+  auto changed = recovery_params();
+  changed.pre.min_len = 300;  // drops the shorter half of the reads
+  const auto rerun = expect_rerun_runs_fresh("kept", rs.store,
+                                             recovery_params(), rs.store,
+                                             changed);
+  const auto base = run_pipeline(rs.store, sim::vector_library(),
+                                 recovery_params());
+  EXPECT_LT(rerun.pre.store.size(), base.pre.store.size());
+}
+
+TEST(RecoveryPipeline, CorruptCheckpointWarnsAndRunsFresh) {
+  const auto dir = scratch_dir("corrupt");
+  const auto rs = small_reads(22);
   auto params = recovery_params();
   params.checkpoint_dir = dir;
-
-  const auto rs1 = small_reads(22);
-  (void)run_pipeline(rs1.store, sim::vector_library(), params);
-
-  // Different input: the manifest hash check refuses the old generation and
-  // clustering runs fresh (no skip).
-  const auto rs2 = small_reads(23);
-  const auto result = run_pipeline(rs2.store, sim::vector_library(), params);
-  EXPECT_EQ(result.recovery.phases_skipped_resume, 0u);
+  const auto first = run_pipeline(rs.store, sim::vector_library(), params);
+  {
+    // pgasm-lint: allow(raw-ckpt-write): corrupting the checkpoint on purpose
+    std::fstream f(dir + "/cluster.ckpt",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekg(0, std::ios::end);
+    const auto size = static_cast<std::streamoff>(f.tellg());
+    f.seekg(size - 1);
+    const int last = f.get();
+    f.seekp(size - 1);
+    f.put(static_cast<char>(last ^ 0x01));
+  }
+  testing::internal::CaptureStderr();
+  const auto rerun = run_pipeline(rs.store, sim::vector_library(), params);
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("ignoring unusable checkpoint"), std::string::npos)
+      << log;
+  EXPECT_EQ(rerun.recovery.phases_skipped_resume, 0u);
+  EXPECT_EQ(rerun.cluster_stats.resumed_from_epoch, 0u);
+  expect_same_partition(first.clusters, rerun.clusters);
   fs::remove_all(dir);
 }
 
@@ -277,14 +283,13 @@ TEST(RecoveryPipeline, OptionalPostPhaseDegradesLoudly) {
   const auto rs = small_reads(24);
   auto params = recovery_params();
   params.checkpoint_dir = dir;
-  params.phase_max_attempts = 2;
   int hook_calls = 0;
   params.optional_post_phase = [&](const pipeline::PipelineResult&) {
     ++hook_calls;
     throw std::runtime_error("validation backend unavailable");
   };
   const auto result = run_pipeline(rs.store, sim::vector_library(), params);
-  EXPECT_EQ(hook_calls, 2);
+  EXPECT_EQ(hook_calls, 3);
   EXPECT_EQ(result.recovery.degraded_phases, 1u);
   EXPECT_GT(result.assembly_summary.clusters_assembled, 0u);  // run finished
   fs::remove_all(dir);

@@ -125,8 +125,7 @@ TEST(ProcTransport, SsendRendezvousAndCollectives) {
 TEST(ProcTransport, MessagesLargerThanRingStream) {
   const int p = 2;
   Runtime rt(p, "proc");
-  rt.set_proc_ring_bytes(4096);  // force multi-chunk streaming
-  const std::size_t n = 1 << 20;  // 1 MiB through a 4 KiB ring
+  const std::size_t n = 1 << 20;  // 1 MiB through the 256 KiB ring
   rt.run([n](Comm& c) {
     if (c.rank() == 0) {
       std::vector<std::uint8_t> big(n);

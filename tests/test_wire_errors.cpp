@@ -306,51 +306,6 @@ TEST(WireErrors, Crc32MatchesKnownVector) {
   EXPECT_EQ(crc, 0xCBF43926u);
 }
 
-// --- Run manifest & GST checkpoint codecs -----------------------------------
-
-RunManifest sample_manifest() {
-  RunManifest m;
-  m.generation = 7;
-  m.input_hash = 0x1111222233334444ULL;
-  m.params_hash = 0x5555666677778888ULL;
-  m.phases.push_back(PhaseEntry{0, 1, 1, 0, 0, 0});
-  m.phases.push_back(PhaseEntry{1, 3, 1, 0, 0, 0});
-  m.phases.push_back(PhaseEntry{3, 3, 0, 1, 0, 0});
-  return m;
-}
-
-TEST(WireErrors, ManifestRoundTripsThroughDisk) {
-  const auto m = sample_manifest();
-  const std::string path = testing::TempDir() + "/pgasm_manifest.pgmf";
-  save_manifest(path, m);
-  auto r = try_load_manifest(path);
-  ASSERT_TRUE(r.has_value()) << r.error().message();
-  EXPECT_EQ(r.value().generation, 7u);
-  EXPECT_EQ(r.value().input_hash, m.input_hash);
-  ASSERT_EQ(r.value().phases.size(), 3u);
-  EXPECT_EQ(r.value().phases[1].attempts, 3u);
-  EXPECT_EQ(r.value().phases[2].degraded, 1u);
-  std::remove(path.c_str());
-}
-
-TEST(WireErrors, ManifestDuplicatePhaseIsBadValue) {
-  auto m = sample_manifest();
-  m.phases.push_back(m.phases[0]);
-  const auto bytes = encode_manifest(m);
-  auto r = try_decode_manifest(bytes);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, WireErrc::kBadValue);
-}
-
-TEST(WireErrors, ManifestHugePhaseIdIsBadValue) {
-  auto m = sample_manifest();
-  m.phases[0].phase = 64;
-  const auto bytes = encode_manifest(m);
-  auto r = try_decode_manifest(bytes);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, WireErrc::kBadValue);
-}
-
 TEST(WireErrors, ErrorMessageNamesCodeAndOffset) {
   const auto bytes = encode_report(sample_report());
   auto r = try_decode_report(std::span(bytes.data(), bytes.size() - 1));

@@ -8,7 +8,7 @@ bit-identical". The dynamic gates (chaos seeds, proc-smoke diffs,
 test_determinism) only exercise the schedules they happen to run; this
 tool statically rejects whole *classes* of nondeterminism by tracking
 known nondeterminism sources toward output-affecting sinks (wire encodes,
-contig emission, checkpoint/manifest writes, summary folds).
+contig emission, checkpoint writes, summary folds).
 
 Checks
 ------
@@ -101,7 +101,7 @@ TIME_APPROVED_FILES = {Path("util/timer.hpp")}
 # proof — see the module docstring.
 MODULE_SINKS = {
     "align": "overlap scores feeding contig consensus",
-    "core": "wire encodes and checkpoint/manifest frames",
+    "core": "wire encodes and checkpoint frames",
     "gst": "the promising-pair stream ordering alignment work",
     "obs": "run summaries the perf gate diffs",
     "olc": "contig emission",
