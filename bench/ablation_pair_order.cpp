@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
   // --- duplicate elimination -----------------------------------------------
   std::printf("\n");
   const auto doubled = seq::make_doubled_store(pre.store);
-  gst::SuffixTree tree(doubled,
-                       gst::GstParams{.min_match = params.psi, .prefix_w = 0});
+  gst::SuffixTree tree(doubled, gst::GstParams{.min_match = params.psi});
   util::Table t2({"generation mode", "pairs emitted", "memory (MB)"});
   for (const bool dup_elim : {true, false}) {
     gst::PairGenerator gen(tree,

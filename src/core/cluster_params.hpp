@@ -19,7 +19,8 @@ inline constexpr std::uint32_t kPendingWorkBuf = 1u << 16;
 struct ClusterParams {
   /// ψ: minimum maximal-match length for a promising pair (Section 4).
   std::uint32_t psi = 20;
-  /// w: bucket prefix length for the parallel GST build, in [1, min(ψ, 12)].
+  /// w: the parallel GST build's bucket-distribution prefix, in
+  /// [1, min(ψ, 12)].
   std::uint32_t prefix_w = 6;
   /// Suffix–prefix alignment acceptance (less stringent than assembly).
   align::OverlapParams overlap{};

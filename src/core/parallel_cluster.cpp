@@ -380,7 +380,10 @@ std::uint64_t cluster_params_hash(const ClusterParams& params) {
   // a checkpoint's generator positions refer to. Operational knobs
   // (timeouts, checkpoint cadence, ssend ablation) are deliberately left
   // out: changing them between a run and its resume is legitimate.
-  std::uint64_t h = 0x636b70682d7632ULL;  // "ckph-v2"
+  // The tag moves whenever a rank's pair stream changes order, so a
+  // checkpoint's generator positions are never replayed against another
+  // stream.
+  std::uint64_t h = 0x636b70682d7633ULL;  // "ckph-v3"
   auto mix = [&h](std::uint64_t v) {
     std::uint64_t state = h ^ v;
     h = util::splitmix64(state);

@@ -81,8 +81,7 @@ ClusterResult cluster_serial(const seq::FragmentStore& fragments,
 
   util::WallTimer gst_timer;
   const seq::FragmentStore doubled = seq::make_doubled_store(fragments);
-  gst::SuffixTree tree(
-      doubled, gst::GstParams{.min_match = params.psi, .prefix_w = 0});
+  gst::SuffixTree tree(doubled, gst::GstParams{.min_match = params.psi});
   stats.gst_seconds = gst_timer.elapsed();
 
   util::WallTimer cluster_timer;

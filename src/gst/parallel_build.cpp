@@ -21,73 +21,36 @@ int owner_of(const std::vector<std::uint32_t>& slice_begin,
   return static_cast<int>(it - slice_begin.begin()) - 1;
 }
 
-/// Fill `result`'s local store and id map from the global store for the
-/// suffixes in `local_suffixes` (global seq ids, canonical order), then
-/// remap the suffixes to local ids. Local ids are assigned in sorted
-/// global-id order — the same rule the distributed fetch path uses, so a
-/// portion built this way is bit-identical to the one the owning rank
-/// would have built.
-void materialize_from_global(DistributedGst& result,
-                             const seq::FragmentStore& global,
-                             std::vector<Suffix>& local_suffixes) {
-  std::vector<std::uint32_t> needed;
-  needed.reserve(local_suffixes.size() / 4 + 1);
-  for (const Suffix& s : local_suffixes) needed.push_back(s.seq);
+/// Local ids, shared by both build paths so that a rebuilt portion is the
+/// one its rank built: they number the distinct sequences of `suffixes` in
+/// ascending global order. Sets `result.local_to_global`, reserves the
+/// local store for those sequences and rewrites each suffix's sequence id
+/// as its local one.
+void assign_local_ids(DistributedGst& result, const seq::FragmentStore& global,
+                      std::vector<Suffix>& suffixes) {
+  auto& needed = result.local_to_global;
+  needed.reserve(suffixes.size() / 4 + 1);
+  for (const Suffix& s : suffixes) needed.push_back(s.seq);
   std::sort(needed.begin(), needed.end());
   needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-  result.local_to_global = needed;
-
-  std::uint64_t needed_chars = 0;
-  for (std::uint32_t g : needed) needed_chars += global.length(g);
-  result.local_store.reserve(needed.size(), needed_chars);
-  for (std::uint32_t g : needed)
-    result.local_store.add(global.seq(g), global.type(g));
-
-  for (Suffix& s : local_suffixes) {
+  for (Suffix& s : suffixes) {
     s.seq = static_cast<std::uint32_t>(
         std::lower_bound(needed.begin(), needed.end(), s.seq) -
         needed.begin());
   }
+  std::uint64_t needed_chars = 0;
+  for (std::uint32_t g : needed) needed_chars += global.length(g);
+  result.local_store.reserve(needed.size(), needed_chars);
 }
 
-/// Group remapped suffixes by bucket (dense relabel in first-seen order +
-/// counting sort) and build the subtree forest — step 5 of the build,
-/// shared by the collective and serial-rebuild paths so both produce
-/// identical trees from identical suffix streams.
-void group_and_build(DistributedGst& result,
-                     std::vector<Suffix> local_suffixes,
-                     const ParallelGstParams& params) {
-  const std::uint32_t w = params.gst.prefix_w;
-  const std::uint32_t nbuckets = num_buckets(w);
-  std::vector<std::uint32_t> bucket_ids(local_suffixes.size());
-  std::vector<std::uint32_t> mine;  // this rank's non-empty buckets
-  {
-    // Dense relabel of owned buckets.
-    std::vector<std::int32_t> dense(nbuckets, -1);
-    for (std::size_t i = 0; i < local_suffixes.size(); ++i) {
-      const std::uint32_t b =
-          bucket_of(result.local_store, local_suffixes[i], w);
-      if (dense[b] < 0) {
-        dense[b] = static_cast<std::int32_t>(mine.size());
-        mine.push_back(b);
-      }
-      bucket_ids[i] = static_cast<std::uint32_t>(dense[b]);
-    }
-  }
-  result.stats.local_buckets = mine.size();
-  std::vector<std::uint32_t> count(mine.size() + 1, 0);
-  for (std::uint32_t b : bucket_ids) ++count[b + 1];
-  for (std::size_t i = 1; i < count.size(); ++i) count[i] += count[i - 1];
-  std::vector<std::uint32_t> bucket_begin(count.begin(), count.end() - 1);
-  std::vector<Suffix> grouped(local_suffixes.size());
-  for (std::size_t i = 0; i < local_suffixes.size(); ++i) {
-    grouped[count[bucket_ids[i]]++] = local_suffixes[i];
-  }
-  local_suffixes.clear();
-  local_suffixes.shrink_to_fit();
-
+/// Step 5 of the build: the rank's suffixes, in arrival order, go to the
+/// one tree constructor.
+void build_tree(DistributedGst& result, std::vector<Suffix> local_suffixes,
+                int role, const ParallelGstParams& params) {
+  result.stats.local_buckets = static_cast<std::uint64_t>(
+      std::ranges::count(result.bucket_owner, role));
   result.tree = std::make_unique<SuffixTree>(
-      result.local_store, std::move(grouped), bucket_begin, w, params.gst);
+      result.local_store, std::move(local_suffixes), params.gst);
   result.stats.tree_nodes = result.tree->num_nodes();
 }
 
@@ -166,8 +129,9 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
   const int p = comm.size();
   const int rank = comm.rank();
   const std::uint32_t w = params.gst.prefix_w;
-  if (w == 0 || w > params.gst.min_match)
-    throw std::runtime_error("parallel GST requires 0 < prefix_w <= psi");
+  if (w == 0 || w > std::min(params.gst.min_match, 12u))
+    throw std::runtime_error(
+        "parallel GST requires 0 < prefix_w <= min(psi, 12)");
 
   DistributedGst result;
   GstBuildStats& stats = result.stats;
@@ -243,21 +207,11 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
   stats.local_suffixes = local_suffixes.size();
 
   // ---- Step 4: fetch the fragments the local subtrees need. -------------
-  // Needed global ids, sorted.
-  std::vector<std::uint32_t> needed;
   {
     auto scope = comm.compute_scope();
-    needed.reserve(local_suffixes.size() / 4 + 1);
-    for (const Suffix& s : local_suffixes) needed.push_back(s.seq);
-    std::sort(needed.begin(), needed.end());
-    needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
+    assign_local_ids(result, global, local_suffixes);
   }
-
-  // Local ids are assigned in sorted global-id order.
-  result.local_to_global = needed;
-  std::uint64_t needed_chars = 0;
-  for (std::uint32_t g : needed) needed_chars += global.length(g);
-  result.local_store.reserve(needed.size(), needed_chars);
+  const std::vector<std::uint32_t>& needed = result.local_to_global;
 
   // Batched request/serve rounds. Each round: Alltoallv of requested ids,
   // then Alltoallv of serialized fragment payloads [id, len, codes...].
@@ -266,7 +220,7 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
           ? std::numeric_limits<std::uint64_t>::max()
           : params.fetch_batch_chars;
   std::size_t cursor = 0;  // into `needed`
-  // Fetched payloads keyed by global id (filled across rounds).
+  // Fetched payloads by local id (filled across rounds).
   std::vector<std::vector<seq::Code>> fetched(needed.size());
   // Map global id -> local index for fill-in.
   auto local_index_of = [&](std::uint32_t g) {
@@ -291,7 +245,7 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
           batch_acc += global.length(g);
         } else {
           const auto s = global.seq(g);
-          fetched[local_index_of(g)].assign(s.begin(), s.end());
+          fetched[cursor].assign(s.begin(), s.end());
         }
         ++cursor;
       }
@@ -350,15 +304,12 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
     }
   }
 
-  // ---- Step 5: remap suffixes to local ids, group by bucket, build. -----
+  // ---- Step 5: build the local subtrees. --------------------------------
   {
     obs::Span sp = obs::span(rank, "build_subtrees", "gst");
     auto scope = comm.compute_scope();
-    for (Suffix& s : local_suffixes) {
-      s.seq = static_cast<std::uint32_t>(local_index_of(s.seq));
-    }
     sp.arg("suffixes", local_suffixes.size());
-    group_and_build(result, std::move(local_suffixes), params);
+    build_tree(result, std::move(local_suffixes), rank, params);
     sp.arg("buckets", stats.local_buckets);
   }
 
@@ -398,8 +349,10 @@ DistributedGst rebuild_rank_portion(
   result.stats.local_suffixes = local_suffixes.size();
   result.bucket_owner = bucket_owner;
 
-  materialize_from_global(result, global, local_suffixes);
-  group_and_build(result, std::move(local_suffixes), params);
+  assign_local_ids(result, global, local_suffixes);
+  for (std::uint32_t g : result.local_to_global)
+    result.local_store.add(global.seq(g), global.type(g));
+  build_tree(result, std::move(local_suffixes), role, params);
   return result;
 }
 

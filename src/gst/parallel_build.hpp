@@ -14,7 +14,11 @@
 //      a request Alltoallv (fragment ids) and a service Alltoallv
 //      (fragment payloads). Ranks that exhaust their batches keep
 //      participating to serve others.
-//   5. Build the local bucket subtrees depth-first (SuffixTree).
+//   5. Hand the suffixes, remapped to local ids, in arrival order to the
+//      one SuffixTree constructor. Like every tree, it regroups them by
+//      their first min(ψ, 8) characters and builds each group depth-first.
+//      With w < 8 a distribution bucket splits into several tree groups;
+//      with w > 8 one tree group holds several distribution buckets.
 //
 // The result holds a rank-local FragmentStore (fetched copies), the local
 // subforest, and the local->global sequence id map used when pairs are
@@ -32,6 +36,7 @@
 namespace pgasm::gst {
 
 struct ParallelGstParams {
+  /// gst.prefix_w is the distribution prefix w, 0 < w <= min(ψ, 12).
   GstParams gst{.min_match = 20, .prefix_w = 6};
   /// Target characters per fragment-fetch batch; 0 = everything in one
   /// batch. The paper sizes batches at Θ(N/p).
@@ -111,10 +116,11 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
 /// Produces a tree identical to the one `role` built in
 /// build_distributed_gst: the global suffix enumeration order equals the
 /// concatenation of the per-rank slice enumerations (slices are contiguous
-/// and ascending), filtering preserves relative order, and the grouping and
-/// local-id assignment rules are deterministic. A survivor adopting a dead
-/// worker's generation role therefore replays exactly the same pair stream
-/// and can fast-forward to the dead worker's last reported position.
+/// and ascending), filtering preserves relative order, both paths assign
+/// local ids the same way, and the tree constructor's grouping is stable.
+/// A survivor adopting a dead worker's generation role therefore replays
+/// exactly the same pair stream and can fast-forward to the dead worker's
+/// last reported position.
 DistributedGst rebuild_rank_portion(const seq::FragmentStore& global,
                                     const std::vector<std::int32_t>& bucket_owner,
                                     int role, const ParallelGstParams& params);

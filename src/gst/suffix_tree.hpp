@@ -3,10 +3,15 @@
 // Construction follows the paper (Section 6): suffixes are grouped into
 // buckets by their w-length prefix, and each bucket's compacted trie is
 // built depth-first by recursively partitioning suffixes on the character
-// at the current depth. Since the minimum maximal-match length ψ is >= w,
-// the top of the GST (depth < w) is never materialized. The same code path
-// serves the serial build (one implicit bucket at depth 0) and the parallel
-// build (each rank constructs the subtrees of its assigned buckets).
+// at the current depth. Every tree is built this way, by one constructor:
+// the serial clustering tree, each per-cluster assembly tree and each
+// rank's share of the parallel forest. It groups its suffixes by their
+// first w = min(ψ, 8) characters with a stable counting sort in ascending
+// prefix order, so the groups come out in the order a depth-first build
+// from the root would visit them, and builds each group from depth w.
+// Pair generation reads only nodes of depth >= ψ >= w (Lemma 1), so the
+// top of the GST (depth < w) is never materialized and the pair stream is
+// that of the full tree.
 //
 // Each range finds its branching depth directly, as the shortest common
 // prefix (capped by effective lengths) of its first suffix with every
@@ -17,7 +22,7 @@
 // Space is O(S) nodes.
 //
 // Each range arrives with the OR of its suffixes' lset classes (1 << cls):
-// the root or bucket-root call computes it once, and below that the parent's
+// the constructor computes it once per group, and below that the parent's
 // partition pass computes each group's mask. A range whose mask is a single
 // non-λ class is *inert*: its suffixes all share one preceding character,
 // so no pair under it is left-maximal (condition C4 of Lemma 1). On shotgun
@@ -27,8 +32,8 @@
 //     `depth`, as in the paper's tree;
 //   * an *inert* leaf holds an inert range of two or more suffixes, built
 //     without path compression, partitioning or recursion. Its `depth` is
-//     the entry depth (its parent's depth + 1, or the start depth for a
-//     root), which its suffixes share; nothing reads it. An internal node
+//     the entry depth (its parent's depth + 1, or w for a group's root),
+//     which its suffixes share; nothing reads it. An internal node
 //     is never inert.
 // A node is recorded for pair generation if it can emit a pair: depth >= ψ,
 // not inert, not a one-suffix leaf.
@@ -53,7 +58,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -84,24 +88,26 @@ struct Node {
 
 struct GstParams {
   std::uint32_t min_match = 20;  ///< ψ: minimum maximal-match length
-  /// w: bucket prefix length, 0 < w <= min_match. Serial builds may pass 0
-  /// to mean "one bucket at depth 0".
+  /// w: the parallel build's bucket-distribution prefix (the paper's w).
+  /// Each suffix goes to the rank that owns the bucket of its first w
+  /// characters; build_distributed_gst requires 0 < w <= min(ψ, 12). No
+  /// tree reads it: every tree groups its own suffixes by their first
+  /// min(ψ, 8) characters.
   std::uint32_t prefix_w = 0;
 };
 
 class SuffixTree {
  public:
-  /// Serial build over all suffixes of `store` (forward sequences only; the
-  /// caller passes a doubled store to include reverse complements).
+  /// Build over all suffixes of `store` (forward sequences only; the caller
+  /// passes a doubled store to include reverse complements).
   SuffixTree(const seq::FragmentStore& store, const GstParams& params);
 
-  /// Build over an explicit suffix set (the parallel path: a rank's bucket
-  /// contents). `start_depth` is the guaranteed common-prefix length within
-  /// each bucket; `bucket_begin` delimits buckets in `suffixes` (terminated
-  /// by suffixes.size()). Pass a single bucket [0, size) for no grouping.
+  /// Build over an explicit suffix set, e.g. a rank's share of the buckets.
+  /// Every suffix must be at least min(ψ, 8) characters long, as
+  /// enumeration with min_len ψ guarantees. Suffixes that share that prefix
+  /// keep their relative order.
   SuffixTree(const seq::FragmentStore& store, std::vector<Suffix> suffixes,
-             std::span<const std::uint32_t> bucket_begin,
-             std::uint32_t start_depth, const GstParams& params);
+             const GstParams& params);
 
   const seq::FragmentStore& store() const noexcept { return *store_; }
   const GstParams& params() const noexcept { return params_; }

@@ -168,6 +168,9 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
   std::map<int, std::vector<WaitRec>> waits;          // per rank, ts order
   std::map<int, std::vector<NonWaitSpan>> nonwaits;   // per rank, ts order
   std::map<int, std::vector<std::uint64_t>> end_times;  // per rank, sorted
+  // Per rank, (start, phase) of every event, in start order.
+  std::map<int, std::vector<std::pair<std::uint64_t, std::string>>>
+      phase_marks;
   std::map<int, std::uint64_t> first_ts;
   std::map<std::pair<std::string, int>, int> barrier_counter;
   std::map<std::pair<std::string, int>, std::vector<BarrierMember>> barriers;
@@ -177,11 +180,13 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
     auto& rank_waits = waits[rank];
     auto& rank_nonwaits = nonwaits[rank];
     auto& rank_ends = end_times[rank];
+    auto& rank_marks = phase_marks[rank];
     std::uint64_t lo = events.front().ts_us;
     for (const TraceEvent& ev : events) {
       lo = std::min(lo, ev.ts_us);
       rank_ends.push_back(ev.end_us());
       const std::string phase = event_phase(ev);
+      rank_marks.emplace_back(ev.ts_us, phase);
 
       if (ev.kind == TraceEvent::Kind::kInstant && is_vmpi(ev) &&
           (std::strcmp(ev.name, "send") == 0 ||
@@ -244,6 +249,10 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
     }
     first_ts[rank] = lo;
     std::sort(rank_ends.begin(), rank_ends.end());
+    std::stable_sort(rank_marks.begin(), rank_marks.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
     std::sort(rank_waits.begin(), rank_waits.end(),
               [](const WaitRec& x, const WaitRec& y) { return x.ts < y.ts; });
     std::sort(rank_nonwaits.begin(), rank_nonwaits.end(),
@@ -417,10 +426,18 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
   // A compute step [lo, hi) is split at the start and end of every non-wait
   // span of its rank that overlaps it; each piece is named after its
   // innermost covering span (latest start), an uncovered piece reads
-  // "(untracked)", and adjacent pieces with the same name and phase merge.
+  // "(untracked)" with the phase of the rank's latest event starting at or
+  // before it, and adjacent pieces with the same name and phase merge.
   // Pieces are pushed latest first, as the walk builds the path backward.
-  const auto push_compute = [&](int rank, std::uint64_t lo, std::uint64_t hi,
-                                const std::string& fallback_phase) {
+  const auto phase_at = [&](int rank, std::uint64_t ts) {
+    const auto& marks = phase_marks[rank];
+    const auto it = std::upper_bound(
+        marks.begin(), marks.end(), ts,
+        [](std::uint64_t v, const auto& m) { return v < m.first; });
+    return it == marks.begin() ? std::string() : std::prev(it)->second;
+  };
+  const auto push_compute = [&](int rank, std::uint64_t lo,
+                                std::uint64_t hi) {
     if (hi <= lo) return;
     std::vector<const NonWaitSpan*> over;
     std::vector<std::uint64_t> cuts{lo, hi};
@@ -445,7 +462,8 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
         }
       }
       const std::string name = best != nullptr ? best->name : "(untracked)";
-      const std::string& phase = best != nullptr ? best->phase : fallback_phase;
+      const std::string phase =
+          best != nullptr ? best->phase : phase_at(rank, cuts[i]);
       if (!pieces.empty() && pieces.back().name == name &&
           pieces.back().phase == phase) {
         pieces.back().end_us = cuts[i + 1];
@@ -483,12 +501,12 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
       if (!found) {
         const std::uint64_t lo =
             first_ts.count(cur) != 0 ? std::min(first_ts[cur], t) : t;
-        push_compute(cur, lo, t, std::string());
+        push_compute(cur, lo, t);
         break;
       }
       const WaitRec W = ws[i];
       cap[cur] = i;
-      if (W.end < t) push_compute(cur, W.end, t, W.phase);
+      if (W.end < t) push_compute(cur, W.end, t);
 
       // Where did the thing this wait blocked on come from?
       std::optional<std::pair<int, std::uint64_t>> jump;

@@ -292,8 +292,7 @@ AssemblyResult assemble(const seq::FragmentStore& fragments,
   // when its exact score came up, unite could only answer consistent or
   // conflict, and neither changes the layout.
   const seq::FragmentStore doubled = seq::make_doubled_store(fragments);
-  gst::SuffixTree tree(doubled,
-                       gst::GstParams{.min_match = params.psi, .prefix_w = 0});
+  gst::SuffixTree tree(doubled, gst::GstParams{.min_match = params.psi});
   gst::PairGenerator gen(tree, {.dup_elim = true, .doubled_input = true});
   const std::vector<Candidate> cands = distinct_candidates(gen);
   const std::uint32_t band = params.overlap.band;

