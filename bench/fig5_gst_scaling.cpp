@@ -10,7 +10,8 @@
 // Every point carries, beside the modeled total_s (the slowest rank's
 // thread CPU time plus its modeled communication), the measured wall-clock
 // of the build: build_wall_s, the slowest rank's build_distributed_gst
-// call.
+// call, and the build's communication volume: bytes_sent, summed over the
+// ranks (the suffix all-to-all and the fragment fetch).
 //
 //   ./fig5_gst_scaling --small 1200000 --large 2400000 --max-ranks 16
 #include "bench_util.hpp"
@@ -26,12 +27,13 @@ struct Row {
   int ranks;
   double comp, comm, total, wall;
   std::uint64_t suffixes;
+  std::uint64_t bytes_sent;
 };
 
 Row run_one(const seq::FragmentStore& doubled, int ranks) {
-  Row row{ranks, 0, 0, 0, 0, 0};
+  Row row{ranks, 0, 0, 0, 0, 0, 0};
   std::vector<double> comp(ranks, 0), comm(ranks, 0), wall(ranks, 0);
-  std::vector<std::uint64_t> suffixes(ranks, 0);
+  std::vector<std::uint64_t> suffixes(ranks, 0), bytes(ranks, 0);
   vmpi::Runtime rt(ranks);
   rt.run([&](vmpi::Comm& c) {
     gst::ParallelGstParams params;
@@ -43,12 +45,14 @@ Row run_one(const seq::FragmentStore& doubled, int ranks) {
     comp[c.rank()] = dist.stats.compute_seconds;
     comm[c.rank()] = dist.stats.comm_seconds;
     suffixes[c.rank()] = dist.stats.local_suffixes;
+    bytes[c.rank()] = dist.stats.bytes_sent;
   });
   for (int r = 0; r < ranks; ++r) {
     row.comp = std::max(row.comp, comp[r]);
     row.comm = std::max(row.comm, comm[r]);
     row.wall = std::max(row.wall, wall[r]);
     row.suffixes += suffixes[r];
+    row.bytes_sent += bytes[r];
   }
   row.total = row.comp + row.comm;
   return row;
@@ -84,7 +88,7 @@ int main(int argc, char** argv) {
                 util::fmt_count(rs.store.total_length()).c_str());
     util::Table t({"ranks", "computation (s)", "communication (s)",
                    "total modeled (s)", "build wall (s)", "efficiency",
-                   "suffixes"});
+                   "suffixes", "bytes sent"});
     double base = 0;
     for (int ranks = 2; ranks <= max_ranks; ranks *= 2) {
       const Row row = run_one(doubled, ranks);
@@ -93,7 +97,8 @@ int main(int argc, char** argv) {
                  util::fmt_double(row.comm, 4), util::fmt_double(row.total, 4),
                  util::fmt_double(row.wall, 4),
                  util::fmt_double(base / ranks / row.total, 2),
-                 util::fmt_count(row.suffixes)});
+                 util::fmt_count(row.suffixes),
+                 util::fmt_count(row.bytes_sent)});
       bj.point()
           .set("input_bp", bp)
           .set("ranks", ranks)
@@ -102,7 +107,8 @@ int main(int argc, char** argv) {
           .set("total_s", row.total)
           .set("build_wall_s", row.wall)
           .set("efficiency", base / ranks / row.total)
-          .set("suffixes", row.suffixes);
+          .set("suffixes", row.suffixes)
+          .set("bytes_sent", row.bytes_sent);
     }
     t.print();
   }

@@ -11,7 +11,7 @@
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
 #   scripts/ci.sh asan       # just the ASan build of the align, GST,
 #                            # core, preprocess, wire-error and recovery
-#                            # suites
+#                            # suites, plus the GST fuzz smoke
 #   scripts/ci.sh lint       # pgasm-lint + pgasm-model P5 + strict-warnings
 #                            # build (+ clang tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
@@ -110,9 +110,14 @@ asan() {
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
     --target test_align test_workspace test_cluster \
-    test_gst test_parallel_gst test_preprocess test_wire_errors test_recovery
+    test_gst test_parallel_gst test_preprocess test_wire_errors test_recovery \
+    fuzz_gst
   (cd build-asan && ctest --output-on-failure \
     -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet|WireErrors|Supervisor|RecoveryPipeline')
+  # The suffix compares stop at the text's kMask separators rather than at
+  # a stored length, so a read past the end of the text is the GST's
+  # memory risk: run the GST fuzz smoke under ASan too.
+  (cd build-asan && ctest --output-on-failure -L fuzz -R fuzz_gst)
 }
 
 lint() {

@@ -39,6 +39,7 @@ PairGenerator::PairGenerator(const SuffixTree& tree, PairGenParams params)
       params_(params),
       order_(tree.pair_nodes_by_depth_desc()),
       arena_(tree.num_suffixes()),
+      entry_seq_(tree.num_suffixes()),
       lset_ref_(tree.num_nodes(), kNilNode),
       seen_(tree.store().size(), 0) {}
 
@@ -73,8 +74,11 @@ void PairGenerator::enter_node(std::uint32_t u) {
 
 void PairGenerator::collect_leaf(std::uint32_t leaf, NodeLsets& L) {
   const Node& nd = tree_->node(leaf);
+  const seq::FragmentStore& store = tree_->store();
   for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
-    arena_.push_back(L.cls[tree_->suffix(i).cls], i);
+    const Suffix s = tree_->suffix(i);
+    entry_seq_[i] = store.id_at(s);
+    arena_.push_back(L.cls[class_of(store.text(), s)], i);
   }
 }
 
@@ -90,7 +94,7 @@ void PairGenerator::dedup_children() {
       std::uint32_t prev = kNilEntry;
       std::uint32_t e = lset.head;
       while (e != kNilEntry) {
-        const std::uint32_t s = tree_->suffix(e).seq;
+        const std::uint32_t s = entry_seq_[e];
         if (seen_[s]) {
           arena_.unlink_after(lset, prev);
           e = prev == kNilEntry ? lset.head : arena_.next(prev);
@@ -106,7 +110,7 @@ void PairGenerator::dedup_children() {
     NodeLsets& L = pool_[lset_ref_[child]];
     for (auto& lset : L.cls) {
       for (std::uint32_t e = lset.head; e != kNilEntry; e = arena_.next(e)) {
-        seen_[tree_->suffix(e).seq] = 0;
+        seen_[entry_seq_[e]] = 0;
       }
     }
   }
@@ -214,44 +218,39 @@ bool PairGenerator::produce(PromisingPair& out) {
 
 bool PairGenerator::emit(std::uint32_t sfx_a, std::uint32_t sfx_b,
                          std::uint32_t len, PromisingPair& out) {
-  const Suffix& sa = tree_->suffix(sfx_a);
-  const Suffix& sb = tree_->suffix(sfx_b);
-  if (sa.seq == sb.seq) {
+  const std::uint32_t seq_a = entry_seq_[sfx_a];
+  const std::uint32_t seq_b = entry_seq_[sfx_b];
+  if (seq_a == seq_b) {
     ++filtered_self_;
     return false;
   }
   // Translate to the enclosing store's ids before any strand logic: local
   // ids on a rank's tree do not preserve forward/RC adjacency.
   const std::uint32_t ida =
-      params_.global_ids ? (*params_.global_ids)[sa.seq] : sa.seq;
+      params_.global_ids ? (*params_.global_ids)[seq_a] : seq_a;
   const std::uint32_t idb =
-      params_.global_ids ? (*params_.global_ids)[sb.seq] : sb.seq;
-  std::uint32_t first_id = ida, second_id = idb;
-  std::uint32_t first_pos = sa.pos, second_pos = sb.pos;
+      params_.global_ids ? (*params_.global_ids)[seq_b] : seq_b;
+  bool swap = ida > idb;
   if (params_.doubled_input) {
     const std::uint32_t ga = ida >> 1, gb = idb >> 1;
     if (ga == gb) {
       ++filtered_self_;  // fragment paired with its own reverse complement
       return false;
     }
-    if (ga > gb) {
-      std::swap(first_id, second_id);
-      std::swap(first_pos, second_pos);
-    }
-    if ((first_id & 1u) != 0) {
+    swap = ga > gb;
+    if (((swap ? idb : ida) & 1u) != 0) {
       ++filtered_mirror_;  // the strand-mirror image; its twin is emitted
       return false;
     }
-  } else {
-    if (ida > idb) {
-      std::swap(first_id, second_id);
-      std::swap(first_pos, second_pos);
-    }
   }
-  out.seq_a = first_id;
-  out.pos_a = first_pos;
-  out.seq_b = second_id;
-  out.pos_b = second_pos;
+  // Positions only for the pairs that survive the filters.
+  const seq::FragmentStore& store = tree_->store();
+  const std::uint32_t pos_a = tree_->suffix(sfx_a) - store.offset(seq_a);
+  const std::uint32_t pos_b = tree_->suffix(sfx_b) - store.offset(seq_b);
+  out.seq_a = swap ? idb : ida;
+  out.pos_a = swap ? pos_b : pos_a;
+  out.seq_b = swap ? ida : idb;
+  out.pos_b = swap ? pos_a : pos_b;
   out.match_len = len;
   return true;
 }
@@ -289,6 +288,7 @@ std::size_t PairGenerator::fill(std::vector<PromisingPair>& out,
 
 std::uint64_t PairGenerator::memory_bytes() const noexcept {
   return arena_.memory_bytes() + pool_.memory_bytes() +
+         entry_seq_.size() * sizeof(std::uint32_t) +
          order_.size() * sizeof(std::uint32_t) +
          lset_ref_.size() * sizeof(std::uint32_t) + seen_.size();
 }

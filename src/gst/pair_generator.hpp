@@ -96,8 +96,8 @@ class PairGenerator {
     return filtered_mirror_;
   }
 
-  /// Bytes held by generator state (arena + pool + node order + lset refs
-  /// + dedup bitmap).
+  /// Bytes held by generator state (arena + sequence ids + pool + node
+  /// order + lset refs + dedup bitmap).
   std::uint64_t memory_bytes() const noexcept;
 
   /// Convenience: run a fresh generator to exhaustion.
@@ -122,6 +122,9 @@ class PairGenerator {
   bool done_ = false;
 
   LsetArena arena_;
+  // Suffix index -> sequence id, looked up once when the suffix enters an
+  // lset; dedup and emit read it for every later use.
+  std::vector<std::uint32_t> entry_seq_;
   LsetPool pool_;
   std::vector<std::uint32_t> lset_ref_;  // node id -> pool ref (kNilNode = none)
 

@@ -23,20 +23,28 @@ int owner_of(const std::vector<std::uint32_t>& slice_begin,
 
 /// Local ids, shared by both build paths so that a rebuilt portion is the
 /// one its rank built: they number the distinct sequences of `suffixes` in
-/// ascending global order. Sets `result.local_to_global`, reserves the
-/// local store for those sequences and rewrites each suffix's sequence id
-/// as its local one.
+/// ascending global order. `suffixes` holds global text offsets in
+/// ascending order, so one merge walk over the global offsets finds each
+/// suffix's sequence. Sets `result.local_to_global`, reserves the local
+/// store for those sequences and rebases each suffix onto the text the
+/// local store will hold once they are added in local-id order.
 void assign_local_ids(DistributedGst& result, const seq::FragmentStore& global,
                       std::vector<Suffix>& suffixes) {
   auto& needed = result.local_to_global;
-  needed.reserve(suffixes.size() / 4 + 1);
-  for (const Suffix& s : suffixes) needed.push_back(s.seq);
-  std::sort(needed.begin(), needed.end());
-  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
+  const auto n = static_cast<std::uint32_t>(global.size());
+  std::uint32_t gid = 0;
+  std::uint32_t local_start = 0;  // offset of local sequence needed.back()
+  std::uint32_t next_start = 1;   // offset the next local sequence gets
+  PGASM_DCHECK(std::ranges::is_sorted(suffixes),
+               "suffixes arrive in ascending global offset");
   for (Suffix& s : suffixes) {
-    s.seq = static_cast<std::uint32_t>(
-        std::lower_bound(needed.begin(), needed.end(), s.seq) -
-        needed.begin());
+    while (gid + 1 < n && global.offset(gid + 1) <= s) ++gid;
+    if (needed.empty() || needed.back() != gid) {
+      needed.push_back(gid);
+      local_start = next_start;
+      next_start += global.length(gid) + 1;
+    }
+    s = local_start + (s - global.offset(gid));
   }
   std::uint64_t needed_chars = 0;
   for (std::uint32_t g : needed) needed_chars += global.length(g);
@@ -54,8 +62,9 @@ void build_tree(DistributedGst& result, std::vector<Suffix> local_suffixes,
   result.stats.tree_nodes = result.tree->num_nodes();
 }
 
-/// Publish one rank's build stats to the obs registry.
-void publish_gst_obs(int rank, const GstBuildStats& stats) {
+/// Publish one rank's build stats and memory ledger to the obs registry.
+void publish_gst_obs(int rank, const DistributedGst& result) {
+  const GstBuildStats& stats = result.stats;
   if (!obs::tracer().enabled()) return;
   auto& reg = obs::registry();
   const char* phase = obs::current_phase();
@@ -68,6 +77,12 @@ void publish_gst_obs(int rank, const GstBuildStats& stats) {
   reg.counter("gst.bytes_sent", rank, phase).inc(stats.bytes_sent);
   reg.gauge("gst.compute_seconds", rank, phase).add(stats.compute_seconds);
   reg.gauge("gst.comm_seconds", rank, phase).add(stats.comm_seconds);
+  reg.gauge("mem.gst_suffix_bytes", rank, phase)
+      .add(static_cast<double>(result.tree->suffix_bytes()));
+  reg.gauge("mem.gst_node_bytes", rank, phase)
+      .add(static_cast<double>(result.tree->node_bytes()));
+  reg.gauge("mem.gst_text_bytes", rank, phase)
+      .add(static_cast<double>(result.local_store.text().size()));
 }
 
 }  // namespace
@@ -155,7 +170,7 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
     obs::Span sp = obs::span(rank, "bucket_histogram", "gst");
     {
       auto scope = comm.compute_scope();
-      for (const Suffix& s : my_suffixes) ++hist[bucket_of(global, s, w)];
+      for (const Suffix s : my_suffixes) ++hist[bucket_of(global, s, w)];
     }
     hist = comm.allreduce_vector(std::move(hist),
                                  [](std::uint64_t a, std::uint64_t b) {
@@ -181,7 +196,11 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
   std::vector<std::vector<Suffix>> outgoing(static_cast<std::size_t>(p));
   {
     auto scope = comm.compute_scope();
-    for (const Suffix& s : my_suffixes) {
+    std::vector<std::size_t> count(static_cast<std::size_t>(p), 0);
+    for (const Suffix s : my_suffixes)
+      ++count[bucket_owner[bucket_of(global, s, w)]];
+    for (int d = 0; d < p; ++d) outgoing[d].reserve(count[d]);
+    for (const Suffix s : my_suffixes) {
       outgoing[bucket_owner[bucket_of(global, s, w)]].push_back(s);
     }
     my_suffixes.clear();
@@ -321,7 +340,7 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
 
   // Publish this rank's build stats so GstBuildStats and the obs export
   // agree. Safe from rank threads: instrument updates are atomic.
-  publish_gst_obs(rank, stats);
+  publish_gst_obs(rank, result);
   return result;
 }
 
@@ -341,7 +360,7 @@ DistributedGst rebuild_rank_portion(
   {
     auto all = enumerate_suffixes(global, params.gst.min_match);
     local_suffixes.reserve(all.size() / 4 + 1);
-    for (const Suffix& s : all) {
+    for (const Suffix s : all) {
       if (bucket_owner[bucket_of(global, s, w)] == role)
         local_suffixes.push_back(s);
     }

@@ -9,12 +9,16 @@
 //      scaled down here).
 //   3. Redistribute suffixes to their bucket owners with the paper's
 //      customized staged Alltoallv (bounded buffers, p-1 paired rounds).
+//      A suffix travels as its u32 offset into the global text. Slices
+//      are contiguous and in rank order, so a rank's incoming suffixes,
+//      concatenated by source rank, ascend by global offset.
 //   4. Fetch the fragment text needed to build the local subtrees in
 //      batches of Θ(N/p) characters through paired collective rounds:
 //      a request Alltoallv (fragment ids) and a service Alltoallv
 //      (fragment payloads). Ranks that exhaust their batches keep
 //      participating to serve others.
-//   5. Hand the suffixes, remapped to local ids, in arrival order to the
+//   5. Hand the suffixes, rebased onto the local store's text by one merge
+//      walk over the global offsets, in arrival order to the
 //      one SuffixTree constructor. Like every tree, it regroups them by
 //      their first min(ψ, 8) characters and builds each group depth-first.
 //      With w < 8 a distribution bucket splits into several tree groups;

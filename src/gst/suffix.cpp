@@ -1,34 +1,61 @@
 #include "gst/suffix.hpp"
 
+#include <algorithm>
+
 #include "util/contract.hpp"
 
 namespace pgasm::gst {
+
+namespace {
+
+/// Calls fn(begin, end) for each maximal run of bases in text[lo, hi), in
+/// ascending order. Separators are kMask, so no run crosses a sequence.
+template <class Fn>
+void for_each_run(std::span<const seq::Code> text, std::uint32_t lo,
+                  std::uint32_t hi, Fn fn) {
+  std::uint32_t i = lo;
+  while (i < hi) {
+    while (i < hi && !seq::is_base(text[i])) ++i;
+    const std::uint32_t begin = i;
+    while (i < hi && seq::is_base(text[i])) ++i;
+    if (begin < i) fn(begin, i);
+  }
+}
+
+}  // namespace
+
+SuffixSite site_of(const seq::FragmentStore& store, Suffix s) noexcept {
+  const auto text = store.text();
+  SuffixSite site;
+  site.seq = store.id_at(s);
+  site.pos = s - store.offset(site.seq);
+  while (seq::is_base(text[s + site.len])) ++site.len;
+  site.cls = class_of(text, s);
+  return site;
+}
 
 std::vector<Suffix> enumerate_suffixes_range(const seq::FragmentStore& store,
                                              std::uint32_t seq_begin,
                                              std::uint32_t seq_end,
                                              std::uint32_t min_len) {
+  if (seq_begin >= seq_end) return {};
+  const auto text = store.text();
+  const std::uint32_t lo = store.offset(seq_begin);
+  const std::uint32_t hi =
+      store.offset(seq_end - 1) + store.length(seq_end - 1);
+  // Every position of a run is a suffix reaching the end of the run; those
+  // at least `m` long are the run's first (length - m + 1). Count them
+  // first, so the result is allocated once at its final size.
+  const std::uint32_t m = std::max(min_len, std::uint32_t{1});
+  std::size_t count = 0;
+  for_each_run(text, lo, hi, [&](std::uint32_t b, std::uint32_t e) {
+    if (e - b >= m) count += e - b - m + 1;
+  });
   std::vector<Suffix> out;
-  for (std::uint32_t s = seq_begin; s < seq_end; ++s) {
-    const auto text = store.seq(s);
-    const auto n = static_cast<std::uint32_t>(text.size());
-    // Walk runs of unmasked characters; each position in a run is a suffix
-    // whose effective length reaches the end of the run.
-    std::uint32_t run_end = 0;
-    for (std::uint32_t pos = 0; pos < n; ++pos) {
-      if (!seq::is_base(text[pos])) continue;
-      if (pos >= run_end) {
-        run_end = pos;
-        while (run_end < n && seq::is_base(text[run_end])) ++run_end;
-      }
-      const std::uint32_t len = run_end - pos;
-      if (len < min_len) {
-        pos = run_end;  // skip the tail of this run (monotonically shorter)
-        continue;
-      }
-      out.push_back(Suffix{s, pos, len, class_of(text, pos)});
-    }
-  }
+  out.reserve(count);
+  for_each_run(text, lo, hi, [&](std::uint32_t b, std::uint32_t e) {
+    for (std::uint32_t s = b; e - s >= m; ++s) out.push_back(s);
+  });
   return out;
 }
 
@@ -39,19 +66,18 @@ std::vector<Suffix> enumerate_suffixes(const seq::FragmentStore& store,
                                   min_len);
 }
 
-std::uint32_t bucket_of(const seq::FragmentStore& store, const Suffix& s,
+std::uint32_t bucket_of(const seq::FragmentStore& store, Suffix s,
                         std::uint32_t w) noexcept {
-  const auto text = store.seq(s.seq);
+  const seq::Code* text = store.text().data() + s;
   // Caller contract: the suffix is at least w unmasked characters long
   // (enumerate_suffixes filters by min_len >= w), so the window below stays
   // inside the fragment and every code is a 2-bit base.
-  PGASM_DCHECK(s.pos + w <= text.size(), "bucket window past fragment end");
   PGASM_DCHECK(w <= 16, "bucket prefix wider than 16 bases overflows u32");
   std::uint32_t b = 0;
   for (std::uint32_t i = 0; i < w; ++i) {
-    PGASM_DCHECK(seq::is_base(text[s.pos + i]),
+    PGASM_DCHECK(seq::is_base(text[i]),
                  "bucket window crosses a masked character");
-    b = (b << 2) | text[s.pos + i];
+    b = (b << 2) | text[i];
   }
   return b;
 }

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -19,8 +20,15 @@ namespace {
 /// 0.32 s with 6, 0.29 s with 8.
 constexpr std::uint32_t kTreePrefix = 8;
 
-/// Length of the common prefix of a[0, limit) and b[0, limit), compared a
-/// word at a time. Never reads at or past `limit` in either string.
+/// Bit 2 of every byte of a word: among text codes only kMask has it set.
+constexpr std::uint64_t kMaskBits = 0x0404040404040404ull;
+static_assert(seq::kMask == 4 && seq::kSigma == 4,
+              "the mask stop tests bit 2 of each byte");
+
+/// Length of the common prefix of the suffixes at a and b: the first k at
+/// which they differ or both hold kMask (where both end), or `limit` if
+/// there is none below it. Compares a word at a time and never reads at or
+/// past `limit` in either string.
 std::uint32_t common_prefix(const seq::Code* a, const seq::Code* b,
                             std::uint32_t limit) noexcept {
   static_assert(std::endian::native == std::endian::little ||
@@ -31,15 +39,17 @@ std::uint32_t common_prefix(const seq::Code* a, const seq::Code* b,
     std::uint64_t x, y;
     std::memcpy(&x, a + k, 8);
     std::memcpy(&y, b + k, 8);
-    if (const std::uint64_t diff = x ^ y; diff != 0) {
-      // The first differing byte in memory order is the lowest-addressed.
+    // A byte that differs, or a kMask in a (b holds kMask there too, or it
+    // differs): either way the common prefix ends at the first such byte.
+    if (const std::uint64_t stop = (x ^ y) | (x & kMaskBits); stop != 0) {
+      // The first such byte in memory order is the lowest-addressed.
       const int bit = std::endian::native == std::endian::little
-                          ? std::countr_zero(diff)
-                          : std::countl_zero(diff);
+                          ? std::countr_zero(stop)
+                          : std::countl_zero(stop);
       return k + static_cast<std::uint32_t>(bit) / 8;
     }
   }
-  while (k < limit && a[k] == b[k]) ++k;
+  while (k < limit && a[k] == b[k] && seq::is_base(a[k])) ++k;
   return k;
 }
 
@@ -69,19 +79,21 @@ SuffixTree::SuffixTree(const seq::FragmentStore& store,
   // each prefix again. Afterwards next[b] is the end of group b.
   const std::uint32_t w = std::min(params_.min_match, kTreePrefix);
   std::vector<std::uint32_t> next(num_buckets(w), 0);
-  for (const Suffix& s : suffixes_) ++next[bucket_of(store, s, w)];
+  for (const Suffix s : suffixes_) ++next[bucket_of(store, s, w)];
   std::uint32_t sum = 0;
   for (std::uint32_t& n : next) sum += std::exchange(n, sum);
   scratch_.resize(suffixes_.size());
-  for (const Suffix& s : suffixes_) scratch_[next[bucket_of(store, s, w)]++] = s;
+  for (const Suffix s : suffixes_) scratch_[next[bucket_of(store, s, w)]++] = s;
   suffixes_.swap(scratch_);
   // A group's class mask is computed once here; below the group roots each
   // partition pass hands its groups their masks.
+  const auto text = store.text();
   std::uint32_t begin = 0;
   for (const std::uint32_t end : next) {
     if (begin == end) continue;
     std::uint32_t mask = 0;
-    for (std::uint32_t i = begin; i < end; ++i) mask |= 1u << suffixes_[i].cls;
+    for (std::uint32_t i = begin; i < end; ++i)
+      mask |= 1u << class_of(text, suffixes_[i]);
     build_range(begin, end, w, kNilNode, mask);
     begin = end;
   }
@@ -92,7 +104,18 @@ SuffixTree::SuffixTree(const seq::FragmentStore& store,
 void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
                              std::uint32_t depth, std::uint32_t parent,
                              std::uint32_t mask) {
-  const auto& store = *store_;
+  const seq::Code* text = store_->text().data();
+  const std::uint64_t text_size = store_->text().size();
+  // Common prefix of suffixes a and b, which share their first d codes,
+  // capped at d + cap. Every suffix ends at a kMask inside the text, so
+  // the read limit at the text's end never cuts a compare short.
+  const auto common_from = [&](Suffix a, Suffix b, std::uint32_t d,
+                               std::uint32_t cap) {
+    const auto limit = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(cap, text_size - std::max(a, b) - d));
+    return d + common_prefix(text + a + d, text + b + d, limit);
+  };
+  constexpr std::uint32_t kNoCap = std::numeric_limits<std::uint32_t>::max();
   // Append a node as the first child of `under`; returns its id.
   const auto add_node = [&](Node nd, std::uint32_t under) {
     const auto id = static_cast<std::uint32_t>(nodes_.size());
@@ -111,10 +134,10 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
     ++num_leaves_;
   };
 
-  // Single suffix: leaf spanning its full effective length. It can pair
-  // with nothing, so it is never recorded for pair generation.
+  // Single suffix: a leaf at the entry depth. It can pair with nothing, so
+  // it is never recorded for pair generation.
   if (end - begin == 1) {
-    add_leaf(suffixes_[begin].len, begin, end, parent);
+    add_leaf(depth, begin, end, parent);
     return;
   }
 
@@ -124,47 +147,34 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   // a proper prefix after its extensions, equal strings in range order.
   if (inert(mask)) {
     if (parent != kNilNode && nodes_[parent].depth >= params_.min_match) {
-      std::stable_sort(
-          suffixes_.begin() + begin, suffixes_.begin() + end,
-          [&](const Suffix& a, const Suffix& b) {
-            const seq::Code* ta = store.seq(a.seq).data() + a.pos;
-            const seq::Code* tb = store.seq(b.seq).data() + b.pos;
-            const std::uint32_t limit = std::min(a.len, b.len);
-            const std::uint32_t k =
-                depth + common_prefix(ta + depth, tb + depth, limit - depth);
-            return k < limit ? ta[k] > tb[k] : a.len > b.len;
-          });
+      const auto walk_order = [&](Suffix a, Suffix b) {
+        const std::uint32_t k = common_from(a, b, depth, kNoCap);
+        return code_rank(text[a + k]) > code_rank(text[b + k]);
+      };
+      std::stable_sort(suffixes_.begin() + begin, suffixes_.begin() + end,
+                       walk_order);
     }
     add_leaf(depth, begin, end, parent);
     return;
   }
 
   // Path compression: the range shares `depth` characters; it branches
-  // (or ends) at the shortest effective length or the first character where
-  // some suffix leaves the first one's path, whichever comes first.
-  const Suffix& first = suffixes_[begin];
-  const seq::Code* first_text = store.seq(first.seq).data() + first.pos;
-  std::uint32_t branch = first.len;
+  // (or ends) at the first position where some suffix leaves the first
+  // one's path or either of them ends.
+  const Suffix first = suffixes_[begin];
+  std::uint32_t branch = kNoCap;
   for (std::uint32_t i = begin + 1; i < end && branch > depth; ++i) {
-    const Suffix& s = suffixes_[i];
-    const std::uint32_t limit = std::min(branch, s.len);
-    branch = depth + common_prefix(first_text + depth,
-                                   store.seq(s.seq).data() + s.pos + depth,
-                                   limit - depth);
+    branch = common_from(first, suffixes_[i], depth, branch - depth);
   }
   depth = branch;
 
-  // Count the branch characters.
-  std::array<std::uint32_t, seq::kSigma> base_count{};
-  std::uint32_t ended = 0;
+  // Count the suffixes by the code at `depth`: ended (kMask) first, then
+  // A, C, G, T.
+  std::array<std::uint32_t, seq::kSigma + 1> count{};
   for (std::uint32_t i = begin; i < end; ++i) {
-    const Suffix& s = suffixes_[i];
-    if (s.len == depth) {
-      ++ended;
-    } else {
-      ++base_count[store.seq(s.seq)[s.pos + depth]];
-    }
+    ++count[code_rank(text[suffixes_[i] + depth])];
   }
+  const std::uint32_t ended = count[0];
   // The range is not inert, so its node can emit a pair iff it lies at
   // depth >= ψ. Called just before the node is appended, so ids are
   // recorded in ascending order.
@@ -179,30 +189,27 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
     add_leaf(depth, begin, end, parent);
     return;
   }
-  PGASM_DCHECK(
-      ended > 0 || std::ranges::count(base_count, 0u) < seq::kSigma - 1,
-      "path compression stopped short of a branching point");
+  PGASM_DCHECK(ended > 0 || std::ranges::count(count, 0u) < seq::kSigma,
+               "path compression stopped short of a branching point");
 
   // Create the internal node for the branching point.
   record_next();
   const std::uint32_t u = add_node({.depth = depth}, parent);
 
-  // Stable partition of [begin, end): ended first, then A, C, G, T.
+  // Stable partition of [begin, end) in the same group order.
   std::array<std::uint32_t, seq::kSigma + 1> group_begin{};
   group_begin[0] = begin;
-  group_begin[1] = begin + ended;
-  for (int c = 1; c < seq::kSigma; ++c)
-    group_begin[c + 1] = group_begin[c] + base_count[c - 1];
+  for (int g = 1; g <= seq::kSigma; ++g)
+    group_begin[g] = group_begin[g - 1] + count[g - 1];
   std::array<std::uint32_t, seq::kSigma + 1> cursor = group_begin;
   // The same pass ORs each group's lset classes (1 << cls) into its mask.
   std::array<std::uint32_t, seq::kSigma + 1> group_mask{};
   std::copy(suffixes_.begin() + begin, suffixes_.begin() + end,
             scratch_.begin() + begin);
   for (std::uint32_t i = begin; i < end; ++i) {
-    const Suffix& s = scratch_[i];
-    const int g =
-        s.len == depth ? 0 : 1 + store.seq(s.seq)[s.pos + depth];
-    group_mask[g] |= 1u << s.cls;
+    const Suffix s = scratch_[i];
+    const int g = code_rank(text[s + depth]);
+    group_mask[g] |= 1u << code_rank(text[s - 1]);
     suffixes_[cursor[g]++] = s;
   }
 
@@ -211,10 +218,10 @@ void SuffixTree::build_range(std::uint32_t begin, std::uint32_t end,
   if (ended > 1 && !inert(group_mask[0])) record_next();
   if (ended > 0) add_leaf(depth, begin, begin + ended, u);
   // Base-character groups -> recurse (they share depth+1 characters).
-  for (int c = 0; c < seq::kSigma; ++c) {
-    const std::uint32_t gb = group_begin[c + 1];
-    const std::uint32_t ge = gb + base_count[c];
-    if (gb < ge) build_range(gb, ge, depth + 1, u, group_mask[c + 1]);
+  for (int g = 1; g <= seq::kSigma; ++g) {
+    const std::uint32_t gb = group_begin[g];
+    const std::uint32_t ge = gb + count[g];
+    if (gb < ge) build_range(gb, ge, depth + 1, u, group_mask[g]);
   }
 }
 
@@ -237,15 +244,14 @@ std::vector<std::uint32_t> SuffixTree::pair_nodes_by_depth_desc() const {
   return out;
 }
 
-std::uint64_t SuffixTree::memory_bytes() const noexcept {
-  return suffixes_.size() * sizeof(Suffix) + nodes_.size() * sizeof(Node) +
-         pair_nodes_.size() * sizeof(std::uint32_t);
-}
-
 std::string SuffixTree::check_invariants() const {
   std::ostringstream err;
   const auto& store = *store_;
   const std::size_t nsuf = suffixes_.size();
+  const auto site = [&](std::uint32_t idx) {
+    return site_of(store, suffixes_[idx]);
+  };
+  const std::uint32_t w = std::min(params_.min_match, kTreePrefix);
 
   // 1. Leaves partition the suffix array.
   std::vector<std::uint8_t> covered(nsuf, 0);
@@ -264,13 +270,14 @@ std::string SuffixTree::check_invariants() const {
       covered[i] = 1;
     }
     // A leaf's suffixes share its first `depth` characters. Either they
-    // are identical strings of length == depth, or they hold two or more
-    // suffixes of one non-λ class (an inert leaf at its entry depth).
-    const Suffix& first = suffixes_[nd.suffix_begin];
+    // are identical strings of length == depth, or the leaf sits at its
+    // entry depth and holds one suffix or two or more of one non-λ class
+    // (an inert leaf).
+    const SuffixSite first = site(nd.suffix_begin);
     bool identical = true;
     std::uint32_t mask = 0;
     for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
-      const Suffix& s = suffixes_[i];
+      const SuffixSite s = site(i);
       mask |= 1u << s.cls;
       identical = identical && s.len == nd.depth;
       if (s.len < nd.depth) {
@@ -287,8 +294,15 @@ std::string SuffixTree::check_invariants() const {
         }
       }
     }
-    if (!identical && (nd.num_suffixes() < 2 || !inert(mask))) {
+    const std::uint32_t entry_depth =
+        nd.parent == kNilNode ? w : nodes_[nd.parent].depth + 1;
+    if (!identical && (nd.num_suffixes() >= 2 && !inert(mask))) {
       err << "leaf " << id << ": suffixes neither identical nor inert";
+      return err.str();
+    }
+    if (!identical && nd.depth != entry_depth) {
+      err << "leaf " << id << ": depth " << nd.depth
+          << " is not its entry depth " << entry_depth;
       return err.str();
     }
     // A recorded parent collects an inert leaf's suffixes in their order,
@@ -296,8 +310,8 @@ std::string SuffixTree::check_invariants() const {
     if (!identical && nd.parent != kNilNode &&
         nodes_[nd.parent].depth >= params_.min_match) {
       for (std::uint32_t i = nd.suffix_begin + 1; i < nd.suffix_end; ++i) {
-        const Suffix& a = suffixes_[i - 1];
-        const Suffix& b = suffixes_[i];
+        const SuffixSite a = site(i - 1);
+        const SuffixSite b = site(i);
         const auto ta = store.seq(a.seq).subspan(a.pos, a.len);
         const auto tb = store.seq(b.seq).subspan(b.pos, b.len);
         const auto [pa, pb] = std::ranges::mismatch(ta, tb);
@@ -318,15 +332,16 @@ std::string SuffixTree::check_invariants() const {
     }
   }
 
+  // Representative suffix of a subtree: first leaf found by descent.
+  const auto representative = [&](std::uint32_t v) {
+    while (!nodes_[v].is_leaf()) v = nodes_[v].first_child;
+    return site(nodes_[v].suffix_begin);
+  };
+
   // 2. Parent/child structure and depths; branch character distinctness.
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
     const Node& nd = nodes_[id];
     if (nd.is_leaf()) continue;
-    // Representative suffix of a subtree: first leaf found by descent.
-    auto representative = [&](std::uint32_t v) {
-      while (!nodes_[v].is_leaf()) v = nodes_[v].first_child;
-      return suffixes_[nodes_[v].suffix_begin];
-    };
     std::array<bool, seq::kSigma> seen{};
     bool seen_end = false;
     int nchildren = 0;
@@ -341,7 +356,7 @@ std::string SuffixTree::check_invariants() const {
         err << "child " << c << " shallower than parent " << id;
         return err.str();
       }
-      const Suffix rep = representative(c);
+      const SuffixSite rep = representative(c);
       // Representative must carry the node's path label as a prefix; its
       // character at nd.depth is the branch character (or it ends here).
       if (rep.len < nd.depth) {
@@ -381,12 +396,13 @@ std::string SuffixTree::check_invariants() const {
 
   // An inert range is always one leaf, so no internal node is inert.
   // Children always have larger ids than their parent.
+  const auto text = store.text();
   std::vector<std::uint32_t> subtree_mask(nodes_.size(), 0);
   for (auto id = static_cast<std::uint32_t>(nodes_.size()); id-- > 0;) {
     const Node& nd = nodes_[id];
     if (nd.is_leaf()) {
       for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i)
-        subtree_mask[id] |= 1u << suffixes_[i].cls;
+        subtree_mask[id] |= 1u << class_of(text, suffixes_[i]);
     } else if (inert(subtree_mask[id])) {
       err << "internal node " << id << " roots an inert subtree";
       return err.str();
@@ -404,12 +420,8 @@ std::string SuffixTree::check_invariants() const {
     if (nd.is_leaf() || nd.parent == kNilNode) continue;
     const Node& par = nodes_[nd.parent];
     // Compare representatives of nd and its parent on [0, par.depth).
-    auto rep_of = [&](std::uint32_t v) {
-      while (!nodes_[v].is_leaf()) v = nodes_[v].first_child;
-      return suffixes_[nodes_[v].suffix_begin];
-    };
-    const Suffix a = rep_of(id);
-    const Suffix b = rep_of(nd.parent);
+    const SuffixSite a = representative(id);
+    const SuffixSite b = representative(nd.parent);
     const auto ta = store.seq(a.seq);
     const auto tb = store.seq(b.seq);
     for (std::uint32_t k = 0; k < par.depth; ++k) {

@@ -13,13 +13,24 @@
 // top of the GST (depth < w) is never materialized and the pair stream is
 // that of the full tree.
 //
+// A suffix is one u32, its offset into the store's text, which holds a
+// kMask before the first sequence and after every sequence (suffix.hpp).
+// The tree reads everything else from the text: a suffix has ended at
+// depth d when text[offset + d] is kMask, and its lset class is the code at
+// offset - 1. Its sequence id is FragmentStore::id_at(offset), a block
+// index over the store's offsets; only pair generation needs it, once per
+// suffix it collects into an lset. A suffix costs 4 bytes in the tree, in
+// its partition buffer and in the parallel build's all-to-all.
+//
 // Each range finds its branching depth directly, as the shortest common
-// prefix (capped by effective lengths) of its first suffix with every
-// other one, compared eight characters per word; it then partitions once
-// at that depth. Worst case build time stays O(S · l) character probes for
-// S suffixes of average effective length l, the paper's stated bound; a
-// non-branching edge costs one word compare per suffix per 8 characters.
-// Space is O(S) nodes.
+// prefix of its first suffix with every other one, compared eight
+// characters per word: the compare stops at the first byte where the two
+// differ or the first holds kMask, so it stops where either suffix ends
+// (a word with bit 2 set in a byte holds kMask there). It then partitions
+// once at that depth. Worst case build time stays O(S · l) character
+// probes for S suffixes of average effective length l, the paper's stated
+// bound; a non-branching edge costs one word compare per suffix per 8
+// characters. Space is O(S) nodes.
 //
 // Each range arrives with the OR of its suffixes' lset classes (1 << cls):
 // the constructor computes it once per group, and below that the parent's
@@ -29,7 +40,9 @@
 // reads nearly every suffix lies in an inert range. There are two kinds of
 // leaf:
 //   * a *plain* leaf holds one suffix, or identical strings of length
-//     `depth`, as in the paper's tree;
+//     `depth`, as in the paper's tree. A one-suffix leaf stores its entry
+//     depth, like an inert leaf, instead of its length: nothing reads it,
+//     and finding the length would mean scanning to the suffix's end;
 //   * an *inert* leaf holds an inert range of two or more suffixes, built
 //     without path compression, partitioning or recursion. Its `depth` is
 //     the entry depth (its parent's depth + 1, or w for a group's root),
@@ -44,8 +57,12 @@
 // are prepended, so they run from T down to the ended group): descending
 // over effective lengths, a proper prefix after its extensions, and equal
 // strings in range order. The comparisons start at the entry depth and
-// compare words. Nothing reads the order of an inert leaf under a shallower
-// parent, so it stays in range order. The pair stream is therefore
+// compare words; at the first position k where two suffixes part, they
+// order by code_rank(text[offset + k]) descending. That rank puts kMask
+// below every base, so a proper prefix (which holds kMask at k) comes
+// after its extensions; a raw code compare would put it first. Nothing
+// reads the order of an inert leaf under a shallower parent, so it stays
+// in range order. The pair stream is therefore
 // byte-identical to that of the full tree:
 //   * the recorded nodes are the same ones, in the same relative preorder,
 //     because an inert subtree holds no recorded node and everything
@@ -71,8 +88,9 @@ inline constexpr std::uint32_t kNilNode =
 
 struct Node {
   std::uint32_t parent = kNilNode;
-  /// String-depth (path-label length). An inert leaf stores its entry
-  /// depth, the length of the prefix its suffixes are known to share.
+  /// String-depth (path-label length). An inert or one-suffix leaf stores
+  /// its entry depth, the length of the prefix its suffixes are known to
+  /// share.
   std::uint32_t depth = 0;
   std::uint32_t first_child = kNilNode;
   std::uint32_t next_sibling = kNilNode;
@@ -112,8 +130,8 @@ class SuffixTree {
   const seq::FragmentStore& store() const noexcept { return *store_; }
   const GstParams& params() const noexcept { return params_; }
 
-  /// Re-point the tree at a store that moved. The tree stores local suffix
-  /// ids, not addresses, so any store with identical content is valid; an
+  /// Re-point the tree at a store that moved. The tree stores text
+  /// offsets, not addresses, so any store with identical content is valid; an
   /// owner that holds the store and the tree side by side (DistributedGst)
   /// must call this after moving both, or the tree would keep referencing
   /// the moved-from store object.
@@ -125,9 +143,9 @@ class SuffixTree {
   std::size_t num_suffixes() const noexcept { return suffixes_.size(); }
   std::size_t num_leaves() const noexcept { return num_leaves_; }
   const Node& node(std::uint32_t id) const noexcept { return nodes_[id]; }
-  const Suffix& suffix(std::uint32_t idx) const noexcept {
-    return suffixes_[idx];
-  }
+  /// The text offset of suffix `idx` (see suffix.hpp for what follows
+  /// from it; site_of decodes it).
+  Suffix suffix(std::uint32_t idx) const noexcept { return suffixes_[idx]; }
 
   /// The nodes pair generation visits, in decreasing string-depth order,
   /// children before parents (depth ties broken by descending id; children
@@ -137,14 +155,27 @@ class SuffixTree {
   /// lsets the generator builds when it enters that node.
   std::vector<std::uint32_t> pair_nodes_by_depth_desc() const;
 
+  /// Bytes of the suffix array: 4 per suffix.
+  std::uint64_t suffix_bytes() const noexcept {
+    return suffixes_.size() * sizeof(Suffix);
+  }
+  /// Bytes of the nodes and the list of nodes pair generation visits.
+  std::uint64_t node_bytes() const noexcept {
+    return nodes_.size() * sizeof(Node) +
+           pair_nodes_.size() * sizeof(std::uint32_t);
+  }
   /// Total memory footprint of the structure, in bytes (paper §7.1 reports
   /// bytes per input character; bench/space_accounting reproduces that).
-  std::uint64_t memory_bytes() const noexcept;
+  /// The text is the store's and is not counted.
+  std::uint64_t memory_bytes() const noexcept {
+    return suffix_bytes() + node_bytes();
+  }
 
   /// Structural invariant check used by the tests. Returns an empty string
   /// if all invariants hold, else a description of the first violation.
-  /// Verifies: suffix partition across leaves, the two leaf kinds (and the
-  /// walk order of inert leaves under parents of depth >= ψ), no inert
+  /// Verifies: suffix partition across leaves, the leaf kinds (the entry
+  /// depth of one-suffix and inert leaves, and the walk order of inert
+  /// leaves under parents of depth >= ψ), no inert
   /// internal node, path-label prefix property, sibling first-character
   /// distinctness, parent/child depth ordering, and right-maximality of
   /// branching.

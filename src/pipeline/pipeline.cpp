@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -60,6 +62,26 @@ void restore_clusters(const core::ClusterCheckpoint& ck,
   result.cluster_stats.merges_rejected_inconsistent =
       ck.merges_rejected_inconsistent;
   result.cluster_stats.resumed_from_epoch = ck.epoch;
+}
+
+/// The process's peak resident set (VmHWM in /proc/self/status) in MB; 0
+/// where the kernel does not report it. Under the proc transport, ranks
+/// 1..p-1 run in child processes that this does not cover.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0;
+}
+
+/// Publish the process's peak RSS so far as the `phase` entry of the
+/// memory ledger.
+void publish_peak_rss(const char* phase) {
+  obs::registry().gauge("mem.peak_rss_mb", obs::kNoRank, phase)
+      .set(peak_rss_mb());
 }
 
 }  // namespace
@@ -161,6 +183,7 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
     // export the same value, so perf/obs diffs catch masking drift.
     reg.counter("preprocess.spectrum_fingerprint", obs::kNoRank, ph)
         .inc(ps.repeat_spectrum_fingerprint);
+    publish_peak_rss(ph);
   }
 
   // --- Clustering -----------------------------------------------------------
@@ -243,6 +266,7 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
         .inc(s.num_singletons);
     reg.counter("cluster.max_cluster_size", obs::kNoRank, "cluster")
         .inc(s.max_cluster_size);
+    publish_peak_rss("cluster");
   }
 
   // Materialize cluster membership: non-singletons by decreasing size,
@@ -386,6 +410,7 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
           .inc(a.consensus_bases);
       reg.gauge("assembly.assembly_seconds", obs::kNoRank, ph)
           .set(a.assembly_seconds);
+      publish_peak_rss(ph);
     }
     });
   }

@@ -29,12 +29,22 @@ FragmentId FragmentStore::add(std::span<const Code> codes, FragType type,
     throw std::invalid_argument(
         "FragmentStore::add: store has no qualities, fragment does");
 
+  if (!text_fits(offsets_.size() + 1, total_length() + codes.size()))
+    throw std::length_error("FragmentStore::add: text passes 2^32 codes");
+
+  if (text_.empty()) text_.push_back(kMask);
   const auto id = static_cast<FragmentId>(offsets_.size());
-  offsets_.push_back(text_.size());
+  offsets_.push_back(static_cast<std::uint32_t>(text_.size()));
   lengths_.push_back(static_cast<std::uint32_t>(codes.size()));
   types_.push_back(type);
   names_.push_back(std::move(name));
-  text_.insert(text_.end(), codes.begin(), codes.end());
+  // The codes, then the separator after them.
+  const std::size_t at = text_.size();
+  text_.resize(at + codes.size() + 1, kMask);
+  std::transform(codes.begin(), codes.end(), text_.begin() + at,
+                 [](Code c) { return std::min(c, kMask); });
+  while (block_first_.size() * std::uint64_t{kIdBlock} < text_.size())
+    block_first_.push_back(id);
   if (!qual.empty()) qual_.insert(qual_.end(), qual.begin(), qual.end());
   max_length_ = std::max(max_length_, static_cast<std::uint32_t>(codes.size()));
   return id;
@@ -77,7 +87,8 @@ void FragmentStore::reserve(std::size_t fragments, std::uint64_t chars) {
   lengths_.reserve(fragments);
   types_.reserve(fragments);
   names_.reserve(fragments);
-  text_.reserve(chars);
+  text_.reserve(chars + fragments + 1);
+  block_first_.reserve((chars + fragments + 1) / kIdBlock + 1);
 }
 
 std::uint64_t FragmentStore::total_length_of_type(FragType t) const noexcept {

@@ -164,7 +164,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // A maximal match's two suffixes share their first ψ >= w codes, so they
   // fall in the same part.
   std::vector<gst::Suffix> parts[2];
-  for (const gst::Suffix& s : gst::enumerate_suffixes(store, psi))
+  for (const gst::Suffix s : gst::enumerate_suffixes(store, psi))
     parts[gst::bucket_of(store, s, w) & 1u].push_back(s);
   std::set<pgasm::test::MaxMatch> split;
   for (auto& part : parts) {

@@ -30,7 +30,9 @@ TEST(SuffixEnumeration, SkipsMaskedAndShort) {
   seq::FragmentStore store;
   // ACG N ACGTA  -> runs: [0,3) and [4,9)
   store.add_ascii("ACGNACGTA");
-  const auto suffixes = gst::enumerate_suffixes(store, 3);
+  std::vector<gst::SuffixSite> suffixes;
+  for (const gst::Suffix s : gst::enumerate_suffixes(store, 3))
+    suffixes.push_back(gst::site_of(store, s));
   // Run 1 (len 3): positions 0 (len 3). Run 2 (len 5): positions 4..6.
   ASSERT_EQ(suffixes.size(), 4u);
   EXPECT_EQ(suffixes[0].pos, 0u);
@@ -46,6 +48,60 @@ TEST(SuffixEnumeration, SkipsMaskedAndShort) {
   EXPECT_EQ(suffixes[2].cls, 1);
   EXPECT_EQ(suffixes[3].pos, 6u);
   EXPECT_EQ(suffixes[3].len, 3u);
+}
+
+/// The (seq, pos, len, cls) record of every suffix enumeration must
+/// produce, computed from the fragments alone.
+std::vector<gst::SuffixSite> record_enumeration(const seq::FragmentStore& store,
+                                                std::uint32_t min_len) {
+  std::vector<gst::SuffixSite> out;
+  for (std::uint32_t s = 0; s < store.size(); ++s) {
+    const auto text = store.seq(s);
+    const auto n = static_cast<std::uint32_t>(text.size());
+    for (std::uint32_t pos = 0; pos < n; ++pos) {
+      std::uint32_t len = 0;
+      while (pos + len < n && seq::is_base(text[pos + len])) ++len;
+      if (len == 0 || len < min_len) continue;
+      const bool lambda = pos == 0 || !seq::is_base(text[pos - 1]);
+      const auto cls =
+          static_cast<std::uint8_t>(lambda ? 0 : 1 + text[pos - 1]);
+      out.push_back({s, pos, len, cls});
+    }
+  }
+  return out;
+}
+
+TEST(SuffixEnumeration, OffsetsDecodeToSequenceRecords) {
+  seq::FragmentStore store;
+  store.add_ascii("ACGTTGCANNACGTAGGCAT");  // a masked run inside
+  store.add_ascii("");                      // empty fragment
+  store.add_ascii("AC");                    // shorter than ψ
+  store.add_ascii("NACGTTTGCA");            // mask at position 0
+  store.add_ascii("GGCATTACGN");            // mask at the last position
+  store.add_ascii("N");                     // all masked
+  store.add_ascii("");
+  store.add_ascii("TTGACCAGTA");
+  util::Prng rng(9);
+  const auto more = random_store(rng, 6, 1, 40, 0.1);
+  for (std::uint32_t id = 0; id < more.size(); ++id) store.add(more.seq(id));
+  for (const std::uint32_t psi : {0u, 1u, 3u, 8u, 12u}) {
+    const auto offsets = gst::enumerate_suffixes(store, psi);
+    EXPECT_TRUE(std::ranges::is_sorted(offsets)) << "psi " << psi;
+    std::vector<gst::SuffixSite> got;
+    for (const gst::Suffix s : offsets) {
+      got.push_back(gst::site_of(store, s));
+      EXPECT_EQ(gst::class_of(store.text(), s), got.back().cls);
+    }
+    EXPECT_EQ(got, record_enumeration(store, psi)) << "psi " << psi;
+    // A slice enumerates its own fragments only, in the same order.
+    const auto slice = gst::enumerate_suffixes_range(store, 3, 8, psi);
+    std::vector<gst::Suffix> want;
+    for (const gst::Suffix s : offsets) {
+      const std::uint32_t id = store.id_at(s);
+      if (id >= 3 && id < 8) want.push_back(s);
+    }
+    EXPECT_EQ(slice, want) << "psi " << psi;
+  }
 }
 
 TEST(SuffixTree, InvariantsTinyKnownInput) {
@@ -400,9 +456,17 @@ TEST(PairGen, MemoryIsLinear) {
 // from the tree.
 
 struct RefTree {
-  std::vector<gst::Suffix> suffixes;
+  std::vector<gst::SuffixSite> suffixes;
   std::vector<gst::Node> nodes;
 };
+
+/// The reference works on decoded suffixes, not on text offsets.
+std::vector<gst::SuffixSite> sites(const seq::FragmentStore& store,
+                                   const std::vector<gst::Suffix>& suffixes) {
+  std::vector<gst::SuffixSite> out;
+  for (const gst::Suffix s : suffixes) out.push_back(gst::site_of(store, s));
+  return out;
+}
 
 void ref_add_node(RefTree& t, gst::Node nd, std::uint32_t parent) {
   const auto id = static_cast<std::uint32_t>(t.nodes.size());
@@ -419,7 +483,7 @@ void ref_build(RefTree& t, const seq::FragmentStore& store,
                std::uint32_t parent) {
   auto& sfx = t.suffixes;
   // Group of suffix i at `depth`: 0 when it ends there, else 1 + base.
-  const auto group = [&](const gst::Suffix& s) {
+  const auto group = [&](const gst::SuffixSite& s) {
     return s.len == depth ? 0 : 1 + store.seq(s.seq)[s.pos + depth];
   };
   for (;;) {
@@ -442,7 +506,7 @@ void ref_build(RefTree& t, const seq::FragmentStore& store,
   }
   const auto u = static_cast<std::uint32_t>(t.nodes.size());
   ref_add_node(t, {.depth = depth}, parent);
-  std::vector<gst::Suffix> sorted;
+  std::vector<gst::SuffixSite> sorted;
   for (int g = 0; g <= seq::kSigma; ++g) {
     for (std::uint32_t i = begin; i < end; ++i) {
       if (group(sfx[i]) == g) sorted.push_back(sfx[i]);
@@ -468,7 +532,7 @@ RefTree reference_tree(const seq::FragmentStore& store,
                        std::vector<gst::Suffix> suffixes,
                        const std::vector<std::uint32_t>& bucket_begin,
                        std::uint32_t start_depth) {
-  RefTree t{std::move(suffixes), {}};
+  RefTree t{sites(store, suffixes), {}};
   const auto n = static_cast<std::uint32_t>(t.suffixes.size());
   std::vector<std::uint32_t> cuts = bucket_begin;
   if (cuts.empty()) cuts.push_back(0);
@@ -486,11 +550,13 @@ bool is_inert(std::uint32_t mask) {
 
 /// The full tree with every topmost inert subtree of two or more suffixes
 /// (except an ended-group leaf, which keeps its depth) replaced by one leaf
-/// at its entry depth. Under a parent of depth >= ψ the leaf holds its
+/// at its entry depth, and every other one-suffix leaf moved to its entry
+/// depth too. Under a parent of depth >= ψ the inert leaf holds its
 /// suffixes in depth-first sibling order, each old leaf's suffixes in index
 /// order; under a shallower parent (or none) it holds them in input order,
 /// the order of `input`.
-RefTree collapse(const RefTree& full, const std::vector<gst::Suffix>& input,
+RefTree collapse(const RefTree& full,
+                 const std::vector<gst::SuffixSite>& input,
                  std::uint32_t start_depth, std::uint32_t psi) {
   const auto& nodes = full.nodes;
   const auto n = static_cast<std::uint32_t>(nodes.size());
@@ -523,9 +589,12 @@ RefTree collapse(const RefTree& full, const std::vector<gst::Suffix>& input,
     gst::Node copy = nd;
     const bool ended_leaf =
         nd.is_leaf() && par != gst::kNilNode && nd.depth == nodes[par].depth;
+    const std::uint32_t entry_depth =
+        par == gst::kNilNode ? start_depth : nodes[par].depth + 1;
+    if (nsuf[id] == 1 && !ended_leaf) copy.depth = entry_depth;
     if (nsuf[id] >= 2 && is_inert(mask[id]) && !ended_leaf) {
       // Gather the subtree's leaves in sibling order.
-      std::vector<gst::Suffix> walk;
+      std::vector<gst::SuffixSite> walk;
       std::uint32_t lo = std::numeric_limits<std::uint32_t>::max(), hi = 0;
       const auto visit = [&](const auto& self, std::uint32_t v) -> void {
         const gst::Node& x = nodes[v];
@@ -543,13 +612,12 @@ RefTree collapse(const RefTree& full, const std::vector<gst::Suffix>& input,
       visit(visit, id);
       EXPECT_EQ(hi - lo, walk.size()) << "subtree range not contiguous";
       if (par == gst::kNilNode || nodes[par].depth < psi) {
-        std::ranges::sort(walk, {}, [&](const gst::Suffix& sf) {
+        std::ranges::sort(walk, {}, [&](const gst::SuffixSite& sf) {
           return input_rank.at({sf.seq, sf.pos});
         });
       }
       std::ranges::copy(walk, out.suffixes.begin() + lo);
-      copy = {.depth = par == gst::kNilNode ? start_depth
-                                             : nodes[par].depth + 1,
+      copy = {.depth = entry_depth,
               .next_sibling = nd.next_sibling,
               .suffix_begin = lo,
               .suffix_end = hi};
@@ -604,7 +672,8 @@ RefTree grouped_reference(const seq::FragmentStore& store,
                           std::vector<gst::Suffix> input, std::uint32_t psi) {
   const std::uint32_t w = std::min(psi, 8u);
   auto [grouped, begins] = ascending_groups(store, std::move(input), w);
-  return collapse(reference_tree(store, grouped, begins, w), grouped, w, psi);
+  return collapse(reference_tree(store, grouped, begins, w),
+                  sites(store, grouped), w, psi);
 }
 
 void expect_same_tree(const SuffixTree& tree, const RefTree& ref,
@@ -626,8 +695,7 @@ void expect_same_tree(const SuffixTree& tree, const RefTree& ref,
         << "," << b.suffix_begin << "," << b.suffix_end << ")";
   }
   for (std::uint32_t i = 0; i < ref.suffixes.size(); ++i) {
-    ASSERT_TRUE(tree.suffix(i).seq == ref.suffixes[i].seq &&
-                tree.suffix(i).pos == ref.suffixes[i].pos)
+    ASSERT_EQ(gst::site_of(tree.store(), tree.suffix(i)), ref.suffixes[i])
         << what << ": suffix order differs at " << i;
   }
   EXPECT_EQ(tree.check_invariants(), "") << what;
@@ -791,8 +859,9 @@ std::uint64_t tree_hash(const SuffixTree& tree) {
       f.add(v);
   }
   for (std::uint32_t i = 0; i < tree.num_suffixes(); ++i) {
-    f.add(tree.suffix(i).seq);
-    f.add(tree.suffix(i).pos);
+    const gst::SuffixSite sf = gst::site_of(tree.store(), tree.suffix(i));
+    f.add(sf.seq);
+    f.add(sf.pos);
   }
   return f.h;
 }
@@ -855,14 +924,14 @@ void expect_golden(bool repeat_rich, std::uint32_t psi, const Golden& want) {
 
 TEST(SuffixTreeGolden, WgsLikeMaskedTreeAndPairStream) {
   expect_golden(false, 14,
-                {6056055459151216273ull, 7197820861071106637ull,
+                {9940178745039505808ull, 2079140358036384604ull,
                  9434392479842476710ull, 3589, 9434392479842476710ull, 3589,
                  758752498687706588ull, 3589});
 }
 
 TEST(SuffixTreeGolden, RepeatRichTreeAndPairStream) {
   expect_golden(true, 24,
-                {4121522157526657301ull, 11110950063839624905ull,
+                {4154354107880330803ull, 7797350474604980015ull,
                  13410265634253747581ull, 7457, 1717882182973441283ull, 8331,
                  12807733375727623724ull, 7472});
 }
@@ -895,8 +964,8 @@ RefStream every_node_reference(const RefTree& tree, std::size_t num_seqs,
   });
   RefStream ref;
   const auto emit = [&](std::uint32_t ea, std::uint32_t eb, std::uint32_t len) {
-    const gst::Suffix& sa = tree.suffixes[ea];
-    const gst::Suffix& sb = tree.suffixes[eb];
+    const gst::SuffixSite& sa = tree.suffixes[ea];
+    const gst::SuffixSite& sb = tree.suffixes[eb];
     if (sa.seq == sb.seq) {
       ++ref.filtered_self;
       return;
@@ -1116,7 +1185,7 @@ std::size_t expect_pair_nodes(const SuffixTree& tree, const std::string& what) {
     const gst::Node& nd = tree.node(id);
     if (nd.is_leaf()) {
       for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
-        mask[id] |= 1u << tree.suffix(i).cls;
+        mask[id] |= 1u << gst::class_of(tree.store().text(), tree.suffix(i));
       }
     }
     if (nd.parent != gst::kNilNode) mask[nd.parent] |= mask[id];
@@ -1182,12 +1251,12 @@ std::size_t expect_inert_leaves(const SuffixTree& tree, const std::string& what,
   for (auto id = static_cast<std::uint32_t>(tree.num_nodes()); id-- > 0;) {
     const gst::Node& nd = tree.node(id);
     for (std::uint32_t i = nd.suffix_begin; i < nd.suffix_end; ++i) {
-      mask[id] |= 1u << tree.suffix(i).cls;
+      mask[id] |= 1u << gst::class_of(store.text(), tree.suffix(i));
     }
     if (nd.parent != gst::kNilNode) mask[nd.parent] |= mask[id];
   }
   const auto text = [&](std::uint32_t i) {
-    const gst::Suffix& sf = tree.suffix(i);
+    const gst::SuffixSite sf = gst::site_of(store, tree.suffix(i));
     return store.seq(sf.seq).subspan(sf.pos, sf.len);
   };
   std::size_t ordered = 0;
@@ -1212,8 +1281,8 @@ std::size_t expect_inert_leaves(const SuffixTree& tree, const std::string& what,
       EXPECT_FALSE(std::ranges::lexicographical_compare(a, b))
           << what << ": inert leaf " << id << " ascends at " << i;
       if (std::ranges::equal(a, b)) {
-        const gst::Suffix& x = tree.suffix(i - 1);
-        const gst::Suffix& y = tree.suffix(i);
+        const gst::SuffixSite x = gst::site_of(store, tree.suffix(i - 1));
+        const gst::SuffixSite y = gst::site_of(store, tree.suffix(i));
         EXPECT_NE(std::pair(x.seq, x.pos) < std::pair(y.seq, y.pos),
                   reversed_input)
             << what << ": inert leaf " << id << " reorders equal strings";

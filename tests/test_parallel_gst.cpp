@@ -216,8 +216,8 @@ std::size_t expect_same_portion(const gst::DistributedGst& built,
     if (!same) return 0;
   }
   for (std::uint32_t i = 0; i < a.num_suffixes(); ++i) {
-    const bool same = a.suffix(i).seq == b.suffix(i).seq &&
-                      a.suffix(i).pos == b.suffix(i).pos;
+    const bool same = gst::site_of(a.store(), a.suffix(i)) ==
+                      gst::site_of(b.store(), b.suffix(i));
     EXPECT_TRUE(same) << what << ": suffix " << i;
     if (!same) return 0;
   }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -324,6 +325,21 @@ std::uint64_t counter_total(const std::string& metrics,
   return total;
 }
 
+/// Each rank's value of metric `name` (summed over phases).
+std::map<int, double> values_by_rank(const std::string& metrics,
+                                     const std::string& name) {
+  std::map<int, double> out;
+  std::istringstream in(metrics);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"name\":\"" + name + "\"") == std::string::npos) {
+      continue;
+    }
+    const int rank = std::stoi(line.substr(line.find("\"rank\":") + 7));
+    out[rank] += std::stod(line.substr(line.find("\"value\":") + 8));
+  }
+  return out;
+}
+
 /// One walk stat summed over the run's assemblies.
 std::uint64_t stat_total(const pipeline::PipelineResult& r,
                          std::uint64_t olc::AssemblyStats::*field) {
@@ -428,6 +444,31 @@ TEST(Pipeline, ObsDirParallelTracesMasterAndWorkers) {
           {"assembly.layout_conflicts", &olc::AssemblyStats::layout_conflicts}};
   for (const auto& [name, field] : counters) {
     EXPECT_EQ(counter_total(metrics, name), stat_total(result, field)) << name;
+  }
+  // The memory ledger: every rank's GST suffix, node and text bytes, and
+  // the process's peak RSS at the end of each phase. A suffix is 4 bytes.
+  const auto suffixes = values_by_rank(metrics, "gst.local_suffixes");
+  const auto suffix_bytes = values_by_rank(metrics, "mem.gst_suffix_bytes");
+  ASSERT_EQ(suffixes.size(), 4u);
+  EXPECT_EQ(suffix_bytes.size(), 4u);
+  for (const auto& [rank, n] : suffixes) {
+    EXPECT_EQ(suffix_bytes.count(rank), 1u) << "rank " << rank;
+    EXPECT_EQ(suffix_bytes.count(rank) ? suffix_bytes.at(rank) : -1, 4 * n)
+        << "rank " << rank;
+  }
+  EXPECT_EQ(values_by_rank(metrics, "mem.gst_node_bytes").size(), 4u);
+  const auto text_bytes = values_by_rank(metrics, "mem.gst_text_bytes");
+  EXPECT_EQ(text_bytes.size(), 4u);
+  for (const auto& [rank, n] : suffixes) {
+    if (n > 0) {
+      EXPECT_GT(text_bytes.at(rank), 0) << "rank " << rank;
+    }
+  }
+  for (const char* phase : {"preprocess", "cluster", "assembly"}) {
+    EXPECT_NE(metrics.find("\"name\":\"mem.peak_rss_mb\",\"rank\":-1,"
+                           "\"phase\":\"" + std::string(phase) + "\""),
+              std::string::npos)
+        << phase;
   }
   std::filesystem::remove_all(dir);
 }

@@ -72,6 +72,80 @@ TEST(FragmentStore, MaskingAndFractions) {
   EXPECT_EQ(store.unmasked_length(), 6u);
 }
 
+TEST(FragmentStore, TextSeparatesFragmentsWithMasks) {
+  seq::FragmentStore store;
+  EXPECT_TRUE(store.text().empty());
+  EXPECT_EQ(store.total_length(), 0u);
+  store.add_ascii("ACG");
+  store.add_ascii("");
+  store.add_ascii("TN");
+  // Codes outside A, C, G, T, kMask are stored as kMask.
+  store.add(std::vector<seq::Code>{0, 7, 3});
+  const std::vector<seq::Code> want{4, 0, 1, 2, 4, 4, 3, 4, 4, 0, 4, 3, 4};
+  EXPECT_EQ(std::vector<seq::Code>(store.text().begin(), store.text().end()),
+            want);
+  EXPECT_EQ(store.total_length(), 8u);
+  EXPECT_EQ(store.unmasked_length(), 6u);
+  const std::uint32_t offsets[] = {1, 5, 6, 9};
+  for (std::uint32_t id = 0; id < store.size(); ++id) {
+    EXPECT_EQ(store.offset(id), offsets[id]);
+    EXPECT_EQ(store.seq(id).data(), store.text().data() + offsets[id]);
+    // Each code and the separator after it map back to the fragment.
+    for (std::uint32_t k = 0; k <= store.length(id); ++k) {
+      EXPECT_EQ(store.id_at(offsets[id] + k), id) << "offset " << k;
+    }
+  }
+
+  // Qualities keep their per-fragment meaning; separators have none.
+  seq::FragmentStore with_qual;
+  const std::vector<std::uint8_t> q0{30, 31, 32}, q1{40, 41};
+  with_qual.add(seq::encode("ACG"), seq::FragType::kWGS, "a", q0);
+  with_qual.add(seq::encode("TT"), seq::FragType::kWGS, "b", q1);
+  const auto qual = [&](std::uint32_t id) {
+    const auto q = with_qual.quality(id);
+    return std::vector<std::uint8_t>(q.begin(), q.end());
+  };
+  EXPECT_EQ(qual(0), q0);
+  EXPECT_EQ(qual(1), q1);
+}
+
+TEST(FragmentStore, IdAtAcrossIndexBlocks) {
+  // Fragments from empty to several index blocks long, so blocks start
+  // inside fragments, on separators, and hold many short fragments.
+  util::Prng rng(12);
+  seq::FragmentStore store;
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t len = i % 7 == 0   ? rng.below(3)
+                            : i % 5 == 0 ? 1500 + rng.below(3000)
+                                         : rng.below(400);
+    store.add(test::random_dna(rng, len));
+  }
+  ASSERT_GT(store.text().size(), 8u * seq::FragmentStore::kIdBlock);
+  seq::FragmentId want = 0;
+  for (std::uint32_t off = 1; off < store.text().size(); ++off) {
+    while (want + 1 < store.size() && store.offset(want + 1) <= off) ++want;
+    ASSERT_EQ(store.id_at(off), want) << "offset " << off;
+  }
+}
+
+TEST(FragmentStore, TextSizeLimitIsAPurePredicate) {
+  // A suffix is a u32 offset into the text, so the text holds at most 2^32
+  // codes: every fragment's codes, one separator each and a leading one.
+  using Store = seq::FragmentStore;
+  constexpr std::uint64_t kMax = std::uint64_t{1} << 32;
+  static_assert(Store::kMaxTextCodes == kMax);
+  EXPECT_TRUE(Store::text_fits(0, 0));
+  EXPECT_TRUE(Store::text_fits(1, kMax - 2));
+  EXPECT_FALSE(Store::text_fits(1, kMax - 1));
+  EXPECT_TRUE(Store::text_fits(kMax - 1, 0));
+  EXPECT_FALSE(Store::text_fits(kMax, 0));
+  EXPECT_TRUE(Store::text_fits(1000, kMax - 1001));
+  EXPECT_FALSE(Store::text_fits(1000, kMax - 1000));
+  // No wrap-around on absurd sizes.
+  EXPECT_FALSE(Store::text_fits(~std::uint64_t{0}, 2));
+  EXPECT_FALSE(Store::text_fits(2, ~std::uint64_t{0}));
+}
+
 TEST(FragmentStore, DoubledStoreLayout) {
   seq::FragmentStore store;
   store.add_ascii("AACG");

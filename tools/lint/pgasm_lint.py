@@ -324,9 +324,9 @@ def check_w002() -> None:
 # --------------------------------------------------------------------------
 
 SUBSYSTEMS = {
-    "align", "assembly", "cluster", "comm", "engine", "gst", "obs", "olc",
-    "pipeline", "preprocess", "recovery", "scaffold", "seq", "sim", "trace",
-    "vmpi", "wire",
+    "align", "assembly", "cluster", "comm", "engine", "gst", "mem", "obs",
+    "olc", "pipeline", "preprocess", "recovery", "scaffold", "seq", "sim",
+    "trace", "vmpi", "wire",
 }
 METRIC_RE = re.compile(r"\.(counter|gauge|histogram)\(\s*\"([^\"]+)\"")
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*){1,2}$")

@@ -29,8 +29,9 @@
 // without one still compares); every other numeric field is a value. A
 // regression needs to clear BOTH the relative threshold and the absolute
 // floor. Fields are direction-classified by name: times
-// (*_s, *_us, *_ms, *seconds*, *time*) regress upward, rates (*per_s*,
-// *throughput*, *cups*) regress downward, anything else is reported but
+// (*_s, *_us, *_ms, *seconds*, *time*) and communication volumes
+// (*bytes_sent) regress upward, rates (*per_s*, *throughput*, *cups*)
+// regress downward, anything else (memory sizes included) is reported but
 // never fails the gate.
 //
 // Exit codes: 0 ok, 1 regression / failed stitch check, 2 usage or IO.
@@ -286,7 +287,8 @@ bool ends_with(const std::string& s, const char* suffix) {
 Direction field_direction(const std::string& key) {
   if (ends_with(key, "_s") || ends_with(key, "_us") ||
       ends_with(key, "_ms") || key.find("seconds") != std::string::npos ||
-      key.find("time") != std::string::npos) {
+      key.find("time") != std::string::npos ||
+      ends_with(key, "bytes_sent")) {
     return Direction::kUpIsWorse;
   }
   if (key.find("per_s") != std::string::npos ||
