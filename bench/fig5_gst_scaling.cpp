@@ -11,7 +11,7 @@
 // thread CPU time plus its modeled communication), the measured wall-clock
 // of the build: build_wall_s, the slowest rank's build_distributed_gst
 // call, and the build's communication volume: bytes_sent, summed over the
-// ranks (the suffix all-to-all and the fragment fetch).
+// ranks (the suffix all-to-all and the text shipment).
 //
 //   ./fig5_gst_scaling --small 1200000 --large 2400000 --max-ranks 16
 #include "bench_util.hpp"
@@ -38,7 +38,6 @@ Row run_one(const seq::FragmentStore& doubled, int ranks) {
   rt.run([&](vmpi::Comm& c) {
     gst::ParallelGstParams params;
     params.gst = gst::GstParams{.min_match = 20, .prefix_w = 6};
-    params.fetch_batch_chars = 1u << 18;
     const util::WallTimer timer;
     auto dist = gst::build_distributed_gst(c, doubled, params);
     wall[c.rank()] = timer.elapsed();

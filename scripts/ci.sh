@@ -10,8 +10,9 @@
 #                            # to bit-identical contigs
 #   scripts/ci.sh tsan       # just the TSan build of the concurrent layers
 #   scripts/ci.sh asan       # just the ASan build of the align, GST,
-#                            # core, preprocess, wire-error and recovery
-#                            # suites, plus the GST fuzz smoke
+#                            # core, preprocess, wire-error, recovery and
+#                            # sequence-store suites, plus the GST fuzz
+#                            # smoke
 #   scripts/ci.sh lint       # pgasm-lint + pgasm-model P5 + strict-warnings
 #                            # build (+ clang tools when installed)
 #   scripts/ci.sh determ     # pgasm-determcheck static determinism analysis
@@ -107,13 +108,16 @@ asan() {
   # branch-free search reads the key array without bounds checks. The wire
   # decoders drive one bounds-checked cursor over hostile bytes, and the
   # pipeline's restore path decodes checkpoint bytes read back from disk.
+  # The FASTA/FASTQ readers fill a FragmentStore whose quality array skips
+  # separators and may skip empty fragments, and the parallel GST build
+  # splits each shipped text payload by lengths it did not receive.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
     --target test_align test_workspace test_cluster \
     test_gst test_parallel_gst test_preprocess test_wire_errors test_recovery \
-    fuzz_gst
+    test_seq fuzz_gst
   (cd build-asan && ctest --output-on-failure \
-    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet|WireErrors|Supervisor|RecoveryPipeline')
+    -R 'Align|Overlap|Banded|Workspace|OverlapEngine|ValidateParams|Cluster|SuffixTree|PairGen|ParallelGst|Partition|Preprocess|RepeatMasker|KmerSet|WireErrors|Supervisor|RecoveryPipeline|FragmentStore|Fasta|Fastq')
   # The suffix compares stop at the text's kMask separators rather than at
   # a stored length, so a read past the end of the text is the GST's
   # memory risk: run the GST fuzz smoke under ASan too.

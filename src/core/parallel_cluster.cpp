@@ -240,6 +240,9 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
     rg.owned = std::move(owned);
     rg.dist = rg.owned ? rg.owned.get() : &dist;
     {
+      obs::Span sp = obs::span(comm.rank(), "pairgen_setup", "cluster");
+      sp.arg("role", static_cast<std::uint64_t>(role));
+      sp.arg("resume_at", resume_at);
       auto scope = comm.compute_scope();
       rg.gen = std::make_unique<gst::PairGenerator>(
           *rg.dist->tree,

@@ -1,9 +1,9 @@
 #include "gst/parallel_build.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,14 +12,6 @@
 namespace pgasm::gst {
 
 namespace {
-
-/// Owner rank of a global sequence id under a contiguous partition.
-int owner_of(const std::vector<std::uint32_t>& slice_begin,
-             std::uint32_t seq_id) {
-  const auto it =
-      std::upper_bound(slice_begin.begin(), slice_begin.end(), seq_id);
-  return static_cast<int>(it - slice_begin.begin()) - 1;
-}
 
 /// Local ids, shared by both build paths so that a rebuilt portion is the
 /// one its rank built: they number the distinct sequences of `suffixes` in
@@ -48,7 +40,7 @@ void assign_local_ids(DistributedGst& result, const seq::FragmentStore& global,
   }
   std::uint64_t needed_chars = 0;
   for (std::uint32_t g : needed) needed_chars += global.length(g);
-  result.local_store.reserve(needed.size(), needed_chars);
+  result.local_store->reserve(needed.size(), needed_chars);
 }
 
 /// Step 5 of the build: the rank's suffixes, in arrival order, go to the
@@ -58,7 +50,7 @@ void build_tree(DistributedGst& result, std::vector<Suffix> local_suffixes,
   result.stats.local_buckets = static_cast<std::uint64_t>(
       std::ranges::count(result.bucket_owner, role));
   result.tree = std::make_unique<SuffixTree>(
-      result.local_store, std::move(local_suffixes), params.gst);
+      *result.local_store, std::move(local_suffixes), params.gst);
   result.stats.tree_nodes = result.tree->num_nodes();
 }
 
@@ -72,7 +64,6 @@ void publish_gst_obs(int rank, const DistributedGst& result) {
   reg.counter("gst.local_buckets", rank, phase).inc(stats.local_buckets);
   reg.counter("gst.fetched_fragments", rank, phase)
       .inc(stats.fetched_fragments);
-  reg.counter("gst.fetch_rounds", rank, phase).inc(stats.fetch_rounds);
   reg.counter("gst.tree_nodes", rank, phase).inc(stats.tree_nodes);
   reg.counter("gst.bytes_sent", rank, phase).inc(stats.bytes_sent);
   reg.gauge("gst.compute_seconds", rank, phase).add(stats.compute_seconds);
@@ -82,7 +73,7 @@ void publish_gst_obs(int rank, const DistributedGst& result) {
   reg.gauge("mem.gst_node_bytes", rank, phase)
       .add(static_cast<double>(result.tree->node_bytes()));
   reg.gauge("mem.gst_text_bytes", rank, phase)
-      .add(static_cast<double>(result.local_store.text().size()));
+      .add(static_cast<double>(result.local_store->text().size()));
 }
 
 }  // namespace
@@ -164,10 +155,10 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
   }
 
   // ---- Step 2: global bucket histogram and deterministic assignment. ----
-  const std::uint32_t nbuckets = num_buckets(w);
-  std::vector<std::uint64_t> hist(nbuckets, 0);
+  std::vector<std::int32_t> bucket_owner;
   {
     obs::Span sp = obs::span(rank, "bucket_histogram", "gst");
+    std::vector<std::uint64_t> hist(num_buckets(w), 0);
     {
       auto scope = comm.compute_scope();
       for (const Suffix s : my_suffixes) ++hist[bucket_of(global, s, w)];
@@ -176,9 +167,6 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
                                  [](std::uint64_t a, std::uint64_t b) {
                                    return a + b;
                                  });
-  }
-  std::vector<std::int32_t> bucket_owner;
-  {
     auto scope = comm.compute_scope();
     if (params.exclude_rank0 && p > 1) {
       bucket_owner = assign_buckets(hist, p - 1);
@@ -191,17 +179,24 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
   }
 
   // ---- Step 3: redistribute suffixes to bucket owners. ------------------
+  // Routing a suffix also records its sequence for the destination: each
+  // destination gets the distinct sequences of its suffixes, ascending.
   obs::Span redist_span = obs::span(rank, "redistribute", "gst");
   const std::uint64_t bytes_before_redist = comm.ledger().bytes_sent;
   std::vector<std::vector<Suffix>> outgoing(static_cast<std::size_t>(p));
+  std::vector<std::vector<std::uint32_t>> ship(static_cast<std::size_t>(p));
   {
     auto scope = comm.compute_scope();
     std::vector<std::size_t> count(static_cast<std::size_t>(p), 0);
     for (const Suffix s : my_suffixes)
       ++count[bucket_owner[bucket_of(global, s, w)]];
     for (int d = 0; d < p; ++d) outgoing[d].reserve(count[d]);
+    std::uint32_t gid = slice[rank];
     for (const Suffix s : my_suffixes) {
-      outgoing[bucket_owner[bucket_of(global, s, w)]].push_back(s);
+      while (gid + 1 < slice[rank + 1] && global.offset(gid + 1) <= s) ++gid;
+      const int d = bucket_owner[bucket_of(global, s, w)];
+      outgoing[d].push_back(s);
+      if (ship[d].empty() || ship[d].back() != gid) ship[d].push_back(gid);
     }
     my_suffixes.clear();
     my_suffixes.shrink_to_fit();
@@ -213,6 +208,7 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
 
   std::vector<Suffix> local_suffixes;
   {
+    obs::Span sp = obs::span(rank, "assign_local_ids", "gst");
     auto scope = comm.compute_scope();
     std::size_t total = 0;
     for (const auto& v : incoming) total += v.size();
@@ -222,104 +218,58 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
       v.clear();
       v.shrink_to_fit();
     }
+    assign_local_ids(result, global, local_suffixes);
   }
   stats.local_suffixes = local_suffixes.size();
 
-  // ---- Step 4: fetch the fragments the local subtrees need. -------------
+  // ---- Step 4: ship the text the local subtrees need. -------------------
+  // Each slice owner sends every rank the codes of the sequences it routed
+  // suffixes of there, concatenated in id order. The receiver's needed ids
+  // ascend and slices are contiguous in rank order, so the payload from
+  // rank s holds exactly its needed ids in s's slice, in order, and their
+  // lengths split it.
   {
-    auto scope = comm.compute_scope();
-    assign_local_ids(result, global, local_suffixes);
-  }
-  const std::vector<std::uint32_t>& needed = result.local_to_global;
-
-  // Batched request/serve rounds. Each round: Alltoallv of requested ids,
-  // then Alltoallv of serialized fragment payloads [id, len, codes...].
-  const std::uint64_t batch_chars =
-      params.fetch_batch_chars == 0
-          ? std::numeric_limits<std::uint64_t>::max()
-          : params.fetch_batch_chars;
-  std::size_t cursor = 0;  // into `needed`
-  // Fetched payloads by local id (filled across rounds).
-  std::vector<std::vector<seq::Code>> fetched(needed.size());
-  // Map global id -> local index for fill-in.
-  auto local_index_of = [&](std::uint32_t g) {
-    return static_cast<std::size_t>(
-        std::lower_bound(needed.begin(), needed.end(), g) - needed.begin());
-  };
-
-  for (;;) {
-    obs::Span round_span = obs::span(rank, "fetch_round", "gst");
-    round_span.arg("round", stats.fetch_rounds);
-    // Build this round's batch of requests (own-slice ids are read directly
-    // from the global store: no message needed for data we already own).
-    std::vector<std::vector<std::uint32_t>> req(static_cast<std::size_t>(p));
-    std::uint64_t batch_acc = 0;
-    {
-      auto scope = comm.compute_scope();
-      while (cursor < needed.size() && batch_acc < batch_chars) {
-        const std::uint32_t g = needed[cursor];
-        const int own = owner_of(slice, g);
-        if (own != rank) {
-          req[own].push_back(g);
-          batch_acc += global.length(g);
-        } else {
-          const auto s = global.seq(g);
-          fetched[cursor].assign(s.begin(), s.end());
-        }
-        ++cursor;
-      }
-    }
-    const std::uint64_t remaining = needed.size() - cursor;
-    const std::uint64_t any_left = comm.allreduce_max<std::uint64_t>(remaining);
-
-    // Request round.
-    auto requests = comm.staged_alltoallv(req);
-    // Serve round: serialize [id u32][len u32][codes ...] per fragment.
-    std::vector<std::vector<std::uint8_t>> serve(static_cast<std::size_t>(p));
+    obs::Span sp = obs::span(rank, "ship_text", "gst");
+    const std::uint64_t bytes_before = comm.ledger().bytes_sent;
+    std::vector<std::vector<seq::Code>> text_out(static_cast<std::size_t>(p));
     {
       auto scope = comm.compute_scope();
       for (int d = 0; d < p; ++d) {
-        for (std::uint32_t g : requests[d]) {
-          const auto s = global.seq(g);
-          const std::uint32_t len = static_cast<std::uint32_t>(s.size());
-          auto& buf = serve[d];
-          const std::size_t base = buf.size();
-          buf.resize(base + 8 + s.size());
-          std::memcpy(buf.data() + base, &g, 4);
-          std::memcpy(buf.data() + base + 4, &len, 4);
-          if (!s.empty())
-            std::memcpy(buf.data() + base + 8, s.data(), s.size());
+        std::size_t chars = 0;
+        for (const std::uint32_t g : ship[d]) chars += global.length(g);
+        text_out[d].reserve(chars);
+        for (const std::uint32_t g : ship[d]) {
+          const auto codes = global.seq(g);
+          text_out[d].insert(text_out[d].end(), codes.begin(), codes.end());
         }
       }
+      ship.clear();
     }
-    auto payloads = comm.staged_alltoallv(serve);
-    {
-      auto scope = comm.compute_scope();
-      for (const auto& buf : payloads) {
-        std::size_t off = 0;
-        while (off < buf.size()) {
-          std::uint32_t g, len;
-          std::memcpy(&g, buf.data() + off, 4);
-          std::memcpy(&len, buf.data() + off + 4, 4);
-          auto& dst = fetched[local_index_of(g)];
-          dst.resize(len);
-          if (len != 0) std::memcpy(dst.data(), buf.data() + off + 8, len);
-          off += 8 + len;
-          ++stats.fetched_fragments;
-        }
-      }
-    }
-    ++stats.fetch_rounds;
-    if (any_left == 0) break;
-  }
+    auto text_in = comm.staged_alltoallv(text_out);
+    text_out.clear();
+    sp.arg("bytes_sent", comm.ledger().bytes_sent - bytes_before);
 
-  // Materialize the local store in local-id order.
-  {
     auto scope = comm.compute_scope();
-    for (std::size_t i = 0; i < needed.size(); ++i) {
-      result.local_store.add(fetched[i], global.type(needed[i]));
-      fetched[i].clear();
-      fetched[i].shrink_to_fit();
+    const std::vector<std::uint32_t>& needed = result.local_to_global;
+    auto next = needed.begin();
+    for (int s = 0; s < p; ++s) {
+      const auto end = std::lower_bound(next, needed.end(), slice[s + 1]);
+      std::uint64_t chars = 0;
+      for (auto it = next; it != end; ++it) chars += global.length(*it);
+      if (text_in[s].size() != chars)
+        throw std::runtime_error(
+            "build_distributed_gst: rank " + std::to_string(s) + " shipped " +
+            std::to_string(text_in[s].size()) + " codes, expected " +
+            std::to_string(chars));
+      if (s != rank)
+        stats.fetched_fragments += static_cast<std::uint64_t>(end - next);
+      const std::span<const seq::Code> codes = text_in[s];
+      for (std::size_t off = 0; next != end; ++next) {
+        const std::uint32_t len = global.length(*next);
+        result.local_store->add(codes.subspan(off, len), global.type(*next));
+        off += len;
+      }
+      text_in[s] = {};
     }
   }
 
@@ -370,7 +320,7 @@ DistributedGst rebuild_rank_portion(
 
   assign_local_ids(result, global, local_suffixes);
   for (std::uint32_t g : result.local_to_global)
-    result.local_store.add(global.seq(g), global.type(g));
+    result.local_store->add(global.seq(g), global.type(g));
   build_tree(result, std::move(local_suffixes), role, params);
   return result;
 }

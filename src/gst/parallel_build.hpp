@@ -12,11 +12,12 @@
 //      A suffix travels as its u32 offset into the global text. Slices
 //      are contiguous and in rank order, so a rank's incoming suffixes,
 //      concatenated by source rank, ascend by global offset.
-//   4. Fetch the fragment text needed to build the local subtrees in
-//      batches of Θ(N/p) characters through paired collective rounds:
-//      a request Alltoallv (fragment ids) and a service Alltoallv
-//      (fragment payloads). Ranks that exhaust their batches keep
-//      participating to serve others.
+//   4. Ship the text: each slice owner knows from step 3 which of its
+//      sequences every rank needs, so it sends them unrequested in one
+//      staged Alltoallv of bare codes, in id order. The paper's batched
+//      request rounds would only tell the owner what it already knows
+//      (DESIGN.md §2). So the build is one allreduce and two all-to-alls
+//      whatever the input size.
 //   5. Hand the suffixes, rebased onto the local store's text by one merge
 //      walk over the global offsets, in arrival order to the
 //      one SuffixTree constructor. Like every tree, it regroups them by
@@ -24,7 +25,7 @@
 //      With w < 8 a distribution bucket splits into several tree groups;
 //      with w > 8 one tree group holds several distribution buckets.
 //
-// The result holds a rank-local FragmentStore (fetched copies), the local
+// The result holds a rank-local FragmentStore (shipped copies), the local
 // subforest, and the local->global sequence id map used when pairs are
 // reported to the clustering master.
 #pragma once
@@ -42,9 +43,6 @@ namespace pgasm::gst {
 struct ParallelGstParams {
   /// gst.prefix_w is the distribution prefix w, 0 < w <= min(ψ, 12).
   GstParams gst{.min_match = 20, .prefix_w = 6};
-  /// Target characters per fragment-fetch batch; 0 = everything in one
-  /// batch. The paper sizes batches at Θ(N/p).
-  std::uint64_t fetch_batch_chars = 1u << 20;
   /// When true (and p > 1), rank 0 is assigned no buckets: the clustering
   /// phase uses rank 0 as the master, which generates no pairs (Fig. 6).
   bool exclude_rank0 = false;
@@ -53,8 +51,7 @@ struct ParallelGstParams {
 struct GstBuildStats {
   std::uint64_t local_suffixes = 0;       ///< after redistribution
   std::uint64_t local_buckets = 0;        ///< non-empty buckets owned
-  std::uint64_t fetched_fragments = 0;    ///< fragments copied from peers
-  std::uint64_t fetch_rounds = 0;         ///< batched fetch iterations
+  std::uint64_t fetched_fragments = 0;    ///< sequences shipped by peers
   double compute_seconds = 0;             ///< thread CPU time in local work
   double comm_seconds = 0;                ///< modeled comm charge (ledger Δ)
   std::uint64_t bytes_sent = 0;           ///< ledger Δ
@@ -62,39 +59,16 @@ struct GstBuildStats {
 };
 
 struct DistributedGst {
-  seq::FragmentStore local_store;              ///< fetched fragment copies
+  /// Shipped sequence copies. Held by pointer so that the tree's reference
+  /// to it survives moves of the DistributedGst.
+  std::unique_ptr<seq::FragmentStore> local_store =
+      std::make_unique<seq::FragmentStore>();
   std::vector<std::uint32_t> local_to_global;  ///< local seq id -> global
   std::unique_ptr<SuffixTree> tree;            ///< forest over local ids
   /// bucket id -> owning rank, identical on every rank (deterministic
   /// assignment). Kept so a survivor can rebuild a dead rank's portion.
   std::vector<std::int32_t> bucket_owner;
   GstBuildStats stats;
-
-  // `tree` references `local_store`, so moves must re-seat that reference
-  // at the store's new address — the defaults would leave the tree pointing
-  // into the moved-from (soon destroyed) object. Bites whenever a factory
-  // return value is moved into place, e.g. the generator-takeover path's
-  // make_unique<DistributedGst>(rebuild_rank_portion(...)).
-  DistributedGst() = default;
-  DistributedGst(DistributedGst&& o) noexcept
-      : local_store(std::move(o.local_store)),
-        local_to_global(std::move(o.local_to_global)),
-        tree(std::move(o.tree)),
-        bucket_owner(std::move(o.bucket_owner)),
-        stats(o.stats) {
-    if (tree) tree->rebind_store(local_store);
-  }
-  DistributedGst& operator=(DistributedGst&& o) noexcept {
-    if (this != &o) {
-      local_store = std::move(o.local_store);
-      local_to_global = std::move(o.local_to_global);
-      tree = std::move(o.tree);
-      bucket_owner = std::move(o.bucket_owner);
-      stats = o.stats;
-      if (tree) tree->rebind_store(local_store);
-    }
-    return *this;
-  }
 };
 
 /// Contiguous fragment partition: rank r owns sequence ids

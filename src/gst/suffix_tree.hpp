@@ -130,15 +130,6 @@ class SuffixTree {
   const seq::FragmentStore& store() const noexcept { return *store_; }
   const GstParams& params() const noexcept { return params_; }
 
-  /// Re-point the tree at a store that moved. The tree stores text
-  /// offsets, not addresses, so any store with identical content is valid; an
-  /// owner that holds the store and the tree side by side (DistributedGst)
-  /// must call this after moving both, or the tree would keep referencing
-  /// the moved-from store object.
-  void rebind_store(const seq::FragmentStore& store) noexcept {
-    store_ = &store;
-  }
-
   std::size_t num_nodes() const noexcept { return nodes_.size(); }
   std::size_t num_suffixes() const noexcept { return suffixes_.size(); }
   std::size_t num_leaves() const noexcept { return num_leaves_; }

@@ -22,10 +22,12 @@ FragmentId FragmentStore::add(std::span<const Code> codes, FragType type,
                               std::span<const std::uint8_t> qual) {
   if (!qual.empty() && qual.size() != codes.size())
     throw std::invalid_argument("FragmentStore::add: quality length mismatch");
-  if (!qual_.empty() && qual.empty())
+  // The first non-empty fragment decides whether the store has qualities:
+  // an empty one carries none either way.
+  if (!qual_.empty() && qual.empty() && !codes.empty())
     throw std::invalid_argument(
         "FragmentStore::add: store has qualities, fragment does not");
-  if (qual_.empty() && !qual.empty() && !offsets_.empty())
+  if (qual_.empty() && !qual.empty() && total_length() > 0)
     throw std::invalid_argument(
         "FragmentStore::add: store has no qualities, fragment does");
 

@@ -54,6 +54,8 @@ class FragmentStore {
   }
 
   /// Append a fragment; returns its id. Quality may be empty (no qualities).
+  /// The first non-empty fragment decides whether the store has qualities;
+  /// a later non-empty fragment that differs throws std::invalid_argument.
   /// Throws std::length_error if the text would pass kMaxTextCodes.
   FragmentId add(std::span<const Code> codes, FragType type = FragType::kUnknown,
                  std::string name = {}, std::span<const std::uint8_t> qual = {});

@@ -3,7 +3,9 @@
 // serial pair stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <span>
 #include <string>
@@ -79,10 +81,12 @@ std::set<test::MaxMatch> serial_pairs(const seq::FragmentStore& store,
 
 /// Each rank builds its subforest and generates pairs (mapped to global
 /// ids); returns the union. Sets `*dup` when a maximal match is generated
-/// on two ranks and `*cost` to the run's cost (fault counters included).
+/// on two ranks, `*cost` to the run's cost (fault counters included) and
+/// `*shipped` to the global ids of the sequences some rank holds.
 std::set<test::MaxMatch> parallel_pair_union(
     int p, const seq::FragmentStore& store, const ParallelGstParams& params,
-    vmpi::FaultPlan faults, bool* dup, vmpi::RunCost* cost = nullptr) {
+    vmpi::FaultPlan faults, bool* dup, vmpi::RunCost* cost = nullptr,
+    std::set<std::uint32_t>* shipped = nullptr) {
   std::mutex mu;
   std::set<test::MaxMatch> got;
   *dup = false;
@@ -93,6 +97,8 @@ std::set<test::MaxMatch> parallel_pair_union(
     PairGenerator gen(*dist.tree, {.dup_elim = false});
     PromisingPair q;
     std::lock_guard<std::mutex> lock(mu);
+    if (shipped != nullptr)
+      shipped->insert(dist.local_to_global.begin(), dist.local_to_global.end());
     while (gen.next(q)) {
       test::MaxMatch mm{dist.local_to_global[q.seq_a], q.pos_a,
                         dist.local_to_global[q.seq_b], q.pos_b, q.match_len};
@@ -107,24 +113,52 @@ std::set<test::MaxMatch> parallel_pair_union(
   return got;
 }
 
+/// `n` random fragments with, spread among them, fragments that hold no
+/// suffix of length ψ = 8 or more: two empty, one shorter than ψ and one
+/// fully masked. Returns the store and those fragments' ids.
+std::pair<seq::FragmentStore, std::vector<std::uint32_t>> store_with_idle(
+    util::Prng& rng, std::size_t n) {
+  seq::FragmentStore store;
+  std::vector<std::uint32_t> idle;
+  auto add_idle = [&](std::vector<seq::Code> codes) {
+    idle.push_back(store.add(codes));
+  };
+  add_idle({});
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == n / 3) add_idle(test::random_dna(rng, 5));
+    if (i == n / 2) add_idle(std::vector<seq::Code>(60, seq::kMask));
+    store.add(test::random_dna(rng, 40 + rng.below(81), 0.02));
+  }
+  add_idle({});
+  return {std::move(store), std::move(idle)};
+}
+
 class ParallelGstRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelGstRanks, PairUnionEqualsSerial) {
   const int p = GetParam();
   util::Prng rng(911);
-  const auto store = test::random_store(rng, 40, 40, 120, 0.02);
-  // Distribution prefixes below and above the trees' min(ψ, 8).
-  for (const GstParams gst : {GstParams{.min_match = 8, .prefix_w = 3},
-                              GstParams{.min_match = 10, .prefix_w = 10}}) {
-    ParallelGstParams params;
-    params.gst = gst;
-    params.fetch_batch_chars = 512;  // force multiple fetch rounds
-    bool dup = false;
-    const auto got = parallel_pair_union(p, store, params, {}, &dup);
-    EXPECT_FALSE(dup) << "a maximal match was generated on two ranks, w "
-                      << gst.prefix_w;
-    EXPECT_EQ(got, serial_pairs(store, gst.min_match)) << "w "
-                                                        << gst.prefix_w;
+  // 40 random fragments, then 3: with the 4 idle ones that is 7 fragments,
+  // fewer than 8 ranks, so some slices are empty.
+  for (const std::size_t n : {40u, 3u}) {
+    const auto [store, idle] = store_with_idle(rng, n);
+    // Distribution prefixes below and above the trees' min(ψ, 8).
+    for (const GstParams gst : {GstParams{.min_match = 8, .prefix_w = 3},
+                                GstParams{.min_match = 10, .prefix_w = 10}}) {
+      ParallelGstParams params;
+      params.gst = gst;
+      bool dup = false;
+      std::set<std::uint32_t> shipped;
+      const auto got =
+          parallel_pair_union(p, store, params, {}, &dup, nullptr, &shipped);
+      const std::string what =
+          "n " + std::to_string(n) + " w " + std::to_string(gst.prefix_w);
+      EXPECT_FALSE(dup) << "a maximal match was generated on two ranks, "
+                        << what;
+      EXPECT_EQ(got, serial_pairs(store, gst.min_match)) << what;
+      for (const std::uint32_t id : idle)
+        EXPECT_EQ(shipped.count(id), 0u) << "fragment " << id << ", " << what;
+    }
   }
 }
 
@@ -132,6 +166,7 @@ TEST_P(ParallelGstRanks, StatsArePopulated) {
   const int p = GetParam();
   util::Prng rng(1234);
   const auto store = test::random_store(rng, 30, 50, 100);
+  const auto slice = gst::partition_store(store, p);
   vmpi::Runtime rt(p);
   rt.run([&](vmpi::Comm& comm) {
     ParallelGstParams params;
@@ -142,16 +177,48 @@ TEST_P(ParallelGstRanks, StatsArePopulated) {
     const auto serial_count =
         gst::enumerate_suffixes(store, 10).size();
     EXPECT_EQ(total_suffixes, serial_count);
-    EXPECT_GE(dist.stats.fetch_rounds, 1u);
-    if (comm.rank() == 0 && p > 1) {
-      // With several ranks someone must fetch remote fragments.
-      const auto fetched =
-          comm.allreduce_sum<std::uint64_t>(dist.stats.fetched_fragments);
+    // Every sequence a rank holds from outside its own slice was shipped.
+    const int r = comm.rank();
+    const auto foreign = std::ranges::count_if(
+        dist.local_to_global,
+        [&](std::uint32_t g) { return g < slice[r] || g >= slice[r + 1]; });
+    EXPECT_EQ(dist.stats.fetched_fragments,
+              static_cast<std::uint64_t>(foreign))
+        << "rank " << r;
+    const auto fetched =
+        comm.allreduce_sum<std::uint64_t>(dist.stats.fetched_fragments);
+    // With several ranks someone must hold remote fragments.
+    if (p > 1) {
       EXPECT_GT(fetched, 0u);
-    } else if (p > 1) {
-      (void)comm.allreduce_sum<std::uint64_t>(dist.stats.fetched_fragments);
     }
   });
+}
+
+TEST_P(ParallelGstRanks, MessageCountIsIndependentOfInputSize) {
+  // One allreduce and two staged all-to-alls, whatever the input size: a
+  // rank sends as many messages for a store 4x larger.
+  const int p = GetParam();
+  std::vector<std::uint64_t> msgs[2];
+  for (int i = 0; i < 2; ++i) {
+    util::Prng rng(606);
+    const auto store = test::random_store(rng, i == 0 ? 30 : 120, 60, 100);
+    msgs[i].assign(static_cast<std::size_t>(p), 0);
+    vmpi::Runtime rt(p);
+    rt.run([&](vmpi::Comm& comm) {
+      ParallelGstParams params;
+      params.gst = GstParams{.min_match = 10, .prefix_w = 4};
+      const std::uint64_t before = comm.ledger().msgs_sent;
+      (void)gst::build_distributed_gst(comm, store, params);
+      msgs[i][comm.rank()] = comm.ledger().msgs_sent - before;
+    });
+  }
+  EXPECT_EQ(msgs[0], msgs[1]);
+  // A reduce and a broadcast send p - 1 messages each; an all-to-all sends
+  // p - 1 per rank.
+  const auto total = std::accumulate(msgs[1].begin(), msgs[1].end(),
+                                     std::uint64_t{0});
+  const auto q = static_cast<std::uint64_t>(p);
+  EXPECT_EQ(total, 2 * (q - 1) + 2 * q * (q - 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelGstRanks,
@@ -160,8 +227,9 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelGstRanks,
 TEST(ParallelGst, RebuiltPortionSurvivesMove) {
   // rebuild_rank_portion's tree references the portion's own local_store;
   // moving the DistributedGst (as the generator-takeover path does via
-  // make_unique) must re-seat that reference, or the tree dangles into the
-  // destroyed temporary and pair generation reads freed memory.
+  // make_unique) must keep that store where the tree points, or the tree
+  // dangles into the destroyed temporary and pair generation reads freed
+  // memory.
   util::Prng rng(77);
   const auto store = test::random_store(rng, 30, 40, 120, 0.02);
   ParallelGstParams params;
@@ -172,12 +240,12 @@ TEST(ParallelGst, RebuiltPortionSurvivesMove) {
   auto moved = std::make_unique<gst::DistributedGst>(
       gst::rebuild_rank_portion(store, owner, 1, params));
   ASSERT_TRUE(moved->tree);
-  EXPECT_EQ(&moved->tree->store(), &moved->local_store);
+  EXPECT_EQ(&moved->tree->store(), moved->local_store.get());
   ASSERT_EQ(moved->tree->check_invariants(), "");
 
   gst::DistributedGst assigned;
   assigned = std::move(*moved);
-  EXPECT_EQ(&assigned.tree->store(), &assigned.local_store);
+  EXPECT_EQ(&assigned.tree->store(), assigned.local_store.get());
 
   // The rebuilt-and-moved portion must still generate the full pair stream.
   PairGenerator gen(*assigned.tree, {.dup_elim = false});
@@ -245,7 +313,6 @@ TEST(ParallelGst, RebuiltPortionEqualsTheRankTree) {
     for (const std::uint32_t w : {1u, 6u, 10u}) {
       ParallelGstParams params;
       params.gst = GstParams{.min_match = 12, .prefix_w = w};
-      params.fetch_batch_chars = 512;
       params.exclude_rank0 = w == 6;
       vmpi::Runtime rt(p);
       rt.run([&](vmpi::Comm& comm) {
@@ -278,7 +345,6 @@ TEST(ParallelGst, CrashPlanDoesNotFireInsideCollectiveBuild) {
     faults.crashes.push_back({.rank = r, .at_send = 1});
   ParallelGstParams params;
   params.gst = GstParams{.min_match = 8, .prefix_w = 3};
-  params.fetch_batch_chars = 512;
   bool dup = false;
   vmpi::RunCost cost;
   const auto got = parallel_pair_union(p, store, params, faults, &dup, &cost);

@@ -421,6 +421,21 @@ TEST(Pipeline, ObsDirParallelTracesMasterAndWorkers) {
   // Per-rank tracks exist for the master and at least one worker.
   EXPECT_NE(trace.find("\"name\":\"rank 0\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"rank 1\""), std::string::npos);
+  // Every worker spans its GST build and its generator setup; the text
+  // arrives in one shipment, with no fetch rounds.
+  for (int rank = 1; rank < params.ranks; ++rank) {
+    for (const auto& [name, cat] :
+         {std::pair{"assign_local_ids", "gst"}, std::pair{"ship_text", "gst"},
+          std::pair{"build_subtrees", "gst"},
+          std::pair{"pairgen_setup", "cluster"}}) {
+      EXPECT_NE(trace.find("\"name\":\"" + std::string(name) +
+                           "\",\"cat\":\"" + cat + "\",\"pid\":1,\"tid\":" +
+                           std::to_string(rank) + ","),
+                std::string::npos)
+          << name << " on rank " << rank;
+    }
+  }
+  EXPECT_EQ(trace.find("\"name\":\"fetch_round\""), std::string::npos);
   const auto metrics = slurp(std::filesystem::path(dir) / "metrics.jsonl");
   EXPECT_NE(metrics.find("\"name\":\"vmpi.msgs_sent\""), std::string::npos);
   EXPECT_NE(metrics.find("\"name\":\"vmpi.send_bytes\""), std::string::npos);

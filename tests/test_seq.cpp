@@ -109,6 +109,26 @@ TEST(FragmentStore, TextSeparatesFragmentsWithMasks) {
   EXPECT_EQ(qual(1), q1);
 }
 
+TEST(FragmentStore, QualityMismatchesAreRejected) {
+  const std::vector<std::uint8_t> q2{30, 31};
+  seq::FragmentStore with_qual;
+  with_qual.add(seq::encode("AC"), seq::FragType::kWGS, "a", q2);
+  EXPECT_THROW(with_qual.add(seq::encode("AC")), std::invalid_argument);
+  EXPECT_THROW(with_qual.add(seq::encode("ACG"), seq::FragType::kWGS, "b", q2),
+               std::invalid_argument);
+  seq::FragmentStore without;
+  without.add(seq::encode("AC"));
+  EXPECT_THROW(without.add(seq::encode("AC"), seq::FragType::kWGS, "b", q2),
+               std::invalid_argument);
+  // An empty fragment carries no qualities and fits either store.
+  with_qual.add({});
+  without.add({});
+  EXPECT_EQ(with_qual.size(), 2u);
+  EXPECT_EQ(without.size(), 2u);
+  EXPECT_TRUE(with_qual.has_quality());
+  EXPECT_FALSE(without.has_quality());
+}
+
 TEST(FragmentStore, IdAtAcrossIndexBlocks) {
   // Fragments from empty to several index blocks long, so blocks start
   // inside fragments, on separators, and hold many short fragments.
@@ -254,6 +274,36 @@ TEST(Fastq, QualityClampAndCrlf) {
   ASSERT_EQ(seq::read_fastq(in, store), 1u);
   EXPECT_EQ(store.name(0), "r");
   EXPECT_EQ(store.quality(0)[0], 60);  // clamped
+}
+
+/// Reads `fastq`, whose records are named and hold `bases` and `quals`
+/// (Phred values), and expects it to write back unchanged.
+void expect_fastq_round_trip(const std::string& fastq,
+                             const std::vector<std::string>& bases,
+                             const std::vector<std::vector<std::uint8_t>>& quals) {
+  seq::FragmentStore store;
+  std::istringstream in(fastq);
+  ASSERT_EQ(seq::read_fastq(in, store), bases.size());
+  ASSERT_TRUE(store.has_quality());
+  for (std::uint32_t id = 0; id < store.size(); ++id) {
+    EXPECT_EQ(store.to_ascii(id), bases[id]) << "read " << id;
+    const auto q = store.quality(id);
+    EXPECT_EQ(std::vector<std::uint8_t>(q.begin(), q.end()), quals[id])
+        << "read " << id;
+  }
+  std::ostringstream out;
+  seq::write_fastq(out, store);
+  EXPECT_EQ(out.str(), fastq);
+}
+
+TEST(Fastq, EmptyReadFirst) {
+  expect_fastq_round_trip("@a\n\n+\n\n@b\nACGT\n+\nIIJ5\n@c\nGG\n+\n!#\n",
+                          {"", "ACGT", "GG"}, {{}, {40, 40, 41, 20}, {0, 2}});
+}
+
+TEST(Fastq, EmptyReadInMiddle) {
+  expect_fastq_round_trip("@a\nACGT\n+\nIIJ5\n@b\n\n+\n\n@c\nGG\n+\n!#\n",
+                          {"ACGT", "", "GG"}, {{40, 40, 41, 20}, {}, {0, 2}});
 }
 
 }  // namespace
