@@ -84,12 +84,14 @@ chaos_smoke() {
 }
 
 tsan() {
-  echo "== TSan: obs + vmpi concurrency tests + fault-injection suite =="
+  echo "== TSan: obs + vmpi concurrency tests + parallel GST + fault-injection suite =="
   cmake -B build-tsan -S . -DPGASM_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS" \
     --target test_obs test_vmpi test_fault_tolerance test_recovery \
-    chaos_pipeline
+    test_parallel_gst chaos_pipeline
   (cd build-tsan && ctest --output-on-failure -R 'Registry|Tracer|Histogram|Vmpi')
+  # Every rank thread's GST build reads the one store it was called with.
+  (cd build-tsan && ctest --output-on-failure -R ParallelGst -j "$JOBS")
   # Recovery reassigns work across surviving rank threads; TSan over the
   # whole faults label is the data-race gate on those handoff paths.
   (cd build-tsan && ctest --output-on-failure -L faults -j "$JOBS")
@@ -109,8 +111,7 @@ asan() {
   # decoders drive one bounds-checked cursor over hostile bytes, and the
   # pipeline's restore path decodes checkpoint bytes read back from disk.
   # The FASTA/FASTQ readers fill a FragmentStore whose quality array skips
-  # separators and may skip empty fragments, and the parallel GST build
-  # splits each shipped text payload by lengths it did not receive.
+  # separators and may skip empty fragments.
   cmake -B build-asan -S . -DPGASM_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
     --target test_align test_workspace test_cluster \

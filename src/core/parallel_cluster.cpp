@@ -247,8 +247,7 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
       rg.gen = std::make_unique<gst::PairGenerator>(
           *rg.dist->tree,
           gst::PairGenParams{.dup_elim = params.dup_elim,
-                             .doubled_input = true,
-                             .global_ids = &rg.dist->local_to_global});
+                             .doubled_input = true});
       // Fast-forward: the stream is deterministic, so skipping resume_at
       // pairs resumes exactly where the previous owner stopped.
       gst::PromisingPair q;
@@ -303,8 +302,8 @@ void worker_loop(vmpi::Comm& comm, const ClusterParams& params,
       gst::PromisingPair q;
       const std::uint32_t want = std::min(r, kNewPairsBuf);
       while (report.new_pairs.size() < want && next_pair(q)) {
-        // The generator already emits global doubled-store ids in
-        // canonical orientation (global_ids translation).
+        // The tree indexes the doubled store, so the generator emits its
+        // ids in canonical orientation.
         report.new_pairs.push_back(
             PairMsg{q.seq_a, q.pos_a, q.seq_b, q.pos_b, q.match_len});
       }
@@ -381,8 +380,8 @@ std::uint64_t cluster_input_hash(const seq::FragmentStore& fragments) {
 std::uint64_t cluster_params_hash(const ClusterParams& params) {
   // Only fields that influence the resulting partition or the pair streams
   // a checkpoint's generator positions refer to. Operational knobs
-  // (timeouts, checkpoint cadence, ssend ablation) are deliberately left
-  // out: changing them between a run and its resume is legitimate.
+  // (timeouts, checkpoint cadence) are deliberately left out: changing
+  // them between a run and its resume is legitimate.
   // The tag moves whenever a rank's pair stream changes order, so a
   // checkpoint's generator positions are never replayed against another
   // stream.

@@ -43,9 +43,8 @@ struct ParallelClusterResult {
 std::uint64_t cluster_input_hash(const seq::FragmentStore& fragments);
 
 /// Hash of the partition-relevant clustering parameters (ψ, w, scoring,
-/// batch/ordering knobs). Operational knobs — timeouts, checkpoint cadence,
-/// the ssend ablation — are excluded: changing them across a resume is
-/// legitimate.
+/// batch/ordering knobs). Operational knobs — timeouts, checkpoint
+/// cadence — are excluded: changing them across a resume is legitimate.
 std::uint64_t cluster_params_hash(const ClusterParams& params);
 
 /// Why checkpoint `ck` does not belong to a run over `fragments` with

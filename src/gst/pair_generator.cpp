@@ -224,21 +224,15 @@ bool PairGenerator::emit(std::uint32_t sfx_a, std::uint32_t sfx_b,
     ++filtered_self_;
     return false;
   }
-  // Translate to the enclosing store's ids before any strand logic: local
-  // ids on a rank's tree do not preserve forward/RC adjacency.
-  const std::uint32_t ida =
-      params_.global_ids ? (*params_.global_ids)[seq_a] : seq_a;
-  const std::uint32_t idb =
-      params_.global_ids ? (*params_.global_ids)[seq_b] : seq_b;
-  bool swap = ida > idb;
+  bool swap = seq_a > seq_b;
   if (params_.doubled_input) {
-    const std::uint32_t ga = ida >> 1, gb = idb >> 1;
+    const std::uint32_t ga = seq_a >> 1, gb = seq_b >> 1;
     if (ga == gb) {
       ++filtered_self_;  // fragment paired with its own reverse complement
       return false;
     }
     swap = ga > gb;
-    if (((swap ? idb : ida) & 1u) != 0) {
+    if (((swap ? seq_b : seq_a) & 1u) != 0) {
       ++filtered_mirror_;  // the strand-mirror image; its twin is emitted
       return false;
     }
@@ -247,9 +241,9 @@ bool PairGenerator::emit(std::uint32_t sfx_a, std::uint32_t sfx_b,
   const seq::FragmentStore& store = tree_->store();
   const std::uint32_t pos_a = tree_->suffix(sfx_a) - store.offset(seq_a);
   const std::uint32_t pos_b = tree_->suffix(sfx_b) - store.offset(seq_b);
-  out.seq_a = swap ? idb : ida;
+  out.seq_a = swap ? seq_b : seq_a;
   out.pos_a = swap ? pos_b : pos_a;
-  out.seq_b = swap ? ida : idb;
+  out.seq_b = swap ? seq_a : seq_b;
   out.pos_b = swap ? pos_a : pos_b;
   out.match_len = len;
   return true;

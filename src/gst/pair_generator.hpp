@@ -69,13 +69,6 @@ struct PromisingPair {
 struct PairGenParams {
   bool dup_elim = true;
   bool doubled_input = false;
-  /// Optional id translation applied before emission (and before the
-  /// doubled-input filters): maps the tree's sequence ids to ids in an
-  /// enclosing store. Used by the parallel path, where a rank's tree is
-  /// built over local fragment copies whose ids do not preserve the
-  /// forward/reverse-complement pairing of the global doubled store.
-  /// When set, emitted pairs carry the translated ids.
-  const std::vector<std::uint32_t>* global_ids = nullptr;
 };
 
 class PairGenerator {

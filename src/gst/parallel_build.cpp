@@ -1,9 +1,7 @@
 #include "gst/parallel_build.hpp"
 
 #include <algorithm>
-#include <span>
 #include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,44 +11,16 @@ namespace pgasm::gst {
 
 namespace {
 
-/// Local ids, shared by both build paths so that a rebuilt portion is the
-/// one its rank built: they number the distinct sequences of `suffixes` in
-/// ascending global order. `suffixes` holds global text offsets in
-/// ascending order, so one merge walk over the global offsets finds each
-/// suffix's sequence. Sets `result.local_to_global`, reserves the local
-/// store for those sequences and rebases each suffix onto the text the
-/// local store will hold once they are added in local-id order.
-void assign_local_ids(DistributedGst& result, const seq::FragmentStore& global,
-                      std::vector<Suffix>& suffixes) {
-  auto& needed = result.local_to_global;
-  const auto n = static_cast<std::uint32_t>(global.size());
-  std::uint32_t gid = 0;
-  std::uint32_t local_start = 0;  // offset of local sequence needed.back()
-  std::uint32_t next_start = 1;   // offset the next local sequence gets
-  PGASM_DCHECK(std::ranges::is_sorted(suffixes),
-               "suffixes arrive in ascending global offset");
-  for (Suffix& s : suffixes) {
-    while (gid + 1 < n && global.offset(gid + 1) <= s) ++gid;
-    if (needed.empty() || needed.back() != gid) {
-      needed.push_back(gid);
-      local_start = next_start;
-      next_start += global.length(gid) + 1;
-    }
-    s = local_start + (s - global.offset(gid));
-  }
-  std::uint64_t needed_chars = 0;
-  for (std::uint32_t g : needed) needed_chars += global.length(g);
-  result.local_store->reserve(needed.size(), needed_chars);
-}
-
 /// Step 5 of the build: the rank's suffixes, in arrival order, go to the
-/// one tree constructor.
-void build_tree(DistributedGst& result, std::vector<Suffix> local_suffixes,
-                int role, const ParallelGstParams& params) {
+/// one tree constructor, over the global store.
+void build_tree(DistributedGst& result, const seq::FragmentStore& global,
+                std::vector<Suffix> local_suffixes, int role,
+                const ParallelGstParams& params) {
+  result.stats.local_suffixes = local_suffixes.size();
   result.stats.local_buckets = static_cast<std::uint64_t>(
       std::ranges::count(result.bucket_owner, role));
-  result.tree = std::make_unique<SuffixTree>(
-      *result.local_store, std::move(local_suffixes), params.gst);
+  result.tree = std::make_unique<SuffixTree>(global, std::move(local_suffixes),
+                                             params.gst);
   result.stats.tree_nodes = result.tree->num_nodes();
 }
 
@@ -62,8 +32,6 @@ void publish_gst_obs(int rank, const DistributedGst& result) {
   const char* phase = obs::current_phase();
   reg.counter("gst.local_suffixes", rank, phase).inc(stats.local_suffixes);
   reg.counter("gst.local_buckets", rank, phase).inc(stats.local_buckets);
-  reg.counter("gst.fetched_fragments", rank, phase)
-      .inc(stats.fetched_fragments);
   reg.counter("gst.tree_nodes", rank, phase).inc(stats.tree_nodes);
   reg.counter("gst.bytes_sent", rank, phase).inc(stats.bytes_sent);
   reg.gauge("gst.compute_seconds", rank, phase).add(stats.compute_seconds);
@@ -72,8 +40,6 @@ void publish_gst_obs(int rank, const DistributedGst& result) {
       .add(static_cast<double>(result.tree->suffix_bytes()));
   reg.gauge("mem.gst_node_bytes", rank, phase)
       .add(static_cast<double>(result.tree->node_bytes()));
-  reg.gauge("mem.gst_text_bytes", rank, phase)
-      .add(static_cast<double>(result.local_store->text().size()));
 }
 
 }  // namespace
@@ -179,25 +145,17 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
   }
 
   // ---- Step 3: redistribute suffixes to bucket owners. ------------------
-  // Routing a suffix also records its sequence for the destination: each
-  // destination gets the distinct sequences of its suffixes, ascending.
   obs::Span redist_span = obs::span(rank, "redistribute", "gst");
   const std::uint64_t bytes_before_redist = comm.ledger().bytes_sent;
   std::vector<std::vector<Suffix>> outgoing(static_cast<std::size_t>(p));
-  std::vector<std::vector<std::uint32_t>> ship(static_cast<std::size_t>(p));
   {
     auto scope = comm.compute_scope();
     std::vector<std::size_t> count(static_cast<std::size_t>(p), 0);
     for (const Suffix s : my_suffixes)
       ++count[bucket_owner[bucket_of(global, s, w)]];
     for (int d = 0; d < p; ++d) outgoing[d].reserve(count[d]);
-    std::uint32_t gid = slice[rank];
-    for (const Suffix s : my_suffixes) {
-      while (gid + 1 < slice[rank + 1] && global.offset(gid + 1) <= s) ++gid;
-      const int d = bucket_owner[bucket_of(global, s, w)];
-      outgoing[d].push_back(s);
-      if (ship[d].empty() || ship[d].back() != gid) ship[d].push_back(gid);
-    }
+    for (const Suffix s : my_suffixes)
+      outgoing[bucket_owner[bucket_of(global, s, w)]].push_back(s);
     my_suffixes.clear();
     my_suffixes.shrink_to_fit();
   }
@@ -206,79 +164,23 @@ DistributedGst build_distributed_gst(vmpi::Comm& comm,
   redist_span.arg("bytes_sent", comm.ledger().bytes_sent - bytes_before_redist);
   redist_span.finish();
 
-  std::vector<Suffix> local_suffixes;
+  // ---- Step 5: build the local subtrees over `global`. ------------------
+  // The paper's step 4 ships each rank its buckets' text; every rank holds
+  // `global` already, so none travels. The incoming suffixes, concatenated
+  // by source rank, ascend by global offset.
   {
-    obs::Span sp = obs::span(rank, "assign_local_ids", "gst");
+    obs::Span sp = obs::span(rank, "build_subtrees", "gst");
     auto scope = comm.compute_scope();
+    std::vector<Suffix> local_suffixes;
     std::size_t total = 0;
     for (const auto& v : incoming) total += v.size();
     local_suffixes.reserve(total);
     for (auto& v : incoming) {
       local_suffixes.insert(local_suffixes.end(), v.begin(), v.end());
-      v.clear();
-      v.shrink_to_fit();
+      v = {};
     }
-    assign_local_ids(result, global, local_suffixes);
-  }
-  stats.local_suffixes = local_suffixes.size();
-
-  // ---- Step 4: ship the text the local subtrees need. -------------------
-  // Each slice owner sends every rank the codes of the sequences it routed
-  // suffixes of there, concatenated in id order. The receiver's needed ids
-  // ascend and slices are contiguous in rank order, so the payload from
-  // rank s holds exactly its needed ids in s's slice, in order, and their
-  // lengths split it.
-  {
-    obs::Span sp = obs::span(rank, "ship_text", "gst");
-    const std::uint64_t bytes_before = comm.ledger().bytes_sent;
-    std::vector<std::vector<seq::Code>> text_out(static_cast<std::size_t>(p));
-    {
-      auto scope = comm.compute_scope();
-      for (int d = 0; d < p; ++d) {
-        std::size_t chars = 0;
-        for (const std::uint32_t g : ship[d]) chars += global.length(g);
-        text_out[d].reserve(chars);
-        for (const std::uint32_t g : ship[d]) {
-          const auto codes = global.seq(g);
-          text_out[d].insert(text_out[d].end(), codes.begin(), codes.end());
-        }
-      }
-      ship.clear();
-    }
-    auto text_in = comm.staged_alltoallv(text_out);
-    text_out.clear();
-    sp.arg("bytes_sent", comm.ledger().bytes_sent - bytes_before);
-
-    auto scope = comm.compute_scope();
-    const std::vector<std::uint32_t>& needed = result.local_to_global;
-    auto next = needed.begin();
-    for (int s = 0; s < p; ++s) {
-      const auto end = std::lower_bound(next, needed.end(), slice[s + 1]);
-      std::uint64_t chars = 0;
-      for (auto it = next; it != end; ++it) chars += global.length(*it);
-      if (text_in[s].size() != chars)
-        throw std::runtime_error(
-            "build_distributed_gst: rank " + std::to_string(s) + " shipped " +
-            std::to_string(text_in[s].size()) + " codes, expected " +
-            std::to_string(chars));
-      if (s != rank)
-        stats.fetched_fragments += static_cast<std::uint64_t>(end - next);
-      const std::span<const seq::Code> codes = text_in[s];
-      for (std::size_t off = 0; next != end; ++next) {
-        const std::uint32_t len = global.length(*next);
-        result.local_store->add(codes.subspan(off, len), global.type(*next));
-        off += len;
-      }
-      text_in[s] = {};
-    }
-  }
-
-  // ---- Step 5: build the local subtrees. --------------------------------
-  {
-    obs::Span sp = obs::span(rank, "build_subtrees", "gst");
-    auto scope = comm.compute_scope();
     sp.arg("suffixes", local_suffixes.size());
-    build_tree(result, std::move(local_suffixes), rank, params);
+    build_tree(result, global, std::move(local_suffixes), rank, params);
     sp.arg("buckets", stats.local_buckets);
   }
 
@@ -315,13 +217,8 @@ DistributedGst rebuild_rank_portion(
         local_suffixes.push_back(s);
     }
   }
-  result.stats.local_suffixes = local_suffixes.size();
   result.bucket_owner = bucket_owner;
-
-  assign_local_ids(result, global, local_suffixes);
-  for (std::uint32_t g : result.local_to_global)
-    result.local_store->add(global.seq(g), global.type(g));
-  build_tree(result, std::move(local_suffixes), role, params);
+  build_tree(result, global, std::move(local_suffixes), role, params);
   return result;
 }
 

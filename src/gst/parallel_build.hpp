@@ -12,22 +12,21 @@
 //      A suffix travels as its u32 offset into the global text. Slices
 //      are contiguous and in rank order, so a rank's incoming suffixes,
 //      concatenated by source rank, ascend by global offset.
-//   4. Ship the text: each slice owner knows from step 3 which of its
-//      sequences every rank needs, so it sends them unrequested in one
-//      staged Alltoallv of bare codes, in id order. The paper's batched
-//      request rounds would only tell the owner what it already knows
-//      (DESIGN.md §2). So the build is one allreduce and two all-to-alls
-//      whatever the input size.
-//   5. Hand the suffixes, rebased onto the local store's text by one merge
-//      walk over the global offsets, in arrival order to the
-//      one SuffixTree constructor. Like every tree, it regroups them by
-//      their first min(ψ, 8) characters and builds each group depth-first.
-//      With w < 8 a distribution bucket splits into several tree groups;
-//      with w > 8 one tree group holds several distribution buckets.
+//   4. The paper ships each rank the text its buckets need. Here every
+//      rank already holds the whole store it was called with (it aligns
+//      against it and rebuilds dead ranks' portions from it), so no text
+//      travels and the build is one allreduce and one all-to-all whatever
+//      the input size (DESIGN.md §2).
+//   5. Hand the suffixes in arrival order to the one SuffixTree
+//      constructor, over the global store. Like every tree, it regroups
+//      them by their first min(ψ, 8) characters and builds each group
+//      depth-first. With w < 8 a distribution bucket splits into several
+//      tree groups; with w > 8 one tree group holds several distribution
+//      buckets.
 //
-// The result holds a rank-local FragmentStore (shipped copies), the local
-// subforest, and the local->global sequence id map used when pairs are
-// reported to the clustering master.
+// The result holds the rank's subforest, which indexes the caller's store
+// directly: its sequence ids and the pairs generated from it are global.
+// The tree references that store, so the store must outlive the tree.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +50,6 @@ struct ParallelGstParams {
 struct GstBuildStats {
   std::uint64_t local_suffixes = 0;       ///< after redistribution
   std::uint64_t local_buckets = 0;        ///< non-empty buckets owned
-  std::uint64_t fetched_fragments = 0;    ///< sequences shipped by peers
   double compute_seconds = 0;             ///< thread CPU time in local work
   double comm_seconds = 0;                ///< modeled comm charge (ledger Δ)
   std::uint64_t bytes_sent = 0;           ///< ledger Δ
@@ -59,12 +57,9 @@ struct GstBuildStats {
 };
 
 struct DistributedGst {
-  /// Shipped sequence copies. Held by pointer so that the tree's reference
-  /// to it survives moves of the DistributedGst.
-  std::unique_ptr<seq::FragmentStore> local_store =
-      std::make_unique<seq::FragmentStore>();
-  std::vector<std::uint32_t> local_to_global;  ///< local seq id -> global
-  std::unique_ptr<SuffixTree> tree;            ///< forest over local ids
+  /// The rank's subforest over the caller's store (global sequence ids).
+  /// It references that store, which must outlive it.
+  std::unique_ptr<SuffixTree> tree;
   /// bucket id -> owning rank, identical on every rank (deterministic
   /// assignment). Kept so a survivor can rebuild a dead rank's portion.
   std::vector<std::int32_t> bucket_owner;
@@ -83,19 +78,21 @@ std::vector<std::int32_t> assign_buckets(
     const std::vector<std::uint64_t>& global_histogram, int num_ranks);
 
 /// SPMD entry point: every rank calls this with the same global store.
-/// Ranks read only their own slice of `global`; everything else arrives
-/// through messages (and is charged to the cost model).
+/// A rank enumerates and routes only its own slice of `global`; the
+/// suffixes of its buckets arrive through messages (and are charged to the
+/// cost model). Its tree indexes `global`, which must outlive the result.
 DistributedGst build_distributed_gst(vmpi::Comm& comm,
                                      const seq::FragmentStore& global,
                                      const ParallelGstParams& params);
 
 /// Serially rebuild the GST portion that `role` owned under the given
-/// bucket assignment (no communication; reads the full global store).
-/// Produces a tree identical to the one `role` built in
-/// build_distributed_gst: the global suffix enumeration order equals the
-/// concatenation of the per-rank slice enumerations (slices are contiguous
-/// and ascending), filtering preserves relative order, both paths assign
-/// local ids the same way, and the tree constructor's grouping is stable.
+/// bucket assignment (no communication; reads the full global store, which
+/// must outlive the result). Produces a tree identical to the one `role`
+/// built in build_distributed_gst: the global suffix enumeration order
+/// equals the concatenation of the per-rank slice enumerations (slices are
+/// contiguous and ascending), filtering preserves relative order, both
+/// trees index the same store, and the tree constructor's grouping is
+/// stable.
 /// A survivor adopting a dead worker's generation role therefore replays
 /// exactly the same pair stream and can fast-forward to the dead worker's
 /// last reported position.

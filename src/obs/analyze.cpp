@@ -168,6 +168,7 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
   std::map<int, std::vector<WaitRec>> waits;          // per rank, ts order
   std::map<int, std::vector<NonWaitSpan>> nonwaits;   // per rank, ts order
   std::map<int, std::vector<std::uint64_t>> end_times;  // per rank, sorted
+  std::map<int, std::vector<std::uint64_t>> run_starts;  // per rank, sorted
   // Per rank, (start, phase) of every event, in start order.
   std::map<int, std::vector<std::pair<std::uint64_t, std::string>>>
       phase_marks;
@@ -180,6 +181,7 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
     auto& rank_waits = waits[rank];
     auto& rank_nonwaits = nonwaits[rank];
     auto& rank_ends = end_times[rank];
+    auto& rank_starts = run_starts[rank];
     auto& rank_marks = phase_marks[rank];
     std::uint64_t lo = events.front().ts_us;
     for (const TraceEvent& ev : events) {
@@ -188,6 +190,11 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
       const std::string phase = event_phase(ev);
       rank_marks.emplace_back(ev.ts_us, phase);
 
+      if (ev.kind == TraceEvent::Kind::kInstant && is_vmpi(ev) &&
+          std::strcmp(ev.name, "run_start") == 0) {
+        rank_starts.push_back(ev.ts_us);
+        continue;
+      }
       if (ev.kind == TraceEvent::Kind::kInstant && is_vmpi(ev) &&
           (std::strcmp(ev.name, "send") == 0 ||
            std::strcmp(ev.name, "ssend") == 0)) {
@@ -249,6 +256,7 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
     }
     first_ts[rank] = lo;
     std::sort(rank_ends.begin(), rank_ends.end());
+    std::sort(rank_starts.begin(), rank_starts.end());
     std::stable_sort(rank_marks.begin(), rank_marks.end(),
                      [](const auto& x, const auto& y) {
                        return x.first < y.first;
@@ -409,7 +417,8 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
   // non-overlapping (each rank is a single thread), so "the wait span
   // ending last at-or-before the cursor" is well defined; everything
   // between that wait and the cursor is compute. cap[] makes every
-  // iteration consume a distinct wait span, which bounds the walk.
+  // iteration consume a distinct wait span or run start, which bounds the
+  // walk.
   int cur = 0;
   std::uint64_t t = 0;
   bool have_cursor = false;
@@ -485,6 +494,9 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
   if (have_cursor) {
     std::map<int, std::size_t> cap;  // exclusive bound into waits[rank]
     for (const auto& [rank, ws] : waits) cap[rank] = ws.size();
+    std::map<int, std::size_t> start_cap;  // same, into run_starts[rank]
+    for (const auto& [rank, ss] : run_starts) start_cap[rank] = ss.size();
+    const bool have_driver = first_ts.count(kDriverTid) != 0;
 
     for (std::size_t iter = 0; iter < kMaxWalkSteps; ++iter) {
       const auto& ws = waits[cur];
@@ -496,6 +508,21 @@ Analysis analyze(const std::map<int, std::vector<TraceEvent>>& by_rank,
         if (ws[i].end <= t) {
           found = true;
           break;
+        }
+      }
+      // A run start between that wait (or the rank's first event) and t:
+      // before it this rank's thread or process did not exist, and the
+      // driver, which spawned the run, holds the path.
+      if (cur != kDriverTid && have_driver) {
+        const auto& ss = run_starts[cur];
+        std::size_t j = std::min(start_cap[cur], ss.size());
+        while (j > 0 && ss[j - 1] > t) --j;
+        if (j > 0 && (!found || ss[j - 1] >= ws[i].end)) {
+          start_cap[cur] = j - 1;
+          push_compute(cur, ss[j - 1], t);
+          cur = kDriverTid;
+          t = ss[j - 1];
+          continue;
         }
       }
       if (!found) {

@@ -24,11 +24,13 @@
 //     globally last event, walk backward; a recv wait whose matching send
 //     happened mid-wait jumps to the sender (the sender was the bottleneck),
 //     a barrier jumps to the last rank to arrive, an ssend rendezvous jumps
-//     to the receiver, and anything else continues locally. Compute gaps are
-//     split at the edges of the non-wait spans they overlap, and each piece
-//     is named by its innermost covering span ("align_batch",
-//     "redistribute", ...; "(untracked)" where none covers it), which is
-//     what makes the report actionable.
+//     to the receiver, a driver join jumps to the last rank to finish, a
+//     rank's "run_start" marker (its first event in a vmpi run) hands the
+//     walk to the driver that spawned the run, and anything else continues
+//     locally. Compute gaps are split at the edges of the non-wait spans
+//     they overlap, and each piece is named by its innermost covering span
+//     ("align_batch", "redistribute", ...; "(untracked)" where none covers
+//     it), which is what makes the report actionable.
 //
 // The analyzer is a pure function of the drained events — it never touches
 // the live tracer except through analyze_current(), so tests can feed it

@@ -253,10 +253,16 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
       }
     });
   }
-  result.cluster_summary = summarize_clusters(result.clusters);
   cluster_span.arg("merges", result.cluster_stats.merges);
-  cluster_span.arg("clusters", result.cluster_summary.num_clusters);
   cluster_span.finish();
+
+  // --- Cluster membership ---------------------------------------------------
+  // The driver's work between the clustering and assembly runtimes, spanned
+  // so the critical path through the driver names it.
+  obs::Span partition_span =
+      obs::span(obs::kDriverTid, "partition", "pipeline");
+  result.cluster_summary = summarize_clusters(result.clusters);
+  partition_span.arg("clusters", result.cluster_summary.num_clusters);
   if (obs_on) {
     auto& reg = obs::registry();
     const ClusterSummary& s = result.cluster_summary;
@@ -282,6 +288,7 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
                      return a.front() < b.front();
                    });
   result.cluster_sets = std::move(sets);
+  partition_span.finish();
 
   // --- Per-cluster assembly -------------------------------------------------
   // "The subsequent assembly tasks are trivially parallelized by

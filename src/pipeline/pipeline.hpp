@@ -35,7 +35,8 @@ struct PipelineParams {
   vmpi::CostParams cost{};
   bool run_preprocess = true;
   bool run_assembly = true;
-  /// Fault-injection plan applied to the parallel clustering runtime
+  /// Fault-injection plan applied to the parallel clustering runtime and,
+  /// under the supervisor, to the first attempt's assembly runtime too
   /// (testing/chaos runs; see DESIGN.md "Fault model & recovery").
   vmpi::FaultPlan faults{};
   /// Non-empty: engage the recovery supervisor (see pipeline/supervisor.hpp

@@ -67,6 +67,9 @@ Comm::Comm(Transport& transport, const CostParams& cost,
     obs_recv_bytes_ = &reg.histogram("vmpi.recv_bytes", rank, phase);
     obs_wait_us_ = &reg.histogram("comm.wait_us", rank, phase);
     obs_timeouts_ = &reg.counter("vmpi.timeouts", rank, phase);
+    // The rank's first event in this run: before it the rank does not
+    // exist, and the trace analyzer hands the critical path to the driver.
+    ring_instant(obs_ring_, rank, "run_start");
   }
 }
 

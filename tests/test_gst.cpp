@@ -880,60 +880,39 @@ std::pair<std::uint64_t, std::uint64_t> stream_hash(const SuffixTree& tree,
   return {f.h, n};
 }
 
-/// Ids reversed fragment-wise; on a doubled store each fragment's two
-/// strands stay adjacent. Exercises the translation ahead of the
-/// doubled-input filters.
-std::vector<std::uint32_t> reversed_ids(const seq::FragmentStore& store,
-                                        bool doubled) {
-  const auto n = static_cast<std::uint32_t>(store.size());
-  std::vector<std::uint32_t> ids(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ids[i] = doubled ? n - 2 - (i & ~1u) + (i & 1u) : n - 1 - i;
-  }
-  return ids;
-}
-
 struct Golden {
   std::uint64_t serial_tree, reversed_tree;
-  std::uint64_t elim, elim_n, suffix_level, suffix_level_n, global, global_n;
+  std::uint64_t elim, elim_n, suffix_level, suffix_level_n;
 };
 
 /// `serial` is the tree over the enumerated suffixes; `reversed` is built
-/// from them in reverse order, which changes the order inside each group
-/// and so the order of equal-depth pairs, but not their number.
+/// from them in reverse order, which changes the order inside each group.
 void expect_golden(bool repeat_rich, std::uint32_t psi, const Golden& want) {
   const auto store = golden_store(repeat_rich);
   SuffixTree serial(store, GstParams{.min_match = psi});
   SuffixTree reversed(store, reversed_suffixes(store, psi),
                       GstParams{.min_match = psi});
-  const auto global = reversed_ids(store, true);
   const auto elim = stream_hash(serial, {.doubled_input = true});
   const auto suffix_level =
       stream_hash(serial, {.dup_elim = false, .doubled_input = true});
-  const auto translated = stream_hash(
-      reversed, {.doubled_input = true, .global_ids = &global});
   EXPECT_EQ(tree_hash(serial), want.serial_tree);
   EXPECT_EQ(tree_hash(reversed), want.reversed_tree);
   EXPECT_EQ(elim.first, want.elim);
   EXPECT_EQ(elim.second, want.elim_n);
   EXPECT_EQ(suffix_level.first, want.suffix_level);
   EXPECT_EQ(suffix_level.second, want.suffix_level_n);
-  EXPECT_EQ(translated.first, want.global);
-  EXPECT_EQ(translated.second, want.global_n);
 }
 
 TEST(SuffixTreeGolden, WgsLikeMaskedTreeAndPairStream) {
   expect_golden(false, 14,
                 {9940178745039505808ull, 2079140358036384604ull,
-                 9434392479842476710ull, 3589, 9434392479842476710ull, 3589,
-                 758752498687706588ull, 3589});
+                 9434392479842476710ull, 3589, 9434392479842476710ull, 3589});
 }
 
 TEST(SuffixTreeGolden, RepeatRichTreeAndPairStream) {
   expect_golden(true, 24,
                 {4154354107880330803ull, 7797350474604980015ull,
-                 13410265634253747581ull, 7457, 1717882182973441283ull, 8331,
-                 12807733375727623724ull, 7472});
+                 13410265634253747581ull, 7457, 1717882182973441283ull, 8331});
 }
 
 // --- Visiting only the nodes that can emit ---------------------------------
@@ -970,10 +949,7 @@ RefStream every_node_reference(const RefTree& tree, std::size_t num_seqs,
       ++ref.filtered_self;
       return;
     }
-    const auto id = [&](std::uint32_t s) {
-      return params.global_ids ? (*params.global_ids)[s] : s;
-    };
-    PromisingPair p{id(sa.seq), sa.pos, id(sb.seq), sb.pos, len};
+    PromisingPair p{sa.seq, sa.pos, sb.seq, sb.pos, len};
     const auto swap_sides = [&p] {
       std::swap(p.seq_a, p.seq_b);
       std::swap(p.pos_a, p.pos_b);
@@ -1137,7 +1113,6 @@ TEST_P(PairGenRandom, StreamEqualsEveryNodeReference) {
   const std::uint32_t w = std::min(psi, 8u);
   for (const bool doubled : {false, true}) {
     const auto store = doubled ? seq::make_doubled_store(plain) : plain;
-    const auto global = reversed_ids(store, doubled);
     // The serial tree against the full tree from the root; the tree over
     // reversed input against the full trees of its ascending groups.
     SuffixTree serial(store, GstParams{.min_match = psi});
@@ -1155,19 +1130,15 @@ TEST_P(PairGenRandom, StreamEqualsEveryNodeReference) {
               visit_candidates(serial_full, psi));
     for (const SuffixTree* tree : {&serial, &reversed}) {
       for (const bool dup_elim : {false, true}) {
-        for (const bool translate : {false, true}) {
-          const std::string what =
-              "seed " + std::to_string(GetParam()) + " psi " +
-              std::to_string(psi) + (doubled ? " doubled" : " plain") +
-              (tree == &reversed ? " reversed" : " serial") +
-              (dup_elim ? " dup_elim" : "") + (translate ? " global_ids" : "");
-          expect_same_stream(*tree,
-                             tree == &reversed ? reversed_full : serial_full,
-                             {.dup_elim = dup_elim,
-                              .doubled_input = doubled,
-                              .global_ids = translate ? &global : nullptr},
-                             what);
-        }
+        const std::string what =
+            "seed " + std::to_string(GetParam()) + " psi " +
+            std::to_string(psi) + (doubled ? " doubled" : " plain") +
+            (tree == &reversed ? " reversed" : " serial") +
+            (dup_elim ? " dup_elim" : "");
+        expect_same_stream(*tree,
+                           tree == &reversed ? reversed_full : serial_full,
+                           {.dup_elim = dup_elim, .doubled_input = doubled},
+                           what);
       }
     }
   }

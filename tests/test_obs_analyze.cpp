@@ -372,6 +372,58 @@ TEST(Analyze, CriticalPathComputeNamesInnermostSpan) {
   EXPECT_EQ(a.critical_path.total_us, 100u);
 }
 
+TEST(Analyze, CriticalPathCrossesTheDriverBetweenRuns) {
+  // Two vmpi runs, as a parallel pipeline makes them: the driver joins the
+  // clustering runtime [5, 60], partitions the clusters [61, 71] and joins
+  // the assembly runtime [75, 128]. Each rank's first event in a run is
+  // its run_start marker. Walking back from rank 1's assemble_cluster, the
+  // path must reach the marker at 80, continue on the driver through
+  // partition and the first join, and end in rank 1's GST build: no piece
+  // reads "(untracked)".
+  const auto start_ev = [](int rank, std::uint64_t ts, const char* phase) {
+    TraceEvent ev = wait_ev(rank, "run_start", ts, ts, phase);
+    ev.kind = TraceEvent::Kind::kInstant;
+    return ev;
+  };
+  const int drv = obs::kDriverTid;
+  std::map<int, std::vector<TraceEvent>> by_rank;
+  by_rank[drv] = {compute_ev(drv, "cluster", 0, 61),
+                  wait_ev(drv, "join", 5, 60),
+                  compute_ev(drv, "partition", 61, 71),
+                  compute_ev(drv, "assembly", 71, 130, "assembly"),
+                  wait_ev(drv, "join", 75, 128, "assembly")};
+  by_rank[1] = {start_ev(1, 6, "cluster"),
+                compute_ev(1, "build_subtrees", 6, 58),
+                start_ev(1, 80, "assembly"),
+                compute_ev(1, "assemble_cluster", 80, 125, "assembly")};
+  by_rank[2] = {start_ev(2, 7, "cluster"),
+                compute_ev(2, "build_subtrees", 7, 40),
+                start_ev(2, 78, "assembly"),
+                compute_ev(2, "assemble_cluster", 78, 90, "assembly")};
+
+  const Analysis a = obs::analyze(by_rank);
+  const obs::CriticalPath& cp = a.critical_path;
+  EXPECT_EQ(cp.total_us, 130u);
+  const CriticalStep::Kind kC = CriticalStep::Kind::kCompute;
+  const CriticalStep::Kind kJ = CriticalStep::Kind::kJoinWait;
+  const CriticalStep::Kind want_kind[] = {kC, kC, kJ, kC, kC, kC, kC, kJ, kC};
+  const char* want_name[] = {"cluster",   "build_subtrees", "join",
+                             "cluster",   "partition",      "assembly",
+                             "assemble_cluster", "join",    "assembly"};
+  const int want_rank[] = {drv, 1, drv, drv, drv, drv, 1, drv, drv};
+  const std::uint64_t want_start[] = {0, 6, 58, 60, 61, 71, 80, 125, 128};
+  ASSERT_EQ(cp.steps.size(), 9u);
+  for (std::size_t i = 0; i < cp.steps.size(); ++i) {
+    EXPECT_EQ(cp.steps[i].kind, want_kind[i]) << "step " << i;
+    EXPECT_EQ(cp.steps[i].name, want_name[i]) << "step " << i;
+    EXPECT_EQ(cp.steps[i].rank, want_rank[i]) << "step " << i;
+    EXPECT_EQ(cp.steps[i].start_us, want_start[i]) << "step " << i;
+  }
+  for (const auto& c : cp.top) {
+    EXPECT_EQ(c.label.find("(untracked)"), std::string::npos) << c.label;
+  }
+}
+
 // ----------------------------------------------------------- flow events --
 
 class AnalyzeTracerTest : public testing::Test {

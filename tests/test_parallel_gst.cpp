@@ -79,29 +79,32 @@ std::set<test::MaxMatch> serial_pairs(const seq::FragmentStore& store,
   return expected;
 }
 
-/// Each rank builds its subforest and generates pairs (mapped to global
-/// ids); returns the union. Sets `*dup` when a maximal match is generated
-/// on two ranks, `*cost` to the run's cost (fault counters included) and
-/// `*shipped` to the global ids of the sequences some rank holds.
+/// Each rank builds its subforest over `store` and generates pairs (in
+/// `store`'s ids); returns the union. Sets `*dup` when a maximal match is
+/// generated on two ranks, `*cost` to the run's cost (fault counters
+/// included) and `*indexed` to the ids of the sequences some rank's tree
+/// holds a suffix of.
 std::set<test::MaxMatch> parallel_pair_union(
     int p, const seq::FragmentStore& store, const ParallelGstParams& params,
     vmpi::FaultPlan faults, bool* dup, vmpi::RunCost* cost = nullptr,
-    std::set<std::uint32_t>* shipped = nullptr) {
+    std::set<std::uint32_t>* indexed = nullptr) {
   std::mutex mu;
   std::set<test::MaxMatch> got;
   *dup = false;
   vmpi::Runtime rt(p, {}, std::move(faults));
   auto run_cost = rt.run([&](vmpi::Comm& comm) {
     auto dist = gst::build_distributed_gst(comm, store, params);
+    ASSERT_EQ(&dist.tree->store(), &store);
     ASSERT_EQ(dist.tree->check_invariants(), "");
     PairGenerator gen(*dist.tree, {.dup_elim = false});
     PromisingPair q;
     std::lock_guard<std::mutex> lock(mu);
-    if (shipped != nullptr)
-      shipped->insert(dist.local_to_global.begin(), dist.local_to_global.end());
+    if (indexed != nullptr) {
+      for (std::uint32_t i = 0; i < dist.tree->num_suffixes(); ++i)
+        indexed->insert(store.id_at(dist.tree->suffix(i)));
+    }
     while (gen.next(q)) {
-      test::MaxMatch mm{dist.local_to_global[q.seq_a], q.pos_a,
-                        dist.local_to_global[q.seq_b], q.pos_b, q.match_len};
+      test::MaxMatch mm{q.seq_a, q.pos_a, q.seq_b, q.pos_b, q.match_len};
       if (std::get<0>(mm) > std::get<2>(mm)) {
         mm = {std::get<2>(mm), std::get<3>(mm), std::get<0>(mm),
               std::get<1>(mm), std::get<4>(mm)};
@@ -148,16 +151,16 @@ TEST_P(ParallelGstRanks, PairUnionEqualsSerial) {
       ParallelGstParams params;
       params.gst = gst;
       bool dup = false;
-      std::set<std::uint32_t> shipped;
+      std::set<std::uint32_t> indexed;
       const auto got =
-          parallel_pair_union(p, store, params, {}, &dup, nullptr, &shipped);
+          parallel_pair_union(p, store, params, {}, &dup, nullptr, &indexed);
       const std::string what =
           "n " + std::to_string(n) + " w " + std::to_string(gst.prefix_w);
       EXPECT_FALSE(dup) << "a maximal match was generated on two ranks, "
                         << what;
       EXPECT_EQ(got, serial_pairs(store, gst.min_match)) << what;
       for (const std::uint32_t id : idle)
-        EXPECT_EQ(shipped.count(id), 0u) << "fragment " << id << ", " << what;
+        EXPECT_EQ(indexed.count(id), 0u) << "fragment " << id << ", " << what;
     }
   }
 }
@@ -166,7 +169,6 @@ TEST_P(ParallelGstRanks, StatsArePopulated) {
   const int p = GetParam();
   util::Prng rng(1234);
   const auto store = test::random_store(rng, 30, 50, 100);
-  const auto slice = gst::partition_store(store, p);
   vmpi::Runtime rt(p);
   rt.run([&](vmpi::Comm& comm) {
     ParallelGstParams params;
@@ -177,25 +179,11 @@ TEST_P(ParallelGstRanks, StatsArePopulated) {
     const auto serial_count =
         gst::enumerate_suffixes(store, 10).size();
     EXPECT_EQ(total_suffixes, serial_count);
-    // Every sequence a rank holds from outside its own slice was shipped.
-    const int r = comm.rank();
-    const auto foreign = std::ranges::count_if(
-        dist.local_to_global,
-        [&](std::uint32_t g) { return g < slice[r] || g >= slice[r + 1]; });
-    EXPECT_EQ(dist.stats.fetched_fragments,
-              static_cast<std::uint64_t>(foreign))
-        << "rank " << r;
-    const auto fetched =
-        comm.allreduce_sum<std::uint64_t>(dist.stats.fetched_fragments);
-    // With several ranks someone must hold remote fragments.
-    if (p > 1) {
-      EXPECT_GT(fetched, 0u);
-    }
   });
 }
 
 TEST_P(ParallelGstRanks, MessageCountIsIndependentOfInputSize) {
-  // One allreduce and two staged all-to-alls, whatever the input size: a
+  // One allreduce and one staged all-to-all, whatever the input size: a
   // rank sends as many messages for a store 4x larger.
   const int p = GetParam();
   std::vector<std::uint64_t> msgs[2];
@@ -218,18 +206,17 @@ TEST_P(ParallelGstRanks, MessageCountIsIndependentOfInputSize) {
   const auto total = std::accumulate(msgs[1].begin(), msgs[1].end(),
                                      std::uint64_t{0});
   const auto q = static_cast<std::uint64_t>(p);
-  EXPECT_EQ(total, 2 * (q - 1) + 2 * q * (q - 1));
+  EXPECT_EQ(total, 2 * (q - 1) + q * (q - 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelGstRanks,
                          ::testing::Values(1, 2, 3, 5, 8));
 
 TEST(ParallelGst, RebuiltPortionSurvivesMove) {
-  // rebuild_rank_portion's tree references the portion's own local_store;
-  // moving the DistributedGst (as the generator-takeover path does via
-  // make_unique) must keep that store where the tree points, or the tree
-  // dangles into the destroyed temporary and pair generation reads freed
-  // memory.
+  // rebuild_rank_portion's tree references the caller's store; moving the
+  // DistributedGst (as the generator-takeover path does via make_unique)
+  // must keep it pointing there and not into the destroyed temporary, or
+  // pair generation reads freed memory.
   util::Prng rng(77);
   const auto store = test::random_store(rng, 30, 40, 120, 0.02);
   ParallelGstParams params;
@@ -240,12 +227,12 @@ TEST(ParallelGst, RebuiltPortionSurvivesMove) {
   auto moved = std::make_unique<gst::DistributedGst>(
       gst::rebuild_rank_portion(store, owner, 1, params));
   ASSERT_TRUE(moved->tree);
-  EXPECT_EQ(&moved->tree->store(), moved->local_store.get());
+  EXPECT_EQ(&moved->tree->store(), &store);
   ASSERT_EQ(moved->tree->check_invariants(), "");
 
   gst::DistributedGst assigned;
   assigned = std::move(*moved);
-  EXPECT_EQ(&assigned.tree->store(), assigned.local_store.get());
+  EXPECT_EQ(&assigned.tree->store(), &store);
 
   // The rebuilt-and-moved portion must still generate the full pair stream.
   PairGenerator gen(*assigned.tree, {.dup_elim = false});
@@ -263,7 +250,6 @@ TEST(ParallelGst, RebuiltPortionSurvivesMove) {
 std::size_t expect_same_portion(const gst::DistributedGst& built,
                                 const gst::DistributedGst& rebuilt,
                                 const std::string& what) {
-  EXPECT_EQ(rebuilt.local_to_global, built.local_to_global) << what;
   EXPECT_EQ(rebuilt.stats.local_suffixes, built.stats.local_suffixes) << what;
   EXPECT_EQ(rebuilt.stats.local_buckets, built.stats.local_buckets) << what;
   const SuffixTree& a = *built.tree;
@@ -289,8 +275,7 @@ std::size_t expect_same_portion(const gst::DistributedGst& built,
     EXPECT_TRUE(same) << what << ": suffix " << i;
     if (!same) return 0;
   }
-  const gst::PairGenParams gp{.doubled_input = true,
-                              .global_ids = &built.local_to_global};
+  const gst::PairGenParams gp{.doubled_input = true};
   const auto pairs = PairGenerator::generate_all(a, gp);
   EXPECT_EQ(pairs, PairGenerator::generate_all(b, gp)) << what;
   return pairs.size();

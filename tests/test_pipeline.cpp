@@ -421,12 +421,11 @@ TEST(Pipeline, ObsDirParallelTracesMasterAndWorkers) {
   // Per-rank tracks exist for the master and at least one worker.
   EXPECT_NE(trace.find("\"name\":\"rank 0\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"rank 1\""), std::string::npos);
-  // Every worker spans its GST build and its generator setup; the text
-  // arrives in one shipment, with no fetch rounds.
+  // Every worker spans its GST build and its generator setup. Its tree
+  // indexes the shared store, so no text travels and no ids are remapped.
   for (int rank = 1; rank < params.ranks; ++rank) {
     for (const auto& [name, cat] :
-         {std::pair{"assign_local_ids", "gst"}, std::pair{"ship_text", "gst"},
-          std::pair{"build_subtrees", "gst"},
+         {std::pair{"redistribute", "gst"}, std::pair{"build_subtrees", "gst"},
           std::pair{"pairgen_setup", "cluster"}}) {
       EXPECT_NE(trace.find("\"name\":\"" + std::string(name) +
                            "\",\"cat\":\"" + cat + "\",\"pid\":1,\"tid\":" +
@@ -435,8 +434,16 @@ TEST(Pipeline, ObsDirParallelTracesMasterAndWorkers) {
           << name << " on rank " << rank;
     }
   }
-  EXPECT_EQ(trace.find("\"name\":\"fetch_round\""), std::string::npos);
   const auto metrics = slurp(std::filesystem::path(dir) / "metrics.jsonl");
+  for (const char* gone : {"fetch_round", "assign_local_ids", "ship_text"}) {
+    EXPECT_EQ(trace.find("\"name\":\"" + std::string(gone) + "\""),
+              std::string::npos)
+        << gone;
+  }
+  for (const char* gone : {"mem.gst_text_bytes", "gst.fetched_fragments"}) {
+    EXPECT_EQ(metrics.find(gone), std::string::npos) << gone;
+    EXPECT_EQ(trace.find(gone), std::string::npos) << gone;
+  }
   EXPECT_NE(metrics.find("\"name\":\"vmpi.msgs_sent\""), std::string::npos);
   EXPECT_NE(metrics.find("\"name\":\"vmpi.send_bytes\""), std::string::npos);
   EXPECT_NE(metrics.find("\"name\":\"cluster.pairs_aligned\""),
@@ -460,8 +467,8 @@ TEST(Pipeline, ObsDirParallelTracesMasterAndWorkers) {
   for (const auto& [name, field] : counters) {
     EXPECT_EQ(counter_total(metrics, name), stat_total(result, field)) << name;
   }
-  // The memory ledger: every rank's GST suffix, node and text bytes, and
-  // the process's peak RSS at the end of each phase. A suffix is 4 bytes.
+  // The memory ledger: every rank's GST suffix and node bytes, and the
+  // process's peak RSS at the end of each phase. A suffix is 4 bytes.
   const auto suffixes = values_by_rank(metrics, "gst.local_suffixes");
   const auto suffix_bytes = values_by_rank(metrics, "mem.gst_suffix_bytes");
   ASSERT_EQ(suffixes.size(), 4u);
@@ -472,13 +479,6 @@ TEST(Pipeline, ObsDirParallelTracesMasterAndWorkers) {
         << "rank " << rank;
   }
   EXPECT_EQ(values_by_rank(metrics, "mem.gst_node_bytes").size(), 4u);
-  const auto text_bytes = values_by_rank(metrics, "mem.gst_text_bytes");
-  EXPECT_EQ(text_bytes.size(), 4u);
-  for (const auto& [rank, n] : suffixes) {
-    if (n > 0) {
-      EXPECT_GT(text_bytes.at(rank), 0) << "rank " << rank;
-    }
-  }
   for (const char* phase : {"preprocess", "cluster", "assembly"}) {
     EXPECT_NE(metrics.find("\"name\":\"mem.peak_rss_mb\",\"rank\":-1,"
                            "\"phase\":\"" + std::string(phase) + "\""),
