@@ -15,6 +15,7 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/cluster_protocol.hpp"
 #include "core/cluster_scheduler.hpp"
@@ -30,12 +31,6 @@
 namespace pgasm::core {
 
 namespace {
-
-// Stash keys for per-rank phase-boundary results (Comm::stash_value).
-// These ride the exit blob on the proc transport, so they must be
-// trivially copyable values, not pointers into rank memory.
-constexpr std::uint32_t kStashGstBusy = 0x6762;   // "gb": double, ledger busy
-constexpr std::uint32_t kStashGstWall = 0x6777;   // "gw": double, wall secs
 
 // The pump below implements the MasterState machine declared in
 // cluster_protocol.hpp (kMasterTransitions); the [MasterState::k*] markers
@@ -445,13 +440,17 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
   const seq::FragmentStore doubled = seq::make_doubled_store(fragments);
 
   MasterScheduler sched(doubled, params, num_ranks);
-  sched.input_hash = cluster_input_hash(fragments);
+  if (!params.checkpoint_path.empty())
+    sched.input_hash = cluster_input_hash(fragments);
   sched.params_hash = cluster_params_hash(params);
   if (resume) {
     if (const char* why = checkpoint_mismatch(*resume, fragments, params))
       throw std::invalid_argument(why);
   }
 
+  // Max over ranks of the GST phase's ledger busy and wall seconds; only
+  // rank 0, which runs in this process under both transports, writes them.
+  double gst_busy = 0, gst_wall = 0;
   util::WallTimer total_timer;
   vmpi::Runtime rt(num_ranks, params.transport, cost_params, faults);
   result.cost = rt.run([&](vmpi::Comm& comm) {
@@ -462,14 +461,16 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
     gp.exclude_rank0 = true;
     auto dist = gst::build_distributed_gst(comm, doubled, gp);
     comm.barrier();
-    // Phase-boundary results travel through the stash, not captured
-    // vectors: on the proc transport each rank is a forked child whose
-    // memory writes the driver never sees. A rank that dies mid-run
-    // simply never stashes — the driver reads defaults for it.
-    comm.stash_value(kStashGstBusy, comm.ledger().busy_seconds());
-    comm.stash_value(kStashGstWall, phase_timer.elapsed());
-
+    // Reduced after the barrier, so rank 0 barely waits in its untraced
+    // receives. Faults act on the user channel only, so every rank
+    // contributes before any crash can fire.
+    const auto gst_max = comm.reduce_vector(
+        std::vector<double>{comm.ledger().busy_seconds(),
+                            phase_timer.elapsed()},
+        0, [](double a, double b) { return std::max(a, b); });
     if (comm.rank() == 0) {
+      gst_busy = gst_max[0];
+      gst_wall = gst_max[1];
       master_loop(comm, params, sched, resume);
     } else {
       worker_loop(comm, params, gp, doubled, dist, resume);
@@ -494,18 +495,10 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
   stats.pairs_skipped_resume = sched.pairs_skipped_resume;
   stats.resumed_from_epoch = sched.resumed_from_epoch;
 
-  double gst_model = 0, total_model = 0;
-  for (int rk = 0; rk < num_ranks; ++rk) {
-    gst_model = std::max(
-        gst_model,
-        result.cost.stash_value<double>(rk, kStashGstBusy).value_or(0.0));
-    total_model = std::max(total_model, result.cost.per_rank[rk].busy_seconds());
-    stats.gst_seconds = std::max(
-        stats.gst_seconds,
-        result.cost.stash_value<double>(rk, kStashGstWall).value_or(0.0));
-  }
-  stats.gst_modeled_seconds = gst_model;
-  stats.cluster_modeled_seconds = std::max(0.0, total_model - gst_model);
+  stats.gst_seconds = gst_wall;
+  stats.gst_modeled_seconds = gst_busy;
+  stats.cluster_modeled_seconds =
+      std::max(0.0, result.cost.modeled_parallel_seconds() - gst_busy);
   stats.cluster_seconds = std::max(0.0, total_wall - stats.gst_seconds);
 
   // Publish the clustering counters into the metrics registry (rank 0 owns

@@ -335,15 +335,15 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
       return out;
     };
     if (params.ranks >= 2 && n_assemble > 0) {
-      // Clusters are sorted by decreasing size; round-robin over ranks is
-      // an LPT-style balance. Results ship to rank 0 serialized.
+      // Clusters are sorted by decreasing size and dealt round-robin over
+      // ranks. Results ship to rank 0 serialized.
       // Under the supervisor the chaos fault plan reaches this phase too
       // (first attempt only): a crashed or silenced worker surfaces as a
       // failed gather recv, and the retry reassembles everything clean.
       vmpi::Runtime rt(params.ranks, params.cluster.transport, params.cost,
                        sup.enabled() && attempt == 0 ? params.faults
                                                      : vmpi::FaultPlan{});
-      const auto cost = rt.run([&](vmpi::Comm& comm) {
+      rt.run([&](vmpi::Comm& comm) {
         std::vector<std::byte> outbox;
         {
           auto scope = comm.compute_scope();
@@ -376,8 +376,6 @@ PipelineResult run_pipeline(const seq::FragmentStore& raw,
           }
         }
       });
-      result.assembly_summary.assembly_modeled_seconds =
-          cost.modeled_parallel_seconds();
     } else {
       for (std::size_t ci = 0; ci < n_assemble; ++ci) {
         result.assemblies[ci] = assemble_one(ci, obs::kDriverTid);

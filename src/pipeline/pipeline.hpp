@@ -84,9 +84,6 @@ struct AssemblySummary {
   std::uint64_t n50 = 0;
   std::uint64_t consensus_bases = 0;
   double assembly_seconds = 0;
-  /// Modeled parallel time of the assembly phase when it ran distributed
-  /// (paper: CAP3 across 40 processors, "trivially parallelized").
-  double assembly_modeled_seconds = 0;
 };
 
 struct PipelineResult {

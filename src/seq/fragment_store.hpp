@@ -150,24 +150,10 @@ class FragmentStore {
   std::uint32_t max_length_ = 0;
 };
 
-/// Input view for the suffix-tree / pair-generation machinery. The paper
-/// builds the GST on all fragments *and their reverse complements* (Section
-/// 5); this helper materializes that doubled collection: sequence 2*i is
-/// fragment i forward, 2*i+1 is its reverse complement.
-struct DoubledView {
-  /// id in the doubled space -> underlying fragment.
-  static FragmentId fragment_of(std::uint32_t doubled_id) noexcept {
-    return doubled_id >> 1;
-  }
-  /// true if the doubled id refers to the reverse-complement strand.
-  static bool is_rc(std::uint32_t doubled_id) noexcept {
-    return (doubled_id & 1u) != 0;
-  }
-  static std::uint32_t forward_id(FragmentId f) noexcept { return f << 1; }
-  static std::uint32_t rc_id(FragmentId f) noexcept { return (f << 1) | 1u; }
-};
-
-/// Materialize the doubled store (forward + reverse complement per fragment).
+/// Materialize the doubled store the suffix-tree / pair-generation
+/// machinery reads. The paper builds the GST on all fragments *and their
+/// reverse complements* (Section 5): sequence 2*i is fragment i forward,
+/// 2*i+1 is its reverse complement.
 FragmentStore make_doubled_store(const FragmentStore& in);
 
 }  // namespace pgasm::seq

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/deterministic.hpp"
 #include "vmpi/transport.hpp"
 
 namespace pgasm::vmpi {
@@ -51,16 +50,6 @@ std::uint64_t RunCost::total_msgs() const noexcept {
   std::uint64_t sum = 0;
   for (const auto& r : per_rank) sum += r.msgs_sent;
   return sum;
-}
-
-double RunCost::avg_idle_fraction() const noexcept {
-  if (per_rank.empty()) return 0;
-  const double makespan = modeled_parallel_seconds();
-  if (makespan <= 0) return 0;
-  const double idle = util::ordered_reduce(per_rank, [&](const RankLedger& r) {
-    return (makespan - r.busy_seconds()) / makespan;
-  });
-  return idle / static_cast<double>(per_rank.size());
 }
 
 }  // namespace pgasm::vmpi

@@ -18,12 +18,7 @@
 // so benches can explore sensitivity (e.g. model BlueGene/L-class links).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <map>
-#include <optional>
-#include <type_traits>
 #include <vector>
 
 namespace pgasm::vmpi {
@@ -90,39 +85,15 @@ struct FaultStats {
   std::uint64_t ranks_failed = 0;       ///< ranks marked dead during the run
 };
 
-/// Small result blobs a rank ships back to the driver (Comm::stash_put).
-using StashMap = std::map<std::uint32_t, std::vector<std::byte>>;
-
 /// Aggregate view over all ranks of a finished run.
 struct RunCost {
   std::vector<RankLedger> per_rank;
   FaultStats faults;
-  /// stash[r] = rank r's Comm::stash_put blobs. Works identically on both
-  /// transports (the proc transport ships them in the rank's exit blob);
-  /// a rank that died mid-run leaves its map empty.
-  std::vector<StashMap> stash;
-
-  /// Typed view of one stashed blob; nullopt when the rank never stashed
-  /// the key (e.g. it crashed) or the size does not match T.
-  template <typename T>
-  std::optional<T> stash_value(int rank, std::uint32_t key) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (rank < 0 || static_cast<std::size_t>(rank) >= stash.size())
-      return std::nullopt;
-    const auto& m = stash[static_cast<std::size_t>(rank)];
-    const auto it = m.find(key);
-    if (it == m.end() || it->second.size() != sizeof(T)) return std::nullopt;
-    T v;
-    std::memcpy(&v, it->second.data(), sizeof(T));
-    return v;
-  }
 
   double modeled_parallel_seconds() const noexcept;
   double max_comm_seconds() const noexcept;
   std::uint64_t total_bytes() const noexcept;
   std::uint64_t total_msgs() const noexcept;
-  /// Average fraction of the modeled makespan each rank spends not busy.
-  double avg_idle_fraction() const noexcept;
 };
 
 }  // namespace pgasm::vmpi

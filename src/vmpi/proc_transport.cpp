@@ -341,14 +341,14 @@ void ProcTransport::crash_self(int self, const std::string& why) {
 
 // --------------------------------------------------------------------------
 // Exit blobs: everything a child rank ships back to the parent — its cost
-// ledger, stash, error (if any), and its obs state as *deltas* against a
+// ledger, error (if any), and its obs state as *deltas* against a
 // baseline captured right after fork (the child inherited the parent's
 // rings and registry, so shipping absolutes would double count).
 
 namespace {
 
 constexpr std::uint32_t kBlobMagic = 0x42565047;  // "PGVB"
-constexpr std::uint32_t kBlobVersion = 1;
+constexpr std::uint32_t kBlobVersion = 2;
 constexpr std::uint32_t kNoString = 0xffffffff;
 
 enum class ExitKind : std::uint8_t {
@@ -604,12 +604,6 @@ void write_exit_blob(const std::string& dir, int rank, const Comm& comm,
   put_u64(b, l.bytes_recv);
   put_f64(b, l.compute_seconds);
   put_f64(b, l.comm_seconds);
-  put_u32(b, static_cast<std::uint32_t>(comm.stash().size()));
-  for (const auto& [key, bytes] : comm.stash()) {
-    put_u32(b, key);
-    put_u64(b, bytes.size());
-    b.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  }
   append_trace_section(b, base);
   append_metrics_section(b, base);
 
@@ -630,7 +624,7 @@ struct ChildError {
 /// Parse rank's exit blob (if present) into the run's merged cost, the
 /// global tracer/registry, and the per-rank error slot. A missing or
 /// corrupt blob means the rank died without unwinding (SIGKILL) — its
-/// ledger and stash are simply lost, like a crashed machine's.
+/// ledger is simply lost, like a crashed machine's.
 void merge_exit_blob(const std::string& dir, int rank, RunCost* cost,
                      ChildError* error) {
   std::string b;
@@ -655,23 +649,8 @@ void merge_exit_blob(const std::string& dir, int rank, RunCost* cost,
   ledger.bytes_recv = r.u64();
   ledger.compute_seconds = r.f64();
   ledger.comm_seconds = r.f64();
-
-  StashMap stash;
-  const std::uint32_t stash_count = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < stash_count; ++i) {
-    const std::uint32_t key = r.u32();
-    const std::uint64_t len = r.u64();
-    if (!r.ok || b.size() - r.off < len) {
-      r.ok = false;
-      break;
-    }
-    auto& slot = stash[key];
-    slot.resize(static_cast<std::size_t>(len));
-    r.take(slot.data(), static_cast<std::size_t>(len));
-  }
   if (!r.ok) return;
   cost->per_rank[static_cast<std::size_t>(rank)] = ledger;
-  cost->stash[static_cast<std::size_t>(rank)] = std::move(stash);
 
   // Trace events: align child timestamps onto the parent's epoch and
   // re-record into the parent's rings. Epochs are normally identical (the
@@ -945,9 +924,7 @@ RunCost Runtime::run_proc(const std::function<void(Comm&)>& body) {
 
   RunCost cost;
   cost.per_rank.resize(static_cast<std::size_t>(p));
-  cost.stash.resize(static_cast<std::size_t>(p));
   cost.per_rank[0] = comm0.ledger();
-  cost.stash[0] = std::move(comm0.stash_);
 
   std::vector<ChildError> errors(static_cast<std::size_t>(p));
   for (int r = 1; r < p; ++r) {

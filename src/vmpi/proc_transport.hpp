@@ -3,7 +3,7 @@
 // ring per ordered rank pair. Rank 0 runs on the parent's calling thread —
 // driver-visible state its body mutates (scheduler bookkeeping, result
 // collection) must survive the run, and only rank 0's mutations are read
-// by drivers. Ranks 1..p-1 fork; each child ships its cost ledger, stash,
+// by drivers. Ranks 1..p-1 fork; each child ships its cost ledger,
 // metric deltas and trace events back in a per-rank exit blob that the
 // parent merges after reaping.
 //

@@ -436,7 +436,6 @@ RunCost Runtime::run_threads(const std::function<void(Comm&)>& body) {
 
   RunCost cost;
   cost.per_rank.resize(static_cast<std::size_t>(p));
-  cost.stash.resize(static_cast<std::size_t>(p));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(p));
   util::Mutex error_mu;
@@ -464,7 +463,6 @@ RunCost Runtime::run_threads(const std::function<void(Comm&)>& body) {
         tp.abort_all();
       }
       cost.per_rank[static_cast<std::size_t>(r)] = comm.ledger();
-      cost.stash[static_cast<std::size_t>(r)] = std::move(comm.stash_);
     });
   }
   for (auto& t : threads) t.join();

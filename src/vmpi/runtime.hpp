@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -207,29 +206,6 @@ class Comm {
 
   /// Which transport this rank is running over.
   TransportKind transport_kind() const noexcept { return transport_->kind(); }
-
-  // --- result stash ------------------------------------------------------
-
-  /// Ship a small result blob back to the driver: it lands in
-  /// RunCost::stash[rank()][key] after the run. On the thread transport
-  /// this is a plain copy; on the proc transport the bytes ride the rank's
-  /// exit blob across the process boundary — which is the whole point:
-  /// lambda-captured writes from a rank body are invisible to the driver
-  /// once ranks are real processes, stashed bytes are not. Last put per key
-  /// wins. Lost if the rank dies (crash) before finishing.
-  void stash_put(std::uint32_t key, const void* data, std::size_t n) {
-    auto& slot = stash_[key];
-    slot.resize(n);
-    copy_bytes(slot.data(), data, n);
-  }
-
-  template <typename T>
-  void stash_value(std::uint32_t key, const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    stash_put(key, &v, sizeof(T));
-  }
-
-  const StashMap& stash() const noexcept { return stash_; }
 
   // --- typed convenience wrappers ---------------------------------------
 
@@ -428,7 +404,6 @@ class Comm {
   std::int64_t collective_seq_ = 0;
   std::uint64_t user_send_seq_ = 0;  ///< 1-based index of user-channel sends
   RankLedger ledger_;
-  StashMap stash_;  ///< collected into RunCost::stash after the run
 
   // Observability handles, cached once at construction so hot paths pay a
   // single null check when tracing is off (all null then). The ring mutex
@@ -471,7 +446,7 @@ class Runtime {
   RunCost run_threads(const std::function<void(Comm&)>& body);
   /// Defined in proc_transport.cpp: forks one child per non-zero rank (rank
   /// 0 runs on the caller's thread so driver-visible state it mutates
-  /// survives), monitors children, merges ledgers/stash/obs blobs.
+  /// survives), monitors children, merges ledgers and obs blobs.
   RunCost run_proc(const std::function<void(Comm&)>& body);
   /// Publish the run's ledgers + fault stats into the metrics registry.
   void publish_cost(const RunCost& cost) const;

@@ -257,7 +257,6 @@ TEST(Pipeline, ParallelAssemblyMatchesSerial) {
     return out;
   };
   EXPECT_EQ(all_contigs(serial), all_contigs(parallel));
-  EXPECT_GT(parallel.assembly_summary.assembly_modeled_seconds, 0.0);
 }
 
 TEST(Pipeline, GlobalScaffoldsBridgeGaps) {

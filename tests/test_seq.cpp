@@ -176,11 +176,6 @@ TEST(FragmentStore, DoubledStoreLayout) {
   EXPECT_EQ(doubled.to_ascii(1), "CGTT");  // revcomp of AACG
   EXPECT_EQ(doubled.to_ascii(2), "TTGC");
   EXPECT_EQ(doubled.to_ascii(3), "GCAA");
-  EXPECT_EQ(seq::DoubledView::fragment_of(3), 1u);
-  EXPECT_TRUE(seq::DoubledView::is_rc(3));
-  EXPECT_FALSE(seq::DoubledView::is_rc(2));
-  EXPECT_EQ(seq::DoubledView::forward_id(1), 2u);
-  EXPECT_EQ(seq::DoubledView::rc_id(1), 3u);
 }
 
 TEST(Fasta, RoundTrip) {

@@ -1,17 +1,20 @@
 // Tests for the multi-process vmpi transport: real forked rank processes
 // over shared-memory rings must reproduce the thread transport's semantics
 // (point-to-point, ssend rendezvous, collectives, liveness, faults) while
-// adding the things only real processes exercise — stash shipping across
-// the process boundary, ledger/obs merge from exit blobs, streaming
-// messages bigger than a ring, and real SIGKILL crash injection.
+// adding the things only real processes exercise — ledger/obs merge from
+// exit blobs, streaming messages bigger than a ring, and real SIGKILL crash
+// injection.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <numeric>
 #include <vector>
 
+#include "core/parallel_cluster.hpp"
+#include "core/serial_cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "test_helpers.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace pgasm {
@@ -55,20 +58,23 @@ TEST(ProcTransport, PointToPointRing) {
 }
 
 TEST(ProcTransport, RanksAreRealProcesses) {
-  // Each rank reports its pid through the stash; with forked ranks all
-  // pids must be distinct and only rank 0's equals the parent's.
+  // Each rank sends its pid to rank 0, which runs in this process and so
+  // can write the captured vector; with forked ranks all pids must be
+  // distinct and only rank 0's equals the parent's.
   const int p = 4;
   const pid_t parent = ::getpid();
   Runtime rt(p, "proc");
-  const auto cost = rt.run([](Comm& c) {
-    c.stash_value<std::int64_t>(1, static_cast<std::int64_t>(::getpid()));
+  std::vector<std::int64_t> pids(p, 0);
+  rt.run([&pids](Comm& c) {
+    const auto pid = static_cast<std::int64_t>(::getpid());
+    if (c.rank() != 0) {
+      c.send_value(0, 1, pid);
+      return;
+    }
+    pids[0] = pid;
+    for (int r = 1; r < c.size(); ++r)
+      pids[static_cast<std::size_t>(r)] = c.recv_value<std::int64_t>(r, 1);
   });
-  std::vector<std::int64_t> pids;
-  for (int r = 0; r < p; ++r) {
-    const auto pid = cost.stash_value<std::int64_t>(r, 1);
-    ASSERT_TRUE(pid.has_value()) << "rank " << r;
-    pids.push_back(*pid);
-  }
   EXPECT_EQ(pids[0], static_cast<std::int64_t>(parent));
   std::sort(pids.begin(), pids.end());
   EXPECT_EQ(std::unique(pids.begin(), pids.end()), pids.end());
@@ -168,7 +174,6 @@ TEST(ProcTransport, CrashIsARealSigkillAndSurvivorsContinue) {
   faults.crashes.push_back({/*rank=*/2, /*at_send=*/1});
   Runtime rt(p, "proc", vmpi::CostParams{}, faults);
   const auto cost = rt.run([](Comm& c) {
-    c.stash_value<int>(9, 1);  // stashed before any send — lost on SIGKILL
     const int to = (c.rank() + 1) % c.size();
     c.send_value(to, 3, c.rank());
     if (c.rank() == 2) return;  // unreachable: the send above kills rank 2
@@ -184,10 +189,9 @@ TEST(ProcTransport, CrashIsARealSigkillAndSurvivorsContinue) {
   });
   EXPECT_EQ(cost.faults.crashes_injected, 1u);
   EXPECT_EQ(cost.faults.ranks_failed, 1u);
-  // The SIGKILLed rank shipped nothing back: no ledger, no stash.
+  // The SIGKILLed rank shipped nothing back; a survivor's ledger arrived.
   EXPECT_EQ(cost.per_rank[2].msgs_sent, 0u);
-  EXPECT_FALSE(cost.stash_value<int>(2, 9).has_value());
-  EXPECT_TRUE(cost.stash_value<int>(1, 9).has_value());
+  EXPECT_EQ(cost.per_rank[1].msgs_sent, 1u);
 }
 
 TEST(ProcTransport, RecvFromDeadRankFailsFast) {
@@ -289,6 +293,48 @@ TEST(ProcTransport, ContigLevelDeterminismVsThread) {
   const auto via_proc = compute("proc");
   ASSERT_EQ(via_thread.size(), 200u);
   EXPECT_EQ(via_thread, via_proc);
+}
+
+TEST(ProcTransport, GstPhaseCostsReachTheDriver) {
+  // Ranks 1..p-1 are forked children under "proc", so their GST costs can
+  // reach ClusterStats only by message: a reduce onto rank 0, which runs
+  // in this process under both transports.
+  util::Prng rng(1001);
+  const auto genome = test::random_dna(rng, 1200);
+  seq::FragmentStore store;
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t start = rng.below(genome.size() - 110);
+    store.add(std::vector<seq::Code>(genome.begin() + start,
+                                     genome.begin() + start + 110));
+  }
+  core::ClusterParams params;
+  params.psi = 12;
+  params.overlap.min_overlap = 30;
+  params.overlap.min_identity = 0.9;
+  params.overlap.band = 8;
+  params.batch_size = 16;
+  // Label each fragment by the first fragment of its set, so equal vectors
+  // mean equal partitions.
+  const auto first_member = [](const util::UnionFind& uf) {
+    const auto labels = uf.labels();
+    std::vector<std::uint32_t> first(labels.size(), ~0u), out;
+    for (std::uint32_t x = 0; x < labels.size(); ++x) {
+      if (first[labels[x]] == ~0u) first[labels[x]] = x;
+      out.push_back(first[labels[x]]);
+    }
+    return out;
+  };
+  const auto expected =
+      first_member(core::cluster_serial(store, params).clusters);
+  for (const char* transport : {"thread", "proc"}) {
+    SCOPED_TRACE(transport);
+    params.transport = transport;
+    const auto r = core::cluster_parallel(store, params, 3);
+    EXPECT_GT(r.stats.gst_seconds, 0.0);
+    EXPECT_GT(r.stats.gst_modeled_seconds, 0.0);
+    EXPECT_LE(r.stats.gst_modeled_seconds, r.cost.modeled_parallel_seconds());
+    EXPECT_EQ(first_member(r.clusters), expected);
+  }
 }
 
 }  // namespace

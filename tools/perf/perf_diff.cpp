@@ -6,8 +6,9 @@
 //       --obs-out / PipelineParams::obs_dir; their attribution.json is
 //       compared) or BENCH_*.json files (bench/bench_util.hpp BenchJson).
 //   perf_diff --check-stitch <obs-dir-or-attribution.json>
-//       assert the trace analyzer stitched 100% of sends and dropped no
-//       events; exits 1 otherwise.
+//       assert the trace analyzer stitched 100% of sends, dropped no
+//       events, and left under 1% of the critical path in "(untracked)"
+//       steps (time no span covers); exits 1 otherwise.
 //
 // Options:
 //   --rel <frac>            relative regression threshold (default 0.25:
@@ -362,8 +363,37 @@ int check_stitch(const std::string& arg) {
                  coverage, total);
     return 1;
   }
-  std::printf("stitch check OK: coverage %.4f over %g sends, 0 dropped\n",
-              coverage, total);
+  // Critical-path time no span covers: at 1% or more, some phase's work
+  // runs outside every span and the path's attribution stops explaining it.
+  const Json* cp = a.find("critical_path");
+  const Json* steps = cp != nullptr ? cp->find("steps") : nullptr;
+  if (steps == nullptr || cp->find("total_us") == nullptr) {
+    std::fprintf(stderr, "perf_diff: no \"critical_path\" steps in %s\n",
+                 attribution_path(arg).c_str());
+    return 2;
+  }
+  const double path_us = cp->find("total_us")->number_or(0);
+  double untracked_us = 0;
+  for (const Json& st : steps->arr) {
+    const Json* name = st.find("name");
+    const Json* start = st.find("start_us");
+    const Json* end = st.find("end_us");
+    if (name == nullptr || name->str != "(untracked)" || start == nullptr ||
+        end == nullptr)
+      continue;
+    untracked_us += end->number_or(0) - start->number_or(0);
+  }
+  const double untracked = path_us > 0 ? untracked_us / path_us : 0;
+  if (untracked >= 0.01) {
+    std::fprintf(stderr,
+                 "stitch check FAILED: (untracked) is %.2f%% of the %g us "
+                 "critical path (limit 1%%)\n",
+                 100.0 * untracked, path_us);
+    return 1;
+  }
+  std::printf("stitch check OK: coverage %.4f over %g sends, 0 dropped, "
+              "(untracked) %.2f%% of the critical path\n",
+              coverage, total, 100.0 * untracked);
   return 0;
 }
 
@@ -575,7 +605,9 @@ int usage() {
                "usage: perf_diff [--rel F] [--floor-us US] [--floor V] "
                "[--scale-new X] [--allow-meta-mismatch] <old> <new>\n"
                "       perf_diff --check-stitch <obs-dir-or-attribution."
-               "json>\n");
+               "json>\n"
+               "           (fails below 100%% stitch coverage, on dropped "
+               "events, or at >= 1%% (untracked) critical path)\n");
   return 2;
 }
 
