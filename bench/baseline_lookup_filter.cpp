@@ -9,12 +9,12 @@
 // maximal match*, in decreasing match-length order, in O(N) space.
 //
 //   ./baseline_lookup_filter --bp 400000 --w 11
-#include "align/workspace.hpp"
 #include "bench_util.hpp"
+#include "core/overlap_engine.hpp"
+#include "core/serial_cluster.hpp"
 #include "gst/lookup_filter.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
-#include "util/union_find.hpp"
 
 using namespace pgasm;
 
@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
               util::fmt_count(pre.store.size()).c_str(),
               util::fmt_count(pre.store.total_length()).c_str());
 
-  const align::OverlapParams overlap{
+  core::ClusterParams cp;
+  cp.overlap = {
       .scoring = {}, .min_overlap = 40, .min_identity = 0.93, .band = 10};
 
   struct Run {
@@ -55,6 +56,22 @@ int main(int argc, char** argv) {
   };
   std::vector<Run> runs;
 
+  // Fig. 3 over one filter's pair stream: align a pair only while its
+  // fragments are in different clusters, merge on an accepted overlap.
+  const auto cluster = [&](auto& filter, Run& run) {
+    core::ClusterFold fold(doubled, cp);
+    core::OverlapEngine engine(doubled, cp.overlap);
+    gst::PromisingPair p;
+    while (filter.next(p)) {
+      const core::PairMsg pm{p.seq_a, p.pos_a, p.seq_b, p.pos_b,
+                             p.match_len};
+      if (fold.admit(pm)) fold.fold(engine.align_pair(pm));
+    }
+    run.pairs = fold.generated;
+    run.aligned = fold.selected;
+    run.clusters = fold.uf.num_sets();
+  };
+
   // --- GST maximal-match generator (the paper's filter) -------------------
   {
     Run run{.name = "GST maximal matches (psi=" + std::to_string(psi) + ")"};
@@ -62,22 +79,9 @@ int main(int argc, char** argv) {
     gst::SuffixTree tree(doubled,
                          gst::GstParams{.min_match = psi, .prefix_w = 0});
     gst::PairGenerator gen(tree, {.dup_elim = true, .doubled_input = true});
-    util::UnionFind uf(pre.store.size());
-    gst::PromisingPair p;
-    align::Workspace ws;
-    while (gen.next(p)) {
-      ++run.pairs;
-      const std::uint32_t fa = p.seq_a >> 1, fb = p.seq_b >> 1;
-      if (uf.same(fa, fb)) continue;
-      ++run.aligned;
-      if (core::pair_overlaps(doubled, p.seq_a, p.pos_a, p.seq_b, p.pos_b,
-                              overlap, ws)) {
-        uf.unite(fa, fb);
-      }
-    }
+    cluster(gen, run);
     run.memory = tree.memory_bytes() + gen.memory_bytes();
     run.seconds = timer.elapsed();
-    run.clusters = uf.num_sets();
     runs.push_back(run);
   }
 
@@ -88,22 +92,9 @@ int main(int argc, char** argv) {
     util::WallTimer timer;
     gst::LookupFilter filter(
         doubled, {.w = w, .doubled_input = true, .dedup_per_word = dedup});
-    util::UnionFind uf(pre.store.size());
-    gst::PromisingPair p;
-    align::Workspace ws;
-    while (filter.next(p)) {
-      ++run.pairs;
-      const std::uint32_t fa = p.seq_a >> 1, fb = p.seq_b >> 1;
-      if (uf.same(fa, fb)) continue;
-      ++run.aligned;
-      if (core::pair_overlaps(doubled, p.seq_a, p.pos_a, p.seq_b, p.pos_b,
-                              overlap, ws)) {
-        uf.unite(fa, fb);
-      }
-    }
+    cluster(filter, run);
     run.memory = filter.stats().table_bytes;
     run.seconds = timer.elapsed();
-    run.clusters = uf.num_sets();
     runs.push_back(run);
     if (!dedup && !filter.stats().top_words.empty()) {
       // Where the duplicate volume comes from: the handful of words that

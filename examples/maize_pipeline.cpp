@@ -108,8 +108,6 @@ int main(int argc, char** argv) {
   std::printf("alignments saved:         %s\n",
               util::fmt_percent(st.savings_fraction()).c_str());
   if (ranks >= 2) {
-    std::printf("modeled time:             GST %.3f s + clustering %.3f s\n",
-                st.gst_modeled_seconds, st.cluster_modeled_seconds);
     std::printf("master availability:      %s\n",
                 util::fmt_percent(st.master_availability).c_str());
   }

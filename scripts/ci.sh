@@ -339,6 +339,9 @@ verify() {
   for n in 1 2 3; do
     ./build/tools/verify/pgasm-model --workers="$n" --drops=2 --crashes=1
   done
+  # Two crashes: both workers can die, each with or without a report
+  # queued, and the all-lost abort is reached.
+  ./build/tools/verify/pgasm-model --workers=2 --drops=0 --crashes=2
 
   echo "-- pgasm-model: every seeded protocol bug must be caught (exit 1)"
   # Each bug at its fixture configuration (workers drops crashes; the
@@ -346,7 +349,8 @@ verify() {
   local fx bug w d c
   for fx in "no-retransmit 1 1 0" "no-cached-reply 2 1 0" \
             "no-park-reply 2 0 0" "undeclared-recv 2 0 0" \
-            "no-final-abort 1 0 1" "no-drain-reply 2 1 0"; do
+            "no-final-abort 1 0 1" "no-drain-reply 2 1 0" \
+            "reap-queued-report 1 0 1"; do
     read -r bug w d c <<<"$fx"
     if ./build/tools/verify/pgasm-model --bug="$bug" --workers="$w" \
          --drops="$d" --crashes="$c" >/dev/null; then

@@ -84,7 +84,7 @@ void validate_cluster_params(const ClusterParams& params);
 
 struct ClusterStats {
   std::uint64_t pairs_generated = 0;  ///< promising pairs produced
-  std::uint64_t pairs_aligned = 0;    ///< selected for alignment
+  std::uint64_t pairs_aligned = 0;    ///< alignment outcomes folded
   std::uint64_t pairs_accepted = 0;   ///< passed the overlap test
   std::uint64_t merges = 0;           ///< cluster unions performed
   /// Accepted overlaps refused because their implied placement conflicts

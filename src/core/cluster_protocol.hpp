@@ -178,8 +178,7 @@ inline constexpr MasterTransition kMasterTransitions[] = {
     {MasterState::kProbe, MasterState::kTerminate,
      "remaining == 0 after reaping (all terminated or dead)"},
     {MasterState::kFold, MasterState::kDispatch,
-     "report folded (a reaped worker's late one included) or duplicate "
-     "re-answered"},
+     "live worker's report folded or duplicate re-answered"},
     {MasterState::kDispatch, MasterState::kCheckpoint,
      "checkpoint cadence reached"},
     {MasterState::kDispatch, MasterState::kProbe, "reporter answered"},

@@ -9,7 +9,8 @@ namespace pgasm::core {
 
 MasterScheduler::MasterScheduler(const seq::FragmentStore& doubled,
                                  const ClusterParams& params, int p)
-    : params_(params),
+    : fold(doubled, params),
+      params_(params),
       p_(p),
       n_fragments_(doubled.size() / 2),
       // Section 7.2: keep the master's message arrival rate roughly constant
@@ -21,7 +22,6 @@ MasterScheduler::MasterScheduler(const seq::FragmentStore& doubled,
                                     std::max(1, (p - 1) / 4)),
                             kNewPairsBuf)
                  : params.batch_size) {
-  uf.reset(n_fragments_);
   owed.assign(p, 0);
   exhausted.assign(p, 0);
   alive.assign(p, 1);
@@ -33,10 +33,6 @@ MasterScheduler::MasterScheduler(const seq::FragmentStore& doubled,
   for (int w = 1; w < p; ++w) role_owner[w] = w;
   active_workers = p - 1;
   remaining = p - 1;
-  if (params.resolve_inconsistent) {
-    resolver_ = std::make_unique<ConsistencyResolver>(
-        doubled, params.overlap, params.placement_tolerance);
-  }
 }
 
 void MasterScheduler::restore(const ClusterCheckpoint& ck) {
@@ -49,17 +45,17 @@ void MasterScheduler::restore(const ClusterCheckpoint& ck) {
   // The wire decoder already validates label ranges for checkpoints read
   // from disk; from_labels re-checks because restore also accepts
   // hand-built checkpoints from callers and tests.
-  uf = util::UnionFind::from_labels(ck.labels);
+  fold.uf = util::UnionFind::from_labels(ck.labels);
   pending.assign(ck.pending.begin(), ck.pending.end());
   // Resume the stats counters where the checkpoint left them, so a resumed
   // run reports totals for the whole logical run (the counters stay
   // consistent: selected - aligned == |pending incl. in-flight|).
-  generated = ck.pairs_generated;
-  selected = ck.pairs_selected;
-  aligned = ck.pairs_aligned;
-  accepted = ck.pairs_accepted;
-  merges = ck.merges;
-  rejected_inconsistent = ck.merges_rejected_inconsistent;
+  fold.generated = ck.pairs_generated;
+  fold.selected = ck.pairs_selected;
+  fold.aligned = ck.pairs_aligned;
+  fold.accepted = ck.pairs_accepted;
+  fold.merges = ck.merges;
+  fold.rejected_inconsistent = ck.merges_rejected_inconsistent;
   if (static_cast<int>(ck.num_ranks) == p_) {
     // Same topology: fast-forward each role's generator past the pairs the
     // master had already received. Workers read the same checkpoint.
@@ -81,10 +77,11 @@ void MasterScheduler::restore(const ClusterCheckpoint& ck) {
 std::uint32_t MasterScheduler::compute_r() const {
   // Request as many pairs as needed so that ~batch of them are expected to
   // be selected, without overflowing Pending_Work_Buf.
-  const double rate = generated == 0
-                          ? 1.0
-                          : std::max(0.02, static_cast<double>(selected) /
-                                               static_cast<double>(generated));
+  const double rate =
+      fold.generated == 0
+          ? 1.0
+          : std::max(0.02, static_cast<double>(fold.selected) /
+                               static_cast<double>(fold.generated));
   const std::uint64_t want = static_cast<std::uint64_t>(batch_ / rate);
   const std::uint64_t room =
       pending.size() >= kPendingWorkBuf
@@ -175,41 +172,10 @@ void MasterScheduler::fold_report(int w, const WorkerReport& report) {
     --active_workers;
   }
 
-  // Fold in alignment results (merge clusters).
-  for (const ResultMsg& r : report.results) {
-    ++aligned;
-    if (!r.accepted) continue;
-    ++accepted;
-    if (resolver_ && !uf.same(r.frag_a, r.frag_b)) {
-      if (!resolver_->admit(r.frag_a, r.frag_b, r.rc_a != 0, r.rc_b != 0,
-                            r.delta)) {
-        ++rejected_inconsistent;
-        continue;
-      }
-    }
-    if (uf.unite(r.frag_a, r.frag_b)) ++merges;
-  }
-  // Admit only pairs whose fragments are still in different clusters.
+  for (const ResultMsg& r : report.results) fold.fold(r);
+  // Pending_Work_Buf takes only pairs whose fragments are still apart.
   for (const PairMsg& pm : report.new_pairs) {
-    ++generated;
-    const std::uint32_t fa = pm.seq_a >> 1;
-    const std::uint32_t fb = pm.seq_b >> 1;
-    if (uf.same(fa, fb)) continue;
-    pending.push_back(pm);
-    ++selected;
-  }
-}
-
-void MasterScheduler::fold_zombie_results(const WorkerReport& report) {
-  for (const ResultMsg& r : report.results) {
-    if (!r.accepted) continue;
-    if (resolver_ && !uf.same(r.frag_a, r.frag_b)) {
-      if (!resolver_->admit(r.frag_a, r.frag_b, r.rc_a != 0, r.rc_b != 0,
-                            r.delta)) {
-        continue;
-      }
-    }
-    if (uf.unite(r.frag_a, r.frag_b)) ++merges;
+    if (fold.admit(pm)) pending.push_back(pm);
   }
 }
 
@@ -236,7 +202,7 @@ ClusterCheckpoint MasterScheduler::build_checkpoint() {
   ck.n_fragments = static_cast<std::uint32_t>(n_fragments_);
   ck.input_hash = input_hash;
   ck.params_hash = params_hash;
-  ck.labels = uf.labels();
+  ck.labels = fold.uf.labels();
   ck.pending.assign(pending.begin(), pending.end());
   // In-flight batches are part of the recoverable pending set: their
   // results may never arrive if this run dies.
@@ -246,12 +212,12 @@ ClusterCheckpoint MasterScheduler::build_checkpoint() {
   for (int role = 1; role < p_; ++role)
     ck.progress.push_back(RoleProgress{static_cast<std::uint32_t>(role),
                                        role_done[role], role_pos[role]});
-  ck.pairs_generated = generated;
-  ck.pairs_selected = selected;
-  ck.pairs_aligned = aligned;
-  ck.pairs_accepted = accepted;
-  ck.merges = merges;
-  ck.merges_rejected_inconsistent = rejected_inconsistent;
+  ck.pairs_generated = fold.generated;
+  ck.pairs_selected = fold.selected;
+  ck.pairs_aligned = fold.aligned;
+  ck.pairs_accepted = fold.accepted;
+  ck.merges = fold.merges;
+  ck.merges_rejected_inconsistent = fold.rejected_inconsistent;
   ++checkpoints_written;
   return ck;
 }

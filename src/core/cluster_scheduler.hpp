@@ -1,24 +1,22 @@
 // Master-side scheduling policy and recoverable state for the parallel
 // clustering loop (paper Section 7), split out of the coordinator. The
-// scheduler owns the union-find, Pending_Work_Buf, Idle_Workers, the
-// fault-tolerance bookkeeping (in-flight batches, generation roles,
-// liveness flags) and every policy decision — batch sizing, the pair
-// request quantity r, dispatch/park/terminate choices, death bookkeeping,
-// checkpoint assembly. It never touches the communicator: the coordinator
-// (parallel_cluster.cpp) moves messages via cluster_protocol.* and asks
-// this class what to send.
+// scheduler owns the Fig. 3 fold (union-find and counters),
+// Pending_Work_Buf, Idle_Workers, the fault-tolerance bookkeeping
+// (in-flight batches, generation roles, liveness flags) and every policy
+// decision — batch sizing, the pair request quantity r,
+// dispatch/park/terminate choices, death bookkeeping, checkpoint assembly.
+// It never touches the communicator: the coordinator (parallel_cluster.cpp)
+// moves messages via cluster_protocol.* and asks this class what to send.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "core/cluster_params.hpp"
-#include "core/consistency.hpp"
+#include "core/serial_cluster.hpp"
 #include "core/wire.hpp"
 #include "seq/fragment_store.hpp"
-#include "util/union_find.hpp"
 
 namespace pgasm::core {
 
@@ -48,15 +46,9 @@ class MasterScheduler {
   void note_death(int worker);
 
   /// Fold a (first-time) report from a live worker: role progress claims,
-  /// owed/in-flight retirement, exhaustion, alignment results into the
-  /// union-find (via the consistency resolver when enabled), and new-pair
-  /// admission filtered against the current clustering.
+  /// owed/in-flight retirement, exhaustion, then its alignment results and
+  /// new pairs through `fold` (Fig. 3).
   void fold_report(int worker, const WorkerReport& report);
-
-  /// Fold accepted results from a report a worker sent before it failed
-  /// (its batches were requeued, so merges replay idempotently). Progress
-  /// claims are ignored — its roles have new owners.
-  void fold_zombie_results(const WorkerReport& report);
 
   /// Should this reporter be dispatched to (even an empty batch, to keep it
   /// cycling while it owes results or must keep generating), or parked?
@@ -92,7 +84,7 @@ class MasterScheduler {
   bool work_remaining() const;
 
   // --- state (owned here, read/written by the coordinator) ---------------
-  util::UnionFind uf;
+  ClusterFold fold;  // union-find, §10 resolver, pair and merge counters
   std::deque<PairMsg> pending;  // Pending_Work_Buf
   std::deque<int> idle;         // Idle_Workers
   // Alignment results dispatched but not yet reported. A worker aligns a
@@ -125,13 +117,6 @@ class MasterScheduler {
   int active_workers = 0;  // workers that may still generate pairs
   int remaining = 0;       // workers neither terminated nor declared dead
 
-  std::uint64_t generated = 0;  // NP pairs received
-  std::uint64_t selected = 0;   // pairs admitted to Pending_Work_Buf
-  std::uint64_t aligned = 0;    // results received
-  std::uint64_t accepted = 0;
-  std::uint64_t merges = 0;
-  std::uint64_t rejected_inconsistent = 0;
-
   std::uint64_t workers_lost = 0;
   std::uint64_t batches_reassigned = 0;
   std::uint64_t pairs_reassigned = 0;
@@ -149,10 +134,6 @@ class MasterScheduler {
   int p_;
   std::size_t n_fragments_;
   std::uint32_t batch_;  // per-dispatch granularity (Section 7.2 adaptive)
-  // Inconsistent-overlap resolution extension (paper §10 future work). The
-  // verification alignments run on the master; they are few (one to three
-  // per attempted merge) and are charged to the master's compute ledger.
-  std::unique_ptr<ConsistencyResolver> resolver_;
 };
 
 }  // namespace pgasm::core

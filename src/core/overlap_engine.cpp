@@ -1,7 +1,6 @@
 #include "core/overlap_engine.hpp"
 
-#include <stdexcept>
-
+#include "core/serial_cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -26,29 +25,9 @@ void bind_instruments(int rank, obs::Counter*& pairs,
 
 OverlapEngine::OverlapEngine(const seq::FragmentStore& doubled,
                              const align::OverlapParams& params, int rank)
-    : doubled_(&doubled), params_(params) {
+    : doubled_(doubled), params_(params) {
   bind_instruments(rank, obs_pairs_, obs_batch_us_, obs_ws_bytes_,
                    obs_allocs_, obs_allocs_avoided_);
-}
-
-OverlapEngine::OverlapEngine(const align::OverlapParams& params, int rank)
-    : params_(params) {
-  bind_instruments(rank, obs_pairs_, obs_batch_us_, obs_ws_bytes_,
-                   obs_allocs_, obs_allocs_avoided_);
-}
-
-align::OverlapResult OverlapEngine::details(std::uint32_t seq_a,
-                                            std::uint32_t pos_a,
-                                            std::uint32_t seq_b,
-                                            std::uint32_t pos_b) {
-  if (!doubled_)
-    throw std::logic_error("OverlapEngine: no fragment store bound");
-  const auto a = doubled_->seq(seq_a);
-  const auto b = doubled_->seq(seq_b);
-  const std::int32_t shift =
-      static_cast<std::int32_t>(pos_b) - static_cast<std::int32_t>(pos_a);
-  return align::banded_overlap_align(a, b, params_.scoring, shift,
-                                     params_.band, ws_);
 }
 
 ResultMsg OverlapEngine::align_pair(const PairMsg& pm) {
@@ -57,7 +36,8 @@ ResultMsg OverlapEngine::align_pair(const PairMsg& pm) {
   res.frag_b = pm.seq_b >> 1;
   res.rc_a = static_cast<std::uint8_t>(pm.seq_a & 1u);
   res.rc_b = static_cast<std::uint8_t>(pm.seq_b & 1u);
-  const auto od = details(pm.seq_a, pm.pos_a, pm.seq_b, pm.pos_b);
+  const auto od = pair_overlap_details(doubled_, pm.seq_a, pm.pos_a,
+                                       pm.seq_b, pm.pos_b, params_, ws_);
   res.accepted = align::accept_overlap(od, params_) ? 1 : 0;
   res.delta = static_cast<std::int32_t>(od.aln.a_begin) -
               static_cast<std::int32_t>(od.aln.b_begin);
@@ -78,11 +58,6 @@ std::vector<ResultMsg> OverlapEngine::run(std::span<const PairMsg> batch) {
   std::vector<ResultMsg> out;
   run(batch, out);
   return out;
-}
-
-align::OverlapResult OverlapEngine::full_align(align::Seq a, align::Seq b,
-                                               const align::AlignOptions& opts) {
-  return align::overlap_align(a, b, params_.scoring, ws_, opts);
 }
 
 void OverlapEngine::note_batch(std::size_t pairs, double seconds) {

@@ -1,6 +1,7 @@
 // The shared overlap-compute engine: one persistent align::Workspace plus
-// the accept test, batch-oriented so serial clustering, parallel workers,
-// and consensus validation all run the exact same allocation-free kernel.
+// the accept test, batch-oriented so serial clustering, the parallel
+// workers and the lookup-filter baseline run the exact same
+// allocation-free kernel.
 //
 // The paper's clustering phase spends essentially all of its time in the
 // banded suffix–prefix alignment "anchored to the maximal matches"
@@ -41,30 +42,18 @@ class OverlapEngine {
   /// through `doubled`). The store must outlive the engine.
   OverlapEngine(const seq::FragmentStore& doubled,
                 const align::OverlapParams& params, int rank = 0);
-  /// Store-less engine: only full_align is usable (consensus validation
-  /// aligns ad-hoc sequences, not store fragments).
-  explicit OverlapEngine(const align::OverlapParams& params, int rank = 0);
 
   OverlapEngine(const OverlapEngine&) = delete;
   OverlapEngine& operator=(const OverlapEngine&) = delete;
 
-  /// Banded accept-test alignment for a promising pair in doubled-store
-  /// ids, anchored at its maximal match (shift = pos_b - pos_a).
-  align::OverlapResult details(std::uint32_t seq_a, std::uint32_t pos_a,
-                               std::uint32_t seq_b, std::uint32_t pos_b);
-
-  /// Full worker-side outcome for one pair: fragment ids, orientation
-  /// flags, accept bit, and the oriented placement delta.
+  /// Full worker-side outcome for one pair, aligned by
+  /// pair_overlap_details in the engine's workspace: fragment ids,
+  /// orientation flags, accept bit, and the oriented placement delta.
   ResultMsg align_pair(const PairMsg& pm);
 
   /// Batch API: one ResultMsg per pair, in order, appended to `out`.
   void run(std::span<const PairMsg> batch, std::vector<ResultMsg>& out);
   std::vector<ResultMsg> run(std::span<const PairMsg> batch);
-
-  /// Full-matrix end-free alignment on arbitrary sequences, sharing the
-  /// engine workspace (used by consensus validation).
-  align::OverlapResult full_align(align::Seq a, align::Seq b,
-                                  const align::AlignOptions& opts = {});
 
   const align::OverlapParams& params() const noexcept { return params_; }
   const align::Workspace& workspace() const noexcept { return ws_; }
@@ -73,7 +62,7 @@ class OverlapEngine {
  private:
   void note_batch(std::size_t pairs, double seconds);
 
-  const seq::FragmentStore* doubled_ = nullptr;
+  const seq::FragmentStore& doubled_;
   align::OverlapParams params_;
   align::Workspace ws_;
   std::uint64_t pairs_ = 0;

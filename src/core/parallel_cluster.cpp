@@ -125,12 +125,9 @@ void master_loop(vmpi::Comm& comm, const ClusterParams& params,
     const WorkerReport report = std::move(decoded).value();
 
     if (!sched.alive[w]) {
-      // A report a worker sent before it failed, probed after its reaping:
-      // fold its results (idempotent; its batches were requeued, so at
-      // worst pairs align twice). Its roles have new owners — ignore
-      // progress. The rank is gone, so nothing is sent back.
-      auto scope = comm.compute_scope();
-      sched.fold_zombie_results(report);
+      // Never taken: reap_failed waits for a failed worker's queued report,
+      // and a dead rank sends nothing more. Should one arrive anyway, its
+      // batches were requeued at the reap, so dropping it loses nothing.
       continue;
     }
 
@@ -478,13 +475,9 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
   });
   const double total_wall = total_timer.elapsed();
 
-  result.clusters = std::move(sched.uf);
+  result.clusters = std::move(sched.fold.uf);
   ClusterStats& stats = result.stats;
-  stats.pairs_generated = sched.generated;
-  stats.pairs_aligned = sched.aligned;
-  stats.pairs_accepted = sched.accepted;
-  stats.merges = sched.merges;
-  stats.merges_rejected_inconsistent = sched.rejected_inconsistent;
+  sched.fold.write_stats(stats);
   stats.workers_lost = sched.workers_lost;
   stats.batches_reassigned = sched.batches_reassigned;
   stats.pairs_reassigned = sched.pairs_reassigned;
@@ -509,12 +502,13 @@ ParallelClusterResult cluster_parallel(const seq::FragmentStore& fragments,
     const auto c = [&](const char* name, std::uint64_t v) {
       reg.counter(name, 0, phase).inc(v);
     };
-    c("cluster.pairs_generated", sched.generated);
-    c("cluster.pairs_selected", sched.selected);
-    c("cluster.pairs_aligned", sched.aligned);
-    c("cluster.pairs_accepted", sched.accepted);
-    c("cluster.merges", sched.merges);
-    c("cluster.merges_rejected_inconsistent", sched.rejected_inconsistent);
+    c("cluster.pairs_generated", sched.fold.generated);
+    c("cluster.pairs_selected", sched.fold.selected);
+    c("cluster.pairs_aligned", sched.fold.aligned);
+    c("cluster.pairs_accepted", sched.fold.accepted);
+    c("cluster.merges", sched.fold.merges);
+    c("cluster.merges_rejected_inconsistent",
+      sched.fold.rejected_inconsistent);
     c("cluster.workers_lost", sched.workers_lost);
     c("cluster.batches_reassigned", sched.batches_reassigned);
     c("cluster.pairs_reassigned", sched.pairs_reassigned);

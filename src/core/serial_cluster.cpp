@@ -6,7 +6,6 @@
 #include <string>
 
 #include "align/workspace.hpp"
-#include "core/consistency.hpp"
 #include "core/overlap_engine.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
@@ -39,14 +38,6 @@ align::OverlapResult pair_overlap_details(const seq::FragmentStore& doubled,
   return pair_overlap_details(doubled, seq_a, pos_a, seq_b, pos_b, p, ws);
 }
 
-bool pair_overlaps(const seq::FragmentStore& doubled, std::uint32_t seq_a,
-                   std::uint32_t pos_a, std::uint32_t seq_b,
-                   std::uint32_t pos_b, const align::OverlapParams& p,
-                   align::Workspace& ws) {
-  return align::accept_overlap(
-      pair_overlap_details(doubled, seq_a, pos_a, seq_b, pos_b, p, ws), p);
-}
-
 void validate_cluster_params(const ClusterParams& params) {
   align::validate_overlap_params(params.overlap, params.psi);
   // The parallel GST buckets suffixes by their first prefix_w characters:
@@ -72,11 +63,50 @@ void validate_cluster_params(const ClusterParams& params) {
   }
 }
 
+ClusterFold::ClusterFold(const seq::FragmentStore& doubled,
+                         const ClusterParams& params) {
+  uf.reset(doubled.size() / 2);
+  // Inconsistent-overlap resolution extension (paper §10 future work).
+  if (params.resolve_inconsistent) {
+    resolver_ = std::make_unique<ConsistencyResolver>(
+        doubled, params.overlap, params.placement_tolerance);
+  }
+}
+
+bool ClusterFold::admit(const PairMsg& pm) {
+  ++generated;
+  if (uf.same(pm.seq_a >> 1, pm.seq_b >> 1)) return false;
+  ++selected;
+  return true;
+}
+
+void ClusterFold::fold(const ResultMsg& r) {
+  ++aligned;
+  if (!r.accepted) return;
+  ++accepted;
+  // A result folded after its pair's admission may find the fragments
+  // already joined; only a merge still to happen is checked.
+  if (resolver_ && !uf.same(r.frag_a, r.frag_b) &&
+      !resolver_->admit(r.frag_a, r.frag_b, r.rc_a != 0, r.rc_b != 0,
+                        r.delta)) {
+    ++rejected_inconsistent;
+    return;
+  }
+  if (uf.unite(r.frag_a, r.frag_b)) ++merges;
+}
+
+void ClusterFold::write_stats(ClusterStats& stats) const {
+  stats.pairs_generated = generated;
+  stats.pairs_aligned = aligned;
+  stats.pairs_accepted = accepted;
+  stats.merges = merges;
+  stats.merges_rejected_inconsistent = rejected_inconsistent;
+}
+
 ClusterResult cluster_serial(const seq::FragmentStore& fragments,
                              const ClusterParams& params) {
   validate_cluster_params(params);
   ClusterResult result;
-  result.clusters.reset(fragments.size());
   ClusterStats& stats = result.stats;
 
   util::WallTimer gst_timer;
@@ -87,37 +117,12 @@ ClusterResult cluster_serial(const seq::FragmentStore& fragments,
   util::WallTimer cluster_timer;
   gst::PairGenerator gen(
       tree, {.dup_elim = params.dup_elim, .doubled_input = true});
-
-  // Inconsistent-overlap resolution extension (paper §10 future work).
-  std::unique_ptr<ConsistencyResolver> resolver;
-  if (params.resolve_inconsistent) {
-    resolver = std::make_unique<ConsistencyResolver>(
-        doubled, params.overlap, params.placement_tolerance);
-  }
-
+  ClusterFold fold(doubled, params);
   // Same allocation-free compute path the parallel workers run.
   OverlapEngine engine(doubled, params.overlap);
-
   auto process = [&](const gst::PromisingPair& pr) {
-    ++stats.pairs_generated;
-    const std::uint32_t fa = pr.seq_a >> 1;
-    const std::uint32_t fb = pr.seq_b >> 1;
-    if (result.clusters.same(fa, fb)) return;
-    ++stats.pairs_aligned;
-    const auto r = engine.details(pr.seq_a, pr.pos_a, pr.seq_b, pr.pos_b);
-    if (!align::accept_overlap(r, params.overlap)) return;
-    ++stats.pairs_accepted;
-    if (resolver) {
-      const std::int32_t delta =
-          static_cast<std::int32_t>(r.aln.a_begin) -
-          static_cast<std::int32_t>(r.aln.b_begin);
-      if (!resolver->admit(fa, fb, (pr.seq_a & 1u) != 0,
-                           (pr.seq_b & 1u) != 0, delta)) {
-        ++stats.merges_rejected_inconsistent;
-        return;
-      }
-    }
-    if (result.clusters.unite(fa, fb)) ++stats.merges;
+    const PairMsg pm{pr.seq_a, pr.pos_a, pr.seq_b, pr.pos_b, pr.match_len};
+    if (fold.admit(pm)) fold.fold(engine.align_pair(pm));
   };
 
   gst::PromisingPair pr;
@@ -136,6 +141,8 @@ ClusterResult cluster_serial(const seq::FragmentStore& fragments,
     for (const auto& q : all) process(q);
   }
   stats.cluster_seconds = cluster_timer.elapsed();
+  fold.write_stats(stats);
+  result.clusters = std::move(fold.uf);
   return result;
 }
 

@@ -1,6 +1,5 @@
 #include "obs/export.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -23,45 +22,6 @@ void write_file(const std::filesystem::path& path, const std::string& body) {
   if (!out) {
     throw std::runtime_error("obs: short write to " + path.string());
   }
-}
-
-// Compare the cost model's verdict with the clock's. The vmpi ledger
-// charges every transfer α + βn (modeled comm seconds, published as the
-// vmpi.comm_seconds gauges); the wait-scope histograms (comm.wait_us)
-// record the wall time ranks actually spent blocked in recv/probe/ssend/
-// barrier. Their ratio is the model skew: ~1 means the calibrated α/β
-// describe this machine and transport; >> 1 means real waits dwarf the
-// model (contention, scheduling, an uncalibrated transport) and modeled
-// speedup curves should not be trusted. Driver-level rows (rank -1) are
-// excluded — the parent's join wait is not rank communication.
-std::string comm_model_section(const std::vector<MetricSample>& samples) {
-  double modeled_s = 0, measured_s = 0;
-  bool any = false;
-  for (const auto& s : samples) {
-    if (s.key.rank < 0) continue;
-    if (s.kind == MetricSample::Kind::kGauge &&
-        s.key.name == "vmpi.comm_seconds") {
-      modeled_s += s.gauge_value;
-      any = true;
-    } else if (s.kind == MetricSample::Kind::kHistogram &&
-               s.key.name == "comm.wait_us") {
-      measured_s += static_cast<double>(s.hist_sum) * 1e-6;
-      any = true;
-    }
-  }
-  if (!any) return {};
-  char buf[256];
-  if (modeled_s > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "modeled comm %.6f s, measured wait %.6f s, skew %.2fx\n",
-                  modeled_s, measured_s, measured_s / modeled_s);
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "modeled comm 0 s, measured wait %.6f s (no ledger "
-                  "charges; skew undefined)\n",
-                  measured_s);
-  }
-  return std::string("\n== comm model (measured vs modeled) ==\n") + buf;
 }
 
 }  // namespace
@@ -90,8 +50,6 @@ void write_run_outputs(const std::string& dir) {
 
   const Analysis analysis = analyze_current();
   write_file(base / "summary.txt", registry().summary_table() +
-                                       comm_model_section(
-                                           registry().snapshot()) +
                                        "\n== attribution ==\n" +
                                        analysis.to_text());
   write_file(base / "metrics.jsonl", registry().to_jsonl());

@@ -30,7 +30,7 @@ struct CostParams {
   // transport: ~2.6 us one-way small-message latency (mailbox mutex+cv
   // handoff), ~30 GB/s effective per-link streaming bandwidth (memcpy
   // through the mailbox, both sides charged). See DESIGN.md §14 for the
-  // method and the measured-vs-modeled skew discussion.
+  // method.
   double alpha = 2.6e-6;      ///< per-message latency, seconds
   double beta = 1.0 / 30e9;   ///< per-byte cost, seconds
 

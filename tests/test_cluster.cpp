@@ -12,6 +12,8 @@
 #include "core/wire.hpp"
 #include "gst/pair_generator.hpp"
 #include "gst/suffix_tree.hpp"
+#include "sim/genome.hpp"
+#include "sim/reads.hpp"
 #include "test_helpers.hpp"
 
 namespace pgasm {
@@ -168,7 +170,9 @@ TEST(SerialCluster, MatchesBruteForceOverlapClosure) {
   for (const auto& [qa, pa, qb, pb, len] : matches) {
     const std::uint32_t fa = qa >> 1, fb = qb >> 1;
     if (fa == fb) continue;
-    if (core::pair_overlaps(doubled, qa, pa, qb, pb, params.overlap, ws)) {
+    if (align::accept_overlap(core::pair_overlap_details(
+                                  doubled, qa, pa, qb, pb, params.overlap, ws),
+                              params.overlap)) {
       ref.unite(fa, fb);
     }
   }
@@ -198,6 +202,59 @@ TEST(SerialCluster, RcOnlyOverlapJoins) {
       std::vector<seq::Code>(genome.begin() + 100, genome.begin() + 250)));
   const auto result = cluster_serial(store, small_params());
   EXPECT_EQ(result.clusters.num_sets(), 1u);
+}
+
+/// FNV-1a over the labels renumbered by first appearance: equal exactly
+/// when the partitions are equal.
+std::uint64_t partition_hash(const util::UnionFind& uf) {
+  const auto labels = uf.labels();
+  std::vector<std::uint32_t> renumbered(labels.size(), UINT32_MAX);
+  std::uint32_t next = 0;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto l : labels) {
+    if (renumbered[l] == UINT32_MAX) renumbered[l] = next++;
+    h ^= renumbered[l];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Golden counters on a fixed repeat-rich read set: the skip rule, the
+// accept test and the §10 resolver must keep aligning, accepting and
+// merging exactly these pairs (the tests above check only inequalities).
+// The repeats make the resolver refuse hundreds of merges.
+TEST(SerialCluster, GoldenCountersOnRepeatRichReads) {
+  const auto genome = sim::simulate_genome(sim::maize_like(20'000, 11));
+  util::Prng rng(12);
+  sim::ReadSet rs;
+  sim::ReadParams rp;
+  rp.len_mean = 300;
+  rp.len_spread = 60;
+  sim::sample_wgs(rs, genome, 4.0, rp, rng);
+  ASSERT_EQ(rs.store.size(), 268u);
+
+  struct Golden {
+    bool resolve;
+    std::uint64_t generated, aligned, accepted, merges, rejected;
+    std::size_t sets;
+    std::uint64_t hash;
+  };
+  for (const Golden& g :
+       {Golden{false, 11219, 1062, 265, 265, 0, 3, 11885867425351340741ULL},
+        Golden{true, 11219, 7915, 631, 249, 382, 19,
+               9597731007017955739ULL}}) {
+    SCOPED_TRACE(g.resolve ? "resolver on" : "resolver off");
+    ClusterParams params;
+    params.resolve_inconsistent = g.resolve;
+    const auto r = cluster_serial(rs.store, params);
+    EXPECT_EQ(r.stats.pairs_generated, g.generated);
+    EXPECT_EQ(r.stats.pairs_aligned, g.aligned);
+    EXPECT_EQ(r.stats.pairs_accepted, g.accepted);
+    EXPECT_EQ(r.stats.merges, g.merges);
+    EXPECT_EQ(r.stats.merges_rejected_inconsistent, g.rejected);
+    EXPECT_EQ(r.clusters.num_sets(), g.sets);
+    EXPECT_EQ(partition_hash(r.clusters), g.hash);
+  }
 }
 
 TEST(SerialCluster, EmptyAndSingleton) {

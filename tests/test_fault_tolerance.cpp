@@ -13,7 +13,6 @@
 #include <map>
 #include <thread>
 
-#include "core/cluster_scheduler.hpp"
 #include "core/parallel_cluster.hpp"
 #include "core/wire.hpp"
 #include "test_helpers.hpp"
@@ -703,33 +702,6 @@ TEST(FaultCluster, FaultFreeRunReportsNoRecoveryActivity) {
   EXPECT_EQ(result.stats.checkpoints_written, 0u);
   EXPECT_EQ(result.cost.faults.crashes_injected, 0u);
   EXPECT_EQ(result.cost.faults.messages_dropped, 0u);
-}
-
-// A report a worker sent before it died still carries merges worth keeping,
-// but its progress claims must not reclaim the roles its death orphaned.
-TEST(FaultScheduler, ZombieReportMergesAcceptedResultsOnly) {
-  seq::FragmentStore plain;
-  for (const char* s : {"ACGTACGTAC", "CGTACGTACG", "GTACGTACGT", "TACGTACGTA"})
-    plain.add_ascii(s);
-  const auto doubled = seq::make_doubled_store(plain);
-  core::MasterScheduler sched(doubled, fault_params(), /*p=*/3);
-  sched.note_death(1);
-  ASSERT_EQ(sched.role_owner[1], -1);
-  ASSERT_EQ(sched.orphans.size(), 1u);
-
-  core::WorkerReport zombie;
-  zombie.results.push_back({.frag_a = 0, .frag_b = 1, .accepted = 1});
-  zombie.results.push_back({.frag_a = 2, .frag_b = 3, .accepted = 0});
-  zombie.progress.push_back({.role = 1, .done = 1, .emitted = 40});
-  sched.fold_zombie_results(zombie);
-
-  EXPECT_EQ(sched.merges, 1u);
-  EXPECT_TRUE(sched.uf.same(0, 1));
-  EXPECT_FALSE(sched.uf.same(2, 3));
-  EXPECT_EQ(sched.role_owner[1], -1);
-  EXPECT_EQ(sched.role_done[1], 0u);
-  EXPECT_EQ(sched.role_pos[1], 0u);
-  EXPECT_EQ(sched.orphans.size(), 1u);
 }
 
 }  // namespace

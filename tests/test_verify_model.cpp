@@ -63,7 +63,7 @@ TEST(VerifyModel, CrashWithWorkRemainingReachesAbortFinal) {
 
 TEST(VerifyModel, EverySeededBugIsCaughtByItsExpectedProperty) {
   const auto fixtures = model_bug_fixtures();
-  ASSERT_EQ(fixtures.size(), 6u);
+  ASSERT_EQ(fixtures.size(), 7u);
   for (const ModelBugFixture& fx : fixtures) {
     SCOPED_TRACE(model_bug_name(fx.bug));
     const ModelResult r = run_model(fx.config);

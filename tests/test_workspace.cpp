@@ -187,16 +187,6 @@ TEST(OverlapEngine, MatchesReferenceKernelOnStorePairs) {
   EXPECT_EQ(out[1].frag_a, results[0].frag_a);
 }
 
-TEST(OverlapEngine, StorelessEngineRejectsPairApi) {
-  core::OverlapEngine engine{OverlapParams{}};
-  EXPECT_THROW(engine.details(0, 0, 1, 0), std::logic_error);
-  // full_align still works without a store.
-  util::Prng rng(3);
-  const auto a = test::random_dna(rng, 40);
-  const auto r = engine.full_align(a, a);
-  EXPECT_EQ(r.aln.matches, a.size());
-}
-
 TEST(ValidateParams, RejectsUselessCombinations) {
   OverlapParams p;  // defaults are valid
   EXPECT_NO_THROW(align::validate_overlap_params(p, 20));

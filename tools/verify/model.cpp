@@ -161,7 +161,6 @@ enum class Act : std::uint8_t {
   kDrainReplyExited,
   kFoldFresh,
   kFoldDup,
-  kFoldZombie,
   kDrainReport,
   kMasterWake,
   kReap,
@@ -184,7 +183,6 @@ const char* act_name(Act a) {
     case Act::kDrainReplyExited: return "exited worker drains stale reply";
     case Act::kFoldFresh: return "master folds fresh report and replies";
     case Act::kFoldDup: return "master answers duplicate from cache";
-    case Act::kFoldZombie: return "master folds a reaped worker's report";
     case Act::kDrainReport:
       return "finished master drains report, re-sends terminate";
     case Act::kMasterWake: return "master wakes parked worker with dispatch";
@@ -487,7 +485,16 @@ struct Explorer {
       }
 
       // -- Master actions.
-      if (w.report) {
+      if (w.report && w.view == kViewDead) {
+        // The real reap waits for the worker's queued report and a dead
+        // rank sends nothing more, so the master never reads a reaped
+        // worker's report: it drops one unfolded, which would lose merges.
+        violate("P3",
+                "master consumes a report from reaped worker " +
+                    std::to_string(i) +
+                    ": the reap did not wait for its queued report",
+                at);
+      } else if (w.report) {
         State t = s;
         t.w[wi].report = 0;
         if (finished) {
@@ -505,11 +512,7 @@ struct Explorer {
         } else {
           check_consumption(false, static_cast<unsigned>(MasterState::kFold),
                             MsgKind::kReport, at, act_code(Act::kFoldDup, i));
-          if (w.view == kViewDead) {
-            // A report the worker sent before it crashed, folded after the
-            // reap: idempotent, and nothing is sent to the dead rank.
-            emit(t, Act::kFoldZombie, i);
-          } else if (w.answered) {
+          if (w.answered) {
             // Duplicate of an already-folded report (a terminated worker's
             // included): re-send the cache.
             if (cfg.bug != ModelBug::kNoCachedReply &&
@@ -533,8 +536,10 @@ struct Explorer {
         emit(t, Act::kMasterWake, i);
       }
       // The transport is the failure detector: only a crashed worker is
-      // reaped, and only once its own queued report has been consumed.
-      if (w.mode == kModeCrashed && !w.report &&
+      // reaped, and only once its own queued report has been consumed
+      // (kReapQueuedReport skips that wait).
+      if (w.mode == kModeCrashed &&
+          (!w.report || cfg.bug == ModelBug::kReapQueuedReport) &&
           (w.view == kViewBusy || w.view == kViewParked)) {
         State t = s;
         if (w.view == kViewBusy) ++t.pool;  // requeue the held unit
@@ -701,6 +706,7 @@ const char* model_bug_name(ModelBug bug) {
     case ModelBug::kUndeclaredRecv: return "undeclared-recv";
     case ModelBug::kNoFinalAbort: return "no-final-abort";
     case ModelBug::kNoDrainReply: return "no-drain-reply";
+    case ModelBug::kReapQueuedReport: return "reap-queued-report";
   }
   return "?";
 }
@@ -710,7 +716,7 @@ bool parse_model_bug(const std::string& name, ModelBug* out) {
        {ModelBug::kNone, ModelBug::kNoRetransmit, ModelBug::kNoCachedReply,
         ModelBug::kNoParkReply,
         ModelBug::kUndeclaredRecv, ModelBug::kNoFinalAbort,
-        ModelBug::kNoDrainReply}) {
+        ModelBug::kNoDrainReply, ModelBug::kReapQueuedReport}) {
     if (name == model_bug_name(b)) {
       *out = b;
       return true;
@@ -750,6 +756,8 @@ std::vector<ModelBugFixture> model_bug_fixtures() {
        "P3"},
       {ModelBug::kNoFinalAbort, cfg(1, 0, 1, ModelBug::kNoFinalAbort), "P1"},
       {ModelBug::kNoDrainReply, cfg(2, 1, 0, ModelBug::kNoDrainReply), "P2"},
+      {ModelBug::kReapQueuedReport,
+       cfg(1, 0, 1, ModelBug::kReapQueuedReport), "P3"},
   };
 }
 

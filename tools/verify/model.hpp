@@ -26,9 +26,10 @@
 //   P2 termination co-reachability — from every reachable state some final
 //      state is reachable (no livelock: the run can always finish).
 //   P3 declared-protocol conformance — every message consumption in the
-//      explored space maps onto a row of kWorkerRecvs/kMasterRecvs, and
-//      every worker mode change maps onto a declared kWorkerTransitions
-//      path (transitive closure).
+//      explored space maps onto a row of kWorkerRecvs/kMasterRecvs, every
+//      worker mode change maps onto a declared kWorkerTransitions path
+//      (transitive closure), and the master never has a reaped worker's
+//      report to read.
 //   P4 loss tolerance — no reachable state strands a live worker with an
 //      exhausted retransmission budget, an empty reply queue, and an
 //      unfinished master (the state in which the real await_reply gives up
@@ -59,6 +60,7 @@ enum class ModelBug {
   kUndeclaredRecv,    ///< kWorkerRecvs loses its (kAwaitReply, kReply) row
   kNoFinalAbort,      ///< the all-workers-lost abort is not a final state
   kNoDrainReply,      ///< the shutdown drain never re-sends a lost terminate
+  kReapQueuedReport,  ///< the master reaps a worker whose report is queued
 };
 
 const char* model_bug_name(ModelBug bug);
